@@ -138,9 +138,12 @@ def count_gates(circuit: Circuit, residual: float | None = None) -> SynthesisRep
 
 
 def _is_trivial(gate: Gate) -> bool:
-    # angle 0 mod 2*pi; math.remainder is the cheap scalar reduction
-    if isinstance(gate, (RZ, MCRZ)):
+    # math.remainder is the cheap scalar reduction. Rz(2*pi) is -I, a global
+    # phase; a controlled Rz(2*pi) is a controlled -1, so MCRZ needs 0 mod 4*pi.
+    if isinstance(gate, RZ):
         return abs(math.remainder(gate.alpha, TWO_PI)) <= ZERO_ANGLE_EPS
+    if isinstance(gate, MCRZ):
+        return abs(math.remainder(gate.alpha, 2 * TWO_PI)) <= ZERO_ANGLE_EPS
     if isinstance(gate, CDIAG):
         return (
             abs(math.remainder(gate.theta0, TWO_PI)) <= ZERO_ANGLE_EPS
@@ -197,9 +200,10 @@ def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circu
     Three local rules: adjacent self-inverse pairs (CNOT/CNOT on the same
     control and target, X/X on the same line) vanish; CNOTs sharing a target
     commute, so cancelling pairs inside such a run need not be adjacent; and,
-    unless disabled, rotations with angle 0 mod 2*pi (both angles, for CDIAG)
-    are deleted, which typically exposes further CNOT pairs. Preserves the
-    induced diagonal exactly.
+    unless disabled, identity rotations are deleted (RZ at 0 mod 2*pi, which
+    leaves only a global phase; MCRZ at 0 mod 4*pi; CDIAG with both angles
+    0 mod 2*pi), which typically exposes further CNOT pairs. Preserves the
+    induced diagonal up to global phase (a dropped RZ(2*pi) was -I).
     """
     gates = list(circuit.gates)
     while True:

@@ -16,12 +16,33 @@ import numpy as np
 
 from .angles import DEFAULT_TOL
 from .diagonal import DiagonalUnitary
-from .errors import DimensionError, FormatError, NotDiagonalError, UnsupportedGateError
+from .errors import (
+    DimensionError,
+    FormatError,
+    NotDiagonalError,
+    SingularSystemError,
+    SynthesisError,
+    UnsupportedGateError,
+)
 from .serialize import load_circuit, load_diagonal, save_circuit, to_qasm
 from .simulate import verify as verify_circuit
 from .synth_controlled import synth_controlled
 from .synth_twolevel import synth_twolevel
 from .synth_xor import synth_xor
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -37,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", dest="outfile", required=True, metavar="FILE")
     synth.add_argument("--qasm", metavar="FILE", help="also export OpenQASM 2.0")
     synth.add_argument("--verify", action="store_true", help="replay and compare")
-    synth.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    synth.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     synth.add_argument("--style", choices=("fan", "chain"), default="fan")
     synth.add_argument("--stats", action="store_true", help="print gate counts")
     synth.add_argument(
@@ -49,13 +70,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="check a circuit file against a diagonal file")
     ver.add_argument("--circuit", required=True, metavar="FILE")
     ver.add_argument("--diag", required=True, metavar="FILE")
-    ver.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ver.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     bench = sub.add_parser("bench", help="gate-count table over random diagonals")
     bench.add_argument("--algo", required=True, choices=("xor", "lambda", "twolevel"))
     bench.add_argument("--n-min", type=int, required=True)
     bench.add_argument("--n-max", type=int, required=True)
-    bench.add_argument("--trials", type=int, required=True)
+    bench.add_argument("--trials", type=_positive_int, required=True)
     return parser
 
 
@@ -148,6 +169,8 @@ def main(argv=None) -> int:
         UnsupportedGateError,
         FileNotFoundError,
         ValueError,
+        SynthesisError,
+        SingularSystemError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

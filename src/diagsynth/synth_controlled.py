@@ -1,10 +1,14 @@
 """Synthesis from fully-conditioned rotation blocks kept as MCRZ primitives.
 
-Same recursive scheme as the parity-based synthesizer, with two differences:
-the generator blocks rotate the last line only when every control line is 1
-(so a block touches the conditioned states of its subset instead of the flip
-states), and the dictionary-ordered block system is applied without the
--1/2 factor, since a conditioned block leaves non-selected states fixed.
+Same recursive scheme as the parity-based synthesizer (the loop in
+``levels``), with two differences: the generator blocks rotate the last line
+only when every control line is 1 (so a block touches the conditioned states
+of its subset instead of the flip states), and the block angles are the
+dictionary-ordered system's solution without the -1/2 factor, since a
+conditioned block leaves non-selected states fixed. That system is the
+subset-inclusion matrix behind a difference operator, so the angles are a
+Moebius transform and the remainder a subset-sum transform, O(n * 2**n) per
+level; the dense system in ``systems`` is kept as their test oracle.
 Blocks stay multi-controlled rotation primitives in the output; expanding
 them into elementary gates is out of scope here, so totals are reported in
 blocks: 2**n - 1 of them (rotations included) on generic input.
@@ -16,11 +20,16 @@ import numpy as np
 
 from .angles import DEFAULT_TOL
 from .circuits import MCRZ, RZ, Circuit, Gate, SynthesisReport, count_gates, peephole_cancel
-from .diagonal import DiagonalUnitary, tensor_split
-from .errors import SynthesisError
-from .obstruction import is_tensor, obstruction
-from .subsets import subset_lines
-from .systems import controlled_block_matrix, solve_block_angles
+from .diagonal import DiagonalUnitary
+from .levels import prefix_sums, synthesize_levels
+from .subsets import dictionary_subsets
+from .transforms import mobius, zeta
+
+# Unused here; bound so that perfbench/spans.py, which wraps the names each
+# module binds, finds them.
+from .diagonal import tensor_split  # noqa: F401
+from .obstruction import is_tensor, obstruction  # noqa: F401
+from .systems import controlled_block_matrix, solve_block_angles  # noqa: F401
 
 
 def controlled_rotation_gates(controls, alpha: float, n: int) -> list[Gate]:
@@ -48,6 +57,18 @@ def controlled_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
     return np.where(selected, np.where(last, 0.5 * alpha, -0.5 * alpha), 0.0)
 
 
+def controlled_level_angles(psi: np.ndarray) -> np.ndarray:
+    """Block angles, indexed by subset mask, that cancel the obstruction psi.
+
+    Closed form of ``solve_block_angles(controlled_block_matrix(k), psi)``
+    with the columns read by mask instead of in dictionary order; entry 0
+    (the empty subset) is 0. With y = prefix_sums(psi), y[t] is the sum of
+    the angles of all blocks whose subset lies in t, so the angles are the
+    Moebius transform of y.
+    """
+    return mobius(prefix_sums(psi))
+
+
 def synth_controlled(
     u: DiagonalUnitary,
     tol: float = DEFAULT_TOL,
@@ -55,41 +76,15 @@ def synth_controlled(
 ) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into multi-controlled z-rotation blocks.
 
-    Identical pipeline to the parity-based synthesizer: per level, solve the
-    dictionary-ordered block system for angles cancelling the obstruction
-    (no extra scaling here), verify the remainder splits, emit the
-    empty-subset rotation plus one MCRZ per nonempty subset, recurse.
+    Identical pipeline to the parity-based synthesizer: per level, find the
+    angles cancelling the obstruction (no extra scaling here), verify the
+    remainder splits, emit the empty-subset rotation plus one MCRZ per
+    nonempty subset in dictionary order, recurse.
     """
-    gates: list[Gate] = []
-    phase = 0.0
-    level = u
-    while True:
-        k = level.n
-        if k == 1:
-            t0, t1 = level.thetas
-            gates.append(RZ(1, float(t1 - t0)))
-            phase += 0.5 * float(t0 + t1)
-            break
-        psi = obstruction(level)
-        system = controlled_block_matrix(k)
-        alphas = solve_block_angles(system, psi)
-        remainder = level.thetas
-        for mask, alpha in zip(system.column_subsets, alphas):
-            remainder = remainder + controlled_block_angles(k, mask, -alpha)
-        tilde = DiagonalUnitary(k, remainder)
-        if not is_tensor(tilde, tol):
-            raise SynthesisError(
-                "block angles failed to cancel the obstruction; "
-                "solver or ordering convention is inconsistent"
-            )
-        split = tensor_split(tilde, tol)
-        phase += split.phi
-        gates.append(RZ(k, split.rotation_angle))
-        for mask, alpha in zip(system.column_subsets, alphas):
-            gates.extend(
-                controlled_rotation_gates(subset_lines(mask, k - 1), float(alpha), k)
-            )
-        level = split.v
+    gates, phase = synthesize_levels(
+        u, tol, controlled_level_angles, zeta, dictionary_subsets,
+        controlled_rotation_gates,
+    )
     circuit = peephole_cancel(
         Circuit(u.n, tuple(gates), phase),
         drop_zero_rotations=not keep_trivial_rotations,

@@ -12,6 +12,13 @@ nonempty control subset:
 Here v_j = e_j - e_{j+1} (and v_dim = e_dim) in R^(2**(n-1)-1). Columns are
 assembled combinatorially from the index sets, never by numerically
 evaluating block obstructions, so the matrices are integer-exact.
+
+The synthesizers do not build these matrices or call the dense solve: both
+systems have closed-form inverses (a Walsh-Hadamard transform with a
+rank-one correction for the parity family, a Moebius transform for the
+conditioned family; see ``levels`` and ``transforms``), O(n * 2**n) per
+level instead of O(8**n). The matrices, the LU solve and the Gram
+certificate stay as the paper's artifacts and as the tests' oracle.
 """
 
 from __future__ import annotations

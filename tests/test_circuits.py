@@ -68,6 +68,17 @@ def test_drop_full_turn_rotations():
     assert ds.peephole_cancel(c).gates == ()
 
 
+def test_controlled_full_turn_is_kept_and_double_turn_dropped():
+    # MCRZ(2*pi) is a controlled -1, not the identity; MCRZ(4*pi) is
+    for alpha in (2 * np.pi, -2 * np.pi):
+        c = ds.Circuit(2, (ds.MCRZ((1,), 2, alpha),))
+        out = ds.peephole_cancel(c)
+        assert out.gates == c.gates
+        assert circuits_equivalent(c, out)
+    c = ds.Circuit(2, (ds.MCRZ((1,), 2, 4 * np.pi), ds.MCRZ((1,), 2, -4 * np.pi)))
+    assert ds.peephole_cancel(c).gates == ()
+
+
 def test_drop_identity_cdiag_only_when_both_angles_vanish():
     c = ds.Circuit(2, (ds.CDIAG((1,), 2, 0.0, 2 * np.pi), ds.CDIAG((1,), 2, 0.0, 0.3)))
     out = ds.peephole_cancel(c)

@@ -124,3 +124,37 @@ def test_dimension_error_exits_nonzero(tmp_path, capsys):
     path.write_text(json.dumps({"n": 1, "units": "rad", "thetas": [0.0, 0.5]}))
     code = main(["synth", "--algo", "twolevel", "--in", str(path), "--out", str(tmp_path / "o.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "error", [ds.SynthesisError, ds.SingularSystemError, ds.NotATensorError]
+)
+def test_synthesis_failures_exit_with_one_line(reference_diag_file, tmp_path, capsys,
+                                               monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("block angles failed to cancel the obstruction")
+
+    monkeypatch.setattr("diagsynth.cli.synth_xor", fail)
+    code = main(["synth", "--algo", "xor", "--in", str(reference_diag_file),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: block angles failed to cancel the obstruction"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--algo", "xor", "--n-min", "1", "--n-max", "2", "--trials", "0"],
+        ["bench", "--algo", "xor", "--n-min", "1", "--n-max", "2", "--trials", "-3"],
+        ["synth", "--algo", "xor", "--in", "d.json", "--out", "c.json", "--tol", "-1e-9"],
+        ["synth", "--algo", "xor", "--in", "d.json", "--out", "c.json", "--tol", "nan"],
+        ["verify", "--circuit", "c.json", "--diag", "d.json", "--tol", "-1"],
+    ],
+)
+def test_argument_checks_reject_bad_values(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--trials" in err or "--tol" in err
