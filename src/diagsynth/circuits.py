@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Union
 
 from .angles import TWO_PI, ZERO_ANGLE_EPS
@@ -152,45 +153,26 @@ def _is_trivial(gate: Gate) -> bool:
     return False
 
 
-def _reduce_run(run: list[Gate], key) -> list[Gate]:
-    # Gates inside a run commute pairwise, so equal keys cancel in pairs:
-    # keep one gate (at its first position) per key with odd multiplicity.
+def _run_key(gate: Gate):
+    # CNOTs sharing a target commute, and so do X gates; others stand alone
+    if isinstance(gate, CNOT):
+        return ("cnot", gate.target)
+    return "x" if isinstance(gate, X) else None
+
+
+def _reduce_run(run: list[Gate]) -> list[Gate]:
+    # Gates inside a run commute pairwise, so equal gates cancel in pairs:
+    # keep the first occurrence of each gate that occurs an odd number of times.
     if len(run) == 1:
         return run
-    parity = Counter(key(g) for g in run)
-    emitted = set()
-    out = []
-    for g in run:
-        k = key(g)
-        if parity[k] & 1 and k not in emitted:
-            out.append(g)
-            emitted.add(k)
-    return out
+    parity = Counter(run)
+    return [g for g in dict.fromkeys(run) if parity[g] & 1]
 
 
 def _cancel_pass(gates: list[Gate]) -> list[Gate]:
     out: list[Gate] = []
-    i = 0
-    while i < len(gates):
-        g = gates[i]
-        if isinstance(g, CNOT):
-            # maximal run of CNOTs sharing this target; they all commute
-            run = [g]
-            i += 1
-            while i < len(gates) and isinstance(gates[i], CNOT) and gates[i].target == g.target:
-                run.append(gates[i])
-                i += 1
-            out.extend(_reduce_run(run, key=lambda c: c.control))
-        elif isinstance(g, X):
-            run = [g]
-            i += 1
-            while i < len(gates) and isinstance(gates[i], X):
-                run.append(gates[i])
-                i += 1
-            out.extend(_reduce_run(run, key=lambda x: x.line))
-        else:
-            out.append(g)
-            i += 1
+    for key, run in groupby(gates, _run_key):
+        out.extend(run if key is None else _reduce_run(list(run)))
     return out
 
 
@@ -203,14 +185,21 @@ def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circu
     unless disabled, identity rotations are deleted (RZ at 0 mod 2*pi, which
     leaves only a global phase; MCRZ at 0 mod 4*pi; CDIAG with both angles
     0 mod 2*pi), which typically exposes further CNOT pairs. Preserves the
-    induced diagonal up to global phase (a dropped RZ(2*pi) was -I).
+    induced diagonal including its global phase: a dropped RZ(2*pi*m) was
+    (-1)**m * I, so odd m adds pi to the phase record.
     """
     gates = list(circuit.gates)
+    phase = circuit.global_phase
     while True:
         before = gates
         if drop_zero_rotations:
-            gates = [g for g in gates if not _is_trivial(g)]
+            gates = []
+            for g in before:
+                if not _is_trivial(g):
+                    gates.append(g)
+                elif isinstance(g, RZ):
+                    phase += math.pi * (round(g.alpha / TWO_PI) & 1)
         gates = _cancel_pass(gates)
         if len(gates) == len(before):
             break
-    return replace(circuit, gates=tuple(gates))
+    return replace(circuit, gates=tuple(gates), global_phase=phase)

@@ -131,6 +131,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    lowest = 2 if args.algo == "twolevel" else 1
+    if args.n_min < lowest:
+        raise DimensionError(f"--n-min must be at least {lowest} for --algo {args.algo}")
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     rng = np.random.default_rng(20260810)
     header = (
         f"{'n':>3} {'trials':>6} {'rz':>7} {'cnot':>7} {'x':>7} "

@@ -3,8 +3,8 @@
 One level of size k >= 2 finds one block angle per control subset S of
 lines 1..k-1 such that the blocks cancel the obstruction psi, confirms that
 the remainder splits off the last line, emits the split-off rotation and
-then one block per nonempty subset, and recurses on the (k-1)-qubit
-quotient. A family of blocks supplies four things:
+then the level's blocks, and recurses on the (k-1)-qubit quotient. A family
+of blocks supplies four things:
 
 * ``solve``: obstruction -> block angles indexed by subset mask, entry 0
   (the empty subset) zero. Both block systems are the difference operator
@@ -17,7 +17,8 @@ quotient. A family of blocks supplies four things:
   defines, so the remainder takes one O(k * 2**k) pass, not one pass per
   block.
 * ``order``: m -> subset masks in emission order.
-* ``emit``: (control lines, angle, target) -> the block's gates.
+* ``emit``: ((mask, control lines) per nonempty subset in order, angles by
+  mask, k) -> the level's gates, in their final form.
 
 Angles are reduced relative to theta_0 on entry to each level, with
 theta_0 moved into the global phase, so that inputs far from the principal
@@ -33,8 +34,8 @@ import numpy as np
 from .angles import wrap_angle
 from .circuits import RZ, Gate
 from .diagonal import DiagonalUnitary, tensor_split
-from .errors import SynthesisError
-from .obstruction import is_tensor, obstruction
+from .errors import NotATensorError, SynthesisError
+from .obstruction import obstruction
 from .subsets import subset_lines
 
 
@@ -77,16 +78,15 @@ def synthesize_levels(u: DiagonalUnitary, tol: float, solve, induced, order, emi
             break
         alphas = solve(obstruction(level))
         tilde = DiagonalUnitary(k, cancel_blocks(level.thetas, induced(alphas)))
-        if not is_tensor(tilde, tol):
+        try:
+            split = tensor_split(tilde, tol)
+        except NotATensorError as exc:
             raise SynthesisError(
                 "block angles failed to cancel the obstruction; "
                 "solver or ordering convention is inconsistent"
-            )
-        split = tensor_split(tilde, tol)
+            ) from exc
         phase += split.phi
         gates.append(RZ(k, split.rotation_angle))
-        angle = alphas.tolist()
-        for mask, lines in _blocks(order, k - 1):
-            gates.extend(emit(lines, angle[mask], k))
+        gates += emit(_blocks(order, k - 1), alphas.tolist(), k)
         t = split.v.thetas
     return gates, phase

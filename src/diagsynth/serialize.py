@@ -213,7 +213,11 @@ def parse_qasm(text: str) -> Circuit:
         elif gate.group("cc") is not None:
             gates.append(CNOT(int(gate.group("cc")) + 1, int(gate.group("ct")) + 1))
         else:
-            gates.append(RZ(int(gate.group("rq")) + 1, float(gate.group("angle"))))
+            try:
+                angle = float(gate.group("angle"))
+            except ValueError as exc:
+                raise FormatError(f"rz angle is not a number in {line!r}") from exc
+            gates.append(RZ(int(gate.group("rq")) + 1, angle))
     if n is None:
         raise FormatError("missing qreg declaration")
     return Circuit(n, tuple(gates), 0.0)

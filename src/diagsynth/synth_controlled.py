@@ -83,7 +83,7 @@ def synth_controlled(
     """
     gates, phase = synthesize_levels(
         u, tol, controlled_level_angles, zeta, dictionary_subsets,
-        controlled_rotation_gates,
+        lambda blocks, angle, k: [MCRZ(lines, k, angle[mask]) for mask, lines in blocks],
     )
     circuit = peephole_cancel(
         Circuit(u.n, tuple(gates), phase),

@@ -12,10 +12,11 @@ emits the inverse blocks plus the split-off last-line rotation, and recurses
 on the quotient diagonal (the loop in ``levels``). The angles and the
 remainder are closed-form Walsh-Hadamard transforms, O(n * 2**n) per level;
 the dense Gray-ordered system in ``systems`` is kept as their test oracle.
-Emitting subsets in Gray order makes every CNOT between consecutive
-rotations cancel except one, and the closing fan of the last subset ({1})
-contributes the single trailing CNOT, leaving 2**(n-1) rotations and
-2**(n-1) CNOTs per level:
+In Gray order consecutive subsets differ in one line, so of the two fans
+between consecutive rotations only the CNOT from that line survives, and
+the closing fan of the last subset ({1}) leaves the single trailing CNOT.
+The fan style emits that layout directly: 2**(n-1) rotations and 2**(n-1)
+CNOTs per level,
 
     2**n + 2**(n-1) + ... + 4 gates, plus one final one-qubit rotation,
 
@@ -23,8 +24,6 @@ for 2**(n+1) - 3 in total on generic input.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -105,6 +104,19 @@ def xor_level_angles(psi: np.ndarray) -> np.ndarray:
     return -0.5 * x
 
 
+def _fan_level(blocks, angle, k: int) -> list[Gate]:
+    # Gray-ordered fans with every cancelling CNOT pair already removed: one
+    # CNOT from the line where consecutive subsets differ, then the rotation
+    gates: list[Gate] = []
+    prev = 0
+    for mask, _ in blocks:
+        gates.append(CNOT(k - (prev ^ mask).bit_length(), k))
+        gates.append(RZ(k, angle[mask]))
+        prev = mask
+    gates.append(CNOT(1, k))  # the closing fan of the last subset, {1}
+    return gates
+
+
 def synth_xor(
     u: DiagonalUnitary,
     tol: float = DEFAULT_TOL,
@@ -115,20 +127,21 @@ def synth_xor(
 
     Per level (current size k >= 2): find the angles whose blocks cancel the
     obstruction, split the now-tensor remainder, emit the empty-subset
-    rotation first and then every nonempty block in Gray order, and recurse
-    on the (k-1)-qubit quotient; a single rotation finishes the one-qubit
-    base case. Unmeasurable phase accumulates in the circuit record rather
-    than in gates.
+    rotation first and then every nonempty block in Gray order (``fan``
+    writes the CNOT/rotation chain they cancel to), and recurse on the
+    (k-1)-qubit quotient; a single rotation finishes the one-qubit base case.
+    Unmeasurable phase accumulates in the circuit record rather than in
+    gates.
 
     With ``keep_trivial_rotations`` the cancellation pass keeps zero-angle
     rotations, freezing the full generic layout (exactly 2**(n+1) - 3 gates)
     even on degenerate input; by default they are dropped, so tensor-product
     inputs collapse to their own n-rotation circuit.
     """
-    gates, phase = synthesize_levels(
-        u, tol, xor_level_angles, fwht, gray_subsets,
-        partial(xor_rotation_gates, style=style),
-    )
+    emit = _fan_level if style == "fan" else lambda blocks, angle, k: [
+        g for mask, lines in blocks for g in xor_rotation_gates(lines, angle[mask], k, style)
+    ]
+    gates, phase = synthesize_levels(u, tol, xor_level_angles, fwht, gray_subsets, emit)
     circuit = peephole_cancel(
         Circuit(u.n, tuple(gates), phase),
         drop_zero_rotations=not keep_trivial_rotations,

@@ -117,3 +117,18 @@ def test_report_fields():
     assert report.blocks == 1
     assert report.global_phase == 0.7
     assert report.residual == 1e-16
+
+
+@pytest.mark.parametrize("alpha", [2 * np.pi, -2 * np.pi, 4 * np.pi, 6 * np.pi])
+def test_dropped_full_turn_keeps_absolute_phase(alpha):
+    # RZ(2*pi*m) is (-1)**m * I: dropping it must move that sign into the
+    # phase record, which basis_action (and so circuits_equivalent) leaves out
+    for c in (
+        ds.Circuit(1, (ds.RZ(1, alpha),), 0.3),
+        ds.Circuit(2, (ds.CNOT(1, 2), ds.RZ(2, alpha), ds.CNOT(1, 2), ds.RZ(1, 0.7))),
+    ):
+        out = ds.peephole_cancel(c)
+        assert not any(isinstance(g, ds.RZ) and g.alpha == alpha for g in out.gates)
+        before = ds.circuit_to_diagonal(c).thetas
+        after = ds.circuit_to_diagonal(out).thetas
+        assert wrapped_max_diff(before, after) <= 1e-12

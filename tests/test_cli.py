@@ -158,3 +158,22 @@ def test_argument_checks_reject_bad_values(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--trials" in err or "--tol" in err
+
+
+@pytest.mark.parametrize(
+    "algo, n_min, n_max",
+    [("twolevel", 1, 3), ("xor", 0, 2), ("lambda", 0, 2), ("twolevel", 0, 2), ("xor", 4, 2)],
+)
+def test_bench_rejects_bad_range_before_the_table(algo, n_min, n_max, capsys):
+    code = main(["bench", "--algo", algo, "--n-min", str(n_min), "--n-max", str(n_max),
+                 "--trials", "1"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "--n-min" in err
+
+
+def test_bench_twolevel_from_two(capsys):
+    assert main(["bench", "--algo", "twolevel", "--n-min", "2", "--n-max", "3", "--trials", "1"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3

@@ -120,3 +120,11 @@ def test_qasm_parse_rejects_junk():
         ds.parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n")
     with pytest.raises(ds.FormatError):
         ds.parse_qasm("x q[0];\n")
+
+
+@pytest.mark.parametrize("angle", ["pi/2", "0.5.1", "nan?"])
+def test_qasm_bad_rz_angle_is_a_format_error(angle):
+    statement = f"rz({angle}) q[0];"
+    with pytest.raises(ds.FormatError) as exc:
+        ds.parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{statement}\n")
+    assert statement in str(exc.value)

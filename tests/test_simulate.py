@@ -105,13 +105,15 @@ def test_sequential_composition_matches_concatenation():
 
 
 def test_scalar_and_vector_paths_agree():
-    rng = np.random.default_rng(23)
-    c = random_monomial_circuit(4, 40, rng)
-    perm, theta = ds.basis_action(c)
-    for j in range(16):
-        out, angle = ds.apply_to_basis(c, j)
-        assert out == perm[j]
-        assert abs(angle - theta[j]) <= 1e-14
+    for seed in (23, 24, 25, 26):
+        for n in range(2, 7):
+            rng = np.random.default_rng(seed)
+            c = random_monomial_circuit(n, 40, rng)
+            perm, theta = ds.basis_action(c)
+            for j in range(1 << n):
+                out, angle = ds.apply_to_basis(c, j)
+                assert out == perm[j]
+                assert abs(angle - theta[j]) <= 1e-14
 
 
 def test_global_phase_included_in_diagonal():
