@@ -87,6 +87,8 @@ def _validate_gate(gate: Gate, n: int) -> None:
         _check_line(gate.target, n)
         if gate.target in gate.controls:
             raise DimensionError("target listed among controls")
+        if len(set(gate.controls)) != len(gate.controls):
+            raise DimensionError(f"duplicate control in {gate.controls}")
     else:
         raise TypeError(f"unknown gate {gate!r}")
 
@@ -117,10 +119,10 @@ class SynthesisReport:
     elementary: int
     blocks: int
     global_phase: float
-    residual: float | None = None
 
 
-def count_gates(circuit: Circuit, residual: float | None = None) -> SynthesisReport:
+def count_gates(circuit: Circuit) -> SynthesisReport:
+    """Tally the circuit's gates by kind, with its global phase record."""
     counts = {kind: 0 for kind in ("x", "cnot", "rz", "mcrz", "cdiag")}
     for gate in circuit.gates:
         counts[gate_kind(gate)] += 1
@@ -129,7 +131,6 @@ def count_gates(circuit: Circuit, residual: float | None = None) -> SynthesisRep
         elementary=counts["x"] + counts["cnot"] + counts["rz"],
         blocks=counts["mcrz"] + counts["cdiag"],
         global_phase=circuit.global_phase,
-        residual=residual,
     )
 
 
@@ -186,7 +187,8 @@ def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circu
     leaves only a global phase; MCRZ at 0 mod 4*pi; CDIAG with both angles
     0 mod 2*pi), which typically exposes further CNOT pairs. Preserves the
     induced diagonal including its global phase: a dropped RZ(2*pi*m) was
-    (-1)**m * I, so odd m adds pi to the phase record.
+    (-1)**m * I, so odd m adds pi to the phase record. A circuit with
+    nothing to cancel is returned as is.
     """
     gates = list(circuit.gates)
     phase = circuit.global_phase
@@ -202,4 +204,6 @@ def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circu
         gates = _cancel_pass(gates)
         if len(gates) == len(before):
             break
+    if len(gates) == len(circuit.gates):
+        return circuit
     return replace(circuit, gates=tuple(gates), global_phase=phase)

@@ -58,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", dest="outfile", required=True, metavar="FILE")
     synth.add_argument("--qasm", metavar="FILE", help="also export OpenQASM 2.0")
     synth.add_argument("--verify", action="store_true", help="replay and compare")
-    synth.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    synth.add_argument("--style", choices=("fan", "chain"), default="fan")
+    synth.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="--verify tolerance")
     synth.add_argument("--stats", action="store_true", help="print gate counts")
     synth.add_argument(
         "--keep-trivial",
@@ -80,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synthesize(algo: str, u: DiagonalUnitary, tol: float, style: str, keep: bool):
+def _synthesize(algo: str, u: DiagonalUnitary, keep: bool):
     if algo == "xor":
-        return synth_xor(u, tol=tol, style=style, keep_trivial_rotations=keep)
+        return synth_xor(u, keep_trivial_rotations=keep)
     if algo == "lambda":
-        return synth_controlled(u, tol=tol, keep_trivial_rotations=keep)
+        return synth_controlled(u, keep_trivial_rotations=keep)
     return synth_twolevel(u)
 
 
@@ -101,7 +100,7 @@ def _print_stats(report, residual=None) -> None:
 
 def _cmd_synth(args) -> int:
     u = load_diagonal(args.infile)
-    circuit, report = _synthesize(args.algo, u, args.tol, args.style, args.keep_trivial)
+    circuit, report = _synthesize(args.algo, u, args.keep_trivial)
     save_circuit(circuit, args.outfile)
     if args.qasm:
         Path(args.qasm).write_text(to_qasm(circuit))
@@ -148,7 +147,7 @@ def _cmd_bench(args) -> int:
         max_residual = 0.0
         for _ in range(args.trials):
             u = DiagonalUnitary(n, rng.uniform(0.0, 2.0 * np.pi, size=1 << n))
-            circuit, report = _synthesize(args.algo, u, DEFAULT_TOL, "fan", False)
+            circuit, report = _synthesize(args.algo, u, False)
             for kind, value in report.counts.items():
                 totals[kind] += value
             elementary += report.elementary

@@ -28,9 +28,10 @@ class DiagonalUnitary:
         if self.n < 1:
             raise DimensionError(f"qubit count must be >= 1, got {self.n}")
         t = np.array(self.thetas, dtype=float)
-        if t.shape != (1 << self.n,):
+        # t.size == 2**n, tested by shifting so that a huge n builds no 2**n
+        if t.ndim != 1 or t.size >> self.n != 1 or t.size & (t.size - 1):
             raise DimensionError(
-                f"expected {1 << self.n} angles for n={self.n}, got shape {t.shape}"
+                f"expected 2**{self.n} angles for n={self.n}, got shape {t.shape}"
             )
         if not np.all(np.isfinite(t)):
             raise ValueError("phase angles must be finite")

@@ -59,11 +59,11 @@ def _blocks(order, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((mask, subset_lines(mask, m)) for mask in order(m) if mask)
 
 
-def synthesize_levels(u: DiagonalUnitary, tol: float, solve, induced, order, emit):
+def synthesize_levels(u: DiagonalUnitary, solve, induced, order, emit):
     """Run the recursion on u; returns (gates, global phase).
 
     Raises SynthesisError when the blocks fail to flatten the obstruction to
-    within tol, which signals a solver or ordering inconsistency.
+    within DEFAULT_TOL, which signals a solver or ordering inconsistency.
     """
     gates: list[Gate] = []
     phase = 0.0
@@ -79,7 +79,7 @@ def synthesize_levels(u: DiagonalUnitary, tol: float, solve, induced, order, emi
         alphas = solve(obstruction(level))
         tilde = DiagonalUnitary(k, cancel_blocks(level.thetas, induced(alphas)))
         try:
-            split = tensor_split(tilde, tol)
+            split = tensor_split(tilde)
         except NotATensorError as exc:
             raise SynthesisError(
                 "block angles failed to cancel the obstruction; "

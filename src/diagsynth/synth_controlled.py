@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .angles import DEFAULT_TOL
 from .circuits import MCRZ, RZ, Circuit, Gate, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .levels import prefix_sums, synthesize_levels
@@ -70,9 +69,7 @@ def controlled_level_angles(psi: np.ndarray) -> np.ndarray:
 
 
 def synth_controlled(
-    u: DiagonalUnitary,
-    tol: float = DEFAULT_TOL,
-    keep_trivial_rotations: bool = False,
+    u: DiagonalUnitary, *, keep_trivial_rotations: bool = False
 ) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into multi-controlled z-rotation blocks.
 
@@ -82,7 +79,7 @@ def synth_controlled(
     nonempty subset in dictionary order, recurse.
     """
     gates, phase = synthesize_levels(
-        u, tol, controlled_level_angles, zeta, dictionary_subsets,
+        u, controlled_level_angles, zeta, dictionary_subsets,
         lambda blocks, angle, k: [MCRZ(lines, k, angle[mask]) for mask, lines in blocks],
     )
     circuit = peephole_cancel(

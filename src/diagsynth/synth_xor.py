@@ -15,8 +15,8 @@ the dense Gray-ordered system in ``systems`` is kept as their test oracle.
 In Gray order consecutive subsets differ in one line, so of the two fans
 between consecutive rotations only the CNOT from that line survives, and
 the closing fan of the last subset ({1}) leaves the single trailing CNOT.
-The fan style emits that layout directly: 2**(n-1) rotations and 2**(n-1)
-CNOTs per level,
+The synthesizer emits that layout directly: 2**(n-1) rotations and
+2**(n-1) CNOTs per level,
 
     2**n + 2**(n-1) + ... + 4 gates, plus one final one-qubit rotation,
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .angles import DEFAULT_TOL
 from .circuits import CNOT, RZ, Circuit, Gate, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .levels import prefix_sums, synthesize_levels
@@ -41,31 +40,17 @@ from .obstruction import is_tensor, obstruction  # noqa: F401
 from .systems import solve_block_angles, xor_block_matrix  # noqa: F401
 
 
-def xor_rotation_gates(
-    controls, alpha: float, n: int, style: str = "fan"
-) -> list[Gate]:
-    """Gate list for one parity-controlled rotation block on line n.
-
-    ``fan`` surrounds the rotation with CNOTs that all target line n (the
-    form whose fans cancel under Gray ordering); ``chain`` accumulates the
-    parity along a CNOT ladder through the controls instead. Both cost
-    2*len(controls) + 1 gates; the empty subset is the bare rotation.
-    """
+def xor_rotation_gates(controls, alpha: float, n: int) -> list[Gate]:
+    """Gate list for one parity-controlled rotation block on line n: a fan of
+    CNOTs from the controls onto line n around the rotation, 2*len(controls)
+    + 1 gates; the empty subset is the bare rotation."""
     controls = sorted(controls)
     if any(not 1 <= c <= n - 1 for c in controls):
         raise ValueError(f"controls {controls} must lie in 1..{n - 1}")
     if len(set(controls)) != len(controls):
         raise ValueError(f"duplicate control in {controls}")
-    if not controls:
-        return [RZ(n, alpha)]
-    if style == "fan":
-        fan = [CNOT(c, n) for c in controls]
-        return fan + [RZ(n, alpha)] + fan[::-1]
-    if style == "chain":
-        hops = list(controls[1:]) + [n]
-        ladder = [CNOT(c, t) for c, t in zip(controls, hops)]
-        return ladder + [RZ(n, alpha)] + ladder[::-1]
-    raise ValueError(f"unknown style {style!r}")
+    fan = [CNOT(c, n) for c in controls]
+    return fan + [RZ(n, alpha)] + fan[::-1]
 
 
 def xor_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
@@ -118,30 +103,23 @@ def _fan_level(blocks, angle, k: int) -> list[Gate]:
 
 
 def synth_xor(
-    u: DiagonalUnitary,
-    tol: float = DEFAULT_TOL,
-    style: str = "fan",
-    keep_trivial_rotations: bool = False,
+    u: DiagonalUnitary, *, keep_trivial_rotations: bool = False
 ) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into CNOTs and z-rotations on n lines.
 
     Per level (current size k >= 2): find the angles whose blocks cancel the
     obstruction, split the now-tensor remainder, emit the empty-subset
-    rotation first and then every nonempty block in Gray order (``fan``
-    writes the CNOT/rotation chain they cancel to), and recurse on the
-    (k-1)-qubit quotient; a single rotation finishes the one-qubit base case.
-    Unmeasurable phase accumulates in the circuit record rather than in
-    gates.
+    rotation and then the Gray-ordered blocks as the CNOT/rotation chain
+    their fans cancel to, and recurse on the (k-1)-qubit quotient; a single
+    rotation finishes the one-qubit base case. Unmeasurable phase
+    accumulates in the circuit record rather than in gates.
 
     With ``keep_trivial_rotations`` the cancellation pass keeps zero-angle
     rotations, freezing the full generic layout (exactly 2**(n+1) - 3 gates)
     even on degenerate input; by default they are dropped, so tensor-product
     inputs collapse to their own n-rotation circuit.
     """
-    emit = _fan_level if style == "fan" else lambda blocks, angle, k: [
-        g for mask, lines in blocks for g in xor_rotation_gates(lines, angle[mask], k, style)
-    ]
-    gates, phase = synthesize_levels(u, tol, xor_level_angles, fwht, gray_subsets, emit)
+    gates, phase = synthesize_levels(u, xor_level_angles, fwht, gray_subsets, _fan_level)
     circuit = peephole_cancel(
         Circuit(u.n, tuple(gates), phase),
         drop_zero_rotations=not keep_trivial_rotations,

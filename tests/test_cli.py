@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diagsynth as ds
+from conftest import random_diagonal
 from diagsynth.cli import main
 
 
@@ -177,3 +178,56 @@ def test_bench_rejects_bad_range_before_the_table(algo, n_min, n_max, capsys):
 def test_bench_twolevel_from_two(capsys):
     assert main(["bench", "--algo", "twolevel", "--n-min", "2", "--n-max", "3", "--trials", "1"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("algo", ["xor", "lambda"])
+def test_synth_tol_governs_only_verification(algo, tmp_path, capsys):
+    # --tol 0 reaches no synthesizer check: generic inputs synthesize, and
+    # the tolerance is the one --verify compares against
+    n = 6
+    rng = np.random.default_rng(810)
+    for trial in range(3):
+        u = random_diagonal(n, rng)
+        diag, out = tmp_path / f"u{trial}.json", tmp_path / f"c{trial}.json"
+        ds.save_diagonal(u, diag)
+        assert main(["synth", "--algo", algo, "--in", str(diag), "--out", str(out),
+                     "--tol", "0"]) == 0
+        report = ds.count_gates(ds.load_circuit(out))
+        if algo == "xor":
+            assert report.elementary == 2 ** (n + 1) - 3
+        else:
+            assert report.counts["rz"] + report.counts["mcrz"] == 2**n - 1
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--algo", algo, "--in", str(diag), "--out", str(out), "--style", "fan"])
+    assert exc.value.code == 2
+    assert "--style" in capsys.readouterr().err
+
+
+def _one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+def test_verify_rejects_repeated_control_with_one_line(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    circuit.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": [
+        {"kind": "mcrz", "controls": [1, 1], "target": 2, "alpha": 1.0}]}))
+    diag = tmp_path / "d.json"
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    assert "duplicate control" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("n_text", ["1e400", "1" + "0" * 30, "20000"])
+def test_overflowing_integer_fields_exit_with_one_line(n_text, tmp_path, capsys):
+    diag, circuit = tmp_path / "d.json", tmp_path / "c.json"
+    diag.write_text(f'{{"n": {n_text}, "units": "rad", "thetas": [0]}}')
+    assert main(["synth", "--algo", "xor", "--in", str(diag), "--out", str(circuit)]) == 1
+    _one_error_line(capsys)
+    gate = f'{{"kind": "x", "line": {n_text}}}'
+    circuit.write_text(f'{{"n": 2, "global_phase": 0, "gates": [{gate}]}}')
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    _one_error_line(capsys)

@@ -33,19 +33,19 @@ def _expand_then_cancel(route, u, keep):
         solve, induced, order = xor_level_angles, fwht, gray_subsets
 
         def block(lines, alpha, k):
-            return ds.xor_rotation_gates(lines, alpha, k, style=route)
+            return ds.xor_rotation_gates(lines, alpha, k)
 
     def emit(blocks, angle, k):
         return [g for mask, lines in blocks for g in block(lines, angle[mask], k)]
 
-    gates, phase = synthesize_levels(u, ds.DEFAULT_TOL, solve, induced, order, emit)
+    gates, phase = synthesize_levels(u, solve, induced, order, emit)
     return ds.peephole_cancel(ds.Circuit(u.n, tuple(gates), phase), drop_zero_rotations=not keep)
 
 
 def _synthesize(route, u, keep):
     if route == "lambda":
         return ds.synth_controlled(u, keep_trivial_rotations=keep)[0]
-    return ds.synth_xor(u, style=route, keep_trivial_rotations=keep)[0]
+    return ds.synth_xor(u, keep_trivial_rotations=keep)[0]
 
 
 def _zz_diagonal(n, rng):
@@ -75,7 +75,7 @@ def _commuting_runs_sorted(gates):
     return out
 
 
-ROUTES = ("fan", "chain", "lambda")
+ROUTES = ("fan", "lambda")
 
 
 @pytest.mark.parametrize("route", ROUTES)

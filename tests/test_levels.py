@@ -87,13 +87,6 @@ def test_generic_counts_unchanged(n):
         assert ds.verify(circuit, u) <= 1e-9
 
 
-@pytest.mark.parametrize("n", range(2, 10))
-def test_chain_style_verifies(n):
-    u = random_diagonal(n, np.random.default_rng(300 + n))
-    circuit, report = ds.synth_xor(u, style="chain")
-    assert ds.verify(circuit, u) <= 1e-9
-
-
 def _zz_diagonal(n, edges, gammas):
     # MaxCut-style phase polynomial sum_e gamma_e z_a z_b, z = 1 - 2b
     j = np.arange(1 << n)

@@ -50,6 +50,47 @@ def test_diagonal_load_errors(tmp_path):
         ds.load_diagonal(path)
 
 
+# documents with V where an integer goes; "thetas" marks a diagonal
+_GATE = '{"n": 3, "global_phase": 0, "gates": [G]}'
+_INT_FIELDS = {
+    "n": '{"n": V, "units": "rad", "thetas": [0]}',
+    "line": _GATE.replace("G", '{"kind": "x", "line": V}'),
+    "control": _GATE.replace("G", '{"kind": "cnot", "control": V, "target": 2}'),
+    "target": _GATE.replace("G", '{"kind": "cnot", "control": 1, "target": V}'),
+    "controls": _GATE.replace("G", '{"kind": "mcrz", "controls": [1, V], "target": 3, "alpha": 1}'),
+}
+
+
+@pytest.mark.parametrize(
+    "template, value",
+    [
+        pytest.param(t, v, id=f"{field}={name}")
+        for field, t in _INT_FIELDS.items()
+        for name, v in (("1e400", "1e400"), ("10**30", "1" + "0" * 30), ("2**62", str(2**62)))
+    ]
+    + [
+        pytest.param(_INT_FIELDS["n"], "20000", id="n=20000"),
+        pytest.param(_INT_FIELDS["n"], "9" * 5000, id="n=5000 digits"),
+        pytest.param('{"n": V, "global_phase": 0, "gates": []}', "1e400", id="circuit n=1e400"),
+    ],
+)
+def test_malformed_documents_raise_typed_errors(template, value, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(template.replace("V", value))
+    load = ds.load_diagonal if "thetas" in template else ds.load_circuit
+    with pytest.raises((ds.FormatError, ds.DimensionError)):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["mcrz", "cdiag"])
+def test_circuit_load_rejects_repeated_control(kind, tmp_path):
+    gate = {"kind": kind, "controls": [1, 1], "target": 2, "alpha": 1.0, "theta0": 0, "theta1": 1}
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": [gate]}))
+    with pytest.raises(ds.DimensionError, match="duplicate control"):
+        ds.load_circuit(path)
+
+
 def test_circuit_round_trip_every_kind(tmp_path):
     circuit = ds.Circuit(
         4,

@@ -22,35 +22,21 @@ def test_block_gates_empty_subset():
     assert ds.xor_rotation_gates([], 0.5, 4) == [ds.RZ(4, 0.5)]
 
 
-def test_block_gates_chain_reference():
-    alpha = 0.3
-    assert ds.xor_rotation_gates([1, 3], alpha, 4, style="chain") == [
-        ds.CNOT(1, 3),
-        ds.CNOT(3, 4),
-        ds.RZ(4, alpha),
-        ds.CNOT(3, 4),
-        ds.CNOT(1, 3),
-    ]
-
-
 def test_block_gates_reject_target_as_control():
     with pytest.raises(ValueError):
         ds.xor_rotation_gates([4], 0.1, 4)
     with pytest.raises(ValueError):
         ds.xor_rotation_gates([1, 1], 0.1, 4)
-    with pytest.raises(ValueError):
-        ds.xor_rotation_gates([1], 0.1, 4, style="ladder")
 
 
-@pytest.mark.parametrize("style", ["fan", "chain"])
-def test_block_styles_realize_same_operator(style):
+def test_block_gates_realize_block_angles():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4, 5):
         for _ in range(5):
             size = int(rng.integers(1, n))
             lines = sorted(rng.choice(np.arange(1, n), size=size, replace=False))
             alpha = float(rng.normal())
-            circuit = ds.Circuit(n, tuple(ds.xor_rotation_gates(lines, alpha, n, style)))
+            circuit = ds.Circuit(n, tuple(ds.xor_rotation_gates(lines, alpha, n)))
             mask = ds.lines_to_mask(lines, n - 1)
             expected = ds.xor_block_angles(n, mask, alpha)
             assert np.abs(ds.circuit_to_diagonal(circuit).thetas - expected).max() <= 1e-12
@@ -58,7 +44,7 @@ def test_block_styles_realize_same_operator(style):
 
 
 def test_block_angle_count():
-    # gate cost is 2|S| + 1 regardless of style
+    # gate cost is 2|S| + 1
     for size in range(4):
         lines = list(range(1, size + 1))
         assert len(ds.xor_rotation_gates(lines, 0.2, 5)) == 2 * size + 1
@@ -145,14 +131,6 @@ def test_generic_gate_count_and_equivalence():
             assert report.counts["rz"] == 2**n - 1
             assert report.counts["cnot"] == 2**n - 2
             assert ds.verify(circuit, u) <= 1e-8
-
-
-def test_chain_style_still_verifies():
-    rng = np.random.default_rng(35)
-    for n in (2, 3, 5):
-        u = random_diagonal(n, rng)
-        circuit, _ = ds.synth_xor(u, style="chain")
-        assert ds.verify(circuit, u) <= 1e-8
 
 
 def test_single_level_structure():
