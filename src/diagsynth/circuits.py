@@ -66,31 +66,21 @@ def gate_kind(gate: Gate) -> str:
     return _KINDS[type(gate)]
 
 
-def _check_line(line: int, n: int) -> None:
-    if not 1 <= line <= n:
-        raise DimensionError(f"line {line} outside 1..{n}")
-
-
 def _validate_gate(gate: Gate, n: int) -> None:
-    if isinstance(gate, X):
-        _check_line(gate.line, n)
+    # every line a gate touches lies in 1..n, and no line repeats
+    if isinstance(gate, (X, RZ)):
+        lines = (gate.line,)
     elif isinstance(gate, CNOT):
-        _check_line(gate.control, n)
-        _check_line(gate.target, n)
-        if gate.control == gate.target:
-            raise DimensionError("CNOT control equals target")
-    elif isinstance(gate, RZ):
-        _check_line(gate.line, n)
+        lines = (gate.control, gate.target)
     elif isinstance(gate, (MCRZ, CDIAG)):
-        for c in gate.controls:
-            _check_line(c, n)
-        _check_line(gate.target, n)
-        if gate.target in gate.controls:
-            raise DimensionError("target listed among controls")
-        if len(set(gate.controls)) != len(gate.controls):
-            raise DimensionError(f"duplicate control in {gate.controls}")
+        lines = (*gate.controls, gate.target)
     else:
         raise TypeError(f"unknown gate {gate!r}")
+    for line in lines:
+        if not 1 <= line <= n:
+            raise DimensionError(f"line {line} outside 1..{n}")
+    if len(lines) > 1 and len(set(lines)) != len(lines):
+        raise DimensionError(f"duplicate control or target line in {gate}")
 
 
 @dataclass(frozen=True, eq=False)

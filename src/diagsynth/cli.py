@@ -16,14 +16,7 @@ import numpy as np
 
 from .angles import DEFAULT_TOL
 from .diagonal import DiagonalUnitary
-from .errors import (
-    DimensionError,
-    FormatError,
-    NotDiagonalError,
-    SingularSystemError,
-    SynthesisError,
-    UnsupportedGateError,
-)
+from .errors import DimensionError, SingularSystemError, SynthesisError
 from .serialize import load_circuit, load_diagonal, save_circuit, to_qasm
 from .simulate import verify as verify_circuit
 from .synth_controlled import synth_controlled
@@ -166,16 +159,9 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)
-    except (
-        DimensionError,
-        FormatError,
-        NotDiagonalError,
-        UnsupportedGateError,
-        FileNotFoundError,
-        ValueError,
-        SynthesisError,
-        SingularSystemError,
-    ) as exc:
+    except (ValueError, OSError, SynthesisError, SingularSystemError) as exc:
+        # the typed input errors are ValueErrors; OSError covers missing,
+        # unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

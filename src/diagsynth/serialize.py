@@ -2,7 +2,8 @@
 
 Diagonal documents carry {"n", "units", "thetas"}; units "rad" stores plain
 radians, units "pi" stores multiples of pi so rational-angle fixtures stay
-exact in source form. Circuits round-trip through a gate-list document.
+exact in source form. Circuits round-trip through a gate-list document;
+each gate is {"kind", then the gate dataclass's fields by name, in order}.
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
 difference at most); multi-controlled blocks are refused.
@@ -13,11 +14,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .circuits import CDIAG, CNOT, MCRZ, RZ, Circuit, Gate, X
+from .circuits import _KINDS, CNOT, RZ, Circuit, Gate, X, gate_kind
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
 
@@ -57,56 +59,29 @@ def load_diagonal(path) -> DiagonalUnitary:
 # ---------------------------------------------------------------------------
 
 
+# Each gate class's (field name, loader) pairs in field order; the field's
+# annotation picks the loader. Built once: dataclasses.fields() per gate is slow.
+_CONVERT = {"int": int, "float": float, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+_FIELDS = {cls: tuple((f.name, _CONVERT[f.type]) for f in fields(cls)) for cls in _KINDS}
+_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
+
+
 def _gate_to_document(gate: Gate) -> dict:
-    if isinstance(gate, X):
-        return {"kind": "x", "line": gate.line}
-    if isinstance(gate, CNOT):
-        return {"kind": "cnot", "control": gate.control, "target": gate.target}
-    if isinstance(gate, RZ):
-        return {"kind": "rz", "line": gate.line, "alpha": gate.alpha}
-    if isinstance(gate, MCRZ):
-        return {
-            "kind": "mcrz",
-            "controls": list(gate.controls),
-            "target": gate.target,
-            "alpha": gate.alpha,
-        }
-    if isinstance(gate, CDIAG):
-        return {
-            "kind": "cdiag",
-            "controls": list(gate.controls),
-            "target": gate.target,
-            "theta0": gate.theta0,
-            "theta1": gate.theta1,
-        }
-    raise TypeError(f"unknown gate {gate!r}")
+    doc = {"kind": gate_kind(gate)}
+    for name, _ in _FIELDS[type(gate)]:
+        doc[name] = getattr(gate, name)
+    return doc
 
 
 def _gate_from_document(doc: dict) -> Gate:
     try:
         kind = doc["kind"]
-        if kind == "x":
-            return X(int(doc["line"]))
-        if kind == "cnot":
-            return CNOT(int(doc["control"]), int(doc["target"]))
-        if kind == "rz":
-            return RZ(int(doc["line"]), float(doc["alpha"]))
-        if kind == "mcrz":
-            return MCRZ(
-                tuple(int(c) for c in doc["controls"]),
-                int(doc["target"]),
-                float(doc["alpha"]),
-            )
-        if kind == "cdiag":
-            return CDIAG(
-                tuple(int(c) for c in doc["controls"]),
-                int(doc["target"]),
-                float(doc["theta0"]),
-                float(doc["theta1"]),
-            )
+        cls = _CLASSES.get(kind)
+        if cls is not None:
+            return cls(*[convert(doc[name]) for name, convert in _FIELDS[cls]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed gate document: {exc}") from exc
-    raise FormatError(f"unknown gate kind {doc.get('kind')!r}")
+    raise FormatError(f"unknown gate kind {kind!r}")
 
 
 def circuit_to_document(circuit: Circuit) -> dict:
@@ -121,10 +96,11 @@ def circuit_from_document(doc: dict) -> Circuit:
     try:
         n = int(doc["n"])
         phase = float(doc["global_phase"])
-        gates = tuple(_gate_from_document(g) for g in doc["gates"])
+        gate_docs = iter(doc["gates"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
-    return Circuit(n, gates, phase)
+    # outside the try: a bad gate's FormatError already says what is wrong
+    return Circuit(n, tuple(map(_gate_from_document, gate_docs)), phase)
 
 
 def save_circuit(circuit: Circuit, path) -> None:
@@ -176,12 +152,15 @@ def to_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_QASM_GATE = re.compile(
-    r"^(?:"
-    r"x q\[(?P<xq>\d+)\]"
+# One statement per line. The alternative that matched is named by its last
+# group: header, n (the qreg), xq, ct (cx) or rq (rz).
+_QASM_STATEMENT = re.compile(
+    r'(?:(?P<header>OPENQASM 2\.0|include "qelib1\.inc")'
+    r"|qreg q\[(?P<n>\d+)\]"
+    r"|x q\[(?P<xq>\d+)\]"
     r"|cx q\[(?P<cc>\d+)\],\s*q\[(?P<ct>\d+)\]"
     r"|rz\((?P<angle>[^)]+)\) q\[(?P<rq>\d+)\]"
-    r");$"
+    r");"
 )
 
 
@@ -193,27 +172,27 @@ def parse_qasm(text: str) -> Circuit:
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
-        if line in ("OPENQASM 2.0;", 'include "qelib1.inc";'):
-            continue
-        reg = re.match(r"^qreg q\[(\d+)\];$", line)
-        if reg:
-            n = int(reg.group(1))
-            continue
-        gate = _QASM_GATE.match(line)
-        if gate is None:
+        statement = _QASM_STATEMENT.fullmatch(line)
+        if statement is None:
             raise FormatError(f"unsupported QASM statement: {line!r}")
+        form = statement.lastgroup
+        if form == "header":
+            continue
+        if form == "n":
+            n = int(statement["n"])
+            continue
         if n is None:
             raise FormatError("gate before qreg declaration")
-        if gate.group("xq") is not None:
-            gates.append(X(int(gate.group("xq")) + 1))
-        elif gate.group("cc") is not None:
-            gates.append(CNOT(int(gate.group("cc")) + 1, int(gate.group("ct")) + 1))
+        if form == "xq":
+            gates.append(X(int(statement["xq"]) + 1))
+        elif form == "ct":
+            gates.append(CNOT(int(statement["cc"]) + 1, int(statement["ct"]) + 1))
         else:
             try:
-                angle = float(gate.group("angle"))
+                angle = float(statement["angle"])
             except ValueError as exc:
                 raise FormatError(f"rz angle is not a number in {line!r}") from exc
-            gates.append(RZ(int(gate.group("rq")) + 1, angle))
+            gates.append(RZ(int(statement["rq"]) + 1, angle))
     if n is None:
         raise FormatError("missing qreg declaration")
     return Circuit(n, tuple(gates), 0.0)

@@ -231,3 +231,30 @@ def test_overflowing_integer_fields_exit_with_one_line(n_text, tmp_path, capsys)
     ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
     assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
     _one_error_line(capsys)
+
+
+def test_directory_paths_exit_with_one_line(reference_diag_file, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    for argv in (
+        ["synth", "--algo", "xor", "--in", str(tmp_path), "--out", str(out)],
+        ["synth", "--algo", "xor", "--in", str(reference_diag_file), "--out", str(tmp_path)],
+        ["verify", "--circuit", str(tmp_path), "--diag", str(reference_diag_file)],
+    ):
+        assert main(argv) == 1
+        _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    ['{"kind": "x", "line": 1e400}', '{"kind": "h", "line": 1}'],
+    ids=["line=1e400", "kind=h"],
+)
+def test_bad_gate_document_is_reported_once(gate, tmp_path, capsys):
+    diag, circuit = tmp_path / "d.json", tmp_path / "c.json"
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    circuit.write_text(f'{{"n": 2, "global_phase": 0, "gates": [{gate}]}}')
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    # the gate's own FormatError, not wrapped again as a circuit error
+    err = _one_error_line(capsys)
+    assert "malformed circuit document" not in err
+    assert "gate" in err

@@ -111,6 +111,37 @@ def test_circuit_round_trip_every_kind(tmp_path):
     assert loaded.gates == circuit.gates
 
 
+def test_circuit_and_qasm_golden_bytes(tmp_path):
+    # pins the key order of gate documents: "kind", then the gate's fields
+    circuit = ds.Circuit(
+        4,
+        (
+            ds.X(2),
+            ds.CNOT(1, 4),
+            ds.RZ(4, 0.1),
+            ds.MCRZ((1, 3), 4, -2.5),
+            ds.CDIAG((1, 2, 3), 4, 0.25, -0.75),
+        ),
+        global_phase=1.25,
+    )
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(circuit, path)
+    assert path.read_bytes() == (
+        b'{"n": 4, "global_phase": 1.25, "gates": ['
+        b'{"kind": "x", "line": 2}, '
+        b'{"kind": "cnot", "control": 1, "target": 4}, '
+        b'{"kind": "rz", "line": 4, "alpha": 0.1}, '
+        b'{"kind": "mcrz", "controls": [1, 3], "target": 4, "alpha": -2.5}, '
+        b'{"kind": "cdiag", "controls": [1, 2, 3], "target": 4, "theta0": 0.25, "theta1": -0.75}'
+        b"]}\n"
+    )
+    qasm = ds.to_qasm(ds.Circuit(3, (ds.X(1), ds.CNOT(3, 1), ds.RZ(2, -0.1), ds.RZ(3, 1e-17))))
+    assert qasm == (
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+        "x q[0];\ncx q[2],q[0];\nrz(-0.1) q[1];\nrz(1e-17) q[2];\n"
+    )
+
+
 def test_circuit_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps({"n": 1, "global_phase": 0.0, "gates": [{"kind": "h", "line": 1}]}))
@@ -154,6 +185,8 @@ def test_qasm_round_trip_two_qubit_synthesis():
     # the re-imported circuit carries no phase record; compare up to phase
     d1 = ds.circuit_to_diagonal(reparsed)
     assert ds.equal_up_to_global_phase(d1, u, 1e-10)
+    # a space after the cx comma is accepted
+    assert ds.parse_qasm(text.replace("],q[", "], q[")).gates == reparsed.gates
 
 
 def test_qasm_parse_rejects_junk():
@@ -161,6 +194,13 @@ def test_qasm_parse_rejects_junk():
         ds.parse_qasm("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n")
     with pytest.raises(ds.FormatError):
         ds.parse_qasm("x q[0];\n")
+    for statement in ("qreg q[2] ;", "x q[0]", "X q[0];", "rz() q[0];"):
+        with pytest.raises(ds.FormatError, match="unsupported QASM statement"):
+            ds.parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement}\n")
+    with pytest.raises(ds.FormatError, match="gate before qreg"):
+        ds.parse_qasm("OPENQASM 2.0;\nx q[0];\nqreg q[2];\n")
+    with pytest.raises(ds.FormatError, match="missing qreg"):
+        ds.parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
 
 
 @pytest.mark.parametrize("angle", ["pi/2", "0.5.1", "nan?"])
