@@ -4,8 +4,8 @@ The input is an n-qubit diagonal given as 2**n phase angles. Three
 synthesizers are provided: parity-controlled rotation synthesis (the main
 route, 2**(n+1) - 3 elementary gates), fully-conditioned rotation synthesis
 (multi-controlled Rz blocks), and the two-level baseline (X-conjugated
-controlled diagonals). Every output can be replayed exactly against its
-input by the permutation-phase simulator.
+controlled diagonals). Every output is checked against its input by reading
+the circuit's diagonal off its phase polynomial.
 """
 
 from .angles import DEFAULT_TOL, ZERO_ANGLE_EPS, wrap_angle

@@ -1,13 +1,24 @@
-"""Exact circuit verification via permutation-phase simulation.
+"""Exact circuit verification: phase polynomial, with a permutation replay.
 
 Every gate kind in the IR is a monomial matrix on the computational basis:
-it maps a basis state to a basis state times a unit phase. A circuit is
-therefore simulated exactly by tracking, per input basis state, the output
-index and the accumulated angle; cost O(2**n * gates) with no dense
-matrices, so verification stays cheap up to n ~ 14. The per-state work is
-independent across basis states, and the bulk path below runs it vectorized
-over all of them, testing a block gate's controls with one mask. The scalar
-``apply_to_basis`` is kept as its oracle.
+it maps a basis state to a basis state times a unit phase. In a CNOT + X
+circuit each line carries a parity of the input bits plus an affine bit, so
+an RZ adds its half angle, signed, to the Walsh coefficient of its line's
+parity: the circuit's phase polynomial (Amy, Maslov and Mosca,
+arXiv:1303.2042). ``circuit_to_diagonal`` reads that polynomial off in one
+pass over the gates and turns it into angles with one ``fwht``,
+O(gates + n * 2**n). A block gate whose lines each carry one input bit
+fires on a cube of inputs: an MCRZ with no X on its lines adds to two
+subset coefficients, summed by one ``zeta``, and any other block writes its
+two values into that cube of the angle array.
+
+A block on a line that carries a parity of several bits, or a final line
+map other than the identity (the circuit is then not diagonal), sends the
+whole circuit to ``basis_action``. That replay tracks, per input basis
+state, the output index and the accumulated angle, O(2**n * gates),
+vectorized over all states with a block's controls tested by one mask. It
+and its scalar oracle ``apply_to_basis`` stay the reference for the fast
+pass.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ import numpy as np
 from .circuits import CDIAG, CNOT, MCRZ, RZ, Circuit, X
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
+from .transforms import fwht, zeta
 
 
 def _bitpos(n: int, line: int) -> int:
@@ -81,19 +93,94 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return j, theta
 
 
+def _phase_polynomial(circuit: Circuit) -> np.ndarray | None:
+    """Induced angles, without the phase record, from one pass over the
+    gates; None when a block sits on a parity of several input bits or the
+    final line map is not the identity."""
+    n = circuit.n
+    size = 1 << n
+    identity = [0] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
+    # per line: the input bits it carries (a parity mask) and an affine bit
+    parity = list(identity)
+    flip = [0] * (n + 1)
+    walsh = subset = cube = None
+    for gate in circuit.gates:
+        kind = type(gate)
+        if kind is CNOT:
+            parity[gate.target] ^= parity[gate.control]
+            flip[gate.target] ^= flip[gate.control]
+        elif kind is RZ:
+            if walsh is None:
+                walsh = [0.0] * size
+            half = 0.5 * gate.alpha
+            walsh[parity[gate.line]] += half if flip[gate.line] else -half
+        elif kind is X:
+            flip[gate.line] ^= 1
+        else:
+            # the parities of distinct lines are independent, so lines that
+            # carry one input bit each carry distinct bits
+            target = parity[gate.target]
+            if target & (target - 1):
+                return None
+            controls = 0
+            flipped = flip[gate.target]
+            for line in gate.controls:
+                bit = parity[line]
+                if bit & (bit - 1):
+                    return None
+                controls |= bit
+                flipped |= flip[line]
+            if kind is MCRZ and not flipped:
+                # the block adds -alpha/2 on inputs holding every control
+                # bit and +alpha on those also holding the target bit
+                if subset is None:
+                    subset = [0.0] * size
+                subset[controls] -= 0.5 * gate.alpha
+                subset[controls | target] += gate.alpha
+                continue
+            if cube is None:
+                cube = np.zeros((2,) * n)
+            if kind is MCRZ:
+                off, on = -0.5 * gate.alpha, 0.5 * gate.alpha
+            else:
+                off, on = gate.theta0, gate.theta1
+            # bit 1 << (n - 1 - axis) is axis `axis` of the (2,) * n view
+            where = [slice(None)] * n
+            for line in gate.controls:
+                where[n - parity[line].bit_length()] = 1 ^ flip[line]
+            axis = n - target.bit_length()
+            where[axis] = flip[gate.target]
+            cube[tuple(where)] += off
+            where[axis] ^= 1
+            cube[tuple(where)] += on
+    if parity != identity or any(flip):
+        return None
+    thetas = np.zeros(size) if cube is None else cube.reshape(size)
+    if walsh is not None:
+        thetas += fwht(walsh)
+    if subset is not None:
+        thetas += zeta(subset)
+    return thetas
+
+
 def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
     """Induced diagonal of the circuit, including its global phase record.
 
-    Raises NotDiagonalError when any basis state lands elsewhere, which
-    signals unbalanced CNOT or X structure.
+    Read off the phase polynomial in O(gates + n * 2**n); a circuit with a
+    block on a parity line, or whose final line map is not the identity,
+    is replayed by ``basis_action`` instead. Raises NotDiagonalError when
+    any basis state lands elsewhere, which signals unbalanced CNOT or X
+    structure.
     """
-    perm, theta = basis_action(circuit)
-    if not np.array_equal(perm, np.arange(1 << circuit.n)):
-        moved = int(np.argmax(perm != np.arange(1 << circuit.n)))
-        raise NotDiagonalError(
-            f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
-        )
-    return DiagonalUnitary(circuit.n, theta + circuit.global_phase)
+    thetas = _phase_polynomial(circuit)
+    if thetas is None:
+        perm, thetas = basis_action(circuit)
+        if not np.array_equal(perm, np.arange(1 << circuit.n)):
+            moved = int(np.argmax(perm != np.arange(1 << circuit.n)))
+            raise NotDiagonalError(
+                f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
+            )
+    return DiagonalUnitary(circuit.n, thetas + circuit.global_phase)
 
 
 def verify(circuit: Circuit, u: DiagonalUnitary) -> float:

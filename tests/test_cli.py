@@ -210,6 +210,14 @@ def _one_error_line(capsys):
     return err
 
 
+def test_verify_rejects_non_diagonal_circuit_with_one_line(tmp_path, capsys):
+    circuit, diag = tmp_path / "c.json", tmp_path / "d.json"
+    ds.save_circuit(ds.Circuit(2, (ds.CNOT(1, 2), ds.RZ(2, 0.5))), circuit)
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    assert _one_error_line(capsys) == "error: circuit is not diagonal: |2> maps to |3>\n"
+
+
 def test_verify_rejects_repeated_control_with_one_line(tmp_path, capsys):
     circuit = tmp_path / "c.json"
     circuit.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": [

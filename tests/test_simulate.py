@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, random_monomial_circuit
@@ -73,6 +75,94 @@ def test_conditioned_block_three_qubits():
 def test_circuit_to_diagonal_rejects_bare_cnot():
     with pytest.raises(ds.NotDiagonalError):
         ds.circuit_to_diagonal(ds.Circuit(2, (ds.CNOT(1, 2),)))
+
+
+@pytest.mark.parametrize(
+    "n, gates, moved",
+    [
+        (2, (ds.CNOT(1, 2),), (2, 3)),
+        (2, (ds.X(2),), (0, 1)),
+        # a parity fan missing its closing CNOT(2, 3) leaves b3 ^= b2
+        (3, (ds.CNOT(1, 3), ds.CNOT(2, 3), ds.RZ(3, 0.4), ds.CNOT(1, 3)), (2, 3)),
+        # an odd CNOT triple is a swap
+        (2, (ds.CNOT(1, 2), ds.CNOT(2, 1), ds.RZ(1, 0.4), ds.CNOT(1, 2)), (1, 2)),
+    ],
+    ids=["cnot", "lone-x", "open-fan", "swap"],
+)
+def test_not_diagonal_message_names_the_first_moved_state(n, gates, moved):
+    with pytest.raises(ds.NotDiagonalError) as exc:
+        ds.circuit_to_diagonal(ds.Circuit(n, gates))
+    assert str(exc.value) == "circuit is not diagonal: |%d> maps to |%d>" % moved
+
+
+ANGLES = st.floats(-8.0, 8.0, allow_nan=False)
+
+
+@st.composite
+def gate_lists(draw):
+    """Gate lists of all five kinds on 1..6 lines, with CNOT triples that
+    swap two lines. Closed lists undo their X/CNOT gates at the end, so
+    they are diagonal while their blocks sit on X-flipped, swapped or
+    parity lines; open lists are mostly not diagonal. Lists without lone
+    CNOTs keep every line on one input bit."""
+    n = draw(st.integers(1, 6))
+    kinds = ["rz", "mcrz", "cdiag", "x", "swap"] + ["cnot"] * draw(st.booleans())
+    gates = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("x", "rz") or n == 1:
+            # one line has no room for a CNOT or a block: X or RZ instead
+            line = draw(st.integers(1, n))
+            gates.append(ds.X(line) if kind in ("x", "cnot", "swap") else ds.RZ(line, draw(ANGLES)))
+            continue
+        lines = draw(st.permutations(range(1, n + 1)))
+        if kind == "cnot":
+            gates.append(ds.CNOT(lines[0], lines[1]))
+        elif kind == "swap":
+            a, b = lines[:2]
+            gates += [ds.CNOT(a, b), ds.CNOT(b, a), ds.CNOT(a, b)]
+        else:
+            k = draw(st.integers(1, n - 1))
+            controls, target = tuple(sorted(lines[:k])), lines[k]
+            if kind == "mcrz":
+                gates.append(ds.MCRZ(controls, target, draw(ANGLES)))
+            else:
+                gates.append(ds.CDIAG(controls, target, draw(ANGLES), draw(ANGLES)))
+    if draw(st.booleans()):
+        gates += [g for g in reversed(gates) if isinstance(g, (ds.X, ds.CNOT))]
+    return ds.Circuit(n, tuple(gates), draw(ANGLES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuit=gate_lists())
+def test_circuit_to_diagonal_matches_permutation_replay(circuit):
+    perm, theta = ds.basis_action(circuit)
+    identity = np.arange(1 << circuit.n)
+    if np.array_equal(perm, identity):
+        diag = ds.circuit_to_diagonal(circuit)
+        assert np.abs(diag.thetas - (theta + circuit.global_phase)).max() <= 1e-12
+    else:
+        moved = int(np.argmax(perm != identity))
+        with pytest.raises(ds.NotDiagonalError) as exc:
+            ds.circuit_to_diagonal(circuit)
+        assert str(exc.value) == (
+            f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
+        )
+
+
+def test_synthesized_circuits_never_replay_per_state(monkeypatch):
+    # every route's circuits are read off as a phase polynomial; the
+    # O(2**n * gates) replay is only for blocks on parity lines
+    def replay(circuit):
+        raise AssertionError("basis_action called")
+
+    monkeypatch.setattr("diagsynth.simulate.basis_action", replay)
+    rng = np.random.default_rng(27)
+    for n in range(2, 9):
+        u = random_diagonal(n, rng)
+        for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel):
+            circuit, _ = synth(u)
+            assert ds.verify(circuit, u) <= 1e-9
 
 
 def test_diagonal_only_gates_never_permute():

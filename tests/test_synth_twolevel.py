@@ -20,6 +20,13 @@ def test_two_qubit_structure():
         ds.X(1),
     )
     assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)
+    # bit for bit at every size, unwrapped inputs included
+    rng = np.random.default_rng(50)
+    for n in range(2, 11):
+        for scale in (2 * PI, 1e3, 1e4, 1e5, 1e6):
+            u = ds.from_thetas(n, rng.uniform(-scale, scale, size=1 << n))
+            circuit, _ = ds.synth_twolevel(u)
+            assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
