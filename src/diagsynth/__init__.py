@@ -5,10 +5,11 @@ synthesizers are provided: parity-controlled rotation synthesis (the main
 route, 2**(n+1) - 3 elementary gates), fully-conditioned rotation synthesis
 (multi-controlled Rz blocks), and the two-level baseline (X-conjugated
 controlled diagonals). Every output is checked against its input by reading
-the circuit's diagonal off its phase polynomial.
+the circuit's diagonal off its phase polynomial. The paper's block systems
+and per-block oracles, kept for the tests and demos, are in ``paper``.
 """
 
-from .angles import DEFAULT_TOL, ZERO_ANGLE_EPS, wrap_angle
+from .angles import wrap_angle
 from .circuits import (
     CDIAG,
     CNOT,
@@ -16,19 +17,15 @@ from .circuits import (
     RZ,
     Circuit,
     Gate,
-    SynthesisReport,
     X,
     count_gates,
-    gate_kind,
     peephole_cancel,
 )
 from .diagonal import (
     DiagonalUnitary,
-    TensorSplit,
     compose,
     equal_up_to_global_phase,
     from_thetas,
-    phase_aligned_residual,
     tensor_split,
 )
 from .errors import (
@@ -40,7 +37,21 @@ from .errors import (
     SynthesisError,
     UnsupportedGateError,
 )
-from .obstruction import character_angle, is_tensor, obstruction
+from .obstruction import is_tensor, obstruction
+from .paper import (
+    BlockMatrix,
+    character_angle,
+    conditioned_states,
+    controlled_block_angles,
+    controlled_block_matrix,
+    controlled_rotation_gates,
+    flip_states,
+    solve_block_angles,
+    xor_block_angles,
+    xor_block_matrix,
+    xor_flip_indicator_matrix,
+    xor_rotation_gates,
+)
 from .serialize import (
     load_circuit,
     load_diagonal,
@@ -51,33 +62,18 @@ from .serialize import (
 )
 from .simulate import apply_to_basis, basis_action, circuit_to_diagonal, verify
 from .subsets import (
-    conditioned_states,
     dictionary_subsets,
-    flip_states,
     gray_subsets,
     lines_to_mask,
     subset_lines,
 )
-from .synth_controlled import (
-    controlled_block_angles,
-    controlled_rotation_gates,
-    synth_controlled,
-)
+from .synth_controlled import synth_controlled
 from .synth_twolevel import synth_twolevel
-from .synth_xor import synth_xor, xor_block_angles, xor_rotation_gates
-from .systems import (
-    BlockMatrix,
-    controlled_block_matrix,
-    solve_block_angles,
-    xor_block_matrix,
-    xor_flip_indicator_matrix,
-)
+from .synth_xor import synth_xor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOL",
-    "ZERO_ANGLE_EPS",
     "wrap_angle",
     "X",
     "CNOT",
@@ -86,16 +82,12 @@ __all__ = [
     "CDIAG",
     "Gate",
     "Circuit",
-    "SynthesisReport",
     "count_gates",
-    "gate_kind",
     "peephole_cancel",
     "DiagonalUnitary",
-    "TensorSplit",
     "from_thetas",
     "compose",
     "equal_up_to_global_phase",
-    "phase_aligned_residual",
     "tensor_split",
     "DimensionError",
     "FormatError",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .angles import DEFAULT_TOL
 from .diagonal import DiagonalUnitary
-from .errors import DimensionError, SingularSystemError, SynthesisError
+from .errors import DimensionError, SynthesisError
 from .serialize import load_circuit, load_diagonal, save_circuit, to_qasm
 from .simulate import verify as verify_circuit
 from .synth_controlled import synth_controlled
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, SynthesisError, SingularSystemError) as exc:
+    except (ValueError, OSError, SynthesisError) as exc:
         # the typed input errors are ValueErrors; OSError covers missing,
         # unreadable and directory paths
         print(f"error: {exc}", file=sys.stderr)

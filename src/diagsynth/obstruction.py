@@ -25,16 +25,6 @@ from .diagonal import DiagonalUnitary
 from .errors import DimensionError
 
 
-def character_angle(u: DiagonalUnitary, j: int) -> float:
-    """Angle of the j-th pair-ratio character, 1-based, in (-pi, pi]."""
-    if u.n < 2:
-        raise DimensionError("characters are defined for n >= 2")
-    if not 1 <= j <= (1 << (u.n - 1)) - 1:
-        raise IndexError(f"character index {j} out of range 1..{(1 << (u.n - 1)) - 1}")
-    t = u.thetas
-    return float(wrap_angle(t[2 * j - 2] - t[2 * j - 1] - t[2 * j] + t[2 * j + 1]))
-
-
 def obstruction(u: DiagonalUnitary) -> np.ndarray:
     """Vector of all 2**(n-1) - 1 character angles of u.
 

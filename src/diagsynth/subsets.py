@@ -38,20 +38,3 @@ def dictionary_subsets(m: int) -> list[int]:
         raise ValueError(f"need at least one line, got m={m}")
     return sorted(range(1, 1 << m), key=lambda mask: subset_lines(mask, m))
 
-
-def flip_states(mask: int, m: int) -> set[int]:
-    """Indices j in 1..2**m-1 whose bits XOR to 1 over the masked lines.
-
-    These are the top-line patterns on which a parity-controlled rotation
-    applies the adjoint rotation instead; there are always 2**(m-1) of them.
-    """
-    if mask == 0:
-        raise ValueError("flip states are undefined for the empty subset")
-    return {j for j in range(1, 1 << m) if bin(j & mask).count("1") & 1}
-
-
-def conditioned_states(mask: int, m: int) -> set[int]:
-    """Indices j in 1..2**m-1 with every masked line set; 2**(m-|S|) of them."""
-    if mask == 0:
-        raise ValueError("conditioned states are undefined for the empty subset")
-    return {j for j in range(1, 1 << m) if j & mask == mask}

@@ -8,7 +8,7 @@ dictionary-ordered system's solution without the -1/2 factor, since a
 conditioned block leaves non-selected states fixed. That system is the
 subset-inclusion matrix behind a difference operator, so the angles are a
 Moebius transform and the remainder a subset-sum transform, O(n * 2**n) per
-level; the dense system in ``systems`` is kept as their test oracle.
+level; the dense system in ``paper`` is kept as their test oracle.
 Blocks stay multi-controlled rotation primitives in the output; expanding
 them into elementary gates is out of scope here, so totals are reported in
 blocks: 2**n - 1 of them (rotations included) on generic input.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import MCRZ, RZ, Circuit, Gate, SynthesisReport, count_gates, peephole_cancel
+from .circuits import MCRZ, Circuit, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .levels import prefix_sums, synthesize_levels
 from .subsets import dictionary_subsets
@@ -28,32 +28,10 @@ from .transforms import mobius, zeta
 # module binds, finds them.
 from .diagonal import tensor_split  # noqa: F401
 from .obstruction import is_tensor, obstruction  # noqa: F401
-from .systems import controlled_block_matrix, solve_block_angles  # noqa: F401
-
-
-def controlled_rotation_gates(controls, alpha: float, n: int) -> list[Gate]:
-    """One fully-conditioned rotation block on line n; the empty subset is
-    the bare rotation."""
-    controls = tuple(sorted(controls))
-    if any(not 1 <= c <= n - 1 for c in controls):
-        raise ValueError(f"controls {controls} must lie in 1..{n - 1}")
-    if len(set(controls)) != len(controls):
-        raise ValueError(f"duplicate control in {controls}")
-    if not controls:
-        return [RZ(n, alpha)]
-    return [MCRZ(controls, n, alpha)]
-
-
-def controlled_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
-    """Induced diagonal of a fully-conditioned rotation block, as angles.
-
-    Basis states whose masked top lines are all 1 pick up -alpha/2 or
-    +alpha/2 by the last bit; every other state is untouched.
-    """
-    j = np.arange(1 << n)
-    top, last = j >> 1, j & 1
-    selected = (top & mask) == mask
-    return np.where(selected, np.where(last, 0.5 * alpha, -0.5 * alpha), 0.0)
+from .paper import (  # noqa: F401
+    controlled_block_angles, controlled_block_matrix, controlled_rotation_gates,
+    solve_block_angles,
+)
 
 
 def controlled_level_angles(psi: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ obstruction, composes those blocks to confirm the remainder is a tensor,
 emits the inverse blocks plus the split-off last-line rotation, and recurses
 on the quotient diagonal (the loop in ``levels``). The angles and the
 remainder are closed-form Walsh-Hadamard transforms, O(n * 2**n) per level;
-the dense Gray-ordered system in ``systems`` is kept as their test oracle.
+the dense Gray-ordered system in ``paper`` is kept as their test oracle.
 In Gray order consecutive subsets differ in one line, so of the two fans
 between consecutive rotations only the CNOT from that line survives, and
 the closing fan of the last subset ({1}) leaves the single trailing CNOT.
@@ -37,38 +37,9 @@ from .transforms import fwht
 # module binds, finds them.
 from .diagonal import tensor_split  # noqa: F401
 from .obstruction import is_tensor, obstruction  # noqa: F401
-from .systems import solve_block_angles, xor_block_matrix  # noqa: F401
-
-
-def xor_rotation_gates(controls, alpha: float, n: int) -> list[Gate]:
-    """Gate list for one parity-controlled rotation block on line n: a fan of
-    CNOTs from the controls onto line n around the rotation, 2*len(controls)
-    + 1 gates; the empty subset is the bare rotation."""
-    controls = sorted(controls)
-    if any(not 1 <= c <= n - 1 for c in controls):
-        raise ValueError(f"controls {controls} must lie in 1..{n - 1}")
-    if len(set(controls)) != len(controls):
-        raise ValueError(f"duplicate control in {controls}")
-    fan = [CNOT(c, n) for c in controls]
-    return fan + [RZ(n, alpha)] + fan[::-1]
-
-
-def xor_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
-    """Induced diagonal of a parity-controlled rotation block, as angles.
-
-    Basis state b_1..b_n picks up -alpha/2 when b_n XOR (parity over the
-    masked lines) is 0 and +alpha/2 otherwise; mask 0 is the plain rotation
-    on line n.
-    """
-    j = np.arange(1 << n)
-    top, last = j >> 1, j & 1
-    parity = np.zeros(1 << n, dtype=np.int64)
-    bit = 0
-    while mask >> bit:
-        if mask >> bit & 1:
-            parity ^= top >> bit & 1
-        bit += 1
-    return np.where(last ^ parity, 0.5 * alpha, -0.5 * alpha)
+from .paper import (  # noqa: F401
+    solve_block_angles, xor_block_angles, xor_block_matrix, xor_rotation_gates,
+)
 
 
 def xor_level_angles(psi: np.ndarray) -> np.ndarray:

@@ -42,6 +42,24 @@ def tensor_rz_diagonal(alphas) -> ds.DiagonalUnitary:
     return ds.from_thetas(n, thetas)
 
 
+HARD_KINDS = ("large", "pi", "zero", "near_tensor")
+
+
+def hard_thetas(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Angles that stress the synthesizers: 1e3..1e6 rad of either sign,
+    entries in {-pi, 0, pi}, all zero, or a rotation tensor plus noise."""
+    size = 1 << n
+    if kind == "large":
+        sign = rng.choice([-1.0, 1.0])
+        return sign * rng.uniform(0.0, 1.0, size) * 10 ** rng.uniform(3, 6)
+    if kind == "pi":
+        return rng.choice([-PI, 0.0, PI], size)
+    if kind == "zero":
+        return np.zeros(size)
+    thetas = tensor_rz_diagonal(rng.uniform(-PI, PI, n)).thetas
+    return thetas + rng.normal(size=size) * 10 ** -rng.uniform(6, 12)
+
+
 def wrapped_max_diff(a, b) -> float:
     """Max |wrap(a - b)| componentwise; equality mod 2*pi."""
     return float(np.abs(ds.wrap_angle(np.asarray(a) - np.asarray(b))).max())

@@ -1,10 +1,12 @@
 """The closed-form level solve and one-shot remainder against their oracles.
 
-The oracles are the dense block systems of ``systems`` (solved by LU) and
+The oracles are the dense block systems of ``paper`` (solved by LU) and
 the per-block ``*_block_angles`` loop; the synthesizers use neither.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagsynth as ds
-from conftest import PI, random_diagonal, tensor_rz_diagonal
+from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal
+from diagsynth import paper
 from diagsynth.levels import cancel_blocks
 from diagsynth.synth_controlled import controlled_level_angles
 from diagsynth.synth_xor import xor_level_angles
@@ -64,14 +67,43 @@ def test_one_shot_remainder_matches_block_loop(family, n):
     assert ds.is_tensor(ds.from_thetas(n, got), 1e-9)
 
 
-def test_synthesizers_build_no_dense_system():
-    u = random_diagonal(6, np.random.default_rng(7))
-    for build in (ds.xor_block_matrix, ds.controlled_block_matrix):
-        build.cache_clear()
-    ds.synth_xor(u)
-    ds.synth_controlled(u)
-    for build in (ds.xor_block_matrix, ds.controlled_block_matrix):
-        assert build.cache_info().misses == 0
+def _refuse(name):
+    def oracle(*args, **kwargs):
+        raise AssertionError(f"paper.{name} was called")
+
+    return oracle
+
+
+def test_synthesizers_build_no_dense_system(monkeypatch):
+    # every public callable of ``paper``, and every diagsynth module's binding
+    # of one (the trace-table copies in synth_xor and synth_controlled among
+    # them), raises: synthesis and verification must reach none of them
+    oracles = {
+        id(obj): name for name, obj in vars(paper).items()
+        if callable(obj) and not name.startswith("_")
+        and getattr(obj, "__module__", None) == paper.__name__
+    }
+    assert {"xor_block_matrix", "solve_block_angles", "controlled_block_angles",
+            "xor_rotation_gates", "flip_states", "character_angle"} <= set(oracles.values())
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "diagsynth" or name.startswith("diagsynth."):
+            for attr, obj in list(vars(module).items()):
+                if id(obj) in oracles:
+                    monkeypatch.setattr(module, attr, _refuse(oracles[id(obj)]))
+                    patched.append(f"{name.rpartition('.')[2]}.{attr}")
+    for module in ("synth_xor", "synth_controlled"):
+        assert sum(p.startswith(module + ".") for p in patched) == 4
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        u = random_diagonal(n, rng)
+        for keep in (False, True):
+            for synth in (ds.synth_xor, ds.synth_controlled):
+                circuit, _ = synth(u, keep_trivial_rotations=keep)
+                assert ds.verify(circuit, u) <= 1e-9
+        if n >= 2:
+            circuit, _ = ds.synth_twolevel(u)
+            assert ds.verify(circuit, u) <= 1e-9
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -125,20 +157,9 @@ def test_unwrapped_inputs_synthesize_at_small_magnitude():
 @st.composite
 def hard_diagonals(draw):
     n = draw(st.integers(1, 10))
-    kind = draw(st.sampled_from(["large", "pi", "zero", "near_tensor"]))
+    kind = draw(st.sampled_from(HARD_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = 1 << n
-    if kind == "large":
-        sign = rng.choice([-1.0, 1.0])
-        thetas = sign * rng.uniform(0.0, 1.0, size) * 10 ** rng.uniform(3, 6)
-    elif kind == "pi":
-        thetas = rng.choice([-PI, 0.0, PI], size)
-    elif kind == "zero":
-        thetas = np.zeros(size)
-    else:
-        thetas = tensor_rz_diagonal(rng.uniform(-PI, PI, n)).thetas
-        thetas = thetas + rng.normal(size=size) * 10 ** -rng.uniform(6, 12)
-    return ds.from_thetas(n, thetas)
+    return ds.from_thetas(n, hard_thetas(kind, n, rng))
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,3 +171,7 @@ def test_any_finite_input_synthesizes_and_verifies(u):
     circuit, report = ds.synth_controlled(u)
     assert report.counts["rz"] + report.counts["mcrz"] <= 2**u.n - 1
     assert ds.verify(circuit, u) <= 1e-9
+    if u.n >= 2:
+        # the two-level blocks carry absolute phases: the angles come back exactly
+        circuit, _ = ds.synth_twolevel(u)
+        assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)

@@ -163,7 +163,6 @@ def test_solve_rejects_singular_matrix():
     bad = ds.BlockMatrix(
         dim=2,
         entries=np.array([[1, 1], [1, 1]]),
-        order_tag="xor-gray",
         column_subsets=(1, 2),
     )
     with pytest.raises(ds.SingularSystemError):

@@ -17,3 +17,17 @@ def test_every_traced_name_resolves():
     for module, name, *_ in table:
         assert callable(getattr(import_module(module), name)), f"{module}.{name}"
     assert callable(import_module("diagsynth.circuits").Circuit.__post_init__)
+
+
+def test_traced_oracle_names_are_the_paper_oracles():
+    # synth_xor and synth_controlled bind the paper's oracles only for the
+    # trace table; a binding that is not the object ``paper`` defines would
+    # be a stale copy
+    paper = import_module("diagsynth.paper")
+    table = runpy.run_path(str(SPANS), run_name="perfbench_spans")["_patch_table"]()
+    checked = set()
+    for module, name, *_ in table:
+        if module in ("diagsynth.synth_xor", "diagsynth.synth_controlled") and hasattr(paper, name):
+            assert getattr(import_module(module), name) is getattr(paper, name), f"{module}.{name}"
+            checked.add((module, name))
+    assert len(checked) == 8  # block matrix, solve, block angles, gates per route
