@@ -26,7 +26,6 @@ from .diagonal import (
     compose,
     equal_up_to_global_phase,
     from_thetas,
-    tensor_split,
 )
 from .errors import (
     DimensionError,
@@ -37,7 +36,7 @@ from .errors import (
     SynthesisError,
     UnsupportedGateError,
 )
-from .obstruction import is_tensor, obstruction
+from .obstruction import is_tensor, obstruction, tensor_split
 from .paper import (
     BlockMatrix,
     character_angle,

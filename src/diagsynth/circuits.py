@@ -160,13 +160,6 @@ def _reduce_run(run: list[Gate]) -> list[Gate]:
     return [g for g in dict.fromkeys(run) if parity[g] & 1]
 
 
-def _cancel_pass(gates: list[Gate]) -> list[Gate]:
-    out: list[Gate] = []
-    for key, run in groupby(gates, _run_key):
-        out.extend(run if key is None else _reduce_run(list(run)))
-    return out
-
-
 def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circuit:
     """Cancel redundant gates until a fixed point.
 
@@ -180,20 +173,22 @@ def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circu
     (-1)**m * I, so odd m adds pi to the phase record. A circuit with
     nothing to cancel is returned as is.
     """
-    gates = list(circuit.gates)
+    # one drop pass: cancelling removes only CNOT and X gates, so it never
+    # leaves a new trivial rotation
+    gates = []
     phase = circuit.global_phase
+    for g in circuit.gates:
+        if not drop_zero_rotations or not _is_trivial(g):
+            gates.append(g)
+        elif isinstance(g, RZ):
+            phase += math.pi * (round(g.alpha / TWO_PI) & 1)
     while True:
-        before = gates
-        if drop_zero_rotations:
-            gates = []
-            for g in before:
-                if not _is_trivial(g):
-                    gates.append(g)
-                elif isinstance(g, RZ):
-                    phase += math.pi * (round(g.alpha / TWO_PI) & 1)
-        gates = _cancel_pass(gates)
-        if len(gates) == len(before):
+        out = []
+        for key, run in groupby(gates, _run_key):
+            out.extend(run if key is None else _reduce_run(list(run)))
+        if len(out) == len(gates):
             break
+        gates = out
     if len(gates) == len(circuit.gates):
         return circuit
     return replace(circuit, gates=tuple(gates), global_phase=phase)

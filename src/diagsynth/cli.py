@@ -159,9 +159,9 @@ def main(argv=None) -> int:
     handlers = {"synth": _cmd_synth, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, SynthesisError) as exc:
+    except (ValueError, OSError, SynthesisError, MemoryError) as exc:
         # the typed input errors are ValueErrors; OSError covers missing,
-        # unreadable and directory paths
+        # unreadable and directory paths; MemoryError an n too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

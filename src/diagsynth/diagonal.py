@@ -4,7 +4,8 @@ An n-qubit diagonal unitary multiplies basis state |j> by exp(i*theta_j).
 We keep the angles, not the complex entries: the whole calculus here is
 additive in the exponents, and "equal up to global phase" becomes a
 subtraction. Index j is read as the bit string b_1 b_2 ... b_n with b_1 the
-most significant bit; line 1 is the top wire.
+most significant bit; line 1 is the top wire. The split across the last
+line, ``tensor_split``, lives in ``obstruction`` beside the test it needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import DEFAULT_TOL, wrap_angle
-from .errors import DimensionError, NotATensorError
+from .errors import DimensionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,45 +80,3 @@ def equal_up_to_global_phase(
     if u1.n != u2.n:
         raise DimensionError(f"qubit counts differ: {u1.n} vs {u2.n}")
     return phase_aligned_residual(u1.thetas, u2.thetas) <= tol
-
-
-@dataclass(frozen=True)
-class TensorSplit:
-    """Factorization u = v (x) w, with w further normalized as a rotation.
-
-    ``w0, w1`` are the raw one-qubit angles. Writing the one-qubit factor as
-    exp(i*phi) * Rz(alpha) gives ``rotation_angle`` = w1 - w0 and
-    ``phi`` = (w0 + w1) / 2.
-    """
-
-    v: DiagonalUnitary
-    w0: float
-    w1: float
-    phi: float
-
-    @property
-    def rotation_angle(self) -> float:
-        return self.w1 - self.w0
-
-
-def tensor_split(u: DiagonalUnitary, tol: float = DEFAULT_TOL) -> TensorSplit:
-    """Split u into an (n-1)-qubit diagonal and a last-line one-qubit factor.
-
-    The one-qubit factor takes the first two angles verbatim; the quotient
-    diagonal is normalized so its first angle is zero, i.e.
-    v_j = theta_{2j} - theta_0. Requires the pairwise-ratio chain to hold
-    within tol (mod 2*pi), otherwise NotATensorError.
-    """
-    if u.n < 2:
-        raise DimensionError("tensor_split needs at least 2 qubits")
-    # chain condition: theta_{2j} - theta_{2j+1} constant mod 2*pi
-    from .obstruction import is_tensor
-
-    if not is_tensor(u, tol):
-        raise NotATensorError(
-            "pairwise phase ratios are not constant; no last-line tensor factor"
-        )
-    t = u.thetas
-    w0, w1 = float(t[0]), float(t[1])
-    v = DiagonalUnitary(u.n - 1, t[0::2] - t[0])
-    return TensorSplit(v=v, w0=w0, w1=w1, phi=0.5 * (w0 + w1))

@@ -22,7 +22,9 @@ of blocks supplies four things:
 
 Angles are reduced relative to theta_0 on entry to each level, with
 theta_0 moved into the global phase, so that inputs far from the principal
-branch are synthesized at small magnitude.
+branch are synthesized at small magnitude. The loop works on the bare angle
+vector: the remainder's obstruction is checked once, and the quotient is
+the remainder's even entries less its first.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import wrap_angle
+from .angles import DEFAULT_TOL, wrap_angle
 from .circuits import RZ, Gate
-from .diagonal import DiagonalUnitary, tensor_split
-from .errors import NotATensorError, SynthesisError
-from .obstruction import obstruction
+from .diagonal import DiagonalUnitary
+from .errors import SynthesisError
+from .obstruction import obstruction_angles
 from .subsets import subset_lines
 
 
@@ -63,30 +65,28 @@ def synthesize_levels(u: DiagonalUnitary, solve, induced, order, emit):
     """Run the recursion on u; returns (gates, global phase).
 
     Raises SynthesisError when the blocks fail to flatten the obstruction to
-    within DEFAULT_TOL, which signals a solver or ordering inconsistency.
+    within DEFAULT_TOL (NaN included), which signals a solver or ordering
+    inconsistency or an input whose differences overflow.
     """
     gates: list[Gate] = []
     phase = 0.0
     t = u.thetas
-    for k in range(u.n, 0, -1):
+    for k in range(u.n, 1, -1):
         phase += float(t[0])
-        level = DiagonalUnitary(k, wrap_angle(t - t[0]))
-        if k == 1:
-            rotation = float(level.thetas[1])
-            gates.append(RZ(1, rotation))
-            phase += 0.5 * rotation
-            break
-        alphas = solve(obstruction(level))
-        tilde = DiagonalUnitary(k, cancel_blocks(level.thetas, induced(alphas)))
-        try:
-            split = tensor_split(tilde)
-        except NotATensorError as exc:
+        t = wrap_angle(t - t[0])
+        alphas = solve(obstruction_angles(t))
+        t = cancel_blocks(t, induced(alphas))
+        if not np.abs(obstruction_angles(t)).max() <= DEFAULT_TOL:
             raise SynthesisError(
                 "block angles failed to cancel the obstruction; "
                 "solver or ordering convention is inconsistent"
-            ) from exc
-        phase += split.phi
-        gates.append(RZ(k, split.rotation_angle))
+            )
+        w0, w1 = float(t[0]), float(t[1])
+        phase += 0.5 * (w0 + w1)
+        gates.append(RZ(k, w1 - w0))
         gates += emit(_blocks(order, k - 1), alphas.tolist(), k)
-        t = split.v.thetas
-    return gates, phase
+        t = t[0::2] - t[0]
+    phase += float(t[0])
+    rotation = float(wrap_angle(t - t[0])[1])
+    gates.append(RZ(1, rotation))
+    return gates, phase + 0.5 * rotation

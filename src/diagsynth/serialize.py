@@ -15,6 +15,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,24 @@ def load_diagonal(path) -> DiagonalUnitary:
 # ---------------------------------------------------------------------------
 
 
+def _finite(what: str, value) -> float:
+    # json and float() both read inf and nan; no angle in a file may be either
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} is not finite: {value}")
+    return number
+
+
 # Each gate class's (field name, loader) pairs in field order; the field's
 # annotation picks the loader. Built once: dataclasses.fields() per gate is slow.
-_CONVERT = {"int": int, "float": float, "tuple[int, ...]": lambda v: tuple(map(int, v))}
-_FIELDS = {cls: tuple((f.name, _CONVERT[f.type]) for f in fields(cls)) for cls in _KINDS}
+_CONVERT = {"int": int, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+_FIELDS = {
+    cls: tuple(
+        (f.name, _CONVERT.get(f.type) or partial(_finite, f"{kind} {f.name}"))
+        for f in fields(cls)
+    )
+    for cls, kind in _KINDS.items()
+}
 _CLASSES = {kind: cls for cls, kind in _KINDS.items()}
 
 
@@ -95,7 +110,7 @@ def circuit_to_document(circuit: Circuit) -> dict:
 def circuit_from_document(doc: dict) -> Circuit:
     try:
         n = int(doc["n"])
-        phase = float(doc["global_phase"])
+        phase = _finite("global_phase", doc["global_phase"])
         gate_docs = iter(doc["gates"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
@@ -179,6 +194,8 @@ def parse_qasm(text: str) -> Circuit:
         if form == "header":
             continue
         if form == "n":
+            if n is not None:
+                raise FormatError(f"second qreg declaration: {line!r}")
             n = int(statement["n"])
             continue
         if n is None:
@@ -189,9 +206,9 @@ def parse_qasm(text: str) -> Circuit:
             gates.append(CNOT(int(statement["cc"]) + 1, int(statement["ct"]) + 1))
         else:
             try:
-                angle = float(statement["angle"])
+                angle = _finite("rz angle", statement["angle"])
             except ValueError as exc:
-                raise FormatError(f"rz angle is not a number in {line!r}") from exc
+                raise FormatError(f"rz angle is not a finite number in {line!r}") from exc
             gates.append(RZ(int(statement["rq"]) + 1, angle))
     if n is None:
         raise FormatError("missing qreg declaration")

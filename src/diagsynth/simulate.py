@@ -12,13 +12,14 @@ fires on a cube of inputs: an MCRZ with no X on its lines adds to two
 subset coefficients, summed by one ``zeta``, and any other block writes its
 two values into that cube of the angle array.
 
-A block on a line that carries a parity of several bits, or a final line
-map other than the identity (the circuit is then not diagonal), sends the
-whole circuit to ``basis_action``. That replay tracks, per input basis
-state, the output index and the accumulated angle, O(2**n * gates),
-vectorized over all states with a block's controls tested by one mask. It
-and its scalar oracle ``apply_to_basis`` stay the reference for the fast
-pass.
+The same pass ends with the circuit's line map. If that map is not the
+identity, the circuit is not diagonal, and the map alone names the first
+basis state it moves. A block on a line that carries a parity of several
+bits only sets a flag; a diagonal circuit with such a block is then
+replayed by ``basis_action``. That replay tracks, per input basis state,
+the output index and the accumulated angle, O(2**n * gates), vectorized
+over all states with a block's controls tested by one mask. It and its
+scalar oracle ``apply_to_basis`` stay the reference for the fast pass.
 """
 
 from __future__ import annotations
@@ -93,10 +94,15 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return j, theta
 
 
-def _phase_polynomial(circuit: Circuit) -> np.ndarray | None:
-    """Induced angles, without the phase record, from one pass over the
-    gates; None when a block sits on a parity of several input bits or the
-    final line map is not the identity."""
+def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
+    """Induced diagonal of the circuit, including its global phase record.
+
+    Read off the phase polynomial in O(gates + n * 2**n); a diagonal
+    circuit with a block on a parity line is replayed by ``basis_action``
+    instead. Raises NotDiagonalError, from the final line map, when any
+    basis state lands elsewhere, which signals unbalanced CNOT or X
+    structure.
+    """
     n = circuit.n
     size = 1 << n
     identity = [0] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
@@ -104,6 +110,7 @@ def _phase_polynomial(circuit: Circuit) -> np.ndarray | None:
     parity = list(identity)
     flip = [0] * (n + 1)
     walsh = subset = cube = None
+    on_parity_line = False
     for gate in circuit.gates:
         kind = type(gate)
         if kind is CNOT:
@@ -116,20 +123,21 @@ def _phase_polynomial(circuit: Circuit) -> np.ndarray | None:
             walsh[parity[gate.line]] += half if flip[gate.line] else -half
         elif kind is X:
             flip[gate.line] ^= 1
-        else:
+        elif not on_parity_line:
             # the parities of distinct lines are independent, so lines that
             # carry one input bit each carry distinct bits
             target = parity[gate.target]
-            if target & (target - 1):
-                return None
+            on_parity_line = target & (target - 1)
             controls = 0
             flipped = flip[gate.target]
             for line in gate.controls:
                 bit = parity[line]
                 if bit & (bit - 1):
-                    return None
+                    on_parity_line = True
                 controls |= bit
                 flipped |= flip[line]
+            if on_parity_line:
+                continue  # from here on the pass only tracks the line map
             if kind is MCRZ and not flipped:
                 # the block adds -alpha/2 on inputs holding every control
                 # bit and +alpha on those also holding the target bit
@@ -154,33 +162,26 @@ def _phase_polynomial(circuit: Circuit) -> np.ndarray | None:
             where[axis] ^= 1
             cube[tuple(where)] += on
     if parity != identity or any(flip):
-        return None
+        # line L of the image of |j> holds the parity of j & parity[L], plus
+        # flip[L]. |0> moves iff a line ends flipped; else the map is linear,
+        # so the lowest basis bit that moves is the first moved state.
+        image = {
+            j: sum(
+                ((j & parity[line]).bit_count() + flip[line] & 1) << _bitpos(n, line)
+                for line in range(1, n + 1)
+            )
+            for j in sorted(identity)
+        }
+        moved = next(j for j in image if image[j] != j)
+        raise NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")
+    if on_parity_line:
+        return DiagonalUnitary(n, basis_action(circuit)[1] + circuit.global_phase)
     thetas = np.zeros(size) if cube is None else cube.reshape(size)
     if walsh is not None:
         thetas += fwht(walsh)
     if subset is not None:
         thetas += zeta(subset)
-    return thetas
-
-
-def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
-    """Induced diagonal of the circuit, including its global phase record.
-
-    Read off the phase polynomial in O(gates + n * 2**n); a circuit with a
-    block on a parity line, or whose final line map is not the identity,
-    is replayed by ``basis_action`` instead. Raises NotDiagonalError when
-    any basis state lands elsewhere, which signals unbalanced CNOT or X
-    structure.
-    """
-    thetas = _phase_polynomial(circuit)
-    if thetas is None:
-        perm, thetas = basis_action(circuit)
-        if not np.array_equal(perm, np.arange(1 << circuit.n)):
-            moved = int(np.argmax(perm != np.arange(1 << circuit.n)))
-            raise NotDiagonalError(
-                f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
-            )
-    return DiagonalUnitary(circuit.n, thetas + circuit.global_phase)
+    return DiagonalUnitary(n, thetas + circuit.global_phase)
 
 
 def verify(circuit: Circuit, u: DiagonalUnitary) -> float:

@@ -26,8 +26,7 @@ from .transforms import mobius, zeta
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
 # module binds, finds them.
-from .diagonal import tensor_split  # noqa: F401
-from .obstruction import is_tensor, obstruction  # noqa: F401
+from .obstruction import is_tensor, obstruction, tensor_split  # noqa: F401
 from .paper import (  # noqa: F401
     controlled_block_angles, controlled_block_matrix, controlled_rotation_gates,
     solve_block_angles,

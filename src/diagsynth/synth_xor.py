@@ -35,8 +35,7 @@ from .transforms import fwht
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
 # module binds, finds them.
-from .diagonal import tensor_split  # noqa: F401
-from .obstruction import is_tensor, obstruction  # noqa: F401
+from .obstruction import is_tensor, obstruction, tensor_split  # noqa: F401
 from .paper import (  # noqa: F401
     solve_block_angles, xor_block_angles, xor_block_matrix, xor_rotation_gates,
 )

@@ -173,6 +173,14 @@ def test_bench_rejects_bad_range_before_the_table(algo, n_min, n_max, capsys):
     assert "--n-min" in err
 
 
+def test_bench_too_large_to_allocate_exits_with_one_line(capsys):
+    # 2**50 angles take 8 PiB, more than any 64-bit address space: the
+    # allocation fails at once
+    code = main(["bench", "--algo", "xor", "--n-min", "50", "--n-max", "50", "--trials", "1"])
+    assert code == 1
+    assert "allocate" in _one_error_line(capsys)
+
+
 def test_bench_twolevel_from_two(capsys):
     assert main(["bench", "--algo", "twolevel", "--n-min", "2", "--n-max", "3", "--trials", "1"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 3

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import diagsynth as ds
 from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal
 from diagsynth import paper
-from diagsynth.levels import cancel_blocks
+from diagsynth.levels import cancel_blocks, synthesize_levels
+from diagsynth.subsets import gray_subsets
 from diagsynth.synth_controlled import controlled_level_angles
 from diagsynth.synth_xor import xor_level_angles
 from diagsynth.transforms import fwht, zeta
@@ -65,6 +66,24 @@ def test_one_shot_remainder_matches_block_loop(family, n):
     got = cancel_blocks(u.thetas, induced(alphas))
     assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
     assert ds.is_tensor(ds.from_thetas(n, got), 1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_remainder_check_rejects_wrong_block_angles(n):
+    # zero block angles leave a generic input's obstruction in place
+    u = random_diagonal(n, np.random.default_rng(500 + n))
+    with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
+        synthesize_levels(u, lambda psi: np.zeros(psi.size + 1), fwht, gray_subsets,
+                          lambda blocks, angle, k: [])
+
+
+@pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled])
+def test_overflowing_first_difference_is_a_synthesis_error(synth):
+    # theta_1 - theta_0 overflows to -inf, and every angle after it is NaN:
+    # the remainder check must not let NaN rotations through
+    u = ds.from_thetas(2, [1e308, -1e308, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ds.SynthesisError):
+        synth(u)
 
 
 def _refuse(name):

@@ -59,6 +59,12 @@ _INT_FIELDS = {
     "target": _GATE.replace("G", '{"kind": "cnot", "control": 1, "target": V}'),
     "controls": _GATE.replace("G", '{"kind": "mcrz", "controls": [1, V], "target": 3, "alpha": 1}'),
 }
+# documents with V where an angle goes
+_FLOAT_FIELDS = {
+    "alpha": _GATE.replace("G", '{"kind": "rz", "line": 1, "alpha": V}'),
+    "theta0": _GATE.replace("G", '{"kind": "cdiag", "controls": [1], "target": 2, "theta0": V, "theta1": 0}'),
+    "global_phase": '{"n": 3, "global_phase": V, "gates": []}',
+}
 
 
 @pytest.mark.parametrize(
@@ -72,6 +78,12 @@ _INT_FIELDS = {
         pytest.param(_INT_FIELDS["n"], "20000", id="n=20000"),
         pytest.param(_INT_FIELDS["n"], "9" * 5000, id="n=5000 digits"),
         pytest.param('{"n": V, "global_phase": 0, "gates": []}', "1e400", id="circuit n=1e400"),
+    ]
+    + [
+        # JSON reads 1e400 as inf, and Python's reader takes NaN and Infinity
+        pytest.param(t, v, id=f"{field}={v}")
+        for field, t in _FLOAT_FIELDS.items()
+        for v in ("1e400", "NaN", "Infinity", "-Infinity")
     ],
 )
 def test_malformed_documents_raise_typed_errors(template, value, tmp_path):
@@ -80,6 +92,15 @@ def test_malformed_documents_raise_typed_errors(template, value, tmp_path):
     load = ds.load_diagonal if "thetas" in template else ds.load_circuit
     with pytest.raises((ds.FormatError, ds.DimensionError)):
         load(path)
+
+
+@pytest.mark.parametrize("field, named", [("alpha", "rz alpha"), ("theta0", "cdiag theta0"),
+                                          ("global_phase", "global_phase")])
+def test_non_finite_angle_error_names_its_field(field, named, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(_FLOAT_FIELDS[field].replace("V", "NaN"))
+    with pytest.raises(ds.FormatError, match=f"{named} is not finite"):
+        ds.load_circuit(path)
 
 
 @pytest.mark.parametrize("kind", ["mcrz", "cdiag"])
@@ -201,9 +222,11 @@ def test_qasm_parse_rejects_junk():
         ds.parse_qasm("OPENQASM 2.0;\nx q[0];\nqreg q[2];\n")
     with pytest.raises(ds.FormatError, match="missing qreg"):
         ds.parse_qasm('OPENQASM 2.0;\ninclude "qelib1.inc";\n')
+    with pytest.raises(ds.FormatError, match="second qreg"):
+        ds.parse_qasm("OPENQASM 2.0;\nqreg q[1];\nx q[0];\nqreg q[3];\ncx q[0],q[2];\n")
 
 
-@pytest.mark.parametrize("angle", ["pi/2", "0.5.1", "nan?"])
+@pytest.mark.parametrize("angle", ["pi/2", "0.5.1", "nan?", "1e400", "nan", "-inf"])
 def test_qasm_bad_rz_angle_is_a_format_error(angle):
     statement = f"rz({angle}) q[0];"
     with pytest.raises(ds.FormatError) as exc:

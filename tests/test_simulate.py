@@ -77,6 +77,11 @@ def test_circuit_to_diagonal_rejects_bare_cnot():
         ds.circuit_to_diagonal(ds.Circuit(2, (ds.CNOT(1, 2),)))
 
 
+def _xor_circuit_then_x(n):
+    u = random_diagonal(n, np.random.default_rng(n))
+    return ds.synth_xor(u)[0].gates + (ds.X(n),)
+
+
 @pytest.mark.parametrize(
     "n, gates, moved",
     [
@@ -86,10 +91,16 @@ def test_circuit_to_diagonal_rejects_bare_cnot():
         (3, (ds.CNOT(1, 3), ds.CNOT(2, 3), ds.RZ(3, 0.4), ds.CNOT(1, 3)), (2, 3)),
         # an odd CNOT triple is a swap
         (2, (ds.CNOT(1, 2), ds.CNOT(2, 1), ds.RZ(1, 0.4), ds.CNOT(1, 2)), (1, 2)),
+        (12, _xor_circuit_then_x(12), (0, 1)),
     ],
-    ids=["cnot", "lone-x", "open-fan", "swap"],
+    ids=["cnot", "lone-x", "open-fan", "swap", "xor-n12-then-x"],
 )
-def test_not_diagonal_message_names_the_first_moved_state(n, gates, moved):
+def test_not_diagonal_message_names_the_first_moved_state(n, gates, moved, monkeypatch):
+    # the line map names the state; no circuit is replayed per state
+    def replay(circuit):
+        raise AssertionError("basis_action called")
+
+    monkeypatch.setattr("diagsynth.simulate.basis_action", replay)
     with pytest.raises(ds.NotDiagonalError) as exc:
         ds.circuit_to_diagonal(ds.Circuit(n, gates))
     assert str(exc.value) == "circuit is not diagonal: |%d> maps to |%d>" % moved
