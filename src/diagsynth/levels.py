@@ -2,9 +2,9 @@
 
 One level of size k >= 2 finds one block angle per control subset S of
 lines 1..k-1 such that the blocks cancel the obstruction psi, confirms that
-the remainder splits off the last line, emits the split-off rotation and
-then the level's blocks, and recurses on the (k-1)-qubit quotient. A family
-of blocks supplies four things:
+the remainder splits off the last line, records the split-off rotation and
+then the level's block angles, and recurses on the (k-1)-qubit quotient. A
+family of blocks supplies three things:
 
 * ``solve``: obstruction -> block angles indexed by subset mask, entry 0
   (the empty subset) zero. Both block systems are the difference operator
@@ -17,14 +17,14 @@ of blocks supplies four things:
   defines, so the remainder takes one O(k * 2**k) pass, not one pass per
   block.
 * ``order``: m -> subset masks in emission order.
-* ``emit``: ((mask, control lines) per nonempty subset in order, angles by
-  mask, k) -> the level's gates, in their final form.
 
 Angles are reduced relative to theta_0 on entry to each level, with
 theta_0 moved into the global phase, so that inputs far from the principal
 branch are synthesized at small magnitude. The loop works on the bare angle
 vector: the remainder's obstruction is checked once, and the quotient is
-the remainder's even entries less its first.
+the remainder's even entries less its first. It returns the angles in
+emission order; each synthesizer places them into its own gate layout,
+which depends on n alone.
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import DEFAULT_TOL, wrap_angle
-from .circuits import RZ, Gate
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
 from .obstruction import obstruction_angles
-from .subsets import subset_lines
 
 
 def prefix_sums(psi: np.ndarray) -> np.ndarray:
@@ -56,19 +54,26 @@ def cancel_blocks(thetas: np.ndarray, induced: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _blocks(order, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    # emission order with each mask's control lines, computed once per size
-    return tuple((mask, subset_lines(mask, m)) for mask in order(m) if mask)
+def block_masks(order, m: int) -> np.ndarray:
+    """The nonempty subset masks of m lines in emission order."""
+    masks = np.array(order(m), dtype=np.int64)
+    masks = masks[masks != 0]
+    masks.flags.writeable = False
+    return masks
 
 
-def synthesize_levels(u: DiagonalUnitary, solve, induced, order, emit):
-    """Run the recursion on u; returns (gates, global phase).
+def synthesize_levels(u: DiagonalUnitary, solve, induced, order):
+    """Run the recursion on u; returns (angles, global phase).
+
+    The angles come in emission order: per level k = n..2 the split-off
+    rotation of line k, then one block angle per nonempty subset of lines
+    1..k-1 in ``order``; last the rotation of line 1. There are 2**n - 1.
 
     Raises SynthesisError when the blocks fail to flatten the obstruction to
     within DEFAULT_TOL (NaN included), which signals a solver or ordering
     inconsistency or an input whose differences overflow.
     """
-    gates: list[Gate] = []
+    angles = []
     phase = 0.0
     t = u.thetas
     for k in range(u.n, 1, -1):
@@ -83,10 +88,9 @@ def synthesize_levels(u: DiagonalUnitary, solve, induced, order, emit):
             )
         w0, w1 = float(t[0]), float(t[1])
         phase += 0.5 * (w0 + w1)
-        gates.append(RZ(k, w1 - w0))
-        gates += emit(_blocks(order, k - 1), alphas.tolist(), k)
+        angles += ([w1 - w0], alphas[block_masks(order, k - 1)])
         t = t[0::2] - t[0]
     phase += float(t[0])
     rotation = float(wrap_angle(t - t[0])[1])
-    gates.append(RZ(1, rotation))
-    return gates, phase + 0.5 * rotation
+    angles.append([rotation])
+    return np.concatenate(angles), phase + 0.5 * rotation

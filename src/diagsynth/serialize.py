@@ -3,10 +3,13 @@
 Diagonal documents carry {"n", "units", "thetas"}; units "rad" stores plain
 radians, units "pi" stores multiples of pi so rational-angle fixtures stay
 exact in source form. Circuits round-trip through a gate-list document;
-each gate is {"kind", then the gate dataclass's fields by name, in order}.
+each gate is {"kind", then the gate dataclass's fields by name, in order},
+written from and read into the circuit's columns without gate objects.
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
-difference at most); multi-controlled blocks are refused.
+difference at most); multi-controlled blocks are refused. Export writes
+from the columns; import reads the whole text in one regex split, and
+reads it statement by statement only to word the error of a bad text.
 """
 
 from __future__ import annotations
@@ -20,7 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import _KINDS, CNOT, RZ, Circuit, Gate, X, gate_kind
+from .circuits import (
+    CNOT, GATE_CLASSES, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, RZ, Circuit, Columns, Gate, X,
+    columns_from_fields, gate_fields,
+)
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
 
@@ -68,42 +74,40 @@ def _finite(what: str, value) -> float:
     return number
 
 
-# Each gate class's (field name, loader) pairs in field order; the field's
+# Per kind code, the (field name, loader) pairs in field order; the field's
 # annotation picks the loader. Built once: dataclasses.fields() per gate is slow.
 _CONVERT = {"int": int, "tuple[int, ...]": lambda v: tuple(map(int, v))}
-_FIELDS = {
-    cls: tuple(
+_FIELDS = tuple(
+    tuple(
         (f.name, _CONVERT.get(f.type) or partial(_finite, f"{kind} {f.name}"))
         for f in fields(cls)
     )
-    for cls, kind in _KINDS.items()
-}
-_CLASSES = {kind: cls for cls, kind in _KINDS.items()}
+    for cls, kind in zip(GATE_CLASSES, KIND_NAMES)
+)
+_CODES = {kind: code for code, kind in enumerate(KIND_NAMES)}
 
 
-def _gate_to_document(gate: Gate) -> dict:
-    doc = {"kind": gate_kind(gate)}
-    for name, _ in _FIELDS[type(gate)]:
-        doc[name] = getattr(gate, name)
-    return doc
-
-
-def _gate_from_document(doc: dict) -> Gate:
+def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
+    # the gate's kind code and its loaded field values, in field order
     try:
         kind = doc["kind"]
-        cls = _CLASSES.get(kind)
-        if cls is not None:
-            return cls(*[convert(doc[name]) for name, convert in _FIELDS[cls]])
+        code = _CODES.get(kind)
+        if code is not None:
+            return code, [convert(doc[name]) for name, convert in _FIELDS[code]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed gate document: {exc}") from exc
     raise FormatError(f"unknown gate kind {kind!r}")
 
 
 def circuit_to_document(circuit: Circuit) -> dict:
+    names = [[name for name, _ in fields] for fields in _FIELDS]
     return {
         "n": circuit.n,
         "global_phase": circuit.global_phase,
-        "gates": [_gate_to_document(g) for g in circuit.gates],
+        "gates": [
+            {"kind": KIND_NAMES[code], **dict(zip(names[code], values))}
+            for code, values in gate_fields(circuit)
+        ],
     }
 
 
@@ -115,7 +119,14 @@ def circuit_from_document(doc: dict) -> Circuit:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
     # outside the try: a bad gate's FormatError already says what is wrong
-    return Circuit(n, tuple(map(_gate_from_document, gate_docs)), phase)
+    gates = list(map(_gate_fields_from_document, gate_docs))
+    try:
+        columns = columns_from_fields(gates, n)
+    except (TypeError, ValueError, OverflowError):
+        # a line count or block lines the columns cannot hold: the gate
+        # objects' validation words the error
+        return Circuit(n, [GATE_CLASSES[code](*values) for code, values in gates], phase)
+    return Circuit(n, columns, phase)
 
 
 def save_circuit(circuit: Circuit, path) -> None:
@@ -148,23 +159,94 @@ def to_qasm(circuit: Circuit) -> str:
     fixed elementary expansion here. The global phase record is dropped,
     matching the up-to-phase reading of the output.
     """
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{circuit.n}];",
-    ]
-    for gate in circuit.gates:
-        if isinstance(gate, X):
-            lines.append(f"x q[{gate.line - 1}];")
-        elif isinstance(gate, CNOT):
-            lines.append(f"cx q[{gate.control - 1}],q[{gate.target - 1}];")
-        elif isinstance(gate, RZ):
-            lines.append(f"rz({gate.alpha!r}) q[{gate.line - 1}];")
-        else:
-            raise UnsupportedGateError(
-                f"{type(gate).__name__} has no QASM form; export the native format"
-            )
-    return "\n".join(lines) + "\n"
+    kind, target, control, angle, _ = circuit.columns
+    blocks = np.flatnonzero(kind >= K_MCRZ)
+    if blocks.size:
+        name = GATE_CLASSES[kind[blocks[0]]].__name__
+        raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
+    # Each gate is three pieces of text: "rz(", its angle and ") q[t];", or
+    # an x or cx statement and two empty pieces. The statements and the rz
+    # endings come from one table per call, indexed by (row, target line).
+    n = circuit.n
+    table = np.array(
+        [f"x q[{t - 1}];\n" for t in range(n + 1)]
+        + [f"cx q[{c - 1}],q[{t - 1}];\n" for c in range(n + 1) for t in range(n + 1)]
+        + [f") q[{t - 1}];\n" for t in range(n + 1)],
+        dtype=object,
+    )
+    row = np.where(kind == K_X, 0, np.where(kind == K_CNOT, 1 + control, n + 2))
+    pieces = np.full((kind.size, 3), "", dtype=object)
+    pieces[:, 2] = table[row * (n + 1) + target]
+    rz = kind == K_RZ
+    pieces[rz, 0] = "rz("
+    pieces[rz, 1] = list(map(repr, angle[rz].tolist()))
+    header = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n'
+    return header + "".join(pieces.ravel().tolist())
+
+
+# The whole-text reading: one match per line. Lines end where
+# str.splitlines() ends them, and _SPACE is the whitespace that str.strip()
+# removes but that ends no line. Up to 18 digits, so that a qubit index and
+# index + 1 fit an int64.
+_ENDS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
+_SPACE = rf"[^\S{_ENDS}]*"
+_QUBIT = r"q\[(\d{1,18})\]"
+_QASM_LINE = (
+    rf"{_SPACE}(?:(?:x |cx {_QUBIT},{_SPACE}|rz\(([^){_ENDS}]+)\) ){_QUBIT};|qreg {_QUBIT};"
+    rf'|(?:OPENQASM 2\.0|include "qelib1\.inc");|//[^{_ENDS}]*|){_SPACE}(?:\r\n|[{_ENDS}]|\Z)'
+)
+
+
+def parse_qasm(text: str) -> Circuit:
+    """Parse the subset emitted by to_qasm back into a circuit.
+
+    One regex split reads the whole text, a line per match. When some text
+    lies between the matches, the qreg declaration is missing, repeated or
+    late, or a number does not read, the statement-by-statement reading
+    runs instead and raises the error of the first bad statement.
+    """
+    # per match: the text before it, then the groups cx control, rz angle,
+    # gate qubit and qreg size, each None where it took no part
+    parts = re.compile(_QASM_LINE).split(text)
+    qubits, sizes = parts[3::5], parts[4::5]
+    if sizes.count(None) == len(sizes) - 1 and not any(parts[0::5]):
+        n = next(filter(None, sizes))
+        if not any(qubits[: sizes.index(n)]):
+            try:
+                columns = _qasm_columns(parts[1::5], parts[2::5], qubits)
+            except ValueError:
+                pass
+            else:
+                return Circuit(int(n), columns, 0.0)
+    return _parse_qasm_statements(text)
+
+
+def _qasm_columns(controls, angles, qubits) -> Columns:
+    # the columns of the lines with a qubit, where a control marks a cx and
+    # an angle an rz
+    lines = len(qubits)
+    gate = np.fromiter(map(bool, qubits), bool, lines)
+    is_cx = np.fromiter(map(bool, controls), bool, lines)[gate]
+    is_rz = np.fromiter(map(bool, angles), bool, lines)[gate]
+    control = np.zeros(is_cx.size, dtype=np.int64)
+    control[is_cx] = _line_numbers(list(filter(None, controls)))
+    angle = np.zeros(is_cx.size)
+    angle[is_rz] = np.fromiter(map(float, filter(None, angles)), float)
+    if not np.isfinite(angle).all():
+        raise ValueError("rz angle is not finite")
+    return Columns(
+        np.where(is_cx, K_CNOT, np.where(is_rz, K_RZ, K_X)).astype(np.int8),
+        _line_numbers(list(filter(None, qubits))),
+        control,
+        angle,
+        np.zeros(is_cx.size),
+    )
+
+
+def _line_numbers(qubits: list[str]) -> np.ndarray:
+    # q[k] is line k + 1; a circuit has few distinct qubits, each read once
+    line = {q: int(q) + 1 for q in set(qubits)}
+    return np.fromiter(map(line.__getitem__, qubits), np.int64, len(qubits))
 
 
 # One statement per line. The alternative that matched is named by its last
@@ -179,8 +261,10 @@ _QASM_STATEMENT = re.compile(
 )
 
 
-def parse_qasm(text: str) -> Circuit:
-    """Parse the subset emitted by to_qasm back into a circuit."""
+def _parse_qasm_statements(text: str) -> Circuit:
+    # Statement by statement, the reading that the whole-text one agrees
+    # with. It runs on the texts that one does not take, and raises the
+    # error of the first bad statement.
     n = None
     gates: list[Gate] = []
     for raw in text.splitlines():

@@ -6,7 +6,7 @@ circuit each line carries a parity of the input bits plus an affine bit, so
 an RZ adds its half angle, signed, to the Walsh coefficient of its line's
 parity: the circuit's phase polynomial (Amy, Maslov and Mosca,
 arXiv:1303.2042). ``circuit_to_diagonal`` reads that polynomial off in one
-pass over the gates and turns it into angles with one ``fwht``,
+pass over the gate columns and turns it into angles with one ``fwht``,
 O(gates + n * 2**n). A block gate whose lines each carry one input bit
 fires on a cube of inputs: an MCRZ with no X on its lines adds to two
 subset coefficients, summed by one ``zeta``, and any other block writes its
@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CDIAG, CNOT, MCRZ, RZ, Circuit, X
+from .circuits import CDIAG, CNOT, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
+from .subsets import subset_lines
 from .transforms import fwht, zeta
 
 
@@ -111,53 +112,67 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
     flip = [0] * (n + 1)
     walsh = subset = cube = None
     on_parity_line = False
-    for gate in circuit.gates:
-        kind = type(gate)
-        if kind is CNOT:
-            parity[gate.target] ^= parity[gate.control]
-            flip[gate.target] ^= flip[gate.control]
-        elif kind is RZ:
+    lines: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
+    touched = None
+    columns = circuit.columns
+    theta1 = iter(columns.angle1[columns.kind == K_CDIAG].tolist())
+    # per gate: kind code, target line, control line or mask, first angle
+    for code, t, c, a in zip(*(column.tolist() for column in columns[:4])):
+        if code == K_CNOT:
+            parity[t] ^= parity[c]
+            flip[t] ^= flip[c]
+        elif code == K_RZ:
             if walsh is None:
                 walsh = [0.0] * size
-            half = 0.5 * gate.alpha
-            walsh[parity[gate.line]] += half if flip[gate.line] else -half
-        elif kind is X:
-            flip[gate.line] ^= 1
+            half = 0.5 * a
+            walsh[parity[t]] += half if flip[t] else -half
+        elif code == K_X:
+            flip[t] ^= 1
         elif not on_parity_line:
-            # the parities of distinct lines are independent, so lines that
-            # carry one input bit each carry distinct bits
-            target = parity[gate.target]
-            on_parity_line = target & (target - 1)
-            controls = 0
-            flipped = flip[gate.target]
-            for line in gate.controls:
-                bit = parity[line]
-                if bit & (bit - 1):
-                    on_parity_line = True
-                controls |= bit
-                flipped |= flip[line]
-            if on_parity_line:
-                continue  # from here on the pass only tracks the line map
-            if kind is MCRZ and not flipped:
+            if touched is None:
+                # the lines a CNOT or X acts on; the others carry their own
+                # input bit, unflipped
+                acted_on = columns.target[columns.kind <= K_CNOT]
+                touched = int(np.bitwise_or.reduce(1 << (n - acted_on), initial=0))
+            target = parity[t]
+            if code == K_MCRZ and not (c | target) & touched:
+                controls, flipped = c, 0
+            else:
+                if c not in lines:
+                    lines[c] = subset_lines(c, n)
+                # the parities of distinct lines are independent, so lines
+                # that carry one input bit each carry distinct bits
+                on_parity_line = target & (target - 1)
+                controls = 0
+                flipped = flip[t]
+                for line in lines[c]:
+                    bit = parity[line]
+                    if bit & (bit - 1):
+                        on_parity_line = True
+                    controls |= bit
+                    flipped |= flip[line]
+                if on_parity_line:
+                    continue  # from here on the pass only tracks the line map
+            if code == K_MCRZ and not flipped:
                 # the block adds -alpha/2 on inputs holding every control
                 # bit and +alpha on those also holding the target bit
                 if subset is None:
                     subset = [0.0] * size
-                subset[controls] -= 0.5 * gate.alpha
-                subset[controls | target] += gate.alpha
+                subset[controls] -= 0.5 * a
+                subset[controls | target] += a
                 continue
             if cube is None:
                 cube = np.zeros((2,) * n)
-            if kind is MCRZ:
-                off, on = -0.5 * gate.alpha, 0.5 * gate.alpha
-            else:
-                off, on = gate.theta0, gate.theta1
+            if code == K_MCRZ:
+                off, on = -0.5 * a, 0.5 * a
+            else:  # the CDIAGs come here in order until a block is on a parity line
+                off, on = a, next(theta1)
             # bit 1 << (n - 1 - axis) is axis `axis` of the (2,) * n view
             where = [slice(None)] * n
-            for line in gate.controls:
+            for line in lines[c]:
                 where[n - parity[line].bit_length()] = 1 ^ flip[line]
             axis = n - target.bit_length()
-            where[axis] = flip[gate.target]
+            where[axis] = flip[t]
             cube[tuple(where)] += off
             where[axis] ^= 1
             cube[tuple(where)] += on

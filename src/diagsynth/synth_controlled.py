@@ -16,11 +16,13 @@ blocks: 2**n - 1 of them (rotations included) on generic input.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .circuits import MCRZ, Circuit, SynthesisReport, count_gates, peephole_cancel
+from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
-from .levels import prefix_sums, synthesize_levels
+from .levels import block_masks, prefix_sums, synthesize_levels
 from .subsets import dictionary_subsets
 from .transforms import mobius, zeta
 
@@ -45,6 +47,23 @@ def controlled_level_angles(psi: np.ndarray) -> np.ndarray:
     return mobius(prefix_sums(psi))
 
 
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # kind, target and control columns of the generic n-line layout: per
+    # level k, the rotation of line k, then one MCRZ on target k per
+    # nonempty subset of lines 1..k-1 in dictionary order; last the rotation
+    # of line 1. A level's masks number line L at bit k - 1 - L, the
+    # circuit's at bit n - L.
+    pieces = [
+        np.concatenate(([0], block_masks(dictionary_subsets, k - 1) << (n - k + 1)))
+        for k in range(n, 1, -1)
+    ] + [[0]]
+    control = np.concatenate(pieces)
+    target = np.repeat(np.arange(n, 0, -1), [len(piece) for piece in pieces])
+    kind = np.where(control == 0, K_RZ, K_MCRZ).astype(np.int8)
+    return kind, target, control
+
+
 def synth_controlled(
     u: DiagonalUnitary, *, keep_trivial_rotations: bool = False
 ) -> tuple[Circuit, SynthesisReport]:
@@ -55,12 +74,10 @@ def synth_controlled(
     remainder splits, emit the empty-subset rotation plus one MCRZ per
     nonempty subset in dictionary order, recurse.
     """
-    gates, phase = synthesize_levels(
-        u, controlled_level_angles, zeta, dictionary_subsets,
-        lambda blocks, angle, k: [MCRZ(lines, k, angle[mask]) for mask, lines in blocks],
-    )
+    angles, phase = synthesize_levels(u, controlled_level_angles, zeta, dictionary_subsets)
+    kind, target, control = _layout(u.n)
     circuit = peephole_cancel(
-        Circuit(u.n, tuple(gates), phase),
+        Circuit(u.n, Columns(kind, target, control, angles, np.zeros(kind.size)), phase),
         drop_zero_rotations=not keep_trivial_rotations,
     )
     return circuit, count_gates(circuit)

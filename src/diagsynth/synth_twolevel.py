@@ -16,10 +16,39 @@ global-phase residue.
 
 from __future__ import annotations
 
-from .circuits import CDIAG, Circuit, Gate, SynthesisReport, X, count_gates, peephole_cancel
+from functools import lru_cache
+
+import numpy as np
+
+from .circuits import K_CDIAG, K_X, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError
 from .subsets import gray_subsets, subset_lines
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int, order: str) -> tuple[np.ndarray, ...]:
+    # kind, target and control columns, and the top-line pattern of each
+    # block in emission order
+    m = n - 1
+    if order == "gray":
+        sequence = gray_subsets(m)
+    elif order == "binary":
+        sequence = list(range(1 << m))
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    full = (1 << m) - 1
+    kind, target = [], []
+    previous = 0
+    for x_mask in sequence + [0]:
+        lines = subset_lines(previous ^ x_mask, m)
+        kind += [K_X] * len(lines) + [K_CDIAG]
+        target += [*lines, n]
+        previous = x_mask
+    kind, target = np.array(kind[:-1], dtype=np.int8), np.array(target[:-1])
+    control = np.where(kind == K_CDIAG, full << 1, 0)  # lines 1..n-1
+    pattern = full ^ np.array(sequence)  # the top-line pattern the conjugated block fires on
+    return kind, target, control, pattern
 
 
 def synth_twolevel(
@@ -35,33 +64,10 @@ def synth_twolevel(
     """
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
-    m = u.n - 1
-    full = (1 << m) - 1
-    if order == "gray":
-        sequence = gray_subsets(m)
-    elif order == "binary":
-        sequence = list(range(1 << m))
-    else:
-        raise ValueError(f"unknown order {order!r}")
-
-    controls = tuple(range(1, u.n))
-    gates: list[Gate] = []
-    previous = 0
-    for x_mask in sequence:
-        for line in subset_lines(previous ^ x_mask, m):
-            gates.append(X(line))
-        pattern = full ^ x_mask  # top-line pattern the conjugated block fires on
-        gates.append(
-            CDIAG(
-                controls,
-                u.n,
-                float(u.thetas[2 * pattern]),
-                float(u.thetas[2 * pattern + 1]),
-            )
-        )
-        previous = x_mask
-    for line in subset_lines(previous, m):
-        gates.append(X(line))
-
-    circuit = peephole_cancel(Circuit(u.n, tuple(gates), 0.0))
+    kind, target, control, pattern = _layout(u.n, order)
+    blocks = kind == K_CDIAG
+    theta0, theta1 = np.zeros(kind.size), np.zeros(kind.size)
+    theta0[blocks] = u.thetas[2 * pattern]
+    theta1[blocks] = u.thetas[2 * pattern + 1]
+    circuit = peephole_cancel(Circuit(u.n, Columns(kind, target, control, theta0, theta1), 0.0))
     return circuit, count_gates(circuit)

@@ -25,11 +25,13 @@ for 2**(n+1) - 3 in total on generic input.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .circuits import CNOT, RZ, Circuit, Gate, SynthesisReport, count_gates, peephole_cancel
+from .circuits import K_CNOT, K_RZ, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
-from .levels import prefix_sums, synthesize_levels
+from .levels import block_masks, prefix_sums, synthesize_levels
 from .subsets import gray_subsets
 from .transforms import fwht
 
@@ -59,17 +61,26 @@ def xor_level_angles(psi: np.ndarray) -> np.ndarray:
     return -0.5 * x
 
 
-def _fan_level(blocks, angle, k: int) -> list[Gate]:
-    # Gray-ordered fans with every cancelling CNOT pair already removed: one
-    # CNOT from the line where consecutive subsets differ, then the rotation
-    gates: list[Gate] = []
-    prev = 0
-    for mask, _ in blocks:
-        gates.append(CNOT(k - (prev ^ mask).bit_length(), k))
-        gates.append(RZ(k, angle[mask]))
-        prev = mask
-    gates.append(CNOT(1, k))  # the closing fan of the last subset, {1}
-    return gates
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # kind, target and control columns of the generic n-line layout. Level
+    # k is 2**k gates on target k: its rotation, then per Gray subset the
+    # CNOT from the line where it differs from the subset before and the
+    # block's rotation, then the closing CNOT from line 1. Every level
+    # alternates RZ, CNOT from an even index, and so does the whole circuit.
+    size = (1 << (n + 1)) - 3
+    kind = np.full(size, K_RZ, dtype=np.int8)
+    kind[1::2] = K_CNOT
+    target = np.repeat(np.arange(n, 0, -1), [1 << k for k in range(n, 1, -1)] + [1])
+    control = np.zeros(size, dtype=np.int64)
+    lines = []
+    for k in range(n, 1, -1):
+        masks = block_masks(gray_subsets, k - 1)
+        changed = masks ^ np.concatenate(([0], masks[:-1]))  # one bit each
+        lines += (k - np.frexp(changed)[1], [1])  # frexp's exponent is the bit length
+    if lines:
+        control[1::2] = np.concatenate(lines)
+    return kind, target, control
 
 
 def synth_xor(
@@ -89,9 +100,12 @@ def synth_xor(
     even on degenerate input; by default they are dropped, so tensor-product
     inputs collapse to their own n-rotation circuit.
     """
-    gates, phase = synthesize_levels(u, xor_level_angles, fwht, gray_subsets, _fan_level)
+    angles, phase = synthesize_levels(u, xor_level_angles, fwht, gray_subsets)
+    kind, target, control = _layout(u.n)
+    rotation = np.zeros(kind.size)
+    rotation[::2] = angles
     circuit = peephole_cancel(
-        Circuit(u.n, tuple(gates), phase),
+        Circuit(u.n, Columns(kind, target, control, rotation, np.zeros(kind.size)), phase),
         drop_zero_rotations=not keep_trivial_rotations,
     )
     return circuit, count_gates(circuit)

@@ -29,6 +29,33 @@ def test_gate_validation():
     ds.Circuit(3, (ds.MCRZ((1, 2), 3, 0.1),))  # fine
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [ds.RZ(1, np.inf), ds.MCRZ((1,), 2, np.nan), ds.CDIAG((1,), 2, -np.inf, 0.0)],
+    ids=["rz inf", "mcrz nan", "cdiag -inf"],
+)
+def test_non_finite_angles_are_rejected_by_gate(gate):
+    kind = type(gate).__name__.lower()
+    with pytest.raises(ValueError, match=rf"gate 1 \({kind}\) has a non-finite angle"):
+        ds.Circuit(2, (ds.X(1), gate))
+
+
+def test_non_finite_phase_is_rejected_and_qasm_never_carries_inf():
+    with pytest.raises(ValueError, match="global_phase is not finite"):
+        ds.Circuit(2, (ds.X(1),), np.nan)
+    # a circuit holding rz(inf) cannot be built, so to_qasm cannot write one
+    with pytest.raises(ValueError, match=r"gate 0 \(rz\) has a non-finite angle"):
+        ds.to_qasm(ds.Circuit(1, (ds.RZ(1, np.inf),)))
+
+
+def test_line_count_is_at_most_63():
+    # a block's control lines are one 64-bit mask
+    top = ds.Circuit(63, (ds.MCRZ(tuple(range(1, 63)), 63, 0.1), ds.CNOT(63, 1)))
+    assert top.gates == ds.Circuit(63, top.columns).gates
+    with pytest.raises(ds.DimensionError, match="line count must be <= 63"):
+        ds.Circuit(64, ())
+
+
 def test_count_empty():
     report = ds.count_gates(ds.Circuit(3, ()))
     assert report.elementary == 0

@@ -20,3 +20,4 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # files_and_qasm writes here
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+    assert not list(tmp_path.glob("diagsynth-demo-*"))  # no work directory left behind

@@ -35,10 +35,17 @@ def _expand_then_cancel(route, u, keep):
         def block(lines, alpha, k):
             return ds.xor_rotation_gates(lines, alpha, k)
 
-    def emit(blocks, angle, k):
-        return [g for mask, lines in blocks for g in block(lines, angle[mask], k)]
-
-    gates, phase = synthesize_levels(u, solve, induced, order, emit)
+    # the angles come per level k: line k's rotation, then one block angle
+    # per nonempty subset in order; last the rotation of line 1
+    angles, phase = synthesize_levels(u, solve, induced, order)
+    angles = iter(angles.tolist())
+    gates = []
+    for k in range(u.n, 1, -1):
+        gates.append(ds.RZ(k, next(angles)))
+        for mask in order(k - 1):
+            if mask:
+                gates += block(ds.subset_lines(mask, k - 1), next(angles), k)
+    gates.append(ds.RZ(1, next(angles)))
     return ds.peephole_cancel(ds.Circuit(u.n, tuple(gates), phase), drop_zero_rotations=not keep)
 
 

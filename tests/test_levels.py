@@ -73,8 +73,7 @@ def test_remainder_check_rejects_wrong_block_angles(n):
     # zero block angles leave a generic input's obstruction in place
     u = random_diagonal(n, np.random.default_rng(500 + n))
     with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
-        synthesize_levels(u, lambda psi: np.zeros(psi.size + 1), fwht, gray_subsets,
-                          lambda blocks, angle, k: [])
+        synthesize_levels(u, lambda psi: np.zeros(psi.size + 1), fwht, gray_subsets)
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled])
