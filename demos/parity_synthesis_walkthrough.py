@@ -46,8 +46,10 @@ split = ds.tensor_split(ds.from_thetas(3, remainder))
 print("last-line rotation angle:", split.rotation_angle)
 print("quotient for recursion (units pi/48):", np.round(split.v.thetas * 48 / pi).astype(int))
 
-# Stage 5: the full recursive synthesis. keep_trivial_rotations freezes the
-# generic layout: 2**(n+1) - 3 = 13 gates, alternating rotations and CNOTs.
+# Stage 5: the whole synthesis. synth_xor reads the angles that this
+# recursion finds off the input's Walsh spectrum, one transform for all
+# levels. keep_trivial_rotations freezes the generic layout: 2**(n+1) - 3 =
+# 13 gates, alternating rotations and CNOTs.
 circuit, report = ds.synth_xor(u, keep_trivial_rotations=True)
 print("\ngeneric layout, gate by gate:")
 for gate in circuit.gates:

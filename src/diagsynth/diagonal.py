@@ -64,11 +64,12 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
     """Max wrapped deviation between two angle vectors after removing one
     common shift.
 
-    The shift witness is fixed as the wrapped index-0 difference, which makes
-    the result deterministic and cheap; any diagonal pair that agrees up to a
-    global phase has residual ~0 under this witness.
+    Both vectors are wrapped first, so that angles near 1e308 cannot absorb
+    the other's. The shift witness is the wrapped index-0 difference, which
+    makes the result deterministic and cheap; any diagonal pair that agrees
+    up to a global phase has residual ~0 under this witness.
     """
-    diff = np.asarray(thetas1, dtype=float) - np.asarray(thetas2, dtype=float)
+    diff = wrap_angle(thetas1) - wrap_angle(thetas2)
     witness = wrap_angle(diff[0])
     return float(np.abs(wrap_angle(diff - witness)).max())
 

@@ -14,9 +14,9 @@ obstruction of the running product is zero, then splitting off the last line
 and recursing.
 
 ``obstruction_angles`` is the formula on a bare angle vector; the level loop
-calls it directly, and ``obstruction``, ``is_tensor`` and ``tensor_split``
-are its forms on a ``DiagonalUnitary``. All components are reported on the
-principal branch (-pi, pi].
+of ``synth_controlled`` calls it directly, and ``obstruction``,
+``is_tensor`` and ``tensor_split`` are its forms on a ``DiagonalUnitary``.
+All components are reported on the principal branch (-pi, pi].
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ where the masked bits XOR to 1; fully-conditioned blocks (generator angle
 bit is set. Columns are assembled from these index sets, never by
 evaluating block obstructions numerically, so the matrices are integer-exact.
 
-The synthesizers use none of this: both systems have closed-form inverses
-(see ``levels`` and ``transforms``), O(n * 2**n) per level instead of the
-O(8**n) LU solve. The matrices and their solve, each block's induced
-diagonal and gate list, the state sets and the scalar character angle stay
-as the paper's artifacts and as the tests' oracles.
+The synthesizers use none of this: ``synth_xor`` reads its angles off one
+Walsh-Hadamard transform and ``synth_controlled`` solves each level by a
+Moebius transform, O(n * 2**n) instead of the O(8**n) LU solve. The
+matrices and their solve, each block's induced diagonal and gate list, the
+state sets and the scalar character angle stay as the paper's artifacts and
+as the tests' oracles.
 """
 
 from __future__ import annotations

@@ -42,13 +42,26 @@ def tensor_rz_diagonal(alphas) -> ds.DiagonalUnitary:
     return ds.from_thetas(n, thetas)
 
 
-HARD_KINDS = ("large", "pi", "zero", "near_tensor")
+HARD_KINDS = ("large", "pi", "zero", "near_tensor", "sparse")
+
+
+def sparse_spectrum(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """1..n distinct nonzero parity masks, and a weight from U(-10, 10) rad
+    for each."""
+    masks = rng.choice(np.arange(1, 1 << n), size=rng.integers(1, n + 1), replace=False)
+    return masks, rng.uniform(-10.0, 10.0, masks.size)
 
 
 def hard_thetas(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Angles that stress the synthesizers: 1e3..1e6 rad of either sign,
-    entries in {-pi, 0, pi}, all zero, or a rotation tensor plus noise."""
+    entries in {-pi, 0, pi}, all zero, a rotation tensor plus noise, or a
+    sparse Walsh spectrum, the sum of w * (-1)**|x & p| over the masks p of
+    ``sparse_spectrum`` (drawn first from rng)."""
     size = 1 << n
+    if kind == "sparse":
+        masks, weights = sparse_spectrum(n, rng)
+        x = np.arange(size)
+        return sum(np.where(np.bitwise_count(x & p) & 1, -w, w) for p, w in zip(masks, weights))
     if kind == "large":
         sign = rng.choice([-1.0, 1.0])
         return sign * rng.uniform(0.0, 1.0, size) * 10 ** rng.uniform(3, 6)

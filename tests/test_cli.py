@@ -289,3 +289,15 @@ def test_hard_inputs_round_trip_through_the_cli(algo, kind, tmp_path, capsys):
         if algo == "xor":
             assert ds.verify(ds.parse_qasm(qasm.read_text()), u) <= 1e-9
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("algo", ["xor", "lambda", "twolevel"])
+def test_huge_finite_angles_pass_synth_verify(algo, tmp_path, capsys):
+    # theta_1 - theta_0 overflows, yet the diagonal is finite and valid
+    diag, out = tmp_path / "d.json", tmp_path / "c.json"
+    diag.write_text(json.dumps({"n": 2, "units": "rad", "thetas": [1e308, -1e308, 0, 0]}))
+    with np.errstate(over="raise", invalid="raise"):
+        assert main(["synth", "--algo", algo, "--in", str(diag), "--out", str(out),
+                     "--verify"]) == 0
+        assert main(["verify", "--circuit", str(out), "--diag", str(diag)]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,9 +1,11 @@
-"""Each level's gates are written in their final form.
+"""Each circuit is written in its final form.
 
-The oracle is the expand-then-cancel path: the same level loop emitting
-every block whole (``xor_rotation_gates`` / ``controlled_rotation_gates``),
-followed by ``peephole_cancel``. The synthesizers must produce the circuit
-that path produces.
+The oracle is the expand-then-cancel path: every block emitted whole
+(``xor_rotation_gates`` / ``controlled_rotation_gates``), followed by
+``peephole_cancel``. For the xor route block (k, S) takes its angle from
+the input's Walsh spectrum at the parity {k} | S, computed here from (k, S)
+itself; for the lambda route the angles come from its level loop. The
+synthesizers must produce the circuit that path produces.
 """
 
 from __future__ import annotations
@@ -16,37 +18,37 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, tensor_rz_diagonal, wrapped_max_diff
-from diagsynth.levels import synthesize_levels
 from diagsynth.subsets import dictionary_subsets, gray_subsets
-from diagsynth.synth_controlled import controlled_level_angles
-from diagsynth.synth_xor import xor_level_angles
-from diagsynth.transforms import fwht, zeta
+from diagsynth.synth_controlled import synthesize_levels
+from diagsynth.transforms import fwht
 
 
 def _expand_then_cancel(route, u, keep):
-    if route == "lambda":
-        solve, induced, order = controlled_level_angles, zeta, dictionary_subsets
-
-        def block(lines, alpha, k):
-            return ds.controlled_rotation_gates(lines, alpha, k)
-    else:
-        solve, induced, order = xor_level_angles, fwht, gray_subsets
-
-        def block(lines, alpha, k):
-            return ds.xor_rotation_gates(lines, alpha, k)
-
-    # the angles come per level k: line k's rotation, then one block angle
-    # per nonempty subset in order; last the rotation of line 1
-    angles, phase = synthesize_levels(u, solve, induced, order)
-    angles = iter(angles.tolist())
+    n = u.n
     gates = []
-    for k in range(u.n, 1, -1):
-        gates.append(ds.RZ(k, next(angles)))
-        for mask in order(k - 1):
-            if mask:
-                gates += block(ds.subset_lines(mask, k - 1), next(angles), k)
-    gates.append(ds.RZ(1, next(angles)))
-    return ds.peephole_cancel(ds.Circuit(u.n, tuple(gates), phase), drop_zero_rotations=not keep)
+    if route == "lambda":
+        # the angles come per level k = n..1, indexed by the subset mask of
+        # lines 1..k-1, with line k's rotation at mask 0; the blocks go in
+        # dictionary order
+        angles, phase = synthesize_levels(u)
+        angles = angles.tolist()
+        for k in range(n, 0, -1):
+            level = angles[(1 << n) - (1 << k):]
+            gates.append(ds.RZ(k, level[0]))
+            for mask in dictionary_subsets(k - 1) if k > 1 else []:
+                gates += ds.controlled_rotation_gates(ds.subset_lines(mask, k - 1), level[mask], k)
+    else:
+        # per level k, one block per Gray subset S of lines 1..k-1 (the empty
+        # one first); last the rotation of line 1. Line L is bit n - L of a
+        # parity, and bit k - 1 - L of S.
+        walsh = fwht(u.thetas) / (1 << n)
+        for k in range(n, 0, -1):
+            for mask in gray_subsets(k - 1) if k > 1 else [0]:
+                parity = mask << (n - k + 1) | 1 << (n - k)
+                lines = ds.subset_lines(mask, k - 1)
+                gates += ds.xor_rotation_gates(lines, -2.0 * walsh[parity], k)
+        phase = float(walsh[0])
+    return ds.peephole_cancel(ds.Circuit(n, tuple(gates), phase), drop_zero_rotations=not keep)
 
 
 def _synthesize(route, u, keep):

@@ -1,11 +1,15 @@
-"""The closed-form level solve and one-shot remainder against their oracles.
+"""The closed-form synthesis angles and one-shot remainders against their
+oracles.
 
-The oracles are the dense block systems of ``paper`` (solved by LU) and
-the per-block ``*_block_angles`` loop; the synthesizers use neither.
+The oracles are the dense block systems of ``paper`` (solved by LU), the
+paper's per-level recursion and the per-block ``*_block_angles`` loop; the
+synthesizers use none of them. The xor route is one Walsh transform, the
+lambda route a level loop with a closed-form solve per level.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 
 import numpy as np
@@ -14,25 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diagsynth as ds
-from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal
+from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal, sparse_spectrum
 from diagsynth import paper
-from diagsynth.levels import cancel_blocks, synthesize_levels
-from diagsynth.subsets import gray_subsets
-from diagsynth.synth_controlled import controlled_level_angles
-from diagsynth.synth_xor import xor_level_angles
-from diagsynth.transforms import fwht, zeta
+from diagsynth.synth_controlled import cancel_blocks, controlled_level_angles
+from diagsynth.transforms import mobius
 
 EPS = np.finfo(float).eps
-
-# (dense system, closed-form angles, induced transform, block oracle,
-#  factor from the dense solution to the block angles)
-FAMILIES = {
-    "xor": (ds.xor_block_matrix, xor_level_angles, fwht, ds.xor_block_angles, -0.5),
-    "lambda": (
-        ds.controlled_block_matrix, controlled_level_angles, zeta,
-        ds.controlled_block_angles, 1.0,
-    ),
-}
+FAMILIES = ("xor", "lambda")
 
 
 def _tolerance(n: int, scale: float) -> float:
@@ -40,49 +32,105 @@ def _tolerance(n: int, scale: float) -> float:
     return EPS * (1 << n) * max(1.0, scale)
 
 
+def _xor_recursion(u):
+    # the paper's recursion: per level, the dense Gray-ordered solve, every
+    # block applied whole, then the split of the last line
+    angles, phase = [], 0.0
+    for k in range(u.n, 1, -1):
+        system = ds.xor_block_matrix(k)
+        alphas = -0.5 * ds.solve_block_angles(system, ds.obstruction(u))
+        remainder = u.thetas
+        for mask, alpha in zip(system.column_subsets, alphas):
+            remainder = remainder + ds.xor_block_angles(k, mask, -alpha)
+        split = ds.tensor_split(ds.from_thetas(k, remainder))
+        angles += [split.rotation_angle, *alphas]
+        phase += split.phi
+        u = split.v
+    w0, w1 = u.thetas
+    return np.array(angles + [w1 - w0]), phase + 0.5 * (w0 + w1)
+
+
+def _rotations(circuit):
+    return np.array([g.alpha for g in circuit.gates if isinstance(g, ds.RZ)])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(2, 13))
 def test_closed_form_angles_match_dense_solve(family, n):
-    build, level_angles, _, _, factor = FAMILIES[family]
-    system = build(n)
-    psi = ds.obstruction(random_diagonal(n, np.random.default_rng(n)))
-    expected = factor * np.linalg.solve(system.entries.astype(float), psi)
-    alphas = level_angles(psi)
+    rng = np.random.default_rng(n)
+    if family == "xor":
+        # on angles this small no level wraps, so the one-shot Walsh angles
+        # are the recursion's, rotation for rotation in the same layout
+        u = ds.from_thetas(n, rng.uniform(-0.01, 0.01, 1 << n))
+        expected, phase = _xor_recursion(u)
+        circuit, _ = ds.synth_xor(u, keep_trivial_rotations=True)
+        got = _rotations(circuit)
+        assert got.shape == expected.shape == ((1 << n) - 1,)
+        assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
+        assert abs(circuit.global_phase - phase) <= _tolerance(n, abs(phase))
+        return
+    system = ds.controlled_block_matrix(n)
+    u = random_diagonal(n, rng)
+    psi = ds.obstruction(u)
+    expected = np.linalg.solve(system.entries.astype(float), psi)
+    tol = _tolerance(n, np.abs(expected).max())
+    # the closed form: the Moebius transform of the prefix sums of psi
+    alphas = mobius(np.concatenate(([0.0], np.cumsum(psi))))
+    assert np.abs(alphas[list(system.column_subsets)] - expected).max() <= tol
+    # the synthesizer's angles sum the windings exactly and are the same
+    # modulo 4*pi, a full turn of an MCRZ
+    alphas = controlled_level_angles(u.thetas)
     assert alphas.shape == (1 << (n - 1),)
     assert alphas[0] == 0.0
+    assert np.abs(alphas).max() <= 2 * PI
     got = alphas[list(system.column_subsets)]
-    assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
+    assert np.abs(2 * ds.wrap_angle(0.5 * (got - expected))).max() <= tol
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", range(2, 13))
 def test_one_shot_remainder_matches_block_loop(family, n):
-    build, level_angles, induced, block_angles, _ = FAMILIES[family]
     u = random_diagonal(n, np.random.default_rng(100 + n))
-    alphas = level_angles(ds.obstruction(u))
+    if family == "xor":
+        # the one-shot angles leave no remainder: their blocks, applied one
+        # by one on the first k lines of each level k, rebuild the input
+        circuit, _ = ds.synth_xor(u, keep_trivial_rotations=True)
+        alphas = iter(_rotations(circuit).tolist())
+        got = np.full(1 << n, circuit.global_phase)
+        top = np.arange(1 << n)
+        for k in range(n, 0, -1):
+            for mask in ds.gray_subsets(k - 1) if k > 1 else [0]:
+                got += ds.xor_block_angles(k, mask, next(alphas))[top >> (n - k)]
+        assert np.abs(got - u.thetas).max() <= _tolerance(n, 2 * PI)
+        return
+    alphas = controlled_level_angles(u.thetas)
     expected = u.thetas
-    for mask in build(n).column_subsets:
-        expected = expected + block_angles(n, mask, -alphas[mask])
-    got = cancel_blocks(u.thetas, induced(alphas))
+    for mask in ds.controlled_block_matrix(n).column_subsets:
+        expected = expected + ds.controlled_block_angles(n, mask, -alphas[mask])
+    got = cancel_blocks(u.thetas, alphas)
     assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
     assert ds.is_tensor(ds.from_thetas(n, got), 1e-9)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_remainder_check_rejects_wrong_block_angles(n):
+def test_remainder_check_rejects_wrong_block_angles(n, monkeypatch):
     # zero block angles leave a generic input's obstruction in place
     u = random_diagonal(n, np.random.default_rng(500 + n))
+    # the package attribute synth_controlled is the function, so fetch the module
+    module = importlib.import_module("diagsynth.synth_controlled")
+    monkeypatch.setattr(module, "controlled_level_angles", lambda t: np.zeros(t.size // 2))
     with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
-        synthesize_levels(u, lambda psi: np.zeros(psi.size + 1), fwht, gray_subsets)
+        ds.synth_controlled(u)
 
 
-@pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled])
-def test_overflowing_first_difference_is_a_synthesis_error(synth):
-    # theta_1 - theta_0 overflows to -inf, and every angle after it is NaN:
-    # the remainder check must not let NaN rotations through
+@pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])
+def test_huge_finite_angles_synthesize_and_verify(synth):
+    # theta_1 - theta_0 overflows to -inf: synthesis starts from the wrapped
+    # angles, and the verifier wraps both sides before it subtracts them
     u = ds.from_thetas(2, [1e308, -1e308, 0.0, 0.0])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ds.SynthesisError):
-        synth(u)
+    with np.errstate(over="raise", invalid="raise"):
+        circuit, _ = synth(u)
+        assert ds.verify(circuit, u) <= 1e-9
 
 
 def _refuse(name):
@@ -176,16 +224,21 @@ def test_unwrapped_inputs_synthesize_at_small_magnitude():
 def hard_diagonals(draw):
     n = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(HARD_KINDS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return ds.from_thetas(n, hard_thetas(kind, n, rng))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return kind, seed, ds.from_thetas(n, hard_thetas(kind, n, np.random.default_rng(seed)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(u=hard_diagonals())
-def test_any_finite_input_synthesizes_and_verifies(u):
+@given(case=hard_diagonals())
+def test_any_finite_input_synthesizes_and_verifies(case):
+    kind, seed, u = case
     circuit, report = ds.synth_xor(u)
     assert report.elementary <= 2 ** (u.n + 1) - 3
     assert ds.verify(circuit, u) <= 1e-9
+    if kind == "sparse":
+        # each rotation sits on one parity of the input's spectrum
+        masks, _ = sparse_spectrum(u.n, np.random.default_rng(seed))
+        assert report.counts["rz"] <= masks.size
     circuit, report = ds.synth_controlled(u)
     assert report.counts["rz"] + report.counts["mcrz"] <= 2**u.n - 1
     assert ds.verify(circuit, u) <= 1e-9
