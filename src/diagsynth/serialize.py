@@ -2,9 +2,18 @@
 
 Diagonal documents carry {"n", "units", "thetas"}; units "rad" stores plain
 radians, units "pi" stores multiples of pi so rational-angle fixtures stay
-exact in source form. Circuits round-trip through a gate-list document;
-each gate is {"kind", then the gate dataclass's fields by name, in order},
-written from and read into the circuit's columns without gate objects.
+exact in source form.
+
+Circuits round-trip through a gate-list document; each gate is {"kind",
+then the gate dataclass's fields by name, in order}. The document text is
+written straight from the circuit's columns, one template per gate kind,
+with the bytes ``json.dumps`` would give the document. Reading groups the
+gate documents by kind and fills each column with one array per field,
+when every line is an int, every angle a finite number and every control
+list distinct lines in range. Any other document is read gate by gate,
+which converts each field on its own and words the error of the first bad
+gate.
+
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
 difference at most); multi-controlled blocks are refused. Export writes
@@ -19,16 +28,18 @@ import math
 import re
 from dataclasses import fields
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .circuits import (
-    CNOT, GATE_CLASSES, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, RZ, Circuit, Columns, Gate, X,
-    columns_from_fields, gate_fields,
+    _SLOTS, CNOT, GATE_CLASSES, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, RZ, Circuit,
+    Columns, Gate, X, columns_from_fields,
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
+from .subsets import lines_to_mask, subset_lines
 
 # ---------------------------------------------------------------------------
 # diagonals
@@ -43,7 +54,7 @@ def diagonal_from_document(doc: dict) -> DiagonalUnitary:
     try:
         n = int(doc["n"])
         units = doc["units"]
-        thetas = np.array([float(t) for t in doc["thetas"]], dtype=float)
+        thetas = np.fromiter(map(float, doc["thetas"]), dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed diagonal document: {exc}") from exc
     if units == "pi":
@@ -86,6 +97,38 @@ _FIELDS = tuple(
 )
 _CODES = {kind: code for code, kind in enumerate(KIND_NAMES)}
 
+# Per kind code, the gate's document text from its target line, its control
+# (a CNOT's line, or a block's control list as text) and its two angles:
+# the text json.dumps writes for the document, keys in field order.
+_GATE_TEXT = (
+    lambda t, c, a, b: f'{{"kind": "x", "line": {t}}}',
+    lambda t, c, a, b: f'{{"kind": "cnot", "control": {c}, "target": {t}}}',
+    lambda t, c, a, b: f'{{"kind": "rz", "line": {t}, "alpha": {a!r}}}',
+    lambda t, c, a, b: f'{{"kind": "mcrz", "controls": {c}, "target": {t}, "alpha": {a!r}}}',
+    lambda t, c, a, b: (
+        f'{{"kind": "cdiag", "controls": {c}, "target": {t}, "theta0": {a!r}, "theta1": {b!r}}}'
+    ),
+)
+
+
+def _circuit_text(circuit: Circuit) -> str:
+    # The circuit's document as json.dumps writes it, written kind by kind
+    # from the columns, with one control-list text per block control mask.
+    n = circuit.n
+    kind = circuit.columns.kind
+    gates = np.empty(kind.size, dtype=object)
+    controls: dict[int, str] = {}
+    for code in np.unique(kind).tolist():
+        rows = kind == code
+        t, c, a, b = (column[rows].tolist() for column in circuit.columns[1:])
+        if code >= K_MCRZ:
+            for mask in set(c) - controls.keys():
+                controls[mask] = str(list(subset_lines(mask, n)))
+            c = map(controls.__getitem__, c)
+        gates[rows] = list(map(_GATE_TEXT[code], t, c, a, b))
+    head = f'"n": {json.dumps(n)}, "global_phase": {json.dumps(circuit.global_phase)}'
+    return f'{{{head}, "gates": [{", ".join(gates.tolist())}]}}'
+
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
     # the gate's kind code and its loaded field values, in field order
@@ -99,27 +142,102 @@ def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
     raise FormatError(f"unknown gate kind {kind!r}")
 
 
+def _ints(values) -> bool:
+    # every value an int, not a bool
+    return set(map(type, values)) <= {int}
+
+
+def _line_column(values, n: int) -> np.ndarray:
+    if not _ints(values):
+        raise TypeError("a line is not an int")
+    return np.array(values, dtype=np.int64)
+
+
+def _angle_column(values, n: int) -> np.ndarray:
+    if not set(map(type, values)) <= {int, float}:  # JSON numbers, not bools
+        raise TypeError("an angle is not a number")
+    column = np.array(values, dtype=float)
+    if not np.isfinite(column).all():
+        raise ValueError("an angle is not finite")
+    return column
+
+
+def _mask_column(values, n: int) -> np.ndarray:
+    # one mask per distinct list of control lines, each line an int in
+    # 1..n and none repeated
+    if not set(map(type, values)) <= {list}:
+        raise TypeError("controls are not a list")
+    keys = list(map(tuple, values))
+    masks = {}
+    for lines in set(keys):
+        if not _ints(lines):
+            raise TypeError("a control line is not an int")
+        masks[lines] = lines_to_mask(lines, n)
+        if masks[lines].bit_count() != len(lines):
+            raise ValueError("repeated control line")
+    return np.fromiter(map(masks.__getitem__, keys), np.int64, len(keys))
+
+
+# Per kind code, a getter of the kind and the fields in field order, and
+# per field its index in Columns and the reader of its whole column; the
+# field's annotation picks the reader.
+_COLUMN_READERS = {"int": _line_column, "tuple[int, ...]": _mask_column, "float": _angle_column}
+_KIND_READERS = tuple(
+    (
+        itemgetter("kind", *(f.name for f in fields(cls))),
+        tuple((slot + 1, _COLUMN_READERS[f.type]) for slot, f in zip(slots, fields(cls))),
+    )
+    for cls, slots in zip(GATE_CLASSES, _SLOTS)
+)
+
+
+def _document_columns(gate_docs: list, n: int) -> Columns:
+    # The columns of a list of gate documents, read kind by kind with one
+    # getter pass and one array per field. Takes only documents whose lines
+    # are ints, angles finite JSON numbers and controls lists of distinct
+    # lines in 1..n; raises KeyError, TypeError, ValueError or
+    # OverflowError on any other.
+    kinds = list(map(itemgetter("kind"), gate_docs))
+    kind = np.fromiter(map(_CODES.__getitem__, kinds), np.int8, len(kinds))
+    lines = [np.zeros(kind.size, dtype=np.int64) for _ in range(2)]
+    columns = [kind, *lines, np.zeros(kind.size), np.zeros(kind.size)]
+    for code in np.unique(kind).tolist():
+        rows = np.flatnonzero(kind == code)
+        getter, readers = _KIND_READERS[code]
+        values = zip(*map(getter, map(gate_docs.__getitem__, rows.tolist())))
+        next(values)  # the kinds
+        for (index, read), column in zip(readers, values):
+            columns[index][rows] = read(column, n)
+    return Columns(*columns)
+
+
 def circuit_to_document(circuit: Circuit) -> dict:
-    names = [[name for name, _ in fields] for fields in _FIELDS]
-    return {
-        "n": circuit.n,
-        "global_phase": circuit.global_phase,
-        "gates": [
-            {"kind": KIND_NAMES[code], **dict(zip(names[code], values))}
-            for code, values in gate_fields(circuit)
-        ],
-    }
+    return json.loads(_circuit_text(circuit))
 
 
 def circuit_from_document(doc: dict) -> Circuit:
+    """The circuit of a gate-list document.
+
+    A list of gate documents that ``_document_columns`` takes is read kind
+    by kind; any other is read gate by gate, and its first bad gate words
+    the error.
+    """
     try:
         n = int(doc["n"])
         phase = _finite("global_phase", doc["global_phase"])
-        gate_docs = iter(doc["gates"])
+        gate_docs = doc["gates"]
+        gates = iter(gate_docs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
+    if type(gate_docs) is list and 1 <= n <= MAX_LINES:
+        try:
+            columns = _document_columns(gate_docs, n)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass
+        else:
+            return Circuit(n, columns, phase)
     # outside the try: a bad gate's FormatError already says what is wrong
-    gates = list(map(_gate_fields_from_document, gate_docs))
+    gates = list(map(_gate_fields_from_document, gates))
     try:
         columns = columns_from_fields(gates, n)
     except (TypeError, ValueError, OverflowError):
@@ -130,7 +248,7 @@ def circuit_from_document(doc: dict) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    Path(path).write_text(json.dumps(circuit_to_document(circuit)) + "\n")
+    Path(path).write_text(_circuit_text(circuit) + "\n")
 
 
 def load_circuit(path) -> Circuit:

@@ -5,28 +5,35 @@ it maps a basis state to a basis state times a unit phase. In a CNOT + X
 circuit each line carries a parity of the input bits plus an affine bit, so
 an RZ adds its half angle, signed, to the Walsh coefficient of its line's
 parity: the circuit's phase polynomial (Amy, Maslov and Mosca,
-arXiv:1303.2042). ``circuit_to_diagonal`` reads that polynomial off in one
-pass over the gate columns and turns it into angles with one ``fwht``,
-O(gates + n * 2**n). A block gate whose lines each carry one input bit
-fires on a cube of inputs: an MCRZ with no X on its lines adds to two
-subset coefficients, summed by one ``zeta``, and any other block writes its
-two values into that cube of the angle array.
+arXiv:1303.2042). ``circuit_to_diagonal`` reads that polynomial off the
+gate columns and turns it into angles with one ``fwht``, O(gates + n *
+2**n). A block gate whose lines each carry one input bit fires on a cube
+of inputs: an MCRZ with no X on its lines adds to two subset coefficients,
+summed by one ``zeta``, and any other block writes its two values into
+that cube of the angle array. The cube writes are data, per block its
+control, target and flipped bits and its two values, applied by one
+``np.add.at`` in gate order, so each angle sums its terms in that order.
 
-The same pass ends with the circuit's line map. If that map is not the
-identity, the circuit is not diagonal, and the map alone names the first
-basis state it moves. A block on a line that carries a parity of several
-bits only sets a flag; a diagonal circuit with such a block is then
-replayed by ``basis_action``. That replay tracks, per input basis state,
-the output index and the accumulated angle, O(2**n * gates), vectorized
-over all states with a block's controls tested by one mask. It and its
-scalar oracle ``apply_to_basis`` stay the reference for the fast pass.
+A circuit without CNOT needs no pass over its gates: every line carries
+its own input bit, and one ``np.bitwise_xor.accumulate`` of the X gates
+gives each gate's affine bits; a nonzero final XOR means the circuit is
+not diagonal. Any other circuit takes one pass over its gates, tracking
+the parity and the affine bit of each line, and ends with the circuit's
+line map. If that map is not the identity, the circuit is not diagonal,
+and the map alone names the first basis state it moves. A block on a line
+that carries a parity of several bits only sets a flag; a diagonal
+circuit with such a block is then replayed by ``basis_action``. That
+replay tracks, per input basis state, the output index and the
+accumulated angle, O(2**n * gates), vectorized over all states with a
+block's controls tested by one mask. It and its scalar oracle
+``apply_to_basis`` stay the reference for the fast reading.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CDIAG, CNOT, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
+from .circuits import CDIAG, CNOT, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
@@ -106,16 +113,77 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
     """
     n = circuit.n
     size = 1 << n
-    identity = [0] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
-    # per line: the input bits it carries (a parity mask) and an affine bit
+    kind, target, control, angle0, angle1 = circuit.columns
+    blocks = np.flatnonzero(kind >= K_MCRZ)
+    if (kind == K_CNOT).any():
+        terms = _walk(circuit)
+        if terms is None:
+            return DiagonalUnitary(n, basis_action(circuit)[1] + circuit.global_phase)
+        # the walk lists every block, in gate order
+        walsh, block_bits = terms
+        controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
+    else:
+        # No CNOT: every line carries its own input bit, and the X gates
+        # up to a gate on its line give its affine bit.
+        bit = 1 << (n - target)
+        flips = np.bitwise_xor.accumulate(np.where(kind == K_X, bit, 0))
+        if flips.size and flips[-1]:
+            end, identity = int(flips[-1]), _identity(n)
+            raise _not_diagonal(n, identity, [int(end & mask > 0) for mask in identity])
+        walsh = None
+        rz = kind == K_RZ
+        if rz.any():
+            half = 0.5 * angle0[rz]
+            walsh = np.zeros(size)
+            np.add.at(walsh, bit[rz], np.where(flips[rz] & bit[rz], half, -half))
+        controls, targets = control[blocks], bit[blocks]
+        flipped = flips[blocks] & (controls | targets)
+    thetas = np.zeros(size)
+    sums = None
+    if blocks.size:
+        # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
+        # control bit and +alpha on those also holding the target bit: two
+        # subset sums. Every other block writes its two values into its cube.
+        mcrz = kind[blocks] == K_MCRZ
+        subset = mcrz & (flipped == 0)
+        if subset.any():
+            alpha, low = angle0[blocks[subset]], controls[subset]
+            at = np.array((low, low | targets[subset])).T.ravel()
+            sums = np.zeros(size)
+            np.add.at(sums, at, np.array((-0.5 * alpha, alpha)).T.ravel())
+        cube = ~subset
+        if cube.any():
+            alpha, mcrz = angle0[blocks[cube]], mcrz[cube]
+            off = np.where(mcrz, -0.5 * alpha, alpha)
+            on = np.where(mcrz, 0.5 * alpha, angle1[blocks[cube]])
+            _add_cubes(thetas, controls[cube], targets[cube], flipped[cube], off, on)
+    if walsh is not None:
+        thetas += fwht(walsh)
+    if sums is not None:
+        thetas += zeta(sums)
+    return DiagonalUnitary(n, thetas + circuit.global_phase)
+
+
+def _identity(n: int) -> list[int]:
+    # per line 0..n, the input bit it carries in the empty circuit
+    return [0] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
+
+
+def _walk(circuit: Circuit):
+    # One pass over the gates of a circuit with CNOTs, tracking per line
+    # the input bits it carries (a parity mask) and an affine bit. Returns
+    # the Walsh coefficients of its RZs (None without an RZ) and, per block
+    # in gate order, its control bits, target bit and flipped bits; None
+    # when a block sits on a line that carries a parity of several bits.
+    n = circuit.n
+    identity = _identity(n)
     parity = list(identity)
     flip = [0] * (n + 1)
-    walsh = subset = cube = None
+    walsh = None
+    blocks = []
     on_parity_line = False
     lines: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
-    touched = None
     columns = circuit.columns
-    theta1 = iter(columns.angle1[columns.kind == K_CDIAG].tolist())
     # per gate: kind code, target line, control line or mask, first angle
     for code, t, c, a in zip(*(column.tolist() for column in columns[:4])):
         if code == K_CNOT:
@@ -123,80 +191,88 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
             flip[t] ^= flip[c]
         elif code == K_RZ:
             if walsh is None:
-                walsh = [0.0] * size
+                walsh = [0.0] * (1 << n)
             half = 0.5 * a
             walsh[parity[t]] += half if flip[t] else -half
         elif code == K_X:
             flip[t] ^= 1
         elif not on_parity_line:
-            if touched is None:
-                # the lines a CNOT or X acts on; the others carry their own
-                # input bit, unflipped
-                acted_on = columns.target[columns.kind <= K_CNOT]
-                touched = int(np.bitwise_or.reduce(1 << (n - acted_on), initial=0))
+            if c not in lines:
+                lines[c] = subset_lines(c, n)
+            # the parities of distinct lines are independent, so lines
+            # that carry one input bit each carry distinct bits
             target = parity[t]
-            if code == K_MCRZ and not (c | target) & touched:
-                controls, flipped = c, 0
-            else:
-                if c not in lines:
-                    lines[c] = subset_lines(c, n)
-                # the parities of distinct lines are independent, so lines
-                # that carry one input bit each carry distinct bits
-                on_parity_line = target & (target - 1)
-                controls = 0
-                flipped = flip[t]
-                for line in lines[c]:
-                    bit = parity[line]
-                    if bit & (bit - 1):
-                        on_parity_line = True
-                    controls |= bit
-                    flipped |= flip[line]
-                if on_parity_line:
-                    continue  # from here on the pass only tracks the line map
-            if code == K_MCRZ and not flipped:
-                # the block adds -alpha/2 on inputs holding every control
-                # bit and +alpha on those also holding the target bit
-                if subset is None:
-                    subset = [0.0] * size
-                subset[controls] -= 0.5 * a
-                subset[controls | target] += a
-                continue
-            if cube is None:
-                cube = np.zeros((2,) * n)
-            if code == K_MCRZ:
-                off, on = -0.5 * a, 0.5 * a
-            else:  # the CDIAGs come here in order until a block is on a parity line
-                off, on = a, next(theta1)
-            # bit 1 << (n - 1 - axis) is axis `axis` of the (2,) * n view
-            where = [slice(None)] * n
+            on_parity_line = target & (target - 1)
+            controls = 0
+            flipped = target if flip[t] else 0
             for line in lines[c]:
-                where[n - parity[line].bit_length()] = 1 ^ flip[line]
-            axis = n - target.bit_length()
-            where[axis] = flip[t]
-            cube[tuple(where)] += off
-            where[axis] ^= 1
-            cube[tuple(where)] += on
+                bit = parity[line]
+                if bit & (bit - 1):
+                    on_parity_line = True
+                controls |= bit
+                if flip[line]:
+                    flipped |= bit
+            blocks.append((controls, target, flipped))
     if parity != identity or any(flip):
-        # line L of the image of |j> holds the parity of j & parity[L], plus
-        # flip[L]. |0> moves iff a line ends flipped; else the map is linear,
-        # so the lowest basis bit that moves is the first moved state.
-        image = {
-            j: sum(
-                ((j & parity[line]).bit_count() + flip[line] & 1) << _bitpos(n, line)
-                for line in range(1, n + 1)
-            )
-            for j in sorted(identity)
-        }
-        moved = next(j for j in image if image[j] != j)
-        raise NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")
+        raise _not_diagonal(n, parity, flip)
     if on_parity_line:
-        return DiagonalUnitary(n, basis_action(circuit)[1] + circuit.global_phase)
-    thetas = np.zeros(size) if cube is None else cube.reshape(size)
-    if walsh is not None:
-        thetas += fwht(walsh)
-    if subset is not None:
-        thetas += zeta(subset)
-    return DiagonalUnitary(n, thetas + circuit.global_phase)
+        return None
+    return walsh, blocks
+
+
+def _not_diagonal(n: int, parity: list[int], flip: list[int]) -> NotDiagonalError:
+    # line L of the image of |j> holds the parity of j & parity[L], plus
+    # flip[L]. |0> moves iff a line ends flipped; else the map is linear,
+    # so the lowest basis bit that moves is the first moved state.
+    image = {
+        j: sum(
+            ((j & parity[line]).bit_count() + flip[line] & 1) << _bitpos(n, line)
+            for line in range(1, n + 1)
+        )
+        for j in sorted(_identity(n))
+    }
+    moved = next(j for j in image if image[j] != j)
+    return NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")
+
+
+# Pairs of cells per np.add.at call of _add_cubes for blocks with free
+# lines, which bounds its index arrays at a few times this many entries, or
+# a few times one block's cube if larger.
+_CUBE_PAIRS = 1 << 19
+
+
+def _add_cubes(thetas, controls, targets, flipped, off, on) -> None:
+    # Block b adds off[b] to the inputs that hold its control bits, except
+    # those in flipped[b], and its target bit only if flipped, and on[b] to
+    # the same inputs with the target bit the other way round; its other
+    # bits are free. The cells are written in gate order, so each angle
+    # sums its terms in the order the gates give them.
+    free = (thetas.size - 1) ^ (controls | targets)
+    cell = controls & ~flipped | targets & flipped
+    cells = np.array((cell, cell ^ targets)).T
+    values = np.array((off, on)).T
+    spread = int(np.bitwise_or.reduce(free))
+    if not spread:
+        np.add.at(thetas, cells.ravel(), values.ravel())
+        return
+    # each block's pair of cells, once per setting of its free bits
+    free_bits = [p for p in range(spread.bit_length()) if spread >> p & 1]
+    copies = np.ones(free.size, dtype=np.int64)
+    for p in free_bits:
+        copies <<= free >> p & 1
+    ends = np.cumsum(copies)
+    cuts = np.searchsorted(ends, np.arange(_CUBE_PAIRS, ends[-1], _CUBE_PAIRS)).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, free.size]):
+        local = copies[start:stop]
+        owner = np.repeat(np.arange(start, stop), local)
+        # setting j of a block's free bits, deposited from the lowest up
+        j = np.arange(owner.size) - np.repeat(np.cumsum(local) - local, local)
+        setting, rank = np.zeros_like(j), np.zeros_like(j)
+        for p in free_bits:
+            take = free[owner] >> p & 1
+            setting |= (j >> rank & take) << p
+            rank += take
+        np.add.at(thetas, (cells[owner] | setting[:, None]).ravel(), values[owner].ravel())
 
 
 def verify(circuit: Circuit, u: DiagonalUnitary) -> float:

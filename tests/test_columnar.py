@@ -3,16 +3,18 @@
 ``per_gate_reference`` keeps the per-gate codec, ``peephole_cancel`` and
 ``count_gates``. On random five-kind circuits the columnar code must give
 the same QASM text, the same JSON bytes, equal gates after a round trip,
-and the same cancellation; on mutated QASM texts it must read the same
-gates or raise the same error. A circuit stores a block's controls as a
-mask, so the generated blocks list their controls in ascending order, as
-every synthesizer writes them. The hot paths of all three routes must run
+and the same cancellation; on mutated QASM texts and edited circuit
+documents it must read the same gates or raise the same error. A circuit
+stores a block's controls as a mask, so the generated blocks list their
+controls in ascending order, as every synthesizer writes them. The hot
+paths of all three routes, and the CLI's synth and verify, must run
 without building one gate object.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 import diagsynth as ds
 import per_gate_reference as ref
 from conftest import random_diagonal
-from diagsynth import serialize
+from diagsynth import cli, serialize
 
 TWO_PI = 2.0 * np.pi
 SPECIAL_ANGLES = (
@@ -74,16 +76,115 @@ def _outcome(call, *args):
     return result
 
 
+def _saved(circuit, directory) -> bytes:
+    path = directory / "circuit.json"
+    ds.save_circuit(circuit, path)
+    return path.read_bytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(circuits())
-def test_codec_matches_per_gate_reference(circuit):
+def test_codec_matches_per_gate_reference(tmp_path_factory, circuit):
+    directory = tmp_path_factory.mktemp("codec")
     for c in (circuit, _columns_only(circuit)):
         text = json.dumps(serialize.circuit_to_document(c))
         assert text == json.dumps(ref.circuit_to_document(circuit))
+        assert _saved(c, directory) == (text + "\n").encode()
         loaded = serialize.circuit_from_document(json.loads(text))
         assert loaded.gates == ref.circuit_from_document(json.loads(text)).gates == circuit.gates
         assert loaded.global_phase == circuit.global_phase
         assert _outcome(ds.to_qasm, c) == _outcome(ref.to_qasm, circuit)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+@pytest.mark.parametrize("angle", [-0.0, 5e-324, 1e308, -1e-300])
+def test_saved_bytes_match_per_gate_reference_at_edge_values(angle, n, tmp_path):
+    # float repr at the ends of the range, the sign of zero, an int phase,
+    # and block control lists of one line and of n - 1 lines
+    every = tuple(range(1, n))
+    circuit = ds.Circuit(
+        n,
+        (
+            ds.X(1), ds.CNOT(1, n), ds.RZ(n, angle),
+            ds.MCRZ((1,), n, angle), ds.MCRZ(every, n, -angle),
+            ds.CDIAG((n - 1,), n, angle, -angle), ds.CDIAG(every, n, -angle, angle),
+        ),
+        0,
+    )
+    want = json.dumps(ref.circuit_to_document(circuit)) + "\n"
+    assert '"global_phase": 0,' in want
+    assert _saved(circuit, tmp_path) == want.encode()
+    loaded = ds.load_circuit(tmp_path / "circuit.json")
+    assert loaded.gates == circuit.gates
+    reloaded = want.replace('"global_phase": 0,', '"global_phase": 0.0,')
+    assert _saved(loaded, tmp_path) == reloaded.encode()
+
+
+def _edit(doc: dict, draw) -> None:
+    # one edit of a gate document that the readers must agree on, valid or not
+    gates = doc["gates"]
+    edit = draw(st.sampled_from([
+        "int angle", "line type", "extra key", "non-dict gate", "unknown kind",
+        "repeated control", "bad angle", "missing field",
+    ]))
+    if not gates:
+        gates.append({"kind": "x", "line": 1})
+    at = draw(st.integers(0, len(gates) - 1))
+    gate = gates[at]
+    if not isinstance(gate, dict):
+        return
+    angles = [name for name in ("alpha", "theta0", "theta1") if name in gate]
+    lines = [name for name in ("line", "control", "target", "controls") if name in gate]
+    if edit == "int angle" and angles:
+        gate[draw(st.sampled_from(angles))] = draw(st.sampled_from([0, -3, 7, 2**60, 10**400]))
+    elif edit == "line type" and lines:
+        name = draw(st.sampled_from(lines))
+        value = gate[name][0] if name == "controls" and gate[name] else gate[name]
+        if type(value) is not int:
+            return
+        value = draw(st.sampled_from([float(value), value + 0.5, True, False, str(value), None]))
+        if name == "controls":
+            gate[name][0] = value
+        else:
+            gate[name] = value
+    elif edit == "extra key":
+        gate[draw(st.sampled_from(["note", "kind2", "alpha", "controls"]))] = 1
+    elif edit == "non-dict gate":
+        gates[at] = draw(st.sampled_from([None, 3, "x", [], ["kind", "x"]]))
+    elif edit == "unknown kind":
+        gate["kind"] = draw(st.sampled_from(["h", "X", "", 1, None, ["x"]]))
+    elif edit == "repeated control" and gate.get("controls"):
+        gate["controls"].append(gate["controls"][-1])
+    elif edit == "bad angle" and angles:
+        gate[draw(st.sampled_from(angles))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif edit == "missing field":
+        del gate[draw(st.sampled_from(sorted(gate)))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuits(), st.data())
+def test_load_of_edited_document_matches_per_gate_reference(tmp_path_factory, circuit, data):
+    doc = json.loads(json.dumps(ref.circuit_to_document(circuit)))
+    edits = data.draw(st.integers(0, 2))
+    for _ in range(edits):
+        _edit(doc, data.draw)
+    path = tmp_path_factory.mktemp("doc") / "circuit.json"
+    path.write_text(json.dumps(doc))
+
+    def read(load, *args):
+        circuit = load(*args)
+        return circuit.n, circuit.gates, circuit.global_phase
+
+    want = _outcome(read, ref.circuit_from_document, json.loads(path.read_text()))
+    assert _outcome(read, ds.load_circuit, path) == want
+    if not edits:
+        # the kind-by-kind reading takes every document the writer writes
+        per_gate = serialize._gate_fields_from_document
+        serialize._gate_fields_from_document = None
+        try:
+            assert read(ds.load_circuit, path) == want
+        finally:
+            serialize._gate_fields_from_document = per_gate
 
 
 def _mutate(lines: list[str], draw) -> list[str]:
@@ -168,18 +269,28 @@ def test_cancellation_matches_per_gate_reference(circuit, drop):
         assert ds.count_gates(got) == ref.count_gates(want)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", [*range(2, 11), 12])
 def test_hot_paths_build_no_gate_objects(n, monkeypatch, tmp_path):
     u = random_diagonal(n, np.random.default_rng(900 + n))
 
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} object was built")
 
+    def refuse_call(*args, **kwargs):
+        raise AssertionError("the gates were read one by one")
+
     for cls in (ds.X, ds.CNOT, ds.RZ, ds.MCRZ, ds.CDIAG):
         monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr("diagsynth.circuits.gate_fields", refuse_call)
+    monkeypatch.setattr("diagsynth.simulate.basis_action", refuse_call)
     circuit, _ = ds.synth_xor(u)
     assert ds.verify(ds.parse_qasm(ds.to_qasm(circuit)), u) <= 1e-9
     for synth in (ds.synth_controlled, ds.synth_twolevel):
         circuit, _ = synth(u)
         ds.save_circuit(circuit, tmp_path / "circuit.json")
         assert ds.verify(ds.load_circuit(tmp_path / "circuit.json"), u) <= 1e-9
+    # the shipped-file path: the CLI writes the circuit, then verifies it
+    diag, out = tmp_path / "u.json", tmp_path / "twolevel.json"
+    ds.save_diagonal(u, diag)
+    assert cli.main(["synth", "--algo", "twolevel", "--in", str(diag), "--out", str(out)]) == 0
+    assert cli.main(["verify", "--circuit", str(out), "--diag", str(diag)]) == 0

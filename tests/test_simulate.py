@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, random_monomial_circuit
+from diagsynth import simulate
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
 # basis state k (bits b1 b2 b3 b4) picks up sign[k] * phi with phi = -alpha/2.
@@ -115,9 +116,12 @@ def gate_lists(draw):
     swap two lines. Closed lists undo their X/CNOT gates at the end, so
     they are diagonal while their blocks sit on X-flipped, swapped or
     parity lines; open lists are mostly not diagonal. Lists without lone
-    CNOTs keep every line on one input bit."""
+    CNOTs keep every line on one input bit. A third of the lists have no
+    CNOT at all, and their blocks, X-conjugated on some of their lines,
+    leave the other lines free."""
     n = draw(st.integers(1, 6))
-    kinds = ["rz", "mcrz", "cdiag", "x", "swap"] + ["cnot"] * draw(st.booleans())
+    wiring = draw(st.sampled_from([[], ["swap"], ["swap", "cnot"]]))
+    kinds = ["rz", "mcrz", "cdiag", "x", "conjugated"] + wiring
     gates = []
     for _ in range(draw(st.integers(0, 24))):
         kind = draw(st.sampled_from(kinds))
@@ -133,12 +137,17 @@ def gate_lists(draw):
             a, b = lines[:2]
             gates += [ds.CNOT(a, b), ds.CNOT(b, a), ds.CNOT(a, b)]
         else:
-            k = draw(st.integers(1, n - 1))
+            k = draw(st.integers(0 if kind == "conjugated" else 1, n - 1))
             controls, target = tuple(sorted(lines[:k])), lines[k]
-            if kind == "mcrz":
-                gates.append(ds.MCRZ(controls, target, draw(ANGLES)))
+            if kind == "mcrz" or (kind == "conjugated" and draw(st.booleans())):
+                block = ds.MCRZ(controls, target, draw(ANGLES))
             else:
-                gates.append(ds.CDIAG(controls, target, draw(ANGLES), draw(ANGLES)))
+                block = ds.CDIAG(controls, target, draw(ANGLES), draw(ANGLES))
+            if kind == "conjugated":
+                flips = [ds.X(line) for line in draw(st.sets(st.sampled_from(lines[: k + 1])))]
+                gates += [*flips, block, *flips]
+            else:
+                gates.append(block)
     if draw(st.booleans()):
         gates += [g for g in reversed(gates) if isinstance(g, (ds.X, ds.CNOT))]
     return ds.Circuit(n, tuple(gates), draw(ANGLES))
@@ -149,16 +158,64 @@ def gate_lists(draw):
 def test_circuit_to_diagonal_matches_permutation_replay(circuit):
     perm, theta = ds.basis_action(circuit)
     identity = np.arange(1 << circuit.n)
+    # a circuit with a CNOT is read in one pass over its gates, any other
+    # from its columns alone
+    walk, walked = simulate._walk, []
+    simulate._walk = lambda c: walked.append(c) or walk(c)
+    try:
+        outcome = _outcome(ds.circuit_to_diagonal, circuit)
+    finally:
+        simulate._walk = walk
+    assert bool(walked) == (ds.count_gates(circuit).counts["cnot"] > 0)
     if np.array_equal(perm, identity):
-        diag = ds.circuit_to_diagonal(circuit)
+        diag = outcome
         assert np.abs(diag.thetas - (theta + circuit.global_phase)).max() <= 1e-12
     else:
         moved = int(np.argmax(perm != identity))
-        with pytest.raises(ds.NotDiagonalError) as exc:
-            ds.circuit_to_diagonal(circuit)
-        assert str(exc.value) == (
-            f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
+        assert outcome == (
+            "NotDiagonalError", f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
         )
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ds.NotDiagonalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("order", ["gray", "binary"])
+def test_twolevel_circuits_read_back_their_input_exactly(order):
+    # each angle comes from the one block cell that writes it, with no sum
+    rng = np.random.default_rng(31)
+    for n in range(2, 11):
+        u = random_diagonal(n, rng)
+        circuit, _ = ds.synth_twolevel(u, order=order)
+        assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)
+
+
+def test_cube_writes_in_small_chunks_change_no_bit(monkeypatch):
+    # the block cells go to np.add.at in chunks of about _CUBE_PAIRS pairs;
+    # any chunk size adds the same terms in the same order
+    rng = np.random.default_rng(33)
+    n = 6
+    gates = []
+    for _ in range(40):
+        lines = [int(line) for line in rng.permutation(np.arange(1, n + 1))]
+        k = int(rng.integers(0, n))
+        controls, angles = tuple(sorted(lines[:k])), rng.normal(size=2).tolist()
+        if rng.random() < 0.5:
+            block = ds.MCRZ(controls, lines[k], angles[0])
+        else:
+            block = ds.CDIAG(controls, lines[k], *angles)
+        flips = [ds.X(line) for line in lines[: int(rng.integers(0, k + 2))]]
+        gates += [*flips, block, *flips]
+    circuit = ds.Circuit(n, tuple(gates))
+    want = ds.circuit_to_diagonal(circuit).thetas
+    assert np.abs(want - ds.basis_action(circuit)[1]).max() <= 1e-12
+    for pairs in (1, 7, 64):
+        monkeypatch.setattr(simulate, "_CUBE_PAIRS", pairs)
+        assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == want.tobytes()
 
 
 def test_synthesized_circuits_never_replay_per_state(monkeypatch):
