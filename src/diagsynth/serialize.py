@@ -1,8 +1,8 @@
 """File formats: diagonal and circuit JSON documents, QASM export.
 
-Diagonal documents carry {"n", "units", "thetas"}; units "rad" stores plain
-radians, units "pi" stores multiples of pi so rational-angle fixtures stay
-exact in source form.
+Diagonal documents carry {"n", "units", "thetas"}: an int, a units name and
+a list of numbers. Units "rad" stores plain radians, units "pi" stores
+multiples of pi so rational-angle fixtures stay exact in source form.
 
 Circuits round-trip through a gate-list document; each gate is {"kind",
 then the gate dataclass's fields by name, in order}. The document text is
@@ -17,8 +17,10 @@ gate.
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
 difference at most); multi-controlled blocks are refused. Export writes
-from the columns; import reads the whole text in one regex split, and
-reads it statement by statement only to word the error of a bad text.
+from the columns. Import reads the text export writes as one byte array,
+and takes it only when the columns read, with the text's own angle texts,
+write it back byte for byte; any other text is read statement by
+statement, which words the error of a bad text.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import re
 from dataclasses import fields
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -39,7 +42,6 @@ from .circuits import (
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
-from .subsets import lines_to_mask, subset_lines
 
 # ---------------------------------------------------------------------------
 # diagonals
@@ -52,13 +54,19 @@ def diagonal_to_document(u: DiagonalUnitary) -> dict:
 
 def diagonal_from_document(doc: dict) -> DiagonalUnitary:
     try:
-        n = int(doc["n"])
-        units = doc["units"]
-        thetas = np.fromiter(map(float, doc["thetas"]), dtype=float)
+        n, units, thetas = doc["n"], doc["units"], doc["thetas"]
+        if type(n) is not int:
+            raise TypeError(f'"n" is a {type(n).__name__}, not an int')
+        if type(thetas) is not list:
+            raise TypeError(f'"thetas" is a {type(thetas).__name__}, not a list')
+        thetas = np.fromiter(map(float, thetas), dtype=float, count=len(thetas))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed diagonal document: {exc}") from exc
     if units == "pi":
-        thetas = thetas * math.pi
+        with np.errstate(over="ignore"):
+            thetas = thetas * math.pi
+        if not np.isfinite(thetas).all():
+            raise FormatError('"thetas" in units of pi overflow as radians')
     elif units != "rad":
         raise FormatError(f'units must be "rad" or "pi", got {units!r}')
     return DiagonalUnitary(n, thetas)
@@ -111,19 +119,32 @@ _GATE_TEXT = (
 )
 
 
+def _control_text(texts: dict[int, str], mask: int, n: int) -> str:
+    # The "[1, 2, …]" text of a mask's lines, extended from the text of the
+    # mask without its last line (its lowest bit); cached in texts, which
+    # holds at least {0: "[]"}.
+    text = texts.get(mask)
+    if text is None:
+        low = mask & -mask
+        head = _control_text(texts, mask ^ low, n)
+        line = n + 1 - low.bit_length()
+        text = texts[mask] = f"{head[:-1]}, {line}]" if head != "[]" else f"[{line}]"
+    return text
+
+
 def _circuit_text(circuit: Circuit) -> str:
     # The circuit's document as json.dumps writes it, written kind by kind
     # from the columns, with one control-list text per block control mask.
     n = circuit.n
     kind = circuit.columns.kind
     gates = np.empty(kind.size, dtype=object)
-    controls: dict[int, str] = {}
+    controls = {0: "[]"}
     for code in np.unique(kind).tolist():
         rows = kind == code
         t, c, a, b = (column[rows].tolist() for column in circuit.columns[1:])
         if code >= K_MCRZ:
             for mask in set(c) - controls.keys():
-                controls[mask] = str(list(subset_lines(mask, n)))
+                _control_text(controls, mask, n)
             c = map(controls.__getitem__, c)
         gates[rows] = list(map(_GATE_TEXT[code], t, c, a, b))
     head = f'"n": {json.dumps(n)}, "global_phase": {json.dumps(circuit.global_phase)}'
@@ -164,18 +185,23 @@ def _angle_column(values, n: int) -> np.ndarray:
 
 def _mask_column(values, n: int) -> np.ndarray:
     # one mask per distinct list of control lines, each line an int in
-    # 1..n and none repeated
+    # 1..n and none repeated; the masks of all the lists in one pass
     if not set(map(type, values)) <= {list}:
         raise TypeError("controls are not a list")
     keys = list(map(tuple, values))
-    masks = {}
-    for lines in set(keys):
-        if not _ints(lines):
-            raise TypeError("a control line is not an int")
-        masks[lines] = lines_to_mask(lines, n)
-        if masks[lines].bit_count() != len(lines):
-            raise ValueError("repeated control line")
-    return np.fromiter(map(masks.__getitem__, keys), np.int64, len(keys))
+    distinct = list(set(keys))
+    if not _ints(chain.from_iterable(distinct)):
+        raise TypeError("a control line is not an int")
+    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
+    lines = np.fromiter(chain.from_iterable(distinct), np.int64, int(sizes.sum()))
+    if ((lines < 1) | (lines > n)).any():
+        raise ValueError("control line outside 1..n")
+    masks = np.zeros(len(distinct), dtype=np.int64)
+    np.bitwise_or.at(masks, np.repeat(np.arange(len(distinct)), sizes), 1 << (n - lines))
+    if (np.bitwise_count(masks) != sizes).any():
+        raise ValueError("repeated control line")
+    mask = dict(zip(distinct, masks.tolist()))
+    return np.fromiter(map(mask.__getitem__, keys), np.int64, len(keys))
 
 
 # Per kind code, a getter of the kind and the fields in field order, and
@@ -282,10 +308,24 @@ def to_qasm(circuit: Circuit) -> str:
     if blocks.size:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
-    # Each gate is three pieces of text: "rz(", its angle and ") q[t];", or
-    # an x or cx statement and two empty pieces. The statements and the rz
-    # endings come from one table per call, indexed by (row, target line).
-    n = circuit.n
+    texts = list(map(repr, angle[kind == K_RZ].tolist()))
+    return _QASM_HEAD.format(circuit.n) + _qasm_body(circuit.n, kind, target, control, texts)
+
+
+# The header for each line count; the bytes of the gate lines, and a gate
+# line's kind code by its first byte
+_QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{}];\n'
+_QASM_HEADS = {_QASM_HEAD.format(n): n for n in range(1, MAX_LINES + 1)}
+_QASM_BYTES = b"0123456789.e+-xcrzq[],;() \n"
+_QASM_KINDS = np.full(256, -1, dtype=np.int8)
+_QASM_KINDS[list(b"xcr")] = K_X, K_CNOT, K_RZ
+
+
+def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
+    # The gate lines, rz angles written as angle_texts. A gate is three
+    # pieces: "rz(", its angle text and ") q[t];", or an x or cx statement
+    # and two empty pieces. The statements and the rz endings come from
+    # one table per call, indexed by (row, target line).
     table = np.array(
         [f"x q[{t - 1}];\n" for t in range(n + 1)]
         + [f"cx q[{c - 1}],q[{t - 1}];\n" for c in range(n + 1) for t in range(n + 1)]
@@ -297,74 +337,61 @@ def to_qasm(circuit: Circuit) -> str:
     pieces[:, 2] = table[row * (n + 1) + target]
     rz = kind == K_RZ
     pieces[rz, 0] = "rz("
-    pieces[rz, 1] = list(map(repr, angle[rz].tolist()))
-    header = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{n}];\n'
-    return header + "".join(pieces.ravel().tolist())
-
-
-# The whole-text reading: one match per line. Lines end where
-# str.splitlines() ends them, and _SPACE is the whitespace that str.strip()
-# removes but that ends no line. Up to 18 digits, so that a qubit index and
-# index + 1 fit an int64.
-_ENDS = r"\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029"
-_SPACE = rf"[^\S{_ENDS}]*"
-_QUBIT = r"q\[(\d{1,18})\]"
-_QASM_LINE = (
-    rf"{_SPACE}(?:(?:x |cx {_QUBIT},{_SPACE}|rz\(([^){_ENDS}]+)\) ){_QUBIT};|qreg {_QUBIT};"
-    rf'|(?:OPENQASM 2\.0|include "qelib1\.inc");|//[^{_ENDS}]*|){_SPACE}(?:\r\n|[{_ENDS}]|\Z)'
-)
+    pieces[rz, 1] = angle_texts
+    return "".join(pieces.ravel().tolist())
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the subset emitted by to_qasm back into a circuit.
 
-    One regex split reads the whole text, a line per match. When some text
-    lies between the matches, the qreg declaration is missing, repeated or
-    late, or a number does not read, the statement-by-statement reading
-    runs instead and raises the error of the first bad statement.
+    The text is read as bytes, and taken when the columns read, with its
+    own rz angle texts, write it back byte for byte. Any other text is read
+    statement by statement, raising the error of the first bad statement.
     """
-    # per match: the text before it, then the groups cx control, rz angle,
-    # gate qubit and qreg size, each None where it took no part
-    parts = re.compile(_QASM_LINE).split(text)
-    qubits, sizes = parts[3::5], parts[4::5]
-    if sizes.count(None) == len(sizes) - 1 and not any(parts[0::5]):
-        n = next(filter(None, sizes))
-        if not any(qubits[: sizes.index(n)]):
-            try:
-                columns = _qasm_columns(parts[1::5], parts[2::5], qubits)
-            except ValueError:
-                pass
-            else:
-                return Circuit(int(n), columns, 0.0)
+    head = text[: text.find("];\n") + 3]
+    n = _QASM_HEADS.get(head)
+    if n is not None:
+        try:
+            columns = _qasm_columns(n, text[len(head) :])
+        except ValueError:
+            pass
+        else:
+            return Circuit(n, columns, 0.0)
     return _parse_qasm_statements(text)
 
 
-def _qasm_columns(controls, angles, qubits) -> Columns:
-    # the columns of the lines with a qubit, where a control marks a cx and
-    # an angle an rz
-    lines = len(qubits)
-    gate = np.fromiter(map(bool, qubits), bool, lines)
-    is_cx = np.fromiter(map(bool, controls), bool, lines)[gate]
-    is_rz = np.fromiter(map(bool, angles), bool, lines)[gate]
-    control = np.zeros(is_cx.size, dtype=np.int64)
-    control[is_cx] = _line_numbers(list(filter(None, controls)))
-    angle = np.zeros(is_cx.size)
-    angle[is_rz] = np.fromiter(map(float, filter(None, angles)), float)
+def _qasm_columns(n: int, body: str) -> Columns:
+    # The columns of to_qasm's gate lines on n lines, else ValueError. A
+    # line's first byte is its kind, the digits before "];" its target, those
+    # after "cx q[" a cx's control, the text from "rz(" to ") q[" an angle.
+    if not body.isascii() or body.encode().translate(None, _QASM_BYTES):
+        raise ValueError("a byte to_qasm does not write")
+    text = np.frombuffer(body.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(text == 10)
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    kind = _QASM_KINDS[text[starts]]
+    if (ends - starts < 7).any() or (kind < 0).any():
+        raise ValueError("a line that is no gate")
+    def line(first, two):  # q[k] is line k + 1; k's digits start at first
+        high, low = (text[at].astype(np.int64) - 48 for at in (first, first + two))
+        return np.where(two, 10 * high + low, low) + 1
+    two = text[ends - 4] != ord("[")  # the target has two digits
+    target = line(ends - 3 - two, two)
+    cx = kind == K_CNOT
+    control = np.where(cx, line(starts + 5, text[starts + 6] != ord("]")), 0)
+    if not ((1 <= target) & (target <= n) & (cx <= control) & (control <= n)).all():
+        raise ValueError("a qubit outside the register")
+    rz = kind == K_RZ
+    opens = starts[rz] + 3  # an rz angle's text runs up to its ") q["
+    closes = np.maximum(ends[rz] - 7 - two[rz], opens)
+    texts = [body[a:b] for a, b in zip(opens.tolist(), closes.tolist())]
+    angle = np.zeros(kind.size)
+    angle[rz] = np.fromiter(map(float, texts), float, len(texts))
     if not np.isfinite(angle).all():
         raise ValueError("rz angle is not finite")
-    return Columns(
-        np.where(is_cx, K_CNOT, np.where(is_rz, K_RZ, K_X)).astype(np.int8),
-        _line_numbers(list(filter(None, qubits))),
-        control,
-        angle,
-        np.zeros(is_cx.size),
-    )
-
-
-def _line_numbers(qubits: list[str]) -> np.ndarray:
-    # q[k] is line k + 1; a circuit has few distinct qubits, each read once
-    line = {q: int(q) + 1 for q in set(qubits)}
-    return np.fromiter(map(line.__getitem__, qubits), np.int64, len(qubits))
+    if _qasm_body(n, kind, target, control, texts) != body:
+        raise ValueError("not the text to_qasm writes")
+    return Columns(kind, target, control, angle, np.zeros(kind.size))
 
 
 # One statement per line. The alternative that matched is named by its last
@@ -380,9 +407,8 @@ _QASM_STATEMENT = re.compile(
 
 
 def _parse_qasm_statements(text: str) -> Circuit:
-    # Statement by statement, the reading that the whole-text one agrees
-    # with. It runs on the texts that one does not take, and raises the
-    # error of the first bad statement.
+    # The general reading, of any text the byte reading does not take;
+    # raises the error of the first bad statement.
     n = None
     gates: list[Gate] = []
     for raw in text.splitlines():

@@ -224,6 +224,13 @@ def test_verify_rejects_non_diagonal_circuit_with_one_line(tmp_path, capsys):
     assert _one_error_line(capsys) == "error: circuit is not diagonal: |2> maps to |3>\n"
 
 
+def test_pi_units_overflow_exits_with_one_line(tmp_path, capsys):
+    diag, out = tmp_path / "d.json", tmp_path / "c.json"
+    diag.write_text(json.dumps({"n": 1, "units": "pi", "thetas": [1e308, 0]}))
+    assert main(["synth", "--algo", "xor", "--in", str(diag), "--out", str(out)]) == 1
+    assert "units of pi overflow" in _one_error_line(capsys)
+
+
 def test_verify_rejects_repeated_control_with_one_line(tmp_path, capsys):
     circuit = tmp_path / "c.json"
     circuit.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": [

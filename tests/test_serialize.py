@@ -50,6 +50,24 @@ def test_diagonal_load_errors(tmp_path):
         ds.load_diagonal(path)
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"n": 1, "units": "rad", "thetas": "01"}, '"thetas" is a str'),
+    ({"n": 1, "units": "rad", "thetas": {"0": 5, "1": 6}}, '"thetas" is a dict'),
+    ({"n": 1, "units": "rad", "thetas": 0.5}, '"thetas" is a float'),
+    ({"n": 1.7, "units": "rad", "thetas": [0, 0]}, '"n" is a float'),
+    ({"n": 1.0, "units": "rad", "thetas": [0, 0]}, '"n" is a float'),
+    ({"n": True, "units": "rad", "thetas": [0, 0]}, '"n" is a bool'),
+    ({"n": "1", "units": "rad", "thetas": [0, 0]}, '"n" is a str'),
+    ({"n": 1, "units": "pi", "thetas": [1e308, 0]}, '"thetas" in units of pi overflow'),
+    ({"n": 1, "units": "pi", "thetas": [0, -1e308]}, '"thetas" in units of pi overflow'),
+])
+def test_diagonal_document_field_types(doc, named, tmp_path):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ds.FormatError, match=named):
+        ds.load_diagonal(path)
+
+
 # documents with V where an integer goes; "thetas" marks a diagonal
 _GATE = '{"n": 3, "global_phase": 0, "gates": [G]}'
 _INT_FIELDS = {
