@@ -11,13 +11,16 @@ with the bytes ``json.dumps`` would give the document. Reading groups the
 gate documents by kind and fills each column with one array per field,
 when every line is an int, every angle a finite number and every control
 list distinct lines in range. Any other document is read gate by gate,
-which converts each field on its own and words the error of the first bad
-gate.
+which checks each field on its own and words the error of the first bad
+gate. Both readings, and the diagonal reader, take only a JSON int where
+the format says int and only a JSON number (an int or a float, not a bool
+or a string) where it says angle.
 
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
 difference at most); multi-controlled blocks are refused. Export writes
-from the columns. Import reads the text export writes as one byte array,
+from the columns: one join of cached per-n line texts, split where the rz
+angle texts go. Import reads the text export writes as one byte array,
 and takes it only when the columns read, with the text's own angle texts,
 write it back byte for byte; any other text is read statement by
 statement, which words the error of a bad text.
@@ -29,7 +32,7 @@ import json
 import math
 import re
 from dataclasses import fields
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -59,7 +62,10 @@ def diagonal_from_document(doc: dict) -> DiagonalUnitary:
             raise TypeError(f'"n" is a {type(n).__name__}, not an int')
         if type(thetas) is not list:
             raise TypeError(f'"thetas" is a {type(thetas).__name__}, not a list')
-        thetas = np.fromiter(map(float, thetas), dtype=float, count=len(thetas))
+        other = set(map(type, thetas)) - {int, float}
+        if other:
+            raise TypeError(f'"thetas" holds a {min(t.__name__ for t in other)}, not a number')
+        thetas = np.array(thetas, dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed diagonal document: {exc}") from exc
     if units == "pi":
@@ -93,14 +99,29 @@ def _finite(what: str, value) -> float:
     return number
 
 
+def _number(what: str, value) -> float:
+    # a finite JSON number: an int or a float, not a bool or a string
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} is a {type(value).__name__}, not a number")
+    return _finite(what, value)
+
+
+def _int(what: str, value) -> int:
+    # a JSON integer, not a float or a bool
+    if type(value) is not int:
+        raise TypeError(f"{what} is a {type(value).__name__}, not an int")
+    return value
+
+
+def _int_tuple(what: str, values) -> tuple[int, ...]:
+    return tuple(_int(f"{what} entry", value) for value in values)
+
+
 # Per kind code, the (field name, loader) pairs in field order; the field's
 # annotation picks the loader. Built once: dataclasses.fields() per gate is slow.
-_CONVERT = {"int": int, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+_LOADERS = {"int": _int, "tuple[int, ...]": _int_tuple, "float": _number}
 _FIELDS = tuple(
-    tuple(
-        (f.name, _CONVERT.get(f.type) or partial(_finite, f"{kind} {f.name}"))
-        for f in fields(cls)
-    )
+    tuple((f.name, partial(_LOADERS[f.type], f"{kind} {f.name}")) for f in fields(cls))
     for cls, kind in zip(GATE_CLASSES, KIND_NAMES)
 )
 _CODES = {kind: code for code, kind in enumerate(KIND_NAMES)}
@@ -249,8 +270,8 @@ def circuit_from_document(doc: dict) -> Circuit:
     the error.
     """
     try:
-        n = int(doc["n"])
-        phase = _finite("global_phase", doc["global_phase"])
+        n = _int('"n"', doc["n"])
+        phase = _number("global_phase", doc["global_phase"])
         gate_docs = doc["gates"]
         gates = iter(gate_docs)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -321,24 +342,28 @@ _QASM_KINDS = np.full(256, -1, dtype=np.int8)
 _QASM_KINDS[list(b"xcr")] = K_X, K_CNOT, K_RZ
 
 
-def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
-    # The gate lines, rz angles written as angle_texts. A gate is three
-    # pieces: "rz(", its angle text and ") q[t];", or an x or cx statement
-    # and two empty pieces. The statements and the rz endings come from
-    # one table per call, indexed by (row, target line).
-    table = np.array(
+@lru_cache(maxsize=16)
+def _qasm_lines(n: int) -> np.ndarray:
+    # The text of each gate line on n lines, by row: x by target, cx by
+    # control and target, and rz by target with "\0" for its angle text
+    return np.array(
         [f"x q[{t - 1}];\n" for t in range(n + 1)]
         + [f"cx q[{c - 1}],q[{t - 1}];\n" for c in range(n + 1) for t in range(n + 1)]
-        + [f") q[{t - 1}];\n" for t in range(n + 1)],
+        + [f"rz(\0) q[{t - 1}];\n" for t in range(n + 1)],
         dtype=object,
     )
+
+
+def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
+    # The gate lines, rz angles written as angle_texts: the joined line
+    # texts, split at each rz's "\0" and rejoined with its angle text.
+    # ValueError when the texts are not one per rz.
     row = np.where(kind == K_X, 0, np.where(kind == K_CNOT, 1 + control, n + 2))
-    pieces = np.full((kind.size, 3), "", dtype=object)
-    pieces[:, 2] = table[row * (n + 1) + target]
-    rz = kind == K_RZ
-    pieces[rz, 0] = "rz("
-    pieces[rz, 1] = angle_texts
-    return "".join(pieces.ravel().tolist())
+    pieces = "".join(_qasm_lines(n)[row * (n + 1) + target].tolist()).split("\0")
+    text = [""] * (2 * len(pieces) - 1)
+    text[0::2] = pieces
+    text[1::2] = angle_texts
+    return "".join(text)
 
 
 def parse_qasm(text: str) -> Circuit:

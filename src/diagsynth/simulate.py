@@ -17,10 +17,15 @@ control, target and flipped bits and its two values, applied by one
 A circuit without CNOT needs no pass over its gates: every line carries
 its own input bit, and one ``np.bitwise_xor.accumulate`` of the X gates
 gives each gate's affine bits; a nonzero final XOR means the circuit is
-not diagonal. Any other circuit takes one pass over its gates, tracking
-the parity and the affine bit of each line, and ends with the circuit's
-line map. If that map is not the identity, the circuit is not diagonal,
-and the map alone names the first basis state it moves. A block on a line
+not diagonal. Any other circuit is walked, tracking the parity and the
+affine bit of each line, and ends with the circuit's line map. A small
+circuit, or one whose target line changes every few gates, is walked gate
+by gate. A large one is walked run by run: within a run of gates on one
+target line only that line changes, so a loop over the runs carries the
+line states, one ``np.bitwise_xor.accumulate`` gives the target's state at
+every gate, and one ``np.bincount`` adds the RZ terms in gate order. If
+the final map is not the identity, the circuit is not diagonal, and the
+map alone names the first basis state it moves. A block on a line
 that carries a parity of several bits only sets a flag; a diagonal
 circuit with such a block is then replayed by ``basis_action``. That
 replay tracks, per input basis state, the output index and the
@@ -128,8 +133,8 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
         bit = 1 << (n - target)
         flips = np.bitwise_xor.accumulate(np.where(kind == K_X, bit, 0))
         if flips.size and flips[-1]:
-            end, identity = int(flips[-1]), _identity(n)
-            raise _not_diagonal(n, identity, [int(end & mask > 0) for mask in identity])
+            end = int(flips[-1])
+            raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
         walsh = None
         rz = kind == K_RZ
         if rz.any():
@@ -165,71 +170,156 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
 
 
 def _identity(n: int) -> list[int]:
-    # per line 0..n, the input bit it carries in the empty circuit
-    return [0] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
+    # Per line 0..n, its state in the empty circuit. A line's state is the
+    # input bits it carries, as a parity mask with line L at bit n - L (as
+    # in basis-state indices), plus its affine bit at bit n. Line 0 is no
+    # circuit line but the constant affine bit, which an X adds to its line
+    # as a CNOT adds its control's state.
+    return [1 << n] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
+
+
+# _walk reads a circuit run by run when it has at least _RUN_SCAN_GATES
+# gates and its runs of gates on one target line average at least
+# _RUN_GATES gates. Below either the per-gate loop is faster: the run scan
+# costs about 60 us on the smallest circuit, and alternating targets would
+# make its table of line states per run about as large as the circuit
+# times its lines.
+_RUN_SCAN_GATES = 4096
+_RUN_GATES = 8
 
 
 def _walk(circuit: Circuit):
-    # One pass over the gates of a circuit with CNOTs, tracking per line
-    # the input bits it carries (a parity mask) and an affine bit. Returns
-    # the Walsh coefficients of its RZs (None without an RZ) and, per block
-    # in gate order, its control bits, target bit and flipped bits; None
-    # when a block sits on a line that carries a parity of several bits.
+    # The phase polynomial of a circuit with CNOTs: the Walsh coefficients
+    # of its RZs (None without an RZ) and, per block in gate order, its
+    # control bits, target bit and flipped bits; None when a block sits on
+    # a line that carries a parity of several bits. Raises from the final
+    # line states when the circuit is not diagonal.
+    target = circuit.columns.target
+    if target.size >= _RUN_SCAN_GATES:
+        # the first gate of each run
+        starts = np.concatenate(([0], np.flatnonzero(target[1:] != target[:-1]) + 1))
+        if target.size >= _RUN_GATES * starts.size:
+            return _walk_runs(circuit, starts)
+    return _walk_gates(circuit)
+
+
+def _walk_gates(circuit: Circuit):
+    # One pass over the gates, carrying every line's state.
     n = circuit.n
+    size = 1 << n
     identity = _identity(n)
-    parity = list(identity)
-    flip = [0] * (n + 1)
+    lines = identity[:]
     walsh = None
     blocks = []
-    on_parity_line = False
-    lines: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
-    columns = circuit.columns
+    controls: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
     # per gate: kind code, target line, control line or mask, first angle
-    for code, t, c, a in zip(*(column.tolist() for column in columns[:4])):
+    for code, t, c, a in zip(*(column.tolist() for column in circuit.columns[:4])):
         if code == K_CNOT:
-            parity[t] ^= parity[c]
-            flip[t] ^= flip[c]
+            lines[t] ^= lines[c]
         elif code == K_RZ:
             if walsh is None:
-                walsh = [0.0] * (1 << n)
-            half = 0.5 * a
-            walsh[parity[t]] += half if flip[t] else -half
+                walsh = [0.0] * size
+            state, half = lines[t], 0.5 * a
+            if state < size:  # the affine bit, bit n, is clear
+                walsh[state] -= half
+            else:
+                walsh[state ^ size] += half
         elif code == K_X:
-            flip[t] ^= 1
-        elif not on_parity_line:
-            if c not in lines:
-                lines[c] = subset_lines(c, n)
-            # the parities of distinct lines are independent, so lines
-            # that carry one input bit each carry distinct bits
-            target = parity[t]
-            on_parity_line = target & (target - 1)
-            controls = 0
-            flipped = target if flip[t] else 0
-            for line in lines[c]:
-                bit = parity[line]
-                if bit & (bit - 1):
-                    on_parity_line = True
-                controls |= bit
-                if flip[line]:
-                    flipped |= bit
-            blocks.append((controls, target, flipped))
-    if parity != identity or any(flip):
-        raise _not_diagonal(n, parity, flip)
-    if on_parity_line:
-        return None
+            lines[t] ^= size
+        elif blocks is not None:
+            if c not in controls:
+                controls[c] = subset_lines(c, n)
+            bits = _block_bits(n, lines[t], [lines[line] for line in controls[c]])
+            if bits is None:
+                blocks = None
+            else:
+                blocks.append(bits)
+    if lines != identity:
+        raise _not_diagonal(n, lines)
+    return None if blocks is None else (walsh, blocks)
+
+
+def _walk_runs(circuit: Circuit, starts: np.ndarray):
+    # The same reading, run by run. Within a run of gates on one target
+    # line only that line changes, so a loop over the runs carries the
+    # line states, and one XOR scan of per-gate steps, each the state its
+    # gate adds to the target, gives the target's state after every gate.
+    # States are uint64: line 63 is bit 63 of a run's set of lines, and
+    # on 63 lines the affine bit is bit 63 of a state.
+    n = circuit.n
+    size = 1 << n
+    kind, target, control, angle = circuit.columns[:4]
+    cnot = kind == K_CNOT
+    moves = cnot | (kind == K_X)
+    source = np.where(cnot, control, 0)  # the line whose state a gate adds
+    bits = np.where(moves, np.uint64(1) << source.astype(np.uint64), np.uint64(0))
+    odd = np.bitwise_xor.reduceat(bits, starts)  # per run, the lines added an odd number of times
+    lines = _identity(n)
+    at_start = []  # per run, the line states at its first gate
+    for t, added in zip(target[starts].tolist(), odd.tolist()):
+        at_start.append(lines)
+        lines = lines[:]
+        state = lines[t]
+        while added:
+            low = added & -added
+            state ^= lines[low.bit_length() - 1]
+            added ^= low
+        lines[t] = state
+    if lines != _identity(n):
+        raise _not_diagonal(n, lines)
+    table = np.array(at_start, dtype=np.uint64)
+    run = np.repeat(np.arange(starts.size), np.diff(starts, append=kind.size))
+    steps = np.where(moves, table[run, source], np.uint64(0))
+    scan = np.bitwise_xor.accumulate(steps)
+    # per run, its target's state at its start XOR the steps before it, so
+    # that base[run] ^ scan is the target's state after each gate
+    base = table[np.arange(starts.size), target[starts]] ^ scan[starts] ^ steps[starts]
+    walsh = None
+    rz = np.flatnonzero(kind == K_RZ)
+    if rz.size:
+        states, half = base[run[rz]] ^ scan[rz], 0.5 * angle[rz]
+        parity = (states & np.uint64(size - 1)).astype(np.intp)
+        walsh = np.bincount(parity, weights=np.where(states >> n, half, -half), minlength=size)
+    blocks = []
+    rows = np.flatnonzero(kind >= K_MCRZ)
+    for r, state, c in zip(run[rows].tolist(), (base[run[rows]] ^ scan[rows]).tolist(),
+                           control[rows].tolist()):
+        bits = _block_bits(n, state, [at_start[r][line] for line in subset_lines(c, n)])
+        if bits is None:
+            return None
+        blocks.append(bits)
     return walsh, blocks
 
 
-def _not_diagonal(n: int, parity: list[int], flip: list[int]) -> NotDiagonalError:
-    # line L of the image of |j> holds the parity of j & parity[L], plus
-    # flip[L]. |0> moves iff a line ends flipped; else the map is linear,
-    # so the lowest basis bit that moves is the first moved state.
+def _block_bits(n: int, target: int, controls: list[int]):
+    # A block's control bits, target bit and flipped bits from the states
+    # of its target and control lines; None when one of those lines
+    # carries a parity of several bits. The parities of distinct lines are
+    # independent, so lines that carry one input bit each carry distinct
+    # bits.
+    mask = (1 << n) - 1
+    bits = flipped = 0
+    for state in (target, *controls):
+        bit = state & mask
+        if bit & (bit - 1):
+            return None
+        bits |= bit
+        if state >> n:
+            flipped |= bit
+    return bits ^ (target & mask), target & mask, flipped
+
+
+def _not_diagonal(n: int, lines: list[int]) -> NotDiagonalError:
+    # line L of the image of |j> holds the parity of j & lines[L], plus
+    # the affine bit of lines[L]. |0> moves iff a line ends flipped; else
+    # the map is linear, so the lowest basis bit that moves is the first
+    # moved state.
     image = {
         j: sum(
-            ((j & parity[line]).bit_count() + flip[line] & 1) << _bitpos(n, line)
+            ((j & lines[line]).bit_count() + (lines[line] >> n) & 1) << _bitpos(n, line)
             for line in range(1, n + 1)
         )
-        for j in sorted(_identity(n))
+        for j in [0, *(1 << p for p in range(n))]
     }
     moved = next(j for j in image if image[j] != j)
     return NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")

@@ -3,7 +3,9 @@
 Each function walks ``circuit.gates`` one gate object at a time, the way the
 package did before circuits stored numpy columns: the gate-document codec,
 QASM export and import, ``peephole_cancel`` and ``count_gates``. The tests
-in ``test_columnar.py`` pin the columnar code to these.
+in ``test_columnar.py`` pin the columnar code to these. The gate-document
+loaders take the field types the package takes, a JSON int for a line and
+a JSON number for an angle, so both read the same documents.
 """
 
 from __future__ import annotations
@@ -34,12 +36,25 @@ def _finite(what: str, value) -> float:
     return number
 
 
-_CONVERT = {"int": int, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+def _number(what: str, value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} is a {type(value).__name__}, not a number")
+    return _finite(what, value)
+
+
+def _int(what: str, value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{what} is a {type(value).__name__}, not an int")
+    return value
+
+
+def _int_tuple(what: str, values) -> tuple:
+    return tuple(_int(f"{what} entry", value) for value in values)
+
+
+_LOADERS = {"int": _int, "tuple[int, ...]": _int_tuple, "float": _number}
 _FIELDS = {
-    cls: tuple(
-        (f.name, _CONVERT.get(f.type) or partial(_finite, f"{kind} {f.name}"))
-        for f in fields(cls)
-    )
+    cls: tuple((f.name, partial(_LOADERS[f.type], f"{kind} {f.name}")) for f in fields(cls))
     for cls, kind in KINDS.items()
 }
 
@@ -72,8 +87,8 @@ def circuit_to_document(circuit) -> dict:
 
 def circuit_from_document(doc: dict):
     try:
-        n = int(doc["n"])
-        phase = _finite("global_phase", doc["global_phase"])
+        n = _int('"n"', doc["n"])
+        phase = _number("global_phase", doc["global_phase"])
         gate_docs = iter(doc["gates"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ds.FormatError(f"malformed circuit document: {exc}") from exc

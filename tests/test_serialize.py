@@ -60,12 +60,42 @@ def test_diagonal_load_errors(tmp_path):
     ({"n": "1", "units": "rad", "thetas": [0, 0]}, '"n" is a str'),
     ({"n": 1, "units": "pi", "thetas": [1e308, 0]}, '"thetas" in units of pi overflow'),
     ({"n": 1, "units": "pi", "thetas": [0, -1e308]}, '"thetas" in units of pi overflow'),
+    ({"n": 1, "units": "rad", "thetas": ["0.5", True]}, '"thetas" holds a bool, not a number'),
+    ({"n": 1, "units": "rad", "thetas": [0.5, "1"]}, '"thetas" holds a str, not a number'),
+    ({"n": 1, "units": "rad", "thetas": [0.5, None]}, '"thetas" holds a NoneType, not a number'),
 ])
 def test_diagonal_document_field_types(doc, named, tmp_path):
     path = tmp_path / "diag.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ds.FormatError, match=named):
         ds.load_diagonal(path)
+
+
+_X = {"kind": "x", "line": 1}
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"n": 2.9, "global_phase": 0, "gates": [_X]}, '"n" is a float, not an int'),
+    ({"n": True, "global_phase": 0, "gates": [_X]}, '"n" is a bool, not an int'),
+    ({"n": 2, "global_phase": 0, "gates": [{"kind": "x", "line": 1.7}]}, "x line is a float"),
+    ({"n": 2, "global_phase": 0, "gates": [{"kind": "x", "line": 1.0}]}, "x line is a float"),
+    ({"n": 2, "global_phase": 0, "gates": [{"kind": "cnot", "control": True, "target": 2}]},
+     "cnot control is a bool, not an int"),
+    ({"n": 3, "global_phase": 0, "gates": [{"kind": "mcrz", "controls": [1, 2.0], "target": 3,
+                                            "alpha": 1}]}, "mcrz controls entry is a float"),
+    ({"n": 2, "global_phase": 0, "gates": [{"kind": "rz", "line": 1, "alpha": "1.5"}]},
+     "rz alpha is a str, not a number"),
+    ({"n": 2, "global_phase": 0, "gates": [{"kind": "rz", "line": 1, "alpha": True}]},
+     "rz alpha is a bool, not a number"),
+    ({"n": 2, "global_phase": "0.5", "gates": [_X]}, "global_phase is a str, not a number"),
+    ({"n": 2, "global_phase": False, "gates": [_X]}, "global_phase is a bool, not a number"),
+])
+def test_circuit_document_field_types(doc, named, tmp_path):
+    # JSON numbers only where the format says number, ints only where it says int
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ds.FormatError, match=named):
+        ds.load_circuit(path)
 
 
 # documents with V where an integer goes; "thetas" marks a diagonal

@@ -184,6 +184,105 @@ def _outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
+def _walked(walk, circuit):
+    # a walk's outcome as comparable values: Walsh bytes and block bits,
+    # None, or the NotDiagonalError text
+    try:
+        terms = walk(circuit)
+    except ds.NotDiagonalError as exc:
+        return str(exc)
+    if terms is None:
+        return None
+    walsh, blocks = terms
+    return None if walsh is None else np.asarray(walsh, dtype=float).tobytes(), list(blocks)
+
+
+def _run_scan_always(monkeypatch):
+    # any circuit with a gate; circuit_to_diagonal walks only those with a CNOT
+    monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1)
+    monkeypatch.setattr(simulate, "_RUN_GATES", 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(circuit=gate_lists())
+def test_run_scan_matches_gate_walk(circuit):
+    # same Walsh bits, block bits or error as the per-gate loop, on any size
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _run_scan_always(monkeypatch)
+        assert _walked(simulate._walk, circuit) == _walked(simulate._walk_gates, circuit)
+
+
+def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
+    # 63 lines, CNOTs from and onto line 63 (lone, or in triples that swap
+    # two lines), X gates, and blocks conjugated by X on some of their
+    # lines; no RZ, whose Walsh vector would need 2**63 entries
+    n = 63
+    gates = []
+    for _ in range(40):
+        lines = [int(line) for line in rng.choice(np.arange(1, n), 5, replace=False)]
+        pick = rng.random()
+        if pick < 0.2:
+            a, b = (63, lines[0]) if rng.random() < 0.5 else (lines[0], 63)
+            swap = [ds.CNOT(a, b), ds.CNOT(b, a), ds.CNOT(a, b)]
+            gates += swap if wiring == "swap" else swap[:1]
+        elif pick < 0.3:
+            gates.append(ds.X(63 if rng.random() < 0.5 else lines[0]))
+        else:
+            if rng.random() < 0.5:
+                lines[int(rng.integers(0, 5))] = 63
+            controls, target = tuple(sorted(lines[1:])), lines[0]
+            block = ds.MCRZ(controls, target, 0.5) if pick < 0.6 else ds.CDIAG(controls, target, 0.1, 0.2)
+            flips = [ds.X(line) for line in lines[: int(rng.integers(0, 6))]]
+            gates += [*flips, block, *flips]
+    if closed:
+        gates += [g for g in reversed(gates) if isinstance(g, (ds.X, ds.CNOT))]
+    return ds.Circuit(n, tuple(gates))
+
+
+@pytest.mark.parametrize("wiring, closed, outcome", [
+    ("swap", True, tuple),  # blocks on lines that each carry one input bit
+    ("cnot", True, type(None)),  # a block on a parity line
+    ("cnot", False, str),  # a moved state
+])
+def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeypatch):
+    _run_scan_always(monkeypatch)
+    rng = np.random.default_rng(63)
+    for _ in range(20):
+        circuit = _wide_circuit(rng, wiring, closed)
+        walked = _walked(simulate._walk, circuit)
+        assert walked == _walked(simulate._walk_gates, circuit)
+        assert type(walked) is outcome
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14])
+def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch):
+    circuit, _ = ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))
+    monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1 << 30)
+    per_gate = ds.circuit_to_diagonal(circuit).thetas
+    _run_scan_always(monkeypatch)
+    assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == per_gate.tobytes()
+
+
+def _walks_taken(circuit, monkeypatch) -> list[str]:
+    taken = []
+    for name in ("_walk_gates", "_walk_runs"):
+        walk = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a, walk=walk, name=name: taken.append(name) or walk(*a))
+    ds.circuit_to_diagonal(circuit)
+    return taken
+
+
+def test_walk_is_chosen_by_circuit_size_and_run_length(monkeypatch):
+    # the run scan's fixed cost pays only on large circuits with long runs
+    rng = np.random.default_rng(41)
+    assert _walks_taken(ds.synth_xor(random_diagonal(14, rng))[0], monkeypatch) == ["_walk_runs"]
+    for n in range(2, 11):
+        circuit = ds.synth_xor(random_diagonal(n, rng))[0]
+        assert _walks_taken(circuit, monkeypatch) == ["_walk_gates"]
+    alternating = ds.Circuit(2, [ds.CNOT(1, 2), ds.RZ(1, 0.1)] * (1 << 14))
+    assert _walks_taken(alternating, monkeypatch) == ["_walk_gates"]
+
+
 @pytest.mark.parametrize("order", ["gray", "binary"])
 def test_twolevel_circuits_read_back_their_input_exactly(order):
     # each angle comes from the one block cell that writes it, with no sum
