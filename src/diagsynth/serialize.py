@@ -5,16 +5,16 @@ a list of numbers. Units "rad" stores plain radians, units "pi" stores
 multiples of pi so rational-angle fixtures stay exact in source form.
 
 Circuits round-trip through a gate-list document; each gate is {"kind",
-then the gate dataclass's fields by name, in order}. The document text is
-written straight from the circuit's columns, one template per gate kind,
-with the bytes ``json.dumps`` would give the document. Reading groups the
-gate documents by kind and fills each column with one array per field,
-when every line is an int, every angle a finite number and every control
-list distinct lines in range. Any other document is read gate by gate,
-which checks each field on its own and words the error of the first bad
-gate. Both readings, and the diagonal reader, take only a JSON int where
-the format says int and only a JSON number (an int or a float, not a bool
-or a string) where it says angle.
+then the gate dataclass's fields by name, in order}. One writer gives its
+text, the bytes ``json.dumps`` would: per gate a cached head and tail and
+its first value, joined and split where the angle texts go. Loading reads
+save_circuit's text as one byte array, and takes it when the writer, given
+the columns read and the text's own angle and control-list texts, writes
+it back byte for byte. Any other text is parsed as JSON and read kind by
+kind, one array per field, or, past a bad field, gate by gate, which words
+the first error. Every reading, and the diagonal reader, takes only a JSON
+int where the format says int and only a JSON number (not a bool or a
+string) where it says angle.
 
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
@@ -40,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import (
-    _SLOTS, CNOT, GATE_CLASSES, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, RZ, Circuit,
-    Columns, Gate, X, columns_from_fields,
+    _SLOTS, GATE_CLASSES, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, Circuit,
+    Columns, columns_from_fields,
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
@@ -113,6 +113,10 @@ def _int(what: str, value) -> int:
     return value
 
 
+def _a(value) -> str:  # "a str", "an int": a JSON value's type, with its article
+    return f"{'an' if type(value) is int else 'a'} {type(value).__name__}"
+
+
 def _int_tuple(what: str, values) -> tuple[int, ...]:
     return tuple(_int(f"{what} entry", value) for value in values)
 
@@ -126,55 +130,69 @@ _FIELDS = tuple(
 )
 _CODES = {kind: code for code, kind in enumerate(KIND_NAMES)}
 
-# Per kind code, the gate's document text from its target line, its control
-# (a CNOT's line, or a block's control list as text) and its two angles:
-# the text json.dumps writes for the document, keys in field order.
-_GATE_TEXT = (
-    lambda t, c, a, b: f'{{"kind": "x", "line": {t}}}',
-    lambda t, c, a, b: f'{{"kind": "cnot", "control": {c}, "target": {t}}}',
-    lambda t, c, a, b: f'{{"kind": "rz", "line": {t}, "alpha": {a!r}}}',
-    lambda t, c, a, b: f'{{"kind": "mcrz", "controls": {c}, "target": {t}, "alpha": {a!r}}}',
-    lambda t, c, a, b: (
-        f'{{"kind": "cdiag", "controls": {c}, "target": {t}, "theta0": {a!r}, "theta1": {b!r}}}'
-    ),
-)
+# Per kind code the start of a gate's document text, up to its first value
+# (an X's or RZ's line, a CNOT's control, a block's control list), and per
+# kind code and target line the rest and ", ", with "\0" where each angle
+# goes: the text json.dumps writes, keys in field order
+_HEADS = np.array([
+    '{"kind": "x", "line": ', '{"kind": "cnot", "control": ', '{"kind": "rz", "line": ',
+    '{"kind": "mcrz", "controls": ', '{"kind": "cdiag", "controls": ',
+], dtype=object)
+_TAILS = np.array([[tail.format(t) for t in range(MAX_LINES + 1)] for tail in (
+    "}}, ", ', "target": {}}}, ', ', "alpha": \0}}, ', ', "target": {}, "alpha": \0}}, ',
+    ', "target": {}, "theta0": \0, "theta1": \0}}, ',
+)], dtype=object)
+_LINES = np.array([str(line) for line in range(MAX_LINES + 1)], dtype=object)
 
 
-def _control_text(texts: dict[int, str], mask: int, n: int) -> str:
-    # The "[1, 2, …]" text of a mask's lines, extended from the text of the
-    # mask without its last line (its lowest bit); cached in texts, which
-    # holds at least {0: "[]"}.
-    text = texts.get(mask)
-    if text is None:
+class _ControlTexts(dict):
+    # The "[1, 2, …]" text of each mask's lines on n lines, made on first
+    # use from the text of the mask without its last line (its lowest bit)
+    def __init__(self, n: int):
+        super().__init__({0: "[]"})
+        self.n = n
+
+    def __missing__(self, mask: int) -> str:
         low = mask & -mask
-        head = _control_text(texts, mask ^ low, n)
-        line = n + 1 - low.bit_length()
-        text = texts[mask] = f"{head[:-1]}, {line}]" if head != "[]" else f"[{line}]"
-    return text
+        head, line = self[mask ^ low], self.n + 1 - low.bit_length()
+        text = self[mask] = f"{head[:-1]}, {line}]" if head != "[]" else f"[{line}]"
+        return text
+
+
+def _document_text(n_text: str, phase_text: str, kind, target, control, lists,
+                   angle_texts: list[str]) -> str:
+    # The document: each gate's head, first value and tail joined, split at
+    # each "\0" and rejoined with angle_texts, each gate's angles in field
+    # order; lists(mask) writes a block's control list. ValueError unless
+    # one text per angle.
+    parts = np.empty((kind.size, 3), dtype=object)
+    parts[:, 0], parts[:, 2] = _HEADS[kind], _TAILS[kind, target]
+    parts[:, 1] = _LINES[np.where(kind == K_CNOT, control, target)]
+    blocks = kind >= K_MCRZ
+    parts[blocks, 1] = list(map(lists, control[blocks].tolist()))
+    parts = [f'{{"n": {n_text}, "global_phase": {phase_text}, "gates": [', *parts.ravel().tolist()]
+    parts[-1] = parts[-1].removesuffix(", ") + "]}"
+    pieces = "".join(parts).split("\0")
+    text = [""] * (2 * len(pieces) - 1)
+    text[0::2] = pieces
+    text[1::2] = angle_texts
+    return "".join(text)
 
 
 def _circuit_text(circuit: Circuit) -> str:
-    # The circuit's document as json.dumps writes it, written kind by kind
-    # from the columns, with one control-list text per block control mask.
-    n = circuit.n
-    kind = circuit.columns.kind
-    gates = np.empty(kind.size, dtype=object)
-    controls = {0: "[]"}
-    for code in np.unique(kind).tolist():
-        rows = kind == code
-        t, c, a, b = (column[rows].tolist() for column in circuit.columns[1:])
-        if code >= K_MCRZ:
-            for mask in set(c) - controls.keys():
-                _control_text(controls, mask, n)
-            c = map(controls.__getitem__, c)
-        gates[rows] = list(map(_GATE_TEXT[code], t, c, a, b))
-    head = f'"n": {json.dumps(n)}, "global_phase": {json.dumps(circuit.global_phase)}'
-    return f'{{{head}, "gates": [{", ".join(gates.tolist())}]}}'
+    # The document as json.dumps writes it, with repr of each angle
+    kind, target, control = circuit.columns[:3]
+    angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
+    head = json.dumps(circuit.n), json.dumps(circuit.global_phase)
+    lists = _ControlTexts(circuit.n).__getitem__
+    return _document_text(*head, kind, target, control, lists, list(map(repr, angles.tolist())))
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
     # the gate's kind code and its loaded field values, in field order
     try:
+        if type(doc) is not dict:
+            raise TypeError(f"a gate is {_a(doc)}, not an object")
         kind = doc["kind"]
         code = _CODES.get(kind)
         if code is not None:
@@ -273,10 +291,11 @@ def circuit_from_document(doc: dict) -> Circuit:
         n = _int('"n"', doc["n"])
         phase = _number("global_phase", doc["global_phase"])
         gate_docs = doc["gates"]
-        gates = iter(gate_docs)
+        if type(gate_docs) is not list:
+            raise TypeError(f'"gates" is {_a(gate_docs)}, not a list')
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
-    if type(gate_docs) is list and 1 <= n <= MAX_LINES:
+    if 1 <= n <= MAX_LINES:
         try:
             columns = _document_columns(gate_docs, n)
         except (KeyError, TypeError, ValueError, OverflowError):
@@ -284,7 +303,7 @@ def circuit_from_document(doc: dict) -> Circuit:
         else:
             return Circuit(n, columns, phase)
     # outside the try: a bad gate's FormatError already says what is wrong
-    gates = list(map(_gate_fields_from_document, gates))
+    gates = list(map(_gate_fields_from_document, gate_docs))
     try:
         columns = columns_from_fields(gates, n)
     except (TypeError, ValueError, OverflowError):
@@ -299,7 +318,10 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 
 def load_circuit(path) -> Circuit:
-    return circuit_from_document(_read_json(path))
+    try:
+        return _saved_circuit(Path(path).read_text())
+    except (IndexError, TypeError, ValueError, OverflowError):
+        return circuit_from_document(_read_json(path))
 
 
 def _read_json(path) -> dict:
@@ -310,6 +332,56 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return doc
+
+
+# The kind code by a kind name's second byte; per kind, its ":" and its target's
+_KIND_BYTES = np.frombuffer(bytes.maketrans(b'"nzcd', bytes(range(5))), dtype=np.int8)
+_COLONS, _TARGET_AT = np.array([[2, 3, 3, 4, 5], [1, 2, 1, 2, 2]])
+
+
+def _saved_circuit(text: str) -> Circuit:
+    # The circuit of save_circuit's text, with or without its final newline,
+    # taken when _document_text writes it back from the columns read and the
+    # text's own list and angle texts, each checked to be one JSON value;
+    # else an error. A gate starts at "{", each value 2 bytes after its ":".
+    head = text[: text.find(', "gates": [') + 12]
+    n = int(head[6 : head.find(",")])  # after '{"n": '
+    phase_text = head[len(f'{{"n": {n}, "global_phase": ') : -12]
+    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    starts = np.flatnonzero(data == ord("{"))[1:]
+    colons = np.flatnonzero(data == ord(":"))[3:]
+    kind = _KIND_BYTES[data[starts + 11]]
+    count = _COLONS[kind]
+    first = np.cumsum(count) - count  # each gate's colon after "kind"
+    value = colons + 2
+    high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
+    line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
+    target, control = line[first + _TARGET_AT[kind]], np.where(kind == K_CNOT, line[first + 1], 0)
+    blocks, cdiag = kind >= K_MCRZ, kind == K_CDIAG
+    opens, shuts = value[first[blocks] + 1], value[first[blocks] + 2] - 12  # ', "target": '
+    # (a list text that opens with its only "[" is one JSON value)
+    if not (text.isascii() and 1 <= n <= MAX_LINES and (data[opens] == ord("[")).all()
+            and np.count_nonzero(data == ord("[")) == opens.size + 1):
+        raise ValueError("not the text save_circuit writes")
+    known: dict[str, int] = {}  # the distinct list texts
+    index = [known.setdefault(text[a:b], len(known)) for a, b in zip(opens.tolist(), shuts.tolist())]
+    masks = _mask_column(json.loads(f"[{','.join(known)}]"), n)
+    control[blocks] = masks[index]
+    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": '
+    slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
+    end = np.append(starts, len(text) - text.endswith("\n"))[1:] - 3
+    opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
+    shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
+    del data, colons, value, high, low, line  # before the text is written back
+    texts = [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
+    angles = np.zeros((2, kind.size))  # texts read as one list of numbers are one number each
+    angles.T[slots] = _angle_column(json.loads(f"[{','.join(texts)}]"), n)
+    lists = dict(zip(masks.tolist(), known)).__getitem__
+    written = _document_text(str(n), phase_text, kind, target, control, lists, texts)
+    if len(written) != len(text) - text.endswith("\n") or not text.startswith(written):
+        raise ValueError("not the text save_circuit writes")
+    phase = _number("global_phase", json.loads(phase_text))
+    return Circuit(n, Columns(kind, target, control, *angles), phase)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +507,7 @@ def _parse_qasm_statements(text: str) -> Circuit:
     # The general reading, of any text the byte reading does not take;
     # raises the error of the first bad statement.
     n = None
-    gates: list[Gate] = []
+    rows = []  # per gate: kind code, target, control, angle
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("//"):
@@ -444,25 +516,29 @@ def _parse_qasm_statements(text: str) -> Circuit:
         if statement is None:
             raise FormatError(f"unsupported QASM statement: {line!r}")
         form = statement.lastgroup
-        if form == "header":
-            continue
         if form == "n":
             if n is not None:
                 raise FormatError(f"second qreg declaration: {line!r}")
             n = int(statement["n"])
-            continue
-        if n is None:
+        elif form != "header" and n is None:
             raise FormatError("gate before qreg declaration")
-        if form == "xq":
-            gates.append(X(int(statement["xq"]) + 1))
-        elif form == "ct":
-            gates.append(CNOT(int(statement["cc"]) + 1, int(statement["ct"]) + 1))
-        else:
+        elif form == "rq":
             try:
                 angle = _finite("rz angle", statement["angle"])
             except ValueError as exc:
                 raise FormatError(f"rz angle is not a finite number in {line!r}") from exc
-            gates.append(RZ(int(statement["rq"]) + 1, angle))
+            rows += K_RZ, int(statement["rq"]) + 1, 0, angle
+        elif form == "ct":
+            rows += K_CNOT, int(statement["ct"]) + 1, int(statement["cc"]) + 1, 0.0
+        elif form == "xq":
+            rows += K_X, int(statement["xq"]) + 1, 0, 0.0
     if n is None:
         raise FormatError("missing qreg declaration")
-    return Circuit(n, tuple(gates), 0.0)
+    kind, target, control, angle = (rows[k::4] for k in range(4))
+    try:
+        target, control = np.array(target, dtype=np.int64), np.array(control, dtype=np.int64)
+    except OverflowError:  # a qubit no column holds: the gate objects word the error
+        rows = zip(kind, target, control, angle)
+        return Circuit(n, [GATE_CLASSES[k](*[g[s] for s in _SLOTS[k]]) for k, *g in rows])
+    kind, angle = np.array(kind, dtype=np.int8), np.array(angle, dtype=float)
+    return Circuit(n, Columns(kind, target, control, angle, np.zeros(kind.size)))

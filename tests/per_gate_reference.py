@@ -10,6 +10,7 @@ a JSON number for an angle, so both read the same documents.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from collections import Counter
@@ -48,6 +49,11 @@ def _int(what: str, value) -> int:
     return value
 
 
+def _a(value) -> str:
+    name = type(value).__name__
+    return f"{'an' if name[0] in 'aeiou' else 'a'} {name}"
+
+
 def _int_tuple(what: str, values) -> tuple:
     return tuple(_int(f"{what} entry", value) for value in values)
 
@@ -68,6 +74,8 @@ def _gate_to_document(gate) -> dict:
 
 def _gate_from_document(doc: dict):
     try:
+        if type(doc) is not dict:
+            raise TypeError(f"a gate is {_a(doc)}, not an object")
         kind = doc["kind"]
         cls = CLASSES.get(kind)
         if cls is not None:
@@ -89,10 +97,22 @@ def circuit_from_document(doc: dict):
     try:
         n = _int('"n"', doc["n"])
         phase = _number("global_phase", doc["global_phase"])
-        gate_docs = iter(doc["gates"])
+        gate_docs = doc["gates"]
+        if type(gate_docs) is not list:
+            raise TypeError(f'"gates" is {_a(gate_docs)}, not a list')
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ds.FormatError(f"malformed circuit document: {exc}") from exc
     return ds.Circuit(n, tuple(map(_gate_from_document, gate_docs)), phase)
+
+
+def load_circuit(path):
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ds.FormatError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ds.FormatError(f"{path}: expected a JSON object")
+    return circuit_from_document(doc)
 
 
 # ---------------------------------------------------------------------------

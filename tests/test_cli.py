@@ -241,6 +241,31 @@ def test_verify_rejects_repeated_control_with_one_line(tmp_path, capsys):
     assert "duplicate control" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("gates, named", [
+    ({"a": 1}, 'malformed circuit document: "gates" is a dict, not a list'),
+    ([1], "malformed gate document: a gate is an int, not an object"),
+])
+def test_verify_names_a_gate_list_that_is_no_list_of_objects(gates, named, tmp_path, capsys):
+    circuit, diag = tmp_path / "c.json", tmp_path / "d.json"
+    circuit.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": gates}))
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    assert _one_error_line(capsys) == f"error: {named}\n"
+
+
+def test_parser_is_built_once(reference_diag_file, tmp_path, capsys):
+    # one parser serves every call, and no option carries over to the next
+    from diagsynth.cli import _build_parser
+
+    out = tmp_path / "c.json"
+    assert _build_parser() is _build_parser()
+    argv = ["synth", "--algo", "xor", "--in", str(reference_diag_file), "--out", str(out)]
+    assert main([*argv, "--stats"]) == 0
+    assert "gates:" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("n_text", ["1e400", "1" + "0" * 30, "20000"])
 def test_overflowing_integer_fields_exit_with_one_line(n_text, tmp_path, capsys):
     diag, circuit = tmp_path / "d.json", tmp_path / "c.json"

@@ -4,7 +4,8 @@
 ``count_gates``. On random five-kind circuits the columnar code must give
 the same QASM text, the same JSON bytes, equal gates after a round trip,
 and the same cancellation; on mutated QASM texts and edited circuit
-documents it must read the same gates or raise the same error. A circuit
+documents it must read the same gates or raise the same error. Both byte
+readers must take every text their writer writes. A circuit
 stores a block's controls as a mask, so the generated blocks list their
 controls in ascending order, as every synthesizer writes them. The hot
 paths of all three routes, and the CLI's synth and verify, must run
@@ -125,7 +126,7 @@ def _edit(doc: dict, draw) -> None:
     gates = doc["gates"]
     edit = draw(st.sampled_from([
         "int angle", "line type", "extra key", "non-dict gate", "unknown kind",
-        "repeated control", "bad angle", "missing field",
+        "repeated control", "bad angle", "missing field", "reordered keys",
     ]))
     if not gates:
         gates.append({"kind": "x", "line": 1})
@@ -159,6 +160,25 @@ def _edit(doc: dict, draw) -> None:
         gate[draw(st.sampled_from(angles))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif edit == "missing field":
         del gate[draw(st.sampled_from(sorted(gate)))]
+    elif edit == "reordered keys":
+        gates[at] = dict(reversed(gate.items()))
+
+
+# a value after '": ' that is a number, and texts to put in its place
+_NUMBER = re.compile(r'(?<=": )-?[0-9][0-9.eE+-]*')
+_NUMBER_TEXTS = ["1E5", "-0", "-0.0", ".5", "NaN", "1e400", "true", '"1.5"', " 0.25", "2e-3"]
+
+
+def _edit_text(text: str, draw) -> str:
+    # one edit of the document's bytes, JSON or not, that the readers must agree on
+    edit = draw(st.sampled_from(["compact list", "number", "space"]))
+    if edit == "compact list":  # "[1, 2]" -> "[1,2]"
+        return re.sub(r"(?<=\d), (?=\d)", ",", text, count=1)
+    spans = [m.span() for m in _NUMBER.finditer(text)]
+    a, b = spans[draw(st.integers(0, len(spans) - 1))]
+    if edit == "space":  # a second space before a number
+        return f"{text[:a]} {text[a:]}"
+    return text[:a] + draw(st.sampled_from(_NUMBER_TEXTS)) + text[b:]
 
 
 @settings(max_examples=400, deadline=None)
@@ -168,22 +188,28 @@ def test_load_of_edited_document_matches_per_gate_reference(tmp_path_factory, ci
     edits = data.draw(st.integers(0, 2))
     for _ in range(edits):
         _edit(doc, data.draw)
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        text, edits = _edit_text(text, data.draw), edits + 1
     path = tmp_path_factory.mktemp("doc") / "circuit.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
 
     def read(load, *args):
         circuit = load(*args)
         return circuit.n, circuit.gates, circuit.global_phase
 
-    want = _outcome(read, ref.circuit_from_document, json.loads(path.read_text()))
+    want = _outcome(read, ref.load_circuit, path)
     assert _outcome(read, ds.load_circuit, path) == want
     if not edits:
-        # the kind-by-kind reading takes every document the writer writes
+        # the byte reading takes every document the writer writes, here
+        # without the final newline save_circuit adds
+        document_columns = serialize._document_columns
         per_gate = serialize._gate_fields_from_document
-        serialize._gate_fields_from_document = None
+        serialize._document_columns = serialize._gate_fields_from_document = None
         try:
             assert read(ds.load_circuit, path) == want
         finally:
+            serialize._document_columns = document_columns
             serialize._gate_fields_from_document = per_gate
 
 
@@ -294,6 +320,47 @@ def test_qasm_round_trip_is_read_as_bytes_at_edge_values(n, monkeypatch):
         assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
 
 
+def _edge_circuits():
+    # every route at n = 1..10, edge angles on every kind, a 62-control
+    # block on 63 lines, and no gates
+    angles = [-0.0, 5e-324, 1e308, -1e-300, 1e16]
+    for n in range(1, 11):
+        u = random_diagonal(n, np.random.default_rng(700 + n))
+        yield ds.synth_xor(u)[0]
+        yield ds.synth_controlled(u)[0]
+        if n > 1:
+            yield ds.synth_twolevel(u)[0]
+    for n in (2, 10, 11, 63):
+        every = tuple(range(1, n))
+        gates = [ds.X(1), ds.CNOT(n, 1), ds.CNOT(1, n)]
+        for a in angles:
+            gates += [ds.RZ(n, a), ds.MCRZ(every, n, a), ds.CDIAG(every, n, a, -a),
+                      ds.CDIAG((1,), n, -a, a)]
+        yield ds.Circuit(n, gates, 1e16 if n == 63 else 0)
+    yield ds.Circuit(63, (ds.MCRZ(tuple(range(2, 64)), 1, 0.5),), -1e-300)
+    yield ds.Circuit(5, (), 0.0)
+
+
+@pytest.mark.parametrize("newline", [True, False])
+def test_circuit_file_round_trip_is_read_as_bytes(newline, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("the circuit file was read as JSON")
+
+    monkeypatch.setattr(serialize, "_document_columns", refuse)
+    monkeypatch.setattr(serialize, "_gate_fields_from_document", refuse)
+    path = tmp_path / "circuit.json"
+    for circuit in _edge_circuits():
+        ds.save_circuit(circuit, path)
+        if not newline:
+            path.write_text(path.read_text()[:-1])
+        got = ds.load_circuit(path)
+        assert got.n == circuit.n
+        assert got.global_phase == circuit.global_phase
+        assert math.copysign(1, got.global_phase) == math.copysign(1, circuit.global_phase)
+        for column, want in zip(got.columns, circuit.columns):
+            assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+
+
 @settings(max_examples=400, deadline=None)
 @given(circuits(max_n=4, max_gates=30), st.booleans())
 def test_cancellation_matches_per_gate_reference(circuit, drop):
@@ -322,6 +389,8 @@ def test_hot_paths_build_no_gate_objects(n, monkeypatch, tmp_path):
     monkeypatch.setattr("diagsynth.simulate.basis_action", refuse_call)
     circuit, _ = ds.synth_xor(u)
     assert ds.verify(ds.parse_qasm(ds.to_qasm(circuit)), u) <= 1e-9
+    # the statement reading, of text to_qasm did not write, fills columns too
+    assert ds.verify(ds.parse_qasm(ds.to_qasm(circuit).replace("],q[", "], q[")), u) <= 1e-9
     for synth in (ds.synth_controlled, ds.synth_twolevel):
         circuit, _ = synth(u)
         ds.save_circuit(circuit, tmp_path / "circuit.json")

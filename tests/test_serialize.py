@@ -89,6 +89,11 @@ _X = {"kind": "x", "line": 1}
      "rz alpha is a bool, not a number"),
     ({"n": 2, "global_phase": "0.5", "gates": [_X]}, "global_phase is a str, not a number"),
     ({"n": 2, "global_phase": False, "gates": [_X]}, "global_phase is a bool, not a number"),
+    ({"n": 2, "global_phase": 0.0, "gates": {"a": 1}}, '"gates" is a dict, not a list'),
+    ({"n": 2, "global_phase": 0.0, "gates": "x"}, '"gates" is a str, not a list'),
+    ({"n": 2, "global_phase": 0.0, "gates": 5}, '"gates" is an int, not a list'),
+    ({"n": 2, "global_phase": 0.0, "gates": [1]}, "a gate is an int, not an object"),
+    ({"n": 2, "global_phase": 0.0, "gates": [_X, None]}, "a gate is a NoneType, not an object"),
 ])
 def test_circuit_document_field_types(doc, named, tmp_path):
     # JSON numbers only where the format says number, ints only where it says int
@@ -157,6 +162,20 @@ def test_circuit_load_rejects_repeated_control(kind, tmp_path):
     path = tmp_path / "circuit.json"
     path.write_text(json.dumps({"n": 2, "global_phase": 0.0, "gates": [gate]}))
     with pytest.raises(ds.DimensionError, match="duplicate control"):
+        ds.load_circuit(path)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("[1", "2], [3]"),  # the second list text does not open with "["
+    ("[1], [2]", "[3]"),  # the first holds two lists
+])
+def test_control_list_texts_that_are_no_json_value_are_refused(first, second, tmp_path):
+    # each text read back in place must be one JSON value: here the file is
+    # no JSON at all, though its list texts read as lists one by one
+    gates = [f'{{"kind": "mcrz", "controls": {c}, "target": 4, "alpha": 0.5}}' for c in (first, second)]
+    path = tmp_path / "circuit.json"
+    path.write_text(f'{{"n": 4, "global_phase": 0.0, "gates": [{", ".join(gates)}]}}')
+    with pytest.raises(ds.FormatError, match="circuit.json: Expecting"):
         ds.load_circuit(path)
 
 
