@@ -10,11 +10,11 @@ text, the bytes ``json.dumps`` would: per gate a cached head and tail and
 its first value, joined and split where the angle texts go. Loading reads
 save_circuit's text as one byte array, and takes it when the writer, given
 the columns read and the text's own angle and control-list texts, writes
-it back byte for byte. Any other text is parsed as JSON and read kind by
-kind, one array per field, or, past a bad field, gate by gate, which words
-the first error. Every reading, and the diagonal reader, takes only a JSON
-int where the format says int and only a JSON number (not a bool or a
-string) where it says angle.
+it back byte for byte. Any other text is parsed as JSON and read gate by
+gate, from each gate dataclass's own fields, which words the first error.
+Every reading, and the diagonal reader, takes only a JSON int where the
+format says int and only a JSON number (not a bool or a string) where it
+says angle.
 
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
@@ -34,7 +34,6 @@ import re
 from dataclasses import fields
 from functools import lru_cache, partial
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +82,7 @@ def save_diagonal(u: DiagonalUnitary, path) -> None:
 
 
 def load_diagonal(path) -> DiagonalUnitary:
-    return diagonal_from_document(_read_json(path))
+    return diagonal_from_document(_read_json(path, _read_text(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +160,9 @@ class _ControlTexts(dict):
 
 def _document_text(n_text: str, phase_text: str, kind, target, control, lists,
                    angle_texts: list[str]) -> str:
-    # The document: each gate's head, first value and tail joined, split at
-    # each "\0" and rejoined with angle_texts, each gate's angles in field
-    # order; lists(mask) writes a block's control list. ValueError unless
-    # one text per angle.
+    # The document: each gate's head, first value and tail joined, and
+    # angle_texts (each gate's angles in field order) put in at the "\0"s;
+    # lists(mask) writes a block's control list.
     parts = np.empty((kind.size, 3), dtype=object)
     parts[:, 0], parts[:, 2] = _HEADS[kind], _TAILS[kind, target]
     parts[:, 1] = _LINES[np.where(kind == K_CNOT, control, target)]
@@ -172,11 +170,16 @@ def _document_text(n_text: str, phase_text: str, kind, target, control, lists,
     parts[blocks, 1] = list(map(lists, control[blocks].tolist()))
     parts = [f'{{"n": {n_text}, "global_phase": {phase_text}, "gates": [', *parts.ravel().tolist()]
     parts[-1] = parts[-1].removesuffix(", ") + "]}"
-    pieces = "".join(parts).split("\0")
-    text = [""] * (2 * len(pieces) - 1)
-    text[0::2] = pieces
-    text[1::2] = angle_texts
-    return "".join(text)
+    return _fill("".join(parts).split("\0"), angle_texts)
+
+
+def _fill(pieces: list[str], angle_texts: list[str]) -> str:
+    # a text split at each "\0", rejoined with the angle texts in between; ValueError
+    # unless one each. The caller splits, so its joined text is freed before this join.
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[0::2] = pieces
+    parts[1::2] = angle_texts
+    return "".join(parts)
 
 
 def _circuit_text(circuit: Circuit) -> str:
@@ -202,18 +205,7 @@ def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
     raise FormatError(f"unknown gate kind {kind!r}")
 
 
-def _ints(values) -> bool:
-    # every value an int, not a bool
-    return set(map(type, values)) <= {int}
-
-
-def _line_column(values, n: int) -> np.ndarray:
-    if not _ints(values):
-        raise TypeError("a line is not an int")
-    return np.array(values, dtype=np.int64)
-
-
-def _angle_column(values, n: int) -> np.ndarray:
+def _angle_column(values) -> np.ndarray:
     if not set(map(type, values)) <= {int, float}:  # JSON numbers, not bools
         raise TypeError("an angle is not a number")
     column = np.array(values, dtype=float)
@@ -223,57 +215,21 @@ def _angle_column(values, n: int) -> np.ndarray:
 
 
 def _mask_column(values, n: int) -> np.ndarray:
-    # one mask per distinct list of control lines, each line an int in
-    # 1..n and none repeated; the masks of all the lists in one pass
+    # the mask of each list of control lines, each line an int in 1..n and
+    # none repeated; the masks of all the lists in one pass
     if not set(map(type, values)) <= {list}:
         raise TypeError("controls are not a list")
-    keys = list(map(tuple, values))
-    distinct = list(set(keys))
-    if not _ints(chain.from_iterable(distinct)):
+    if not set(map(type, chain.from_iterable(values))) <= {int}:  # not bools
         raise TypeError("a control line is not an int")
-    sizes = np.fromiter(map(len, distinct), np.int64, len(distinct))
-    lines = np.fromiter(chain.from_iterable(distinct), np.int64, int(sizes.sum()))
+    sizes = np.fromiter(map(len, values), np.int64, len(values))
+    lines = np.fromiter(chain.from_iterable(values), np.int64, int(sizes.sum()))
     if ((lines < 1) | (lines > n)).any():
         raise ValueError("control line outside 1..n")
-    masks = np.zeros(len(distinct), dtype=np.int64)
-    np.bitwise_or.at(masks, np.repeat(np.arange(len(distinct)), sizes), 1 << (n - lines))
+    masks = np.zeros(len(values), dtype=np.int64)
+    np.bitwise_or.at(masks, np.repeat(np.arange(len(values)), sizes), 1 << (n - lines))
     if (np.bitwise_count(masks) != sizes).any():
         raise ValueError("repeated control line")
-    mask = dict(zip(distinct, masks.tolist()))
-    return np.fromiter(map(mask.__getitem__, keys), np.int64, len(keys))
-
-
-# Per kind code, a getter of the kind and the fields in field order, and
-# per field its index in Columns and the reader of its whole column; the
-# field's annotation picks the reader.
-_COLUMN_READERS = {"int": _line_column, "tuple[int, ...]": _mask_column, "float": _angle_column}
-_KIND_READERS = tuple(
-    (
-        itemgetter("kind", *(f.name for f in fields(cls))),
-        tuple((slot + 1, _COLUMN_READERS[f.type]) for slot, f in zip(slots, fields(cls))),
-    )
-    for cls, slots in zip(GATE_CLASSES, _SLOTS)
-)
-
-
-def _document_columns(gate_docs: list, n: int) -> Columns:
-    # The columns of a list of gate documents, read kind by kind with one
-    # getter pass and one array per field. Takes only documents whose lines
-    # are ints, angles finite JSON numbers and controls lists of distinct
-    # lines in 1..n; raises KeyError, TypeError, ValueError or
-    # OverflowError on any other.
-    kinds = list(map(itemgetter("kind"), gate_docs))
-    kind = np.fromiter(map(_CODES.__getitem__, kinds), np.int8, len(kinds))
-    lines = [np.zeros(kind.size, dtype=np.int64) for _ in range(2)]
-    columns = [kind, *lines, np.zeros(kind.size), np.zeros(kind.size)]
-    for code in np.unique(kind).tolist():
-        rows = np.flatnonzero(kind == code)
-        getter, readers = _KIND_READERS[code]
-        values = zip(*map(getter, map(gate_docs.__getitem__, rows.tolist())))
-        next(values)  # the kinds
-        for (index, read), column in zip(readers, values):
-            columns[index][rows] = read(column, n)
-    return Columns(*columns)
+    return masks
 
 
 def circuit_to_document(circuit: Circuit) -> dict:
@@ -281,11 +237,8 @@ def circuit_to_document(circuit: Circuit) -> dict:
 
 
 def circuit_from_document(doc: dict) -> Circuit:
-    """The circuit of a gate-list document.
-
-    A list of gate documents that ``_document_columns`` takes is read kind
-    by kind; any other is read gate by gate, and its first bad gate words
-    the error.
+    """The circuit of a gate-list document, read gate by gate from each gate
+    dataclass's own fields; the first bad gate words the error.
     """
     try:
         n = _int('"n"', doc["n"])
@@ -295,20 +248,10 @@ def circuit_from_document(doc: dict) -> Circuit:
             raise TypeError(f'"gates" is {_a(gate_docs)}, not a list')
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
-    if 1 <= n <= MAX_LINES:
-        try:
-            columns = _document_columns(gate_docs, n)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            pass
-        else:
-            return Circuit(n, columns, phase)
-    # outside the try: a bad gate's FormatError already says what is wrong
-    gates = list(map(_gate_fields_from_document, gate_docs))
-    try:
+    gates = list(map(_gate_fields_from_document, gate_docs))  # each bad gate words its error
+    try:  # columns, so that block controls read back ascending, as from the byte reading
         columns = columns_from_fields(gates, n)
-    except (TypeError, ValueError, OverflowError):
-        # a line count or block lines the columns cannot hold: the gate
-        # objects' validation words the error
+    except (TypeError, ValueError, OverflowError):  # lines no column holds: the gates word it
         return Circuit(n, [GATE_CLASSES[code](*values) for code, values in gates], phase)
     return Circuit(n, columns, phase)
 
@@ -318,15 +261,23 @@ def save_circuit(circuit: Circuit, path) -> None:
 
 
 def load_circuit(path) -> Circuit:
+    text = _read_text(path)
     try:
-        return _saved_circuit(Path(path).read_text())
+        return _saved_circuit(text)
     except (IndexError, TypeError, ValueError, OverflowError):
-        return circuit_from_document(_read_json(path))
+        return circuit_from_document(_read_json(path, text))
 
 
-def _read_json(path) -> dict:
+def _read_text(path) -> str:
     try:
-        doc = json.loads(Path(path).read_text())
+        return Path(path).read_text()
+    except ValueError as exc:  # not UTF-8
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _read_json(path, text: str) -> dict:
+    try:
+        doc = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
@@ -375,7 +326,7 @@ def _saved_circuit(text: str) -> Circuit:
     del data, colons, value, high, low, line  # before the text is written back
     texts = [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
     angles = np.zeros((2, kind.size))  # texts read as one list of numbers are one number each
-    angles.T[slots] = _angle_column(json.loads(f"[{','.join(texts)}]"), n)
+    angles.T[slots] = _angle_column(json.loads(f"[{','.join(texts)}]"))
     lists = dict(zip(masks.tolist(), known)).__getitem__
     written = _document_text(str(n), phase_text, kind, target, control, lists, texts)
     if len(written) != len(text) - text.endswith("\n") or not text.startswith(written):
@@ -427,15 +378,9 @@ def _qasm_lines(n: int) -> np.ndarray:
 
 
 def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
-    # The gate lines, rz angles written as angle_texts: the joined line
-    # texts, split at each rz's "\0" and rejoined with its angle text.
-    # ValueError when the texts are not one per rz.
+    # The gate lines: the joined line texts, with angle_texts at the rz "\0"s
     row = np.where(kind == K_X, 0, np.where(kind == K_CNOT, 1 + control, n + 2))
-    pieces = "".join(_qasm_lines(n)[row * (n + 1) + target].tolist()).split("\0")
-    text = [""] * (2 * len(pieces) - 1)
-    text[0::2] = pieces
-    text[1::2] = angle_texts
-    return "".join(text)
+    return _fill("".join(_qasm_lines(n)[row * (n + 1) + target].tolist()).split("\0"), angle_texts)
 
 
 def parse_qasm(text: str) -> Circuit:

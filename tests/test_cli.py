@@ -101,6 +101,13 @@ def test_bad_input_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_circuit_file_that_is_no_utf8_exits_with_one_line(reference_diag_file, tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    path.write_bytes(b"\xff")
+    assert main(["verify", "--circuit", str(path), "--diag", str(reference_diag_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
 def test_missing_input_file(tmp_path):
     code = main(["synth", "--algo", "xor", "--in", str(tmp_path / "none.json"),
                  "--out", str(tmp_path / "o.json")])

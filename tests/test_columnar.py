@@ -203,13 +203,11 @@ def test_load_of_edited_document_matches_per_gate_reference(tmp_path_factory, ci
     if not edits:
         # the byte reading takes every document the writer writes, here
         # without the final newline save_circuit adds
-        document_columns = serialize._document_columns
         per_gate = serialize._gate_fields_from_document
-        serialize._document_columns = serialize._gate_fields_from_document = None
+        serialize._gate_fields_from_document = None
         try:
             assert read(ds.load_circuit, path) == want
         finally:
-            serialize._document_columns = document_columns
             serialize._gate_fields_from_document = per_gate
 
 
@@ -346,7 +344,6 @@ def test_circuit_file_round_trip_is_read_as_bytes(newline, monkeypatch, tmp_path
     def refuse(*args):
         raise AssertionError("the circuit file was read as JSON")
 
-    monkeypatch.setattr(serialize, "_document_columns", refuse)
     monkeypatch.setattr(serialize, "_gate_fields_from_document", refuse)
     path = tmp_path / "circuit.json"
     for circuit in _edge_circuits():

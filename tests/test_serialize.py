@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,38 @@ def test_control_list_texts_that_are_no_json_value_are_refused(first, second, tm
     path.write_text(f'{{"n": 4, "global_phase": 0.0, "gates": [{", ".join(gates)}]}}')
     with pytest.raises(ds.FormatError, match="circuit.json: Expecting"):
         ds.load_circuit(path)
+
+
+def test_block_controls_read_back_ascending_from_either_reading(tmp_path):
+    # a block's control lines are a set: the byte reading and the JSON reading
+    # both give them ascending, whatever their order in the file
+    gate = '{"kind": "mcrz", "controls": [2, 1], "target": 3, "alpha": 0.5}'
+    text = f'{{"n": 3, "global_phase": 0.0, "gates": [{gate}]}}'
+    path = tmp_path / "circuit.json"
+    for written in (text, json.dumps(json.loads(text), separators=(",", ":"))):
+        path.write_text(written)
+        assert ds.load_circuit(path).gates == (ds.MCRZ((1, 2), 3, 0.5),)
+
+
+def test_circuit_load_reads_the_file_once(monkeypatch, tmp_path):
+    # a text the byte reading refuses is parsed as JSON from the text already read
+    circuit = ds.Circuit(3, (ds.CNOT(1, 3), ds.MCRZ((1, 2), 3, 0.5)), 0.25)
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(circuit, path)
+    path.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
+    reads, read_text = [], Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a: reads.append(self) or read_text(self, *a))
+    assert ds.load_circuit(path).gates == circuit.gates
+    assert reads == [path]
+
+
+@pytest.mark.parametrize("load", [ds.load_circuit, ds.load_diagonal])
+def test_file_that_is_no_utf8_is_a_format_error(load, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 1, "global_phase": 0.0, "gates": []}\xff\n')
+    with pytest.raises(ds.FormatError) as error:
+        load(path)
+    assert str(error.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_circuit_round_trip_every_kind(tmp_path):
