@@ -25,13 +25,23 @@ print("X count:", report.counts["x"], " block count:", report.counts["cdiag"])
 exact = np.abs(ds.circuit_to_diagonal(circuit).thetas - u.thetas).max()
 print("exact reproduction error:", exact, "(global phase:", circuit.global_phase, ")")
 
-# The blocks commute, so any enumeration realizes the same operator; a
-# non-Gray order just pays more X gates.
-binary_circuit, binary_report = ds.synth_twolevel(u, order="binary")
+# The blocks commute, so any enumeration realizes the same operator. Built
+# in a random pattern order, each block between its own two X layers, it
+# pays (n-1) * 2**(n-1) X gates instead of 2**(n-1).
+top = (1, 2)
+shuffled_gates = []
+for p in rng.permutation(4).tolist():
+    layer = [ds.X(line) for line in top if not p >> (2 - line) & 1]
+    block = ds.CDIAG(top, 3, float(u.thetas[2 * p]), float(u.thetas[2 * p + 1]))
+    shuffled_gates += [*layer, block, *layer]
+shuffled = ds.Circuit(3, tuple(shuffled_gates))
 same = np.abs(
-    ds.circuit_to_diagonal(binary_circuit).thetas - ds.circuit_to_diagonal(circuit).thetas
+    ds.circuit_to_diagonal(shuffled).thetas - ds.circuit_to_diagonal(circuit).thetas
 ).max()
-print("\nbinary enumeration: X count", binary_report.counts["x"], " max diagonal diff", same)
+print(
+    "\nshuffled, unmerged enumeration: X count", ds.count_gates(shuffled).counts["x"],
+    " max diagonal diff", same,
+)
 
 print("\nX / block counts after Gray merging, by size:")
 for n in range(2, 9):

@@ -3,10 +3,12 @@
 A subset of lines is stored as an int bitmask using the same convention as
 basis-state indices: line k occupies bit (m - k), so line 1 is the most
 significant bit. With that choice a mask can be combined directly with a
-state index via ``&``.
+state index via ``&``. Each subset order is built here once, in numpy.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def lines_to_mask(lines, m: int) -> int:
@@ -23,18 +25,29 @@ def subset_lines(mask: int, m: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, m + 1) if mask >> (m - k) & 1)
 
 
-def gray_subsets(m: int) -> list[int]:
-    """All 2**m subset masks in binary-reflected Gray order, starting at the
-    empty set; consecutive masks differ in exactly one line."""
+def gray_walk(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2**m masks in Gray order from the empty set, and per mask the
+    line where it differs from the next (line 1 for the last, {1})."""
     if m < 1:
         raise ValueError(f"need at least one line, got m={m}")
-    return [i ^ (i >> 1) for i in range(1 << m)]
+    i = np.arange(1 << m)
+    masks = i ^ i >> 1
+    changed = masks ^ np.append(masks[1:], 0)  # one bit each, at m - line
+    return masks, m - np.bitwise_count(changed - 1)
+
+
+def gray_subsets(m: int) -> list[int]:
+    """``gray_walk``'s masks: consecutive ones differ in exactly one line."""
+    return gray_walk(m)[0].tolist()
 
 
 def dictionary_subsets(m: int) -> list[int]:
     """Nonempty subset masks ordered like words: by the sorted element list
-    ({1} < {1,2} < {1,2,3} < {1,3} < {2} < ...)."""
+    ({1} < {1,2} < {1,2,3} < {1,3} < {2} < ...). The words of lines j..m are
+    {j}, {j} joined to each word of lines j+1..m, then those words."""
     if m < 1:
         raise ValueError(f"need at least one line, got m={m}")
-    return sorted(range(1, 1 << m), key=lambda mask: subset_lines(mask, m))
-
+    words = np.zeros(0, dtype=np.int64)
+    for top in 1 << np.arange(m):  # line m first
+        words = np.concatenate(([top], top | words, words))
+    return words.tolist()

@@ -96,10 +96,11 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # kind, target and control columns of the generic n-line layout, and
     # each gate's index into the angles of ``synthesize_levels``: per level
     # k, the rotation of line k, then one MCRZ on target k per nonempty
-    # subset of lines 1..k-1 in dictionary order. A level's masks number
-    # line L at bit k - 1 - L, the circuit's at bit n - L.
+    # subset of lines 1..k-1, in the dictionary order of lines 1..n-1. A
+    # level's masks number line L at bit k - 1 - L, the circuit's at n - L.
     levels = range(n, 0, -1)
-    masks = [np.array([0] + (dictionary_subsets(k - 1) if k > 1 else [])) for k in levels]
+    words = np.array(dictionary_subsets(n - 1) if n > 1 else [], dtype=np.int64)
+    masks = [np.append(0, words[words % (1 << (n - k)) == 0] >> (n - k)) for k in levels]
     control = np.concatenate([m << (n - k + 1) for k, m in zip(levels, masks)])
     source = np.concatenate([m + (1 << n) - (1 << k) for k, m in zip(levels, masks)])
     target = np.repeat(levels, [len(m) for m in masks])

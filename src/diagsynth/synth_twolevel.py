@@ -23,48 +23,33 @@ import numpy as np
 from .circuits import K_CDIAG, K_X, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError
-from .subsets import gray_subsets, subset_lines
+from .subsets import gray_walk
 
 
 @lru_cache(maxsize=16)
-def _layout(n: int, order: str) -> tuple[np.ndarray, ...]:
-    # kind, target and control columns, and the top-line pattern of each
-    # block in emission order
+def _layout(n: int) -> tuple[np.ndarray, ...]:
+    # kind, target and control columns, and each block's top-line pattern:
+    # per Gray X mask, its block, then the X on the line where the mask
+    # differs from the next (line 1 after the last)
     m = n - 1
-    if order == "gray":
-        sequence = gray_subsets(m)
-    elif order == "binary":
-        sequence = list(range(1 << m))
-    else:
-        raise ValueError(f"unknown order {order!r}")
+    masks, steps = gray_walk(m)
     full = (1 << m) - 1
-    kind, target = [], []
-    previous = 0
-    for x_mask in sequence + [0]:
-        lines = subset_lines(previous ^ x_mask, m)
-        kind += [K_X] * len(lines) + [K_CDIAG]
-        target += [*lines, n]
-        previous = x_mask
-    kind, target = np.array(kind[:-1], dtype=np.int8), np.array(target[:-1])
-    control = np.where(kind == K_CDIAG, full << 1, 0)  # lines 1..n-1
-    pattern = full ^ np.array(sequence)  # the top-line pattern the conjugated block fires on
-    return kind, target, control, pattern
+    kind = np.tile(np.array([K_CDIAG, K_X], dtype=np.int8), 1 << m)
+    target = np.column_stack((np.full(1 << m, n), steps)).ravel()
+    control = np.tile([full << 1, 0], 1 << m)  # lines 1..n-1 on the blocks
+    return kind, target, control, full ^ masks
 
 
-def synth_twolevel(
-    u: DiagonalUnitary, order: str = "gray"
-) -> tuple[Circuit, SynthesisReport]:
+def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into 2**(n-1) CDIAG blocks with X conjugation.
 
-    ``order`` picks the enumeration of the X-conjugation masks: "gray"
-    (default) starts at the empty mask and yields the merged single-X
-    layout; "binary" counts masks in numeric order, which is correct but
-    leaves wider X layers. Identity blocks are dropped afterwards, so the
+    The X masks are walked in Gray order from the empty mask, so a single X
+    gate follows each block. Identity blocks are dropped afterwards, so the
     identity input produces an empty circuit.
     """
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
-    kind, target, control, pattern = _layout(u.n, order)
+    kind, target, control, pattern = _layout(u.n)
     blocks = kind == K_CDIAG
     theta0, theta1 = np.zeros(kind.size), np.zeros(kind.size)
     theta0[blocks] = u.thetas[2 * pattern]

@@ -27,6 +27,7 @@ import numpy as np
 from .angles import reduced
 from .circuits import K_CNOT, K_RZ, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
+from .subsets import gray_walk
 from .transforms import fwht
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
@@ -41,10 +42,10 @@ from .paper import (  # noqa: F401
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # kind, target and control columns of the generic n-line layout, and the
     # parity mask of each rotation's wire (line L at bit n - L). Level k is
-    # 2**k gates on target k: its rotation, then per Gray subset S of lines
-    # 1..k-1 the CNOT from the line where S differs from the subset before
-    # and the rotation on parity {k} | S, then the closing CNOT from line 1;
-    # so the whole circuit alternates RZ, CNOT from index 0.
+    # 2**k gates on target k: per Gray subset S of lines 1..k-1, the rotation
+    # on parity {k} | S and the CNOT from the line where S differs from the
+    # next subset (line 1 after the last); then line 1's own rotation. So the
+    # whole circuit alternates RZ, CNOT from index 0.
     size = (1 << (n + 1)) - 3
     kind = np.full(size, K_RZ, dtype=np.int8)
     kind[1::2] = K_CNOT
@@ -52,10 +53,9 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     control = np.zeros(size, dtype=np.int64)
     lines, parity = [], []
     for k in range(n, 1, -1):
-        i = np.arange(1 << (k - 1))
-        changed = (i & -i)[1:]  # Gray subsets i - 1 and i differ in i's lowest bit
-        lines += (k - np.frexp(changed)[1], [1])  # frexp's exponent is the bit length
-        parity.append((i ^ i >> 1) << (n - k + 1) | 1 << (n - k))
+        masks, steps = gray_walk(k - 1)
+        lines.append(steps)
+        parity.append(masks << (n - k + 1) | 1 << (n - k))
     parity.append([1 << (n - 1)])
     if lines:
         control[1::2] = np.concatenate(lines)

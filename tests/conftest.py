@@ -42,6 +42,19 @@ def tensor_rz_diagonal(alphas) -> ds.DiagonalUnitary:
     return ds.from_thetas(n, thetas)
 
 
+def shuffled_twolevel_circuit(u: ds.DiagonalUnitary, rng: np.random.Generator) -> ds.Circuit:
+    """The two-level baseline in a seeded random pattern order, unmerged:
+    per pattern p of the top n-1 lines, X on the lines where p has a 0, the
+    CDIAG block on the last line, then the same X layer again."""
+    n, top = u.n, tuple(range(1, u.n))
+    gates = []
+    for p in rng.permutation(1 << (n - 1)).tolist():
+        layer = [ds.X(line) for line in top if not p >> (n - 1 - line) & 1]
+        block = ds.CDIAG(top, n, float(u.thetas[2 * p]), float(u.thetas[2 * p + 1]))
+        gates += [*layer, block, *layer]
+    return ds.Circuit(n, tuple(gates), 0.0)
+
+
 HARD_KINDS = ("large", "pi", "zero", "near_tensor", "sparse")
 
 

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import diagsynth as ds
-from conftest import PI, random_diagonal, tensor_rz_diagonal, wrapped_max_diff
+from conftest import (
+    PI, random_diagonal, shuffled_twolevel_circuit, tensor_rz_diagonal, wrapped_max_diff,
+)
 
 
 @contextmanager
@@ -208,9 +210,9 @@ def test_09_twolevel_structure():
             gray, report = ds.synth_twolevel(u)
             assert report.counts["x"] == 1 << (n - 1)
             assert report.counts["cdiag"] == 1 << (n - 1)
-            binary, _ = ds.synth_twolevel(u, order="binary")
+            shuffled = shuffled_twolevel_circuit(u, rng)
             d1 = ds.circuit_to_diagonal(gray)
-            d2 = ds.circuit_to_diagonal(binary)
+            d2 = ds.circuit_to_diagonal(shuffled)
             assert np.abs(d1.thetas - d2.thetas).max() <= 1e-12
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import diagsynth as ds
+from diagsynth.subsets import gray_walk
 
 
 def as_lines(masks, m):
@@ -48,6 +49,14 @@ def test_gray_adjacency_and_coverage(m):
         assert bin(a ^ b).count("1") == 1
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_gray_walk_steps_name_the_changed_line(m):
+    # the last mask is compared with the empty set, the first one
+    masks, steps = gray_walk(m)
+    for i in range(1 << m):
+        assert ds.subset_lines(int(masks[i] ^ masks[(i + 1) % (1 << m)]), m) == (steps[i],)
+
+
 def test_gray_rejects_zero_lines():
     with pytest.raises(ValueError):
         ds.gray_subsets(0)
@@ -75,6 +84,13 @@ def test_dictionary_three_lines():
         (2, 3),
         (3,),
     ]
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_dictionary_order_is_the_sorted_word_order(m):
+    got = ds.dictionary_subsets(m)
+    assert got == sorted(range(1, 1 << m), key=lambda mask: ds.subset_lines(mask, m))
+    assert all(type(mask) is int for mask in got)
 
 
 def test_dictionary_rejects_zero_lines():

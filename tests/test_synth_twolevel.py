@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 import diagsynth as ds
-from conftest import PI, random_diagonal
+from conftest import PI, random_diagonal, shuffled_twolevel_circuit
+from diagsynth.circuits import K_CDIAG, K_X
+from diagsynth.subsets import gray_subsets, subset_lines
 
 
 def test_two_qubit_structure():
@@ -56,32 +60,22 @@ def test_identity_collapses_to_empty():
 
 
 def test_enumerations_agree():
+    # the blocks commute: a shuffled, unmerged enumeration is the same
+    # diagonal, at (n - 1) * 2**(n - 1) X gates instead of 2**(n - 1)
     rng = np.random.default_rng(52)
-    for n in (2, 3, 5):
+    for n in range(2, 9):
         u = random_diagonal(n, rng)
-        gray, _ = ds.synth_twolevel(u, order="gray")
-        binary, _ = ds.synth_twolevel(u, order="binary")
+        gray, _ = ds.synth_twolevel(u)
+        shuffled = shuffled_twolevel_circuit(u, rng)
+        assert ds.count_gates(shuffled).counts["x"] == (n - 1) << (n - 1)
         d1 = ds.circuit_to_diagonal(gray)
-        d2 = ds.circuit_to_diagonal(binary)
+        d2 = ds.circuit_to_diagonal(shuffled)
         assert np.abs(d1.thetas - d2.thetas).max() <= 1e-12
-
-
-def test_binary_order_still_exact_but_wider():
-    rng = np.random.default_rng(53)
-    u = random_diagonal(4, rng)
-    circuit, report = ds.synth_twolevel(u, order="binary")
-    assert np.abs(ds.circuit_to_diagonal(circuit).thetas - u.thetas).max() <= 1e-12
-    assert report.counts["x"] >= 1 << 3
 
 
 def test_rejects_single_qubit():
     with pytest.raises(ds.DimensionError):
         ds.synth_twolevel(ds.DiagonalUnitary.identity(1))
-
-
-def test_rejects_unknown_order():
-    with pytest.raises(ValueError):
-        ds.synth_twolevel(ds.DiagonalUnitary.identity(2), order="sorted")
 
 
 def test_reference_values_in_blocks(reference_xor_u3):
@@ -101,3 +95,33 @@ def test_reference_values_in_blocks(reference_xor_u3):
         (11 * PI / 12, 10 * PI / 12),
     }
     assert set(lookup) == expected_pairs
+
+
+def _per_mask_layout(n):
+    # the layout built one X mask at a time: from each Gray mask to the
+    # next (and from the last back to the empty mask), the X on every line
+    # that changes, then the block
+    m = n - 1
+    sequence = gray_subsets(m)
+    full = (1 << m) - 1
+    kind, target = [], []
+    previous = 0
+    for x_mask in sequence + [0]:
+        lines = subset_lines(previous ^ x_mask, m)
+        kind += [K_X] * len(lines) + [K_CDIAG]
+        target += [*lines, n]
+        previous = x_mask
+    kind, target = np.array(kind[:-1], dtype=np.int8), np.array(target[:-1])
+    control = np.where(kind == K_CDIAG, full << 1, 0)
+    return kind, target, control, full ^ np.array(sequence)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_layout_matches_the_per_mask_walk(n):
+    # the package attribute synth_twolevel is the function, so fetch the module
+    got = importlib.import_module("diagsynth.synth_twolevel")._layout(n)
+    expected = _per_mask_layout(n)
+    assert len(got) == len(expected)
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype
+        assert np.array_equal(column, reference)
