@@ -5,19 +5,21 @@ is deliberately tiny: every kind maps basis states to basis states with a
 phase, which keeps verification exact. The y-axis rotation is intentionally
 absent; no algorithm here emits one.
 
-A ``Circuit`` stores its gates as five numpy columns (``Columns``), one
-entry per gate: the kind code (the gate class's index in ``GATE_CLASSES``),
-the target line (an X's or RZ's line), the control (a CNOT's control line,
-or a block's control lines as a mask with line L at bit n - L, as in
-basis-state indices), and two angles (an RZ's or MCRZ's alpha, a CDIAG's
-theta0 and theta1). Synthesis, validation, cancellation, counting, export
-and verification work on the columns; ``circuit.gates``, the tuple of gate
-objects, is built from them on first use.
+A ``Circuit`` stores its gates only as five numpy columns (``Columns``),
+one entry per gate: the kind code (the gate class's index in
+``GATE_CLASSES``), the target line (an X's or RZ's line), the control (a
+CNOT's control line, or a block's control lines as a mask with line L at
+bit n - L, as in basis-state indices), and two angles (an RZ's or MCRZ's
+alpha, a CDIAG's theta0 and theta1). Gate objects passed in are packed into
+the columns and not kept; all the work is done on the columns, and
+``circuit.gates`` is always read off them on first use: a block's controls
+ascending, every field a Python int or float.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -92,39 +94,29 @@ class Columns(NamedTuple):
     angle1: np.ndarray  # CDIAG theta1
 
 
-def columns_from_fields(fields, n: int) -> Columns:
-    """Columns of (kind code, field values in field order) pairs.
-
-    Raises ValueError when a block's control lines leave 1..n or repeat,
-    since its mask cannot hold them, and TypeError or OverflowError on
-    values that are not lines or angles.
-    """
-    _check_line_count(n)
+def columns_from_fields(gates, n: int) -> Columns:
+    """Columns of the gate objects' fields on n lines, checking each gate's
+    lines as they are packed: a line that is no int raises TypeError, a
+    line outside 1..n or repeated in one gate DimensionError."""
     ints, floats = [], []
-    masks: dict[tuple[int, ...], int] = {}
-    for code, values in fields:
+    for gate in gates:
+        code = _CODES.get(type(gate))
+        if code is None:
+            raise TypeError(f"unknown gate {gate!r}")
         row = [0, 0, 0.0, 0.0]
-        for slot, value in zip(_SLOTS[code], values):
+        for slot, value in zip(_SLOTS[code], vars(gate).values()):
             row[slot] = value
+        controls = row[1] if code >= K_MCRZ else (row[1],) if code == K_CNOT else ()
+        mask = lines_to_mask((*controls, row[0]), n)
+        if mask.bit_count() != len(controls) + 1:
+            raise DimensionError(f"duplicate control or target line in {gate}")
         if code >= K_MCRZ:
-            controls = tuple(row[1])
-            if controls not in masks:
-                masks[controls] = lines_to_mask(controls, n)
-                if masks[controls].bit_count() != len(controls):
-                    raise ValueError(f"repeated control line in {controls}")
-            row[1] = masks[controls]
+            row[1] = mask ^ 1 << (n - operator.index(row[0]))
         ints.append((code, row[0], row[1]))
         floats.append((row[2], row[3]))
     ints = np.array(ints, dtype=np.int64).reshape(-1, 3)
     floats = np.array(floats, dtype=float).reshape(-1, 2)
     return Columns(ints[:, 0].astype(np.int8), ints[:, 1], ints[:, 2], floats[:, 0], floats[:, 1])
-
-
-def _check_line_count(n: int) -> None:
-    if n < 1:
-        raise DimensionError(f"line count must be >= 1, got {n}")
-    if n > MAX_LINES:
-        raise DimensionError(f"line count must be <= {MAX_LINES}, got {n}")
 
 
 def gate_fields(circuit: Circuit):
@@ -140,75 +132,66 @@ def gate_fields(circuit: Circuit):
         yield code, [row[slot] for slot in _SLOTS[code]]
 
 
-def _validate_gate(gate: Gate, n: int) -> None:
-    # every line a gate touches lies in 1..n, and no line repeats
-    if isinstance(gate, (X, RZ)):
-        lines = (gate.line,)
-    elif isinstance(gate, CNOT):
-        lines = (gate.control, gate.target)
-    elif isinstance(gate, (MCRZ, CDIAG)):
-        lines = (*gate.controls, gate.target)
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-    for line in lines:
-        if not 1 <= line <= n:
-            raise DimensionError(f"line {line} outside 1..{n}")
-    if len(lines) > 1 and len(set(lines)) != len(lines):
-        raise DimensionError(f"duplicate control or target line in {gate}")
-
-
 def _invalid(n: int, columns: Columns) -> np.ndarray:
-    # per gate: a line outside 1..n, a repeated line or a non-finite angle
+    # per gate: a kind code outside 0..4, a line outside 1..n (a block mask
+    # bit included), a repeated line or a non-finite angle
     kind, target, control, angle0, angle1 = columns
     cnot = kind == K_CNOT
     other = np.where(cnot, control, target)  # a CNOT's second line
     bad = (np.minimum(target, other) < 1) | (np.maximum(target, other) > n)
-    bad |= (cnot & (control == target)) | ~np.isfinite(angle0) | ~np.isfinite(angle1)
-    blocks = kind >= K_MCRZ
-    if blocks.any():
-        bad |= blocks & (control >> (n - np.clip(target, 1, n)) & 1 == 1)
+    bad |= (cnot & (control == target)) | ~(np.isfinite(angle0) & np.isfinite(angle1))
+    code = kind.astype(np.uint8)  # a negative code wraps past K_CDIAG
+    blocks = code >= K_MCRZ
+    if blocks.any():  # a mask bit on the target or off lines 1..n
+        off = control & (1 << (n - np.clip(target, 1, n)) | -1 << n) != 0
+        bad |= blocks & ((code > K_CDIAG) | off)
     return bad
+
+
+def _refuse_row(n: int, columns: Columns, index: int):
+    # the error of a row _invalid flags, worded from the row's own values
+    code, *row = (column[index].item() for column in columns)
+    if not 0 <= code < len(GATE_CLASSES):
+        raise ValueError(f"gate {index} has unknown kind code {code}")
+    if code >= K_MCRZ:  # every line of the mask, also those off 1..n
+        row[1] = tuple(n - bit for bit in range(63, -1, -1) if row[1] >> bit & 1)
+    gate = GATE_CLASSES[code](*[row[slot] for slot in _SLOTS[code]])
+    columns_from_fields([gate], n)  # raises for a bad line
+    raise ValueError(f"gate {index} ({KIND_NAMES[code]}) has a non-finite angle: {gate}")
 
 
 class Circuit:
     """Ordered gate list (leftmost acts first) plus an accumulated global
     phase that the gate library cannot express.
 
-    ``gates`` is a sequence of gate objects, or the ``Columns`` that the
-    synthesizers, the codecs and ``peephole_cancel`` build directly.
+    ``gates`` is a sequence of gate objects, packed into columns and not
+    kept, or the ``Columns`` that the synthesizers, the codecs and
+    ``peephole_cancel`` build directly. ``.gates`` is always read off the
+    columns and cached: a block's controls ascending, every field a Python
+    int or float.
     """
 
     def __init__(self, n: int, gates=(), global_phase: float = 0.0):
         self.n = n
         self.global_phase = global_phase
-        if isinstance(gates, Columns):
-            self.columns, self._gates = gates, None
-        else:
-            self.columns, self._gates = None, tuple(gates)
+        self.columns, self._gates = gates, None  # __post_init__ packs gate objects
         self.__post_init__()
 
     def __post_init__(self):
-        # one validation per circuit, over the columns; the scalar check of
-        # the first bad gate words the error
+        # one validation per circuit: gate objects as they are packed, then
+        # one vector pass over the columns; the first bad row words the error
         n = self.n
-        _check_line_count(n)
-        if self.columns is None:
-            fields = ((_CODES[type(g)], vars(g).values()) for g in self._gates)
-            try:
-                self.columns = columns_from_fields(fields, n)
-            except (KeyError, TypeError, ValueError, OverflowError):
-                for gate in self._gates:
-                    _validate_gate(gate, n)
-                raise
+        if n < 1:
+            raise DimensionError(f"line count must be >= 1, got {n}")
+        if n > MAX_LINES:
+            raise DimensionError(f"line count must be <= {MAX_LINES}, got {n}")
+        if not isinstance(self.columns, Columns):
+            self.columns = columns_from_fields(self.columns, n)
         for column in self.columns:
             column.flags.writeable = False
         bad = _invalid(n, self.columns)
         if bad.any():
-            index = int(bad.argmax())
-            gate = self.gates[index]
-            _validate_gate(gate, n)
-            kind = KIND_NAMES[self.columns.kind[index]]
-            raise ValueError(f"gate {index} ({kind}) has a non-finite angle: {gate}")
+            _refuse_row(n, self.columns, int(bad.argmax()))
         if not math.isfinite(self.global_phase):
             raise ValueError(f"global_phase is not finite: {self.global_phase}")
 
@@ -281,32 +264,31 @@ def _cancel_runs(columns: Columns):
     return None if keep.all() else keep
 
 
-def peephole_cancel(circuit: Circuit, drop_zero_rotations: bool = True) -> Circuit:
+def peephole_cancel(circuit: Circuit) -> Circuit:
     """Cancel redundant gates until a fixed point.
 
     Three local rules: adjacent self-inverse pairs (CNOT/CNOT on the same
     control and target, X/X on the same line) vanish; CNOTs sharing a target
-    commute, so cancelling pairs inside such a run need not be adjacent; and,
-    unless disabled, identity rotations are deleted (RZ at 0 mod 2*pi, which
-    leaves only a global phase; MCRZ at 0 mod 4*pi; CDIAG with both angles
-    0 mod 2*pi), which typically exposes further CNOT pairs. Preserves the
-    induced diagonal including its global phase: a dropped RZ(2*pi*m) was
+    commute, so cancelling pairs inside such a run need not be adjacent; and
+    identity rotations are deleted (RZ at 0 mod 2*pi, which leaves only a
+    global phase; MCRZ at 0 mod 4*pi; CDIAG with both angles 0 mod 2*pi),
+    which typically exposes further CNOT pairs. Preserves the induced
+    diagonal including its global phase: a dropped RZ(2*pi*m) was
     (-1)**m * I, so odd m adds pi to the phase record. A circuit with
     nothing to cancel is returned as is.
     """
     columns, phase = circuit.columns, circuit.global_phase
     # one drop pass: cancelling removes only CNOT and X gates, so it never
     # leaves a new trivial rotation
-    if drop_zero_rotations:
-        kind, _, _, angle0, angle1 = columns
-        period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
-        # angle1 is 0 except on a CDIAG
-        trivial = (kind >= K_RZ) & _whole_turns(angle0, period) & _whole_turns(angle1, TWO_PI)
-        if trivial.any():
-            odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
-            for _ in range(np.count_nonzero(odd)):
-                phase += math.pi
-            columns = Columns(*(column[~trivial] for column in columns))
+    kind, _, _, angle0, angle1 = columns
+    period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
+    # angle1 is 0 except on a CDIAG
+    trivial = (kind >= K_RZ) & _whole_turns(angle0, period) & _whole_turns(angle1, TWO_PI)
+    if trivial.any():
+        odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
+        for _ in range(np.count_nonzero(odd)):
+            phase += math.pi
+        columns = Columns(*(column[~trivial] for column in columns))
     while (keep := _cancel_runs(columns)) is not None:
         columns = Columns(*(column[keep] for column in columns))
     if columns.kind.size == circuit.columns.kind.size:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .circuits import (
     _SLOTS, GATE_CLASSES, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, Circuit,
-    Columns, columns_from_fields,
+    Columns,
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
@@ -249,11 +249,7 @@ def circuit_from_document(doc: dict) -> Circuit:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed circuit document: {exc}") from exc
     gates = list(map(_gate_fields_from_document, gate_docs))  # each bad gate words its error
-    try:  # columns, so that block controls read back ascending, as from the byte reading
-        columns = columns_from_fields(gates, n)
-    except (TypeError, ValueError, OverflowError):  # lines no column holds: the gates word it
-        return Circuit(n, [GATE_CLASSES[code](*values) for code, values in gates], phase)
-    return Circuit(n, columns, phase)
+    return Circuit(n, [GATE_CLASSES[code](*values) for code, values in gates], phase)
 
 
 def save_circuit(circuit: Circuit, path) -> None:

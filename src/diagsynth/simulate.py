@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CDIAG, CNOT, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
+from .circuits import CNOT, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
@@ -68,12 +68,9 @@ def apply_to_basis(circuit: Circuit, j: int) -> tuple[int, float]:
             if all(j >> _bitpos(n, c) & 1 for c in gate.controls):
                 bit = j >> _bitpos(n, gate.target) & 1
                 theta += 0.5 * gate.alpha if bit else -0.5 * gate.alpha
-        elif isinstance(gate, CDIAG):
-            if all(j >> _bitpos(n, c) & 1 for c in gate.controls):
-                bit = j >> _bitpos(n, gate.target) & 1
-                theta += gate.theta1 if bit else gate.theta0
-        else:
-            raise TypeError(f"unknown gate {gate!r}")
+        elif all(j >> _bitpos(n, c) & 1 for c in gate.controls):  # a CDIAG that fires
+            bit = j >> _bitpos(n, gate.target) & 1
+            theta += gate.theta1 if bit else gate.theta0
     return j, theta
 
 
@@ -94,7 +91,7 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
         elif isinstance(gate, RZ):
             bit = j >> _bitpos(n, gate.line) & 1
             theta += np.where(bit, 0.5 * gate.alpha, -0.5 * gate.alpha)
-        elif isinstance(gate, (MCRZ, CDIAG)):
+        else:  # MCRZ or CDIAG
             cmask = sum(1 << _bitpos(n, c) for c in gate.controls)
             if isinstance(gate, MCRZ):
                 off, on = -0.5 * gate.alpha, 0.5 * gate.alpha
@@ -102,8 +99,6 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
                 off, on = gate.theta0, gate.theta1
             bit = j >> _bitpos(n, gate.target) & 1
             theta += np.where((j & cmask) == cmask, np.where(bit, on, off), 0.0)
-        else:
-            raise TypeError(f"unknown gate {gate!r}")
     return j, theta
 
 

@@ -8,14 +8,18 @@ state index via ``&``. Each subset order is built here once, in numpy.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import DimensionError
 
 
 def lines_to_mask(lines, m: int) -> int:
     mask = 0
-    for k in lines:
+    for k in map(operator.index, lines):
         if not 1 <= k <= m:
-            raise ValueError(f"line {k} outside 1..{m}")
+            raise DimensionError(f"line {k} outside 1..{m}")
         mask |= 1 << (m - k)
     return mask
 
@@ -41,13 +45,18 @@ def gray_subsets(m: int) -> list[int]:
     return gray_walk(m)[0].tolist()
 
 
-def dictionary_subsets(m: int) -> list[int]:
-    """Nonempty subset masks ordered like words: by the sorted element list
-    ({1} < {1,2} < {1,2,3} < {1,3} < {2} < ...). The words of lines j..m are
-    {j}, {j} joined to each word of lines j+1..m, then those words."""
-    if m < 1:
-        raise ValueError(f"need at least one line, got m={m}")
+def dictionary_words(m: int) -> np.ndarray:
+    """Nonempty subset masks ordered like words, by the sorted element list
+    ({1} < {1,2} < {1,2,3} < {1,3} < {2} < ...); none for m = 0. The words
+    of lines j..m are {j}, {j} joined to each word of lines j+1..m, then those."""
     words = np.zeros(0, dtype=np.int64)
     for top in 1 << np.arange(m):  # line m first
         words = np.concatenate(([top], top | words, words))
-    return words.tolist()
+    return words
+
+
+def dictionary_subsets(m: int) -> list[int]:
+    """``dictionary_words`` as a list."""
+    if m < 1:
+        raise ValueError(f"need at least one line, got m={m}")
+    return dictionary_words(m).tolist()

@@ -25,7 +25,7 @@ from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gat
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
 from .obstruction import obstruction_angles
-from .subsets import dictionary_subsets
+from .subsets import dictionary_words
 from .transforms import mobius, zeta
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
@@ -99,7 +99,7 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     # subset of lines 1..k-1, in the dictionary order of lines 1..n-1. A
     # level's masks number line L at bit k - 1 - L, the circuit's at n - L.
     levels = range(n, 0, -1)
-    words = np.array(dictionary_subsets(n - 1) if n > 1 else [], dtype=np.int64)
+    words = dictionary_words(n - 1)
     masks = [np.append(0, words[words % (1 << (n - k)) == 0] >> (n - k)) for k in levels]
     control = np.concatenate([m << (n - k + 1) for k, m in zip(levels, masks)])
     source = np.concatenate([m + (1 << n) - (1 << k) for k, m in zip(levels, masks)])
@@ -117,8 +117,8 @@ def synth_controlled(
     """
     angles, phase = synthesize_levels(u)
     kind, target, control, source = _layout(u.n)
-    circuit = peephole_cancel(
-        Circuit(u.n, Columns(kind, target, control, angles[source], np.zeros(kind.size)), phase),
-        drop_zero_rotations=not keep_trivial_rotations,
-    )
+    columns = Columns(kind, target, control, angles[source], np.zeros(kind.size))
+    circuit = Circuit(u.n, columns, phase)
+    if not keep_trivial_rotations:  # the layout has no CNOT or X, so only drops would cancel
+        circuit = peephole_cancel(circuit)
     return circuit, count_gates(circuit)

@@ -72,17 +72,17 @@ def synth_xor(
     carries; the spectrum's first entry is the global phase, kept in the
     circuit record rather than in gates.
 
-    With ``keep_trivial_rotations`` the cancellation pass keeps zero-angle
-    rotations, freezing the full generic layout (exactly 2**(n+1) - 3 gates)
-    even on degenerate input; by default they are dropped, so tensor-product
-    inputs collapse to their own n-rotation circuit.
+    With ``keep_trivial_rotations`` no cancellation pass runs, so zero-angle
+    rotations stay and the full generic layout (exactly 2**(n+1) - 3 gates)
+    is kept even on degenerate input; by default they are dropped, so
+    tensor-product inputs collapse to their own n-rotation circuit.
     """
     kind, target, control, parity = _layout(u.n)
     walsh = fwht(reduced(u.thetas)) / (1 << u.n)
     rotation = np.zeros(kind.size)
     rotation[::2] = -2.0 * walsh[parity]
-    circuit = peephole_cancel(
-        Circuit(u.n, Columns(kind, target, control, rotation, np.zeros(kind.size)), float(walsh[0])),
-        drop_zero_rotations=not keep_trivial_rotations,
-    )
+    columns = Columns(kind, target, control, rotation, np.zeros(kind.size))
+    circuit = Circuit(u.n, columns, float(walsh[0]))
+    if not keep_trivial_rotations:  # RZ and CNOT alternate, so only drops would cancel
+        circuit = peephole_cancel(circuit)
     return circuit, count_gates(circuit)

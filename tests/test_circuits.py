@@ -5,6 +5,7 @@ import pytest
 
 import diagsynth as ds
 from conftest import random_monomial_circuit, wrapped_max_diff
+from diagsynth.circuits import K_CDIAG, K_MCRZ, Columns
 
 
 def circuits_equivalent(c1: ds.Circuit, c2: ds.Circuit, tol=1e-12) -> bool:
@@ -46,6 +47,72 @@ def test_non_finite_phase_is_rejected_and_qasm_never_carries_inf():
     # a circuit holding rz(inf) cannot be built, so to_qasm cannot write one
     with pytest.raises(ValueError, match=r"gate 0 \(rz\) has a non-finite angle"):
         ds.to_qasm(ds.Circuit(1, (ds.RZ(1, np.inf),)))
+
+
+@pytest.mark.parametrize(
+    "gate", [ds.X(1.5), ds.CNOT(1.0, 2), ds.MCRZ((1.5,), 2, 0.3)], ids=["x", "cnot", "mcrz"]
+)
+def test_lines_that_are_no_int_are_refused(gate):
+    # a float line would name one line in the columns and another in the gate
+    with pytest.raises(TypeError):
+        ds.Circuit(2, (gate,))
+
+
+def _one_row(kind, target, control):
+    return Columns(
+        np.array([kind], dtype=np.int8), np.array([target]), np.array([control]),
+        np.zeros(1), np.zeros(1),
+    )
+
+
+@pytest.mark.parametrize("kind", [5, 7, -1])
+def test_columns_with_an_unknown_kind_code_are_refused(kind):
+    with pytest.raises(ValueError, match=f"gate 0 has unknown kind code {kind}"):
+        ds.Circuit(3, _one_row(kind, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "mask, line", [(1 << 3, 0), (-1, -60), (1 << 62, -59), (1 << 3 | 0b010, 0)],
+    ids=["1<<n", "-1", "1<<62", "1<<n and line 2"],
+)
+@pytest.mark.parametrize("kind", [K_MCRZ, K_CDIAG])
+def test_columns_with_a_block_mask_off_the_lines_are_refused(mask, line, kind):
+    # the error names the line a mask bit off 1..n stands for: line n - bit
+    with pytest.raises(ds.DimensionError, match=f"line {line} outside 1..3"):
+        ds.Circuit(3, _one_row(kind, 1, mask))
+
+
+def _numpy_fields(gate, rng):
+    # the same gate with numpy scalar fields and its controls shuffled
+    fields = []
+    for value in vars(gate).values():
+        if type(value) is tuple:
+            fields.append(tuple(np.int64(line) for line in rng.permutation(value)))
+        else:
+            fields.append(np.int64(value) if type(value) is int else np.float64(value))
+    return type(gate)(*fields)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gates_are_read_off_the_columns(seed):
+    # ascending controls and Python ints and floats come out, as from the
+    # columns alone
+    rng = np.random.default_rng(300 + seed)
+    plain = random_monomial_circuit(5, 40, rng).gates
+    circuit = ds.Circuit(5, [_numpy_fields(gate, rng) for gate in plain])
+    assert circuit.gates == ds.Circuit(5, circuit.columns).gates == plain
+    values = [v for gate in circuit.gates for f in vars(gate).values()
+              for v in (f if type(f) is tuple else (f,))]
+    assert {type(v) for v in values} == {int, float}
+
+
+def test_an_unknown_gate_object_is_refused():
+    class Y(ds.X):
+        pass
+
+    for gate in (object(), "x", Y(1)):
+        with pytest.raises(TypeError, match="unknown gate"):
+            ds.Circuit(2, (ds.X(1), gate))
 
 
 def test_line_count_is_at_most_63():
@@ -91,8 +158,6 @@ def test_cancel_x_pairs():
 def test_drop_zero_rotations_exposes_cnot_pair():
     c = ds.Circuit(2, (ds.CNOT(1, 2), ds.RZ(2, 0.0), ds.CNOT(1, 2)))
     assert ds.peephole_cancel(c).gates == ()
-    kept = ds.peephole_cancel(c, drop_zero_rotations=False)
-    assert kept.gates == c.gates
 
 
 def test_drop_full_turn_rotations():
@@ -135,7 +200,6 @@ def test_peephole_preserves_action_and_is_idempotent(seed):
 def test_peephole_returns_its_input_when_nothing_cancels():
     c = ds.Circuit(3, (ds.RZ(3, 0.2), ds.CNOT(1, 3), ds.RZ(3, 0.4), ds.CNOT(2, 3)), 0.5)
     assert ds.peephole_cancel(c) is c
-    assert ds.peephole_cancel(c, drop_zero_rotations=False) is c
     dropped = ds.Circuit(2, (ds.RZ(2, 0.0), ds.CNOT(1, 2)))
     assert ds.peephole_cancel(dropped).gates == (ds.CNOT(1, 2),)
 

@@ -359,11 +359,11 @@ def test_circuit_file_round_trip_is_read_as_bytes(newline, monkeypatch, tmp_path
 
 
 @settings(max_examples=400, deadline=None)
-@given(circuits(max_n=4, max_gates=30), st.booleans())
-def test_cancellation_matches_per_gate_reference(circuit, drop):
-    want = ref.peephole_cancel(circuit, drop_zero_rotations=drop)
+@given(circuits(max_n=4, max_gates=30))
+def test_cancellation_matches_per_gate_reference(circuit):
+    want = ref.peephole_cancel(circuit)
     for c in (circuit, _columns_only(circuit)):
-        got = ds.peephole_cancel(c, drop_zero_rotations=drop)
+        got = ds.peephole_cancel(c)
         assert got.gates == want.gates
         assert got.global_phase == want.global_phase
         assert (got is c) == (want is circuit)

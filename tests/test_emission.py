@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import diagsynth as ds
+import per_gate_reference as ref
 from conftest import PI, random_diagonal, tensor_rz_diagonal, wrapped_max_diff
 from diagsynth.subsets import dictionary_subsets, gray_subsets
 from diagsynth.synth_controlled import synthesize_levels
@@ -48,7 +49,10 @@ def _expand_then_cancel(route, u, keep):
                 lines = ds.subset_lines(mask, k - 1)
                 gates += ds.xor_rotation_gates(lines, -2.0 * walsh[parity], k)
         phase = float(walsh[0])
-    return ds.peephole_cancel(ds.Circuit(n, tuple(gates), phase), drop_zero_rotations=not keep)
+    circuit = ds.Circuit(n, tuple(gates), phase)
+    if keep:  # cancel the fans but keep every zero rotation
+        return ref.peephole_cancel(circuit, drop_zero_rotations=False)
+    return ds.peephole_cancel(circuit)
 
 
 def _synthesize(route, u, keep):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import diagsynth as ds
-from diagsynth.subsets import gray_walk
+from diagsynth.subsets import dictionary_words, gray_walk
 
 
 def as_lines(masks, m):
@@ -91,6 +92,13 @@ def test_dictionary_order_is_the_sorted_word_order(m):
     got = ds.dictionary_subsets(m)
     assert got == sorted(range(1, 1 << m), key=lambda mask: ds.subset_lines(mask, m))
     assert all(type(mask) is int for mask in got)
+
+
+def test_dictionary_words_are_the_order_as_int64():
+    assert dictionary_words(0).dtype == np.int64 and dictionary_words(0).size == 0
+    for m in range(1, 9):
+        words = dictionary_words(m)
+        assert words.dtype == np.int64 and words.tolist() == ds.dictionary_subsets(m)
 
 
 def test_dictionary_rejects_zero_lines():

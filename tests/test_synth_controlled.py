@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
+from diagsynth.circuits import K_MCRZ, K_RZ
 
 
 def test_block_gates_reference():
@@ -99,3 +102,30 @@ def test_agrees_with_parity_route():
         d1 = ds.circuit_to_diagonal(c1)
         d2 = ds.circuit_to_diagonal(c2)
         assert ds.equal_up_to_global_phase(d1, d2, 1e-10)
+
+
+def _sorted_word_layout(n):
+    # per level k = n..1: line k's rotation, then one MCRZ per nonempty
+    # subset of lines 1..k-1 in sorted word order; each gate's angle index is
+    # its level's offset plus its subset's mask over lines 1..k-1
+    kind, target, control, source = [], [], [], []
+    for k in range(n, 0, -1):
+        masks = sorted(range(1, 1 << (k - 1)), key=lambda mask: ds.subset_lines(mask, k - 1))
+        for mask in [0, *masks]:
+            kind.append(K_MCRZ if mask else K_RZ)
+            target.append(k)
+            control.append(ds.lines_to_mask(ds.subset_lines(mask, k - 1), n))
+            source.append((1 << n) - (1 << k) + mask)
+    columns = (np.array(c, dtype=np.int64) for c in (target, control, source))
+    return (np.array(kind, dtype=np.int8), *columns)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_layout_matches_the_sorted_word_order(n):
+    # the package attribute synth_controlled is the function, so fetch the module
+    got = importlib.import_module("diagsynth.synth_controlled")._layout(n)
+    expected = _sorted_word_layout(n)
+    assert len(got) == len(expected)
+    for column, reference in zip(got, expected):
+        assert column.dtype == reference.dtype
+        assert np.array_equal(column, reference)
