@@ -83,6 +83,9 @@ _SLOTS = ((0,), (1, 0), (0, 2), (1, 0, 2), (1, 0, 2, 3))
 # A block's control lines are one int64 mask.
 MAX_LINES = 63
 
+# The dtype of each column, in ``Columns`` order.
+_DTYPES = tuple(map(np.dtype, (np.int8, np.int64, np.int64, np.float64, np.float64)))
+
 
 class Columns(NamedTuple):
     """A circuit's gates as parallel arrays; unused entries hold 0."""
@@ -180,14 +183,20 @@ class Circuit:
     def __post_init__(self):
         # one validation per circuit: gate objects as they are packed, then
         # one vector pass over the columns; the first bad row words the error
-        n = self.n
+        try:
+            n = self.n = operator.index(self.n)
+        except TypeError:
+            raise TypeError(f"line count must be an int, got {self.n!r}") from None
         if n < 1:
             raise DimensionError(f"line count must be >= 1, got {n}")
         if n > MAX_LINES:
             raise DimensionError(f"line count must be <= {MAX_LINES}, got {n}")
         if not isinstance(self.columns, Columns):
             self.columns = columns_from_fields(self.columns, n)
-        for column in self.columns:
+        for name, column, dtype in zip(Columns._fields, self.columns, _DTYPES):
+            if not isinstance(column, np.ndarray) or column.dtype != dtype:
+                got = getattr(column, "dtype", type(column).__name__)
+                raise TypeError(f"column {name} must have dtype {dtype}, got {got}")
             column.flags.writeable = False
         bad = _invalid(n, self.columns)
         if bad.any():

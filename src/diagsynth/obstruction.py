@@ -13,10 +13,9 @@ parametrized blocks whose obstruction is known in closed form until the
 obstruction of the running product is zero, then splitting off the last line
 and recursing.
 
-``obstruction_angles`` is the formula on a bare angle vector; the level loop
-of ``synth_controlled`` calls it directly, and ``obstruction``,
-``is_tensor`` and ``tensor_split`` are its forms on a ``DiagonalUnitary``.
-All components are reported on the principal branch (-pi, pi].
+``obstruction``, ``is_tensor`` and ``tensor_split`` are its forms on a
+``DiagonalUnitary``. All components are reported on the principal branch
+(-pi, pi].
 """
 
 from __future__ import annotations
@@ -30,12 +29,6 @@ from .diagonal import DiagonalUnitary
 from .errors import DimensionError, NotATensorError
 
 
-def obstruction_angles(thetas: np.ndarray) -> np.ndarray:
-    """The 2**(k-1) - 1 character angles of a vector of 2**k >= 4 angles."""
-    d = thetas[0::2] - thetas[1::2]
-    return wrap_angle(d[:-1] - d[1:])
-
-
 def obstruction(u: DiagonalUnitary) -> np.ndarray:
     """Vector of all 2**(n-1) - 1 character angles of u.
 
@@ -44,7 +37,8 @@ def obstruction(u: DiagonalUnitary) -> np.ndarray:
     """
     if u.n < 2:
         raise DimensionError("the obstruction is defined for n >= 2")
-    return obstruction_angles(u.thetas)
+    d = u.thetas[0::2] - u.thetas[1::2]
+    return wrap_angle(d[:-1] - d[1:])
 
 
 def is_tensor(u: DiagonalUnitary, tol: float = DEFAULT_TOL) -> bool:

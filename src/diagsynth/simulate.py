@@ -176,10 +176,13 @@ def _identity(n: int) -> list[int]:
 # _walk reads a circuit run by run when it has at least _RUN_SCAN_GATES
 # gates and its runs of gates on one target line average at least
 # _RUN_GATES gates. Below either the per-gate loop is faster: the run scan
-# costs about 60 us on the smallest circuit, and alternating targets would
+# costs 50-100 us on the smallest circuit, and alternating targets would
 # make its table of line states per run about as large as the circuit
-# times its lines.
-_RUN_SCAN_GATES = 4096
+# times its lines. On xor circuits the two walks break even at about 500
+# gates (best of 9 on a 2-core x86 host): the per-gate walk takes 57-83 us
+# and the run scan 57-99 us at n = 8 (509 gates), 109-195 and 68-125 us at
+# n = 9 (1021 gates).
+_RUN_SCAN_GATES = 512
 _RUN_GATES = 8
 
 

@@ -6,8 +6,16 @@ only when every control line is 1, cancel the obstruction; it checks that
 the remainder splits off the last line, records that line's rotation and
 the block angles, and recurses on the quotient. The dictionary-ordered
 system is the subset-inclusion matrix behind a difference operator, so the
-angles are a Moebius transform and the remainder a subset-sum transform,
-O(n * 2**n) per level; the dense system in ``paper`` is their test oracle.
+angles are a Moebius transform and the remainder a subset-sum transform;
+the dense system in ``paper`` is their test oracle.
+
+No level needs the previous level's block angles: the quotient is the
+level's even entries with half the blocks' subset sums added, and those
+are known mod 2*pi before the transform. So one cheap pass down the levels
+(O(2**k) per level) collects each level's transform input and rotation,
+and then one stacked Moebius butterfly gives every level's angles and one
+stacked subset-sum butterfly the remainders to check, O(n * 2**n) in all
+(Bjorklund, Husfeldt, Kaski and Koivisto, arXiv:cs/0611101).
 
 Each level's angles are reduced relative to theta_0, which moves into the
 global phase. Blocks stay MCRZ primitives in the output: 2**n - 1 blocks,
@@ -24,7 +32,6 @@ from .angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
 from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
-from .obstruction import obstruction_angles
 from .subsets import dictionary_words
 from .transforms import mobius, zeta
 
@@ -37,30 +44,22 @@ from .paper import (  # noqa: F401
 )
 
 
-def controlled_level_angles(t: np.ndarray) -> np.ndarray:
-    """Block angles, indexed by subset mask, that cancel the obstruction of
-    the level's angles t; entry 0 (the empty subset) is 0.
-
-    With d = t[0::2] - t[1::2] and s = d[:-1] - d[1:], the obstruction is
-    wrap(s) = s + 2*pi*w for integer windings w. The dictionary-ordered
-    system solves to the Moebius transform of its prefix sums, d[0] - d plus
-    2*pi times the running winding count. Since MCRZ(alpha + 4*pi) =
-    MCRZ(alpha), only that count's parity matters: it is summed exactly in
-    integers, and the angles are reduced to (-2*pi, 2*pi].
-    """
-    d = t[0::2] - t[1::2]
+def winding_parity(d: np.ndarray) -> np.ndarray:
+    """Per entry j of a level's d = t[0::2] - t[1::2], the parity of the
+    windings w of the obstruction before it: wrap(s) = s + 2*pi*w with
+    s = d[:-1] - d[1:], summed exactly in integers; entry 0 is 0."""
     s = d[:-1] - d[1:]
     windings = np.rint((wrap_angle(s) - s) / TWO_PI).astype(np.int64)
-    odd = np.concatenate(([0], np.cumsum(windings) & 1))
-    return 2.0 * wrap_angle(0.5 * mobius(d[0] - d + TWO_PI * odd))
+    return np.concatenate(([0], np.add.accumulate(windings) & 1))
 
 
-def cancel_blocks(t: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """t composed with the inverse of every block: state 2*top + last gains
-    +a[top]/2 when last = 0 and -a[top]/2 when last = 1, where a[top] is the
-    sum of the angles of the blocks whose subset lies in top."""
-    half = 0.5 * zeta(alphas)
-    return (t.reshape(-1, 2) + np.stack((half, -half), axis=1)).ravel()
+@lru_cache(maxsize=16)
+def _levels(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the offset and length of each level k = n..1 in the stacked angles,
+    # and the last entry of each level k = n..2, where a pair of neighbours
+    # crosses into the next level
+    starts = (1 << n) - (1 << np.arange(n, 0, -1))
+    return starts, 1 << np.arange(n - 1, -1, -1), starts[1:] - 1
 
 
 def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
@@ -72,23 +71,42 @@ def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
     Raises SynthesisError when the blocks fail to flatten the obstruction to
     within DEFAULT_TOL (NaN included), which signals an inconsistent solve.
     """
-    angles, phase = [], 0.0
+    size = 1 << u.n
     t = reduced(u.thetas)
+    phase = float(t[0])
+    t = wrap_angle(t - t[0])
+    # per level k = n..2, stacked as the angles are: d = t[0::2] - t[1::2]
+    # and its winding parities; level 1's entry stays 0
+    diffs, odds = np.zeros(size - 1), np.zeros(size - 1, dtype=np.int8)
+    rotations = []
     for k in range(u.n, 1, -1):
-        phase += float(t[0])
-        t = wrap_angle(t - t[0])
-        alphas = controlled_level_angles(t)
-        t = cancel_blocks(t, alphas)
-        if not np.abs(obstruction_angles(t)).max() <= DEFAULT_TOL:
-            raise SynthesisError("block angles failed to cancel the obstruction")
-        w0, w1 = float(t[0]), float(t[1])
-        phase += 0.5 * (w0 + w1)
-        alphas[0] = w1 - w0
-        angles.append(alphas)
-        t = t[0::2] - t[0]
-    rotation = float(wrap_angle(t[1] - t[0]))
-    angles.append([rotation])
-    return np.concatenate(angles), phase + float(t[0]) + 0.5 * rotation
+        level = slice(size - (1 << k), size - (1 << k - 1))
+        low, high = t[0::2], t[1::2]  # the states with line k at 0, at 1
+        d = np.subtract(low, high, out=diffs[level])
+        odds[level] = odd = winding_parity(d)
+        # line k splits off as a rotation by t[1] = -d[0]; half the blocks'
+        # subset sums are (d[0] - d) / 2 + pi * odd mod 2*pi, so the next
+        # level's angles, the even entries with those cancelled, are known
+        # now; its entry 0 is exactly 0
+        rotation = float(t[1])
+        rotations.append(rotation)
+        phase += 0.5 * rotation
+        t = wrap_angle(0.5 * (low + high - rotation) + np.pi * odd)
+    rotations.append(float(t[1]))
+    phase += 0.5 * rotations[-1]
+    starts, sizes, crossings = _levels(u.n)
+    # every level's Moebius input d[0] - d + 2*pi*odd at once (level 1's
+    # entry is overwritten by its rotation below)
+    angles = mobius(TWO_PI * odds - (diffs + np.repeat(rotations, sizes)), stacked=True)
+    angles = 2.0 * wrap_angle(0.5 * angles)
+    # each level's d plus its blocks' subset sums must be flat
+    diffs += zeta(angles, stacked=True)
+    jumps = np.abs(wrap_angle(diffs[:-1] - diffs[1:]))
+    jumps[crossings] = 0.0
+    if not jumps.max(initial=0.0) <= DEFAULT_TOL:
+        raise SynthesisError("block angles failed to cancel the obstruction")
+    angles[starts] = rotations
+    return angles, phase
 
 
 @lru_cache(maxsize=16)

@@ -115,6 +115,34 @@ def test_an_unknown_gate_object_is_refused():
             ds.Circuit(2, (ds.X(1), gate))
 
 
+@pytest.mark.parametrize("n", [3.0, "3", None], ids=["float", "str", "None"])
+def test_line_count_that_is_no_int_is_refused(n):
+    columns = ds.synth_xor(ds.from_thetas(3, np.arange(8.0)))[0].columns
+    for gates in (columns, ()):
+        with pytest.raises(TypeError, match="line count must be an int"):
+            ds.Circuit(n, gates)
+    assert type(ds.Circuit(np.int64(3), columns).n) is int
+
+
+@pytest.mark.parametrize("field, wrong", [
+    ("kind", np.int64), ("target", np.float64), ("control", np.int32),
+    ("angle0", np.float32), ("angle1", np.int64),
+])
+def test_columns_of_another_dtype_are_refused(field, wrong):
+    columns = _one_row(0, 1, 0)
+    column = getattr(columns, field)
+    for bad in (column.astype(wrong), column.tolist(), None):
+        with pytest.raises(TypeError, match=f"column {field} must have dtype "):
+            ds.Circuit(2, columns._replace(**{field: bad}))
+    assert ds.Circuit(2, columns).gates == (ds.X(1),)
+
+
+def test_float_target_column_is_refused():
+    # it would read back as X(line=1.5), which to_qasm cannot write
+    with pytest.raises(TypeError, match="column target must have dtype int64, got float64"):
+        ds.Circuit(2, _one_row(0, 1, 0)._replace(target=np.array([1.5])))
+
+
 def test_line_count_is_at_most_63():
     # a block's control lines are one 64-bit mask
     top = ds.Circuit(63, (ds.MCRZ(tuple(range(1, 63)), 63, 0.1), ds.CNOT(63, 1)))

@@ -4,7 +4,9 @@ oracles.
 The oracles are the dense block systems of ``paper`` (solved by LU), the
 paper's per-level recursion and the per-block ``*_block_angles`` loop; the
 synthesizers use none of them. The xor route is one Walsh transform, the
-lambda route a level loop with a closed-form solve per level.
+lambda route one pass down the levels and then one Moebius and one subset
+sum butterfly over all levels at once; its oracle here is the per-level
+loop it replaced, a closed-form solve and a remainder per level.
 """
 
 from __future__ import annotations
@@ -19,12 +21,60 @@ from hypothesis import strategies as st
 
 import diagsynth as ds
 from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal, sparse_spectrum
-from diagsynth import paper
-from diagsynth.synth_controlled import cancel_blocks, controlled_level_angles
-from diagsynth.transforms import mobius
+from diagsynth import paper, transforms
+from diagsynth.angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
+from diagsynth.synth_controlled import synthesize_levels, winding_parity
+from diagsynth.transforms import mobius, zeta
+from test_precision import ising_thetas, sparse_zz_thetas
 
 EPS = np.finfo(float).eps
 FAMILIES = ("xor", "lambda")
+# the package attribute synth_controlled is the function, so fetch the module
+synth_controlled_module = importlib.import_module("diagsynth.synth_controlled")
+
+
+def controlled_level_angles(t: np.ndarray) -> np.ndarray:
+    """Block angles, indexed by subset mask, that cancel the obstruction of
+    the level's angles t; entry 0 (the empty subset) is 0.
+
+    With d = t[0::2] - t[1::2], the dictionary-ordered system solves to the
+    Moebius transform of its prefix sums, d[0] - d plus 2*pi times the
+    running winding count of the wrapped obstruction; since
+    MCRZ(alpha + 4*pi) = MCRZ(alpha), only that count's parity matters, and
+    the angles are reduced to (-2*pi, 2*pi].
+    """
+    d = t[0::2] - t[1::2]
+    return 2.0 * wrap_angle(0.5 * mobius(d[0] - d + TWO_PI * winding_parity(d)))
+
+
+def cancel_blocks(t: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """t composed with the inverse of every block: state 2*top + last gains
+    +a[top]/2 when last = 0 and -a[top]/2 when last = 1, where a[top] is the
+    sum of the angles of the blocks whose subset lies in top."""
+    half = 0.5 * zeta(alphas)
+    return (t.reshape(-1, 2) + np.stack((half, -half), axis=1)).ravel()
+
+
+def _lambda_recursion(u):
+    # the level loop: per level, its own solve, the blocks applied, the
+    # remainder checked and the last line split off
+    angles, phase = [], 0.0
+    t = reduced(u.thetas)
+    for k in range(u.n, 1, -1):
+        phase += float(t[0])
+        t = wrap_angle(t - t[0])
+        alphas = controlled_level_angles(t)
+        t = cancel_blocks(t, alphas)
+        if not np.abs(ds.obstruction(ds.from_thetas(k, t))).max() <= DEFAULT_TOL:
+            raise ds.SynthesisError("block angles failed to cancel the obstruction")
+        w0, w1 = float(t[0]), float(t[1])
+        phase += 0.5 * (w0 + w1)
+        alphas[0] = w1 - w0
+        angles.append(alphas)
+        t = t[0::2] - t[0]
+    rotation = float(wrap_angle(t[1] - t[0]))
+    angles.append([rotation])
+    return np.concatenate(angles), phase + float(t[0]) + 0.5 * rotation
 
 
 def _tolerance(n: int, scale: float) -> float:
@@ -112,15 +162,80 @@ def test_one_shot_remainder_matches_block_loop(family, n):
     assert ds.is_tensor(ds.from_thetas(n, got), 1e-9)
 
 
+def _lambda_inputs(n, seed):
+    rng = np.random.default_rng(seed)
+    yield "generic", random_diagonal(n, rng).thetas
+    yield "sparse-zz", sparse_zz_thetas(n, rng)
+    yield "unwrapped", rng.uniform(0.0, 1.0, 1 << n) * 10 ** rng.uniform(3, 6)
+    yield "ising", ising_thetas(n, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_level_pass_matches_per_level_loop(n, monkeypatch):
+    # the one pass and two butterflies give the loop's angles: blocks mod
+    # 4*pi, rotations mod 2*pi, each rotation's full turn a phase of pi;
+    # the circuits keep the same gates
+    starts = (1 << n) - (1 << np.arange(n, 0, -1))
+    blocks = np.ones((1 << n) - 1, dtype=bool)
+    blocks[starts] = False
+    for seed in (n, 100 + n):
+        for family, thetas in _lambda_inputs(n, seed):
+            u = ds.from_thetas(n, thetas)
+            tol = _tolerance(n, np.abs(thetas).max())
+            angles, phase = synthesize_levels(u)
+            expected, expected_phase = _lambda_recursion(u)
+            gap = angles - expected
+            assert np.abs(2 * wrap_angle(0.5 * gap[blocks])).max(initial=0) <= tol, family
+            turns = np.rint(gap[starts] / TWO_PI)
+            assert np.abs(gap[starts] - TWO_PI * turns).max() <= tol, family
+            assert abs(wrap_angle(phase - expected_phase - PI * turns.sum())) <= tol, family
+            circuit, _ = ds.synth_controlled(u)
+            with monkeypatch.context() as patch:
+                patch.setattr(synth_controlled_module, "synthesize_levels", _lambda_recursion)
+                oracle, _ = ds.synth_controlled(u)
+            for got, want in zip(circuit.columns[:3], oracle.columns[:3]):
+                assert np.array_equal(got, want), family
+
+
+def _wrong_mobius(corrupt):
+    def mobius_then_corrupt(a, stacked=False):
+        out = mobius(a, stacked)
+        if corrupt == "every level":
+            return np.zeros_like(out)  # leaves a generic input's obstruction in place
+        # the stack ends with level 2 (a rotation slot and one block on
+        # line 1) and level 1 (one slot); shift that one block
+        out[-2] += 1.0
+        return out
+
+    return mobius_then_corrupt
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_remainder_check_rejects_wrong_block_angles(n, monkeypatch):
-    # zero block angles leave a generic input's obstruction in place
     u = random_diagonal(n, np.random.default_rng(500 + n))
-    # the package attribute synth_controlled is the function, so fetch the module
-    module = importlib.import_module("diagsynth.synth_controlled")
-    monkeypatch.setattr(module, "controlled_level_angles", lambda t: np.zeros(t.size // 2))
-    with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
-        ds.synth_controlled(u)
+    for corrupt in ("every level", "smallest level"):
+        monkeypatch.setattr(synth_controlled_module, "mobius", _wrong_mobius(corrupt))
+        with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
+            ds.synth_controlled(u)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
+    # every level's solve is one stacked Moebius pass and every level's
+    # remainder one stacked subset-sum pass, of n - 1 steps each
+    passes = []
+    butterfly = transforms._butterfly
+
+    def counted(a, step, *args):
+        steps = []
+        passes.append((step.__name__, steps))
+        return butterfly(a, lambda lo, hi: steps.append(1) or step(lo, hi), *args)
+
+    monkeypatch.setattr(transforms, "_butterfly", counted)
+    ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
+    assert [(name, len(steps)) for name, steps in passes] == [
+        ("_mobius_step", n - 1), ("_zeta_step", n - 1)
+    ]
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])

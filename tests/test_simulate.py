@@ -254,7 +254,7 @@ def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeyp
         assert type(walked) is outcome
 
 
-@pytest.mark.parametrize("n", [11, 12, 13, 14])
+@pytest.mark.parametrize("n", range(9, 15))
 def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch):
     circuit, _ = ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))
     monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1 << 30)
@@ -276,9 +276,10 @@ def test_walk_is_chosen_by_circuit_size_and_run_length(monkeypatch):
     # the run scan's fixed cost pays only on large circuits with long runs
     rng = np.random.default_rng(41)
     assert _walks_taken(ds.synth_xor(random_diagonal(14, rng))[0], monkeypatch) == ["_walk_runs"]
-    for n in range(2, 11):
+    for n in range(2, 9):
         circuit = ds.synth_xor(random_diagonal(n, rng))[0]
         assert _walks_taken(circuit, monkeypatch) == ["_walk_gates"]
+    assert _walks_taken(ds.synth_xor(random_diagonal(9, rng))[0], monkeypatch) == ["_walk_runs"]
     alternating = ds.Circuit(2, [ds.CNOT(1, 2), ds.RZ(1, 0.1)] * (1 << 14))
     assert _walks_taken(alternating, monkeypatch) == ["_walk_gates"]
 
