@@ -23,8 +23,8 @@ REDUCE_ABOVE = 1e4
 
 def wrap_angle(theta):
     """Reduce an angle (or array of angles) to the principal branch (-pi, pi]."""
-    w = np.remainder(theta, TWO_PI)
-    return np.where(w > np.pi, w - TWO_PI, w)
+    w = np.asarray(np.remainder(theta, TWO_PI))  # 0-d for a scalar
+    return np.subtract(w, TWO_PI * (w > np.pi), out=w)  # where= masks run slower
 
 
 def reduced(theta: np.ndarray) -> np.ndarray:

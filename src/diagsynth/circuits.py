@@ -146,7 +146,7 @@ def _invalid(n: int, columns: Columns) -> np.ndarray:
     code = kind.astype(np.uint8)  # a negative code wraps past K_CDIAG
     blocks = code >= K_MCRZ
     if blocks.any():  # a mask bit on the target or off lines 1..n
-        off = control & (1 << (n - np.clip(target, 1, n)) | -1 << n) != 0
+        off = control & (1 << (n - np.minimum(np.maximum(target, 1), n)) | -1 << n) != 0
         bad |= blocks & ((code > K_CDIAG) | off)
     return bad
 

@@ -10,6 +10,7 @@ line, ``tensor_split``, lives in ``obstruction`` beside the test it needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ class DiagonalUnitary:
     thetas: np.ndarray
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise TypeError(f"qubit count must be an int, got {self.n!r}") from None
         if self.n < 1:
             raise DimensionError(f"qubit count must be >= 1, got {self.n}")
         t = np.array(self.thetas, dtype=float)
@@ -69,9 +74,10 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
     makes the result deterministic and cheap; any diagonal pair that agrees
     up to a global phase has residual ~0 under this witness.
     """
-    diff = wrap_angle(thetas1) - wrap_angle(thetas2)
-    witness = wrap_angle(diff[0])
-    return float(np.abs(wrap_angle(diff - witness)).max())
+    diff = wrap_angle(thetas1)
+    diff -= wrap_angle(thetas2)
+    diff -= wrap_angle(diff[0])
+    return float(np.abs(wrap_angle(diff)).max())
 
 
 def equal_up_to_global_phase(

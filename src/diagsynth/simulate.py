@@ -14,21 +14,23 @@ that cube of the angle array. The cube writes are data, per block its
 control, target and flipped bits and its two values, applied by one
 ``np.add.at`` in gate order, so each angle sums its terms in that order.
 
-A circuit without CNOT needs no pass over its gates: every line carries
-its own input bit, and one ``np.bitwise_xor.accumulate`` of the X gates
-gives each gate's affine bits; a nonzero final XOR means the circuit is
-not diagonal. Any other circuit is walked, tracking the parity and the
-affine bit of each line, and ends with the circuit's line map. A small
-circuit, or one whose target line changes every few gates, is walked gate
-by gate. A large one is walked run by run: within a run of gates on one
-target line only that line changes, so a loop over the runs carries the
-line states, one ``np.bitwise_xor.accumulate`` gives the target's state at
-every gate, and one ``np.bincount`` adds the RZ terms in gate order. If
-the final map is not the identity, the circuit is not diagonal, and the
-map alone names the first basis state it moves. A block on a line
-that carries a parity of several bits only sets a flag; a diagonal
-circuit with such a block is then replayed by ``basis_action``. That
-replay tracks, per input basis state, the output index and the
+A circuit without CNOT needs no pass over its gates and no ``fwht``: every
+line carries its own input bit, so an RZ is an MCRZ with no controls, and
+one subset-sum transform (Björklund, Husfeldt, Kaski and Koivisto,
+arXiv:cs/0611101) reads every rotation. One ``np.bitwise_xor.accumulate``
+of the X gates gives each gate's affine bits; a nonzero final XOR means
+the circuit is not diagonal. Any other circuit is walked, tracking the
+parity and the affine bit of each line, and ends with the circuit's line
+map. A small circuit, or one whose target line changes every few gates, is
+walked gate by gate. A large one is walked run by run: within a run of
+gates on one target line only that line changes, so a loop over the runs
+carries the line states, one ``np.bitwise_xor.accumulate`` gives the
+target's state at every gate, and one ``np.bincount`` adds the RZ terms in
+gate order. If the final map is not the identity, the circuit is not
+diagonal, and the map alone names the first basis state it moves. A block
+on a line that carries a parity of several bits only sets a flag; a
+diagonal circuit with such a block is then replayed by ``basis_action``.
+That replay tracks, per input basis state, the output index and the
 accumulated angle, O(2**n * gates), vectorized over all states with a
 block's controls tested by one mask. It and its scalar oracle
 ``apply_to_basis`` stay the reference for the fast reading.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CNOT, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
+from .circuits import CNOT, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
@@ -111,57 +113,56 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
     basis state lands elsewhere, which signals unbalanced CNOT or X
     structure.
     """
+    return DiagonalUnitary(circuit.n, _angles(circuit))
+
+
+def _angles(circuit: Circuit) -> np.ndarray:
+    # the angles of circuit_to_diagonal, in a fresh array
     n = circuit.n
-    size = 1 << n
     kind, target, control, angle0, angle1 = circuit.columns
-    blocks = np.flatnonzero(kind >= K_MCRZ)
     if (kind == K_CNOT).any():
         terms = _walk(circuit)
         if terms is None:
-            return DiagonalUnitary(n, basis_action(circuit)[1] + circuit.global_phase)
+            return basis_action(circuit)[1] + circuit.global_phase
         # the walk lists every block, in gate order
         walsh, block_bits = terms
+        rows = np.flatnonzero(kind >= K_MCRZ)
         controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
+        alpha = angle0[rows]
     else:
-        # No CNOT: every line carries its own input bit, and the X gates
-        # up to a gate on its line give its affine bit.
+        # No CNOT: every line carries its own input bit, the X gates up to
+        # a gate on its line give its affine bit, and an RZ is an MCRZ with
+        # no controls, of the opposite angle on a flipped line.
         bit = 1 << (n - target)
         flips = np.bitwise_xor.accumulate(np.where(kind == K_X, bit, 0))
         if flips.size and flips[-1]:
             end = int(flips[-1])
             raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
-        walsh = None
-        rz = kind == K_RZ
-        if rz.any():
-            half = 0.5 * angle0[rz]
-            walsh = np.zeros(size)
-            np.add.at(walsh, bit[rz], np.where(flips[rz] & bit[rz], half, -half))
-        controls, targets = control[blocks], bit[blocks]
-        flipped = flips[blocks] & (controls | targets)
-    thetas = np.zeros(size)
-    sums = None
-    if blocks.size:
-        # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
-        # control bit and +alpha on those also holding the target bit: two
-        # subset sums. Every other block writes its two values into its cube.
-        mcrz = kind[blocks] == K_MCRZ
-        subset = mcrz & (flipped == 0)
-        if subset.any():
-            alpha, low = angle0[blocks[subset]], controls[subset]
-            at = np.array((low, low | targets[subset])).T.ravel()
-            sums = np.zeros(size)
-            np.add.at(sums, at, np.array((-0.5 * alpha, alpha)).T.ravel())
-        cube = ~subset
-        if cube.any():
-            alpha, mcrz = angle0[blocks[cube]], mcrz[cube]
-            off = np.where(mcrz, -0.5 * alpha, alpha)
-            on = np.where(mcrz, 0.5 * alpha, angle1[blocks[cube]])
-            _add_cubes(thetas, controls[cube], targets[cube], flipped[cube], off, on)
+        walsh, rows = None, np.flatnonzero(kind != K_X)
+        rz = kind[rows] == K_RZ
+        controls, targets = np.where(rz, 0, control[rows]), bit[rows]
+        flipped = flips[rows] & (controls | targets)
+        alpha = np.where(rz & (flipped != 0), -angle0[rows], angle0[rows])
+        flipped[rz] = 0
+    # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
+    # control bit and +alpha on those also holding the target bit: two
+    # subset sums. Every other block writes its two values into its cube.
+    subset = (kind[rows] != K_CDIAG) & (flipped == 0)
+    thetas = np.zeros(1 << n)
+    if subset.any():
+        a, low = alpha[subset], controls[subset]
+        at = np.array((low, low | targets[subset])).T.ravel()
+        np.add.at(thetas, at, np.array((-0.5 * a, a)).T.ravel())
+        thetas = zeta(thetas)
+    cube = ~subset
+    if cube.any():
+        a, mcrz = alpha[cube], kind[rows[cube]] == K_MCRZ
+        off = np.where(mcrz, -0.5 * a, a)
+        on = np.where(mcrz, 0.5 * a, angle1[rows[cube]])
+        _add_cubes(thetas, controls[cube], targets[cube], flipped[cube], off, on)
     if walsh is not None:
         thetas += fwht(walsh)
-    if sums is not None:
-        thetas += zeta(sums)
-    return DiagonalUnitary(n, thetas + circuit.global_phase)
+    return np.add(thetas, circuit.global_phase, out=thetas)
 
 
 def _identity(n: int) -> list[int]:
@@ -371,4 +372,7 @@ def verify(circuit: Circuit, u: DiagonalUnitary) -> float:
     """
     if circuit.n != u.n:
         raise DimensionError(f"size mismatch: circuit n={circuit.n}, diagonal n={u.n}")
-    return phase_aligned_residual(circuit_to_diagonal(circuit).thetas, u.thetas)
+    residual = phase_aligned_residual(_angles(circuit), u.thetas)
+    if residual != residual:  # NaN: a sum of the circuit's angles overflowed
+        raise ValueError("phase angles must be finite")
+    return residual

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
+from diagsynth.diagonal import phase_aligned_residual
 
 
 def test_from_thetas_identity():
@@ -26,6 +29,17 @@ def test_from_thetas_rejects_bad_length():
         ds.from_thetas(0, [])
     with pytest.raises(ValueError):
         ds.from_thetas(1, [0.0, np.inf])
+
+
+@pytest.mark.parametrize("n, shown", [(2.0, "2.0"), ("2", "'2'"), (None, "None")])
+def test_qubit_count_must_be_an_int(n, shown):
+    with pytest.raises(TypeError) as exc:
+        ds.DiagonalUnitary(n, np.zeros(4))
+    assert str(exc.value) == f"qubit count must be an int, got {shown}"
+
+
+def test_qubit_count_is_kept_as_a_python_int():
+    assert type(ds.DiagonalUnitary(np.int64(2), np.zeros(4)).n) is int
 
 
 def test_thetas_are_immutable():
@@ -151,3 +165,43 @@ def test_tensor_split_round_trip():
         split = ds.tensor_split(ds.from_thetas(n, thetas), 1e-9)
         recomposed = np.repeat(split.v.thetas, 2) + np.tile([split.w0, split.w1], 1 << (n - 1))
         assert wrapped_max_diff(recomposed, thetas) <= 1e-12
+
+
+def _wrap_reference(theta):
+    # wrap_angle as first written: three temporaries
+    w = np.remainder(theta, 2.0 * np.pi)
+    return np.where(w > np.pi, w - 2.0 * np.pi, w)
+
+
+def _residual_reference(thetas1, thetas2):
+    diff = _wrap_reference(thetas1) - _wrap_reference(thetas2)
+    witness = _wrap_reference(diff[0])
+    return float(np.abs(_wrap_reference(diff - witness)).max())
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return type(value), value.dtype, value.shape, value.tobytes()
+
+
+def test_wraps_match_their_reference_expressions_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cases = [
+        rng.uniform(-20.0, 20.0, 256),
+        np.arange(-255, 256, 2) * np.pi,  # odd multiples of pi
+        np.array([1e308, -1e308, 0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 5e-324]),
+        rng.normal(size=256) * 10.0 ** rng.integers(-300, 307, 256),  # mixed magnitudes
+    ]
+    for values in cases:
+        assert _bits(ds.wrap_angle(values)) == _bits(_wrap_reference(values))
+        for scalar in (*values[:8].tolist(), *values[:8]):
+            assert _bits(ds.wrap_angle(scalar)) == _bits(_wrap_reference(scalar))
+    for first, second in itertools.product(cases, repeat=2):
+        u = ds.from_thetas(8, rng.choice(first, 256))
+        other = rng.choice(second, 256)
+        kept = other.copy()
+        residual = phase_aligned_residual(u.thetas, other)  # u.thetas is read-only
+        assert residual == _residual_reference(u.thetas, other)
+        assert np.array_equal(other, kept)
+        assert phase_aligned_residual(other, u.thetas) == _residual_reference(other, u.thetas)
+        assert np.array_equal(other, kept)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diagsynth as ds
@@ -331,6 +331,44 @@ def test_synthesized_circuits_never_replay_per_state(monkeypatch):
         for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel):
             circuit, _ = synth(u)
             assert ds.verify(circuit, u) <= 1e-9
+
+
+def _no_fwht(a):
+    raise AssertionError("fwht called")
+
+
+def test_cnot_free_circuits_never_run_a_walsh_transform(monkeypatch):
+    # without a CNOT an RZ is an MCRZ with no controls, so one subset-sum
+    # transform reads every rotation of a λ circuit; twolevel needs none
+    monkeypatch.setattr(simulate, "fwht", _no_fwht)
+    rng = np.random.default_rng(35)
+    for n in range(1, 11):
+        u = random_diagonal(n, rng)
+        for synth in (ds.synth_controlled, ds.synth_twolevel)[: 1 + (n > 1)]:
+            assert ds.verify(synth(u)[0], u) <= 1e-9
+    # an RZ on an X-flipped line adds the terms of the opposite angle
+    circuit = ds.Circuit(2, (ds.X(1), ds.RZ(1, 0.7), ds.MCRZ((1,), 2, 0.3), ds.X(1), ds.RZ(1, -1.1)), 0.2)
+    want = ds.basis_action(circuit)[1] + 0.2
+    assert np.abs(ds.circuit_to_diagonal(circuit).thetas - want).max() <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=gate_lists())
+def test_cnot_free_draws_never_run_a_walsh_transform(circuit):
+    assume(ds.count_gates(circuit).counts["cnot"] == 0)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(simulate, "fwht", _no_fwht)
+        outcome = _outcome(ds.circuit_to_diagonal, circuit)
+    if isinstance(outcome, ds.DiagonalUnitary):
+        want = ds.basis_action(circuit)[1] + circuit.global_phase
+        assert np.abs(outcome.thetas - want).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_refuses_angles_that_sum_past_the_largest_float():
+    circuit = ds.Circuit(1, (ds.CDIAG((), 1, 1e308, 0.0),) * 2)
+    with pytest.raises(ValueError, match="phase angles must be finite"):
+        ds.verify(circuit, ds.DiagonalUnitary.identity(1))
 
 
 def test_diagonal_only_gates_never_permute():
