@@ -59,7 +59,7 @@ from .serialize import (
     save_diagonal,
     to_qasm,
 )
-from .simulate import apply_to_basis, basis_action, circuit_to_diagonal, verify
+from .simulate import basis_action, circuit_to_diagonal, verify
 from .subsets import (
     dictionary_subsets,
     gray_subsets,
@@ -109,7 +109,6 @@ __all__ = [
     "controlled_block_matrix",
     "xor_flip_indicator_matrix",
     "solve_block_angles",
-    "apply_to_basis",
     "basis_action",
     "circuit_to_diagonal",
     "verify",

@@ -36,10 +36,7 @@ RESIDUAL_PER_DIM = 1e-10
 
 def _odd_parity(j: np.ndarray, mask: int) -> np.ndarray:
     """Parity family: 1 where the bits of j over the masked lines XOR to 1."""
-    x = j & mask
-    for shift in (32, 16, 8, 4, 2, 1):  # fold all 64 bits onto bit 0
-        x = x ^ x >> shift
-    return x & 1
+    return np.bitwise_count(j & mask) & 1
 
 
 def _all_set(j: np.ndarray, mask: int) -> np.ndarray:

@@ -432,16 +432,20 @@ def _qasm_columns(n: int, body: str) -> Columns:
     return Columns(kind, target, control, angle, np.zeros(kind.size))
 
 
-# One statement per line. The alternative that matched is named by its last
-# group: header, n (the qreg), xq, ct (cx) or rq (rz).
+# One statement per line, in ASCII. The alternative that matched is named
+# by its last group: header, n (the qreg), xq, ct (cx) or rq (rz). An rz
+# angle is a QASM real: float() would also take "1_0", "inf" and non-ASCII
+# digits.
 _QASM_STATEMENT = re.compile(
     r'(?:(?P<header>OPENQASM 2\.0|include "qelib1\.inc")'
     r"|qreg q\[(?P<n>\d+)\]"
     r"|x q\[(?P<xq>\d+)\]"
     r"|cx q\[(?P<cc>\d+)\],\s*q\[(?P<ct>\d+)\]"
     r"|rz\((?P<angle>[^)]+)\) q\[(?P<rq>\d+)\]"
-    r");"
+    r");",
+    re.ASCII,
 )
+_QASM_REAL = re.compile(r"[ \t]*[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?[ \t]*", re.ASCII)
 
 
 def _parse_qasm_statements(text: str) -> Circuit:
@@ -464,10 +468,9 @@ def _parse_qasm_statements(text: str) -> Circuit:
         elif form != "header" and n is None:
             raise FormatError("gate before qreg declaration")
         elif form == "rq":
-            try:
-                angle = _finite("rz angle", statement["angle"])
-            except ValueError as exc:
-                raise FormatError(f"rz angle is not a finite number in {line!r}") from exc
+            text = statement["angle"]
+            if not _QASM_REAL.fullmatch(text) or not math.isfinite(angle := float(text)):
+                raise FormatError(f"rz angle is not a finite number in {line!r}")
             rows += K_RZ, int(statement["rq"]) + 1, 0, angle
         elif form == "ct":
             rows += K_CNOT, int(statement["ct"]) + 1, int(statement["cc"]) + 1, 0.0

@@ -9,10 +9,10 @@ arXiv:1303.2042). ``circuit_to_diagonal`` reads that polynomial off the
 gate columns and turns it into angles with one ``fwht``, O(gates + n *
 2**n). A block gate whose lines each carry one input bit fires on a cube
 of inputs: an MCRZ with no X on its lines adds to two subset coefficients,
-summed by one ``zeta``, and any other block writes its two values into
-that cube of the angle array. The cube writes are data, per block its
-control, target and flipped bits and its two values, applied by one
-``np.add.at`` in gate order, so each angle sums its terms in that order.
+summed by one ``zeta``, and any other block whose lines are all n lines
+fires on two inputs, its two cells of the angle array. The cells of all
+such blocks are added by one ``np.add.at`` in gate order, so each angle
+sums its terms in that order.
 
 A circuit without CNOT needs no pass over its gates and no ``fwht``: every
 line carries its own input bit, so an RZ is an MCRZ with no controls, and
@@ -27,13 +27,15 @@ gates on one target line only that line changes, so a loop over the runs
 carries the line states, one ``np.bitwise_xor.accumulate`` gives the
 target's state at every gate, and one ``np.bincount`` adds the RZ terms in
 gate order. If the final map is not the identity, the circuit is not
-diagonal, and the map alone names the first basis state it moves. A block
-on a line that carries a parity of several bits only sets a flag; a
-diagonal circuit with such a block is then replayed by ``basis_action``.
-That replay tracks, per input basis state, the output index and the
-accumulated angle, O(2**n * gates), vectorized over all states with a
-block's controls tested by one mask. It and its scalar oracle
-``apply_to_basis`` stay the reference for the fast reading.
+diagonal, and the map alone names the first basis state it moves.
+
+A diagonal circuit with any other block, one on a line that carries a
+parity of several bits or one that leaves a line free, is replayed by
+``basis_action``. That replay tracks, per input basis state, the output
+index and the accumulated angle, O(2**n * gates), vectorized over all
+states with a block's controls tested by one mask. No synthesizer emits
+such a block. The replay stays the reference for the fast reading, and a
+scalar per-state oracle of it lives with the tests.
 """
 
 from __future__ import annotations
@@ -50,30 +52,6 @@ from .transforms import fwht, zeta
 def _bitpos(n: int, line: int) -> int:
     # line 1 is the most significant bit of a state index
     return n - line
-
-
-def apply_to_basis(circuit: Circuit, j: int) -> tuple[int, float]:
-    """Send basis state |j> through the circuit; returns (index, angle)."""
-    n = circuit.n
-    if not 0 <= j < (1 << n):
-        raise DimensionError(f"basis index {j} outside 0..{(1 << n) - 1}")
-    theta = 0.0
-    for gate in circuit.gates:
-        if isinstance(gate, X):
-            j ^= 1 << _bitpos(n, gate.line)
-        elif isinstance(gate, CNOT):
-            j ^= (j >> _bitpos(n, gate.control) & 1) << _bitpos(n, gate.target)
-        elif isinstance(gate, RZ):
-            bit = j >> _bitpos(n, gate.line) & 1
-            theta += 0.5 * gate.alpha if bit else -0.5 * gate.alpha
-        elif isinstance(gate, MCRZ):
-            if all(j >> _bitpos(n, c) & 1 for c in gate.controls):
-                bit = j >> _bitpos(n, gate.target) & 1
-                theta += 0.5 * gate.alpha if bit else -0.5 * gate.alpha
-        elif all(j >> _bitpos(n, c) & 1 for c in gate.controls):  # a CDIAG that fires
-            bit = j >> _bitpos(n, gate.target) & 1
-            theta += gate.theta1 if bit else gate.theta0
-    return j, theta
 
 
 def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -108,8 +86,8 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
     """Induced diagonal of the circuit, including its global phase record.
 
     Read off the phase polynomial in O(gates + n * 2**n); a diagonal
-    circuit with a block on a parity line is replayed by ``basis_action``
-    instead. Raises NotDiagonalError, from the final line map, when any
+    circuit with a block on a parity line, or with an X-flipped or CDIAG
+    block that leaves a line free, is replayed by ``basis_action`` instead. Raises NotDiagonalError, from the final line map, when any
     basis state lands elsewhere, which signals unbalanced CNOT or X
     structure.
     """
@@ -122,7 +100,7 @@ def _angles(circuit: Circuit) -> np.ndarray:
     kind, target, control, angle0, angle1 = circuit.columns
     if (kind == K_CNOT).any():
         terms = _walk(circuit)
-        if terms is None:
+        if terms is None:  # a block on a parity line
             return basis_action(circuit)[1] + circuit.global_phase
         # the walk lists every block, in gate order
         walsh, block_bits = terms
@@ -146,20 +124,27 @@ def _angles(circuit: Circuit) -> np.ndarray:
         flipped[rz] = 0
     # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
     # control bit and +alpha on those also holding the target bit: two
-    # subset sums. Every other block writes its two values into its cube.
+    # subset sums. Any other block on all n lines fires on two inputs: the
+    # one that holds exactly its unflipped lines, and that one with its
+    # target bit the other way round. A diagonal circuit with a block that
+    # leaves a line free is replayed instead.
+    size = 1 << n
     subset = (kind[rows] != K_CDIAG) & (flipped == 0)
-    thetas = np.zeros(1 << n)
+    cells = np.flatnonzero(~subset)
+    if cells.size and ((controls[cells] | targets[cells]) != size - 1).any():
+        return basis_action(circuit)[1] + circuit.global_phase
+    thetas = np.zeros(size)
     if subset.any():
         a, low = alpha[subset], controls[subset]
         at = np.array((low, low | targets[subset])).T.ravel()
         np.add.at(thetas, at, np.array((-0.5 * a, a)).T.ravel())
         thetas = zeta(thetas)
-    cube = ~subset
-    if cube.any():
-        a, mcrz = alpha[cube], kind[rows[cube]] == K_MCRZ
-        off = np.where(mcrz, -0.5 * a, a)
-        on = np.where(mcrz, 0.5 * a, angle1[rows[cube]])
-        _add_cubes(thetas, controls[cube], targets[cube], flipped[cube], off, on)
+    if cells.size:
+        # both cells per block, added in gate order
+        a, mcrz, on = alpha[cells], kind[rows[cells]] == K_MCRZ, (size - 1) ^ flipped[cells]
+        at = np.array((on ^ targets[cells], on)).T.ravel()
+        values = np.where(mcrz, -0.5 * a, a), np.where(mcrz, 0.5 * a, angle1[rows[cells]])
+        np.add.at(thetas, at, np.array(values).T.ravel())
     if walsh is not None:
         thetas += fwht(walsh)
     return np.add(thetas, circuit.global_phase, out=thetas)
@@ -322,46 +307,6 @@ def _not_diagonal(n: int, lines: list[int]) -> NotDiagonalError:
     }
     moved = next(j for j in image if image[j] != j)
     return NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")
-
-
-# Pairs of cells per np.add.at call of _add_cubes for blocks with free
-# lines, which bounds its index arrays at a few times this many entries, or
-# a few times one block's cube if larger.
-_CUBE_PAIRS = 1 << 19
-
-
-def _add_cubes(thetas, controls, targets, flipped, off, on) -> None:
-    # Block b adds off[b] to the inputs that hold its control bits, except
-    # those in flipped[b], and its target bit only if flipped, and on[b] to
-    # the same inputs with the target bit the other way round; its other
-    # bits are free. The cells are written in gate order, so each angle
-    # sums its terms in the order the gates give them.
-    free = (thetas.size - 1) ^ (controls | targets)
-    cell = controls & ~flipped | targets & flipped
-    cells = np.array((cell, cell ^ targets)).T
-    values = np.array((off, on)).T
-    spread = int(np.bitwise_or.reduce(free))
-    if not spread:
-        np.add.at(thetas, cells.ravel(), values.ravel())
-        return
-    # each block's pair of cells, once per setting of its free bits
-    free_bits = [p for p in range(spread.bit_length()) if spread >> p & 1]
-    copies = np.ones(free.size, dtype=np.int64)
-    for p in free_bits:
-        copies <<= free >> p & 1
-    ends = np.cumsum(copies)
-    cuts = np.searchsorted(ends, np.arange(_CUBE_PAIRS, ends[-1], _CUBE_PAIRS)).tolist()
-    for start, stop in zip([0, *cuts], [*cuts, free.size]):
-        local = copies[start:stop]
-        owner = np.repeat(np.arange(start, stop), local)
-        # setting j of a block's free bits, deposited from the lowest up
-        j = np.arange(owner.size) - np.repeat(np.cumsum(local) - local, local)
-        setting, rank = np.zeros_like(j), np.zeros_like(j)
-        for p in free_bits:
-            take = free[owner] >> p & 1
-            setting |= (j >> rank & take) << p
-            rank += take
-        np.add.at(thetas, (cells[owner] | setting[:, None]).ravel(), values[owner].ravel())
 
 
 def verify(circuit: Circuit, u: DiagonalUnitary) -> float:

@@ -3,7 +3,9 @@
 Each function walks ``circuit.gates`` one gate object at a time, the way the
 package did before circuits stored numpy columns: the gate-document codec,
 QASM export and import, ``peephole_cancel`` and ``count_gates``. The tests
-in ``test_columnar.py`` pin the columnar code to these. The gate-document
+in ``test_columnar.py`` pin the columnar code to these. ``apply_to_basis``
+sends one basis state through a circuit, the scalar oracle of
+``basis_action``, which ``test_simulate.py`` pins to it. The gate-document
 loaders take the field types the package takes, a JSON int for a line and
 a JSON number for an angle, so both read the same documents.
 """
@@ -142,8 +144,10 @@ _QASM_STATEMENT = re.compile(
     r"|x q\[(?P<xq>\d+)\]"
     r"|cx q\[(?P<cc>\d+)\],\s*q\[(?P<ct>\d+)\]"
     r"|rz\((?P<angle>[^)]+)\) q\[(?P<rq>\d+)\]"
-    r");"
+    r");",
+    re.ASCII,
 )
+_QASM_REAL = re.compile(r"[ \t]*[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?[ \t]*", re.ASCII)
 
 
 def parse_qasm(text: str):
@@ -172,6 +176,8 @@ def parse_qasm(text: str):
             gates.append(ds.CNOT(int(statement["cc"]) + 1, int(statement["ct"]) + 1))
         else:
             try:
+                if not _QASM_REAL.fullmatch(statement["angle"]):
+                    raise ValueError("not a QASM real")
                 angle = _finite("rz angle", statement["angle"])
             except ValueError as exc:
                 raise ds.FormatError(f"rz angle is not a finite number in {line!r}") from exc
@@ -242,3 +248,33 @@ def peephole_cancel(circuit, drop_zero_rotations: bool = True):
     if len(gates) == len(circuit.gates):
         return circuit
     return ds.Circuit(circuit.n, tuple(gates), phase)
+
+
+# ---------------------------------------------------------------------------
+# one basis state
+# ---------------------------------------------------------------------------
+
+
+def apply_to_basis(circuit, j: int) -> tuple[int, float]:
+    """Send basis state |j> through the circuit; returns (index, angle)."""
+    n = circuit.n
+    if not 0 <= j < (1 << n):
+        raise ds.DimensionError(f"basis index {j} outside 0..{(1 << n) - 1}")
+
+    def bit(line: int) -> int:  # line 1 is the most significant bit of j
+        return j >> n - line & 1
+
+    theta = 0.0
+    for gate in circuit.gates:
+        if isinstance(gate, ds.X):
+            j ^= 1 << n - gate.line
+        elif isinstance(gate, ds.CNOT):
+            j ^= bit(gate.control) << n - gate.target
+        elif isinstance(gate, ds.RZ):
+            theta += 0.5 * gate.alpha if bit(gate.line) else -0.5 * gate.alpha
+        elif all(map(bit, gate.controls)):  # an MCRZ or CDIAG that fires
+            if isinstance(gate, ds.MCRZ):
+                theta += 0.5 * gate.alpha if bit(gate.target) else -0.5 * gate.alpha
+            else:
+                theta += gate.theta1 if bit(gate.target) else gate.theta0
+    return j, theta

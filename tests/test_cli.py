@@ -114,6 +114,15 @@ def test_missing_input_file(tmp_path):
     assert code == 1
 
 
+def test_angles_that_overflow_exit_with_one_line(tmp_path, capsys):
+    circuit = tmp_path / "circuit.json"
+    ds.save_circuit(ds.Circuit(1, (ds.CDIAG((), 1, 1e308, 0.0),) * 2), circuit)
+    diag = tmp_path / "u.json"
+    diag.write_text(json.dumps({"n": 1, "units": "rad", "thetas": [0.0, 0.0]}))
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    assert capsys.readouterr().err == "error: phase angles must be finite\n"
+
+
 def test_bench_table(capsys):
     code = main(["bench", "--algo", "xor", "--n-min", "1", "--n-max", "4", "--trials", "3"])
     assert code == 0

@@ -332,3 +332,23 @@ def test_qasm_bad_rz_angle_is_a_format_error(angle):
     with pytest.raises(ds.FormatError) as exc:
         ds.parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{statement}\n")
     assert statement in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "statements, error",
+    [
+        ("qreg q[1];\nrz(1_0) q[0];", "rz angle is not a finite number"),
+        ("qreg q[٢];", "unsupported QASM statement"),
+        ("qreg q[1];\nrz(١.٥) q[0];", "rz angle is not a finite number"),
+    ],
+    ids=["underscore", "arabic-indic-qreg", "arabic-indic-angle"],
+)
+def test_qasm_reads_only_ascii_decimal_numbers(statements, error):
+    # float() and a Unicode \d take these; QASM does not
+    with pytest.raises(ds.FormatError, match=error):
+        ds.parse_qasm(f"OPENQASM 2.0;\n{statements}\n")
+
+
+def test_qasm_angle_may_have_spaces_and_tabs_around_it():
+    circuit = ds.parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz( \t-.5e1\t) q[0];\nrz(+3.) q[0];\n")
+    assert circuit.gates == (ds.RZ(1, -5.0), ds.RZ(1, 3.0))

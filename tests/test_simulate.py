@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diagsynth as ds
+import per_gate_reference as ref
 from conftest import PI, random_diagonal, random_monomial_circuit, shuffled_twolevel_circuit
 from diagsynth import simulate
+from diagsynth.circuits import Columns
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
 # basis state k (bits b1 b2 b3 b4) picks up sign[k] * phi with phi = -alpha/2.
@@ -21,18 +23,18 @@ PARITY_BLOCK_SIGNS_1_3 = [
 
 def test_apply_empty_circuit():
     c = ds.Circuit(2, ())
-    assert ds.apply_to_basis(c, 3) == (3, 0.0)
+    assert ref.apply_to_basis(c, 3) == (3, 0.0)
 
 
 def test_apply_cnot_semantics():
     c = ds.Circuit(2, (ds.CNOT(1, 2),))
-    assert ds.apply_to_basis(c, 0b10) == (0b11, 0.0)
-    assert ds.apply_to_basis(c, 0b01) == (0b01, 0.0)
+    assert ref.apply_to_basis(c, 0b10) == (0b11, 0.0)
+    assert ref.apply_to_basis(c, 0b01) == (0b01, 0.0)
 
 
 def test_apply_index_range():
     with pytest.raises(ds.DimensionError):
-        ds.apply_to_basis(ds.Circuit(2, ()), 4)
+        ref.apply_to_basis(ds.Circuit(2, ()), 4)
 
 
 def test_parity_fan_block_action():
@@ -48,11 +50,11 @@ def test_parity_fan_block_action():
     )
     c = ds.Circuit(4, gates)
     for k, sign in enumerate(PARITY_BLOCK_SIGNS_1_3):
-        out, theta = ds.apply_to_basis(c, k)
+        out, theta = ref.apply_to_basis(c, k)
         assert out == k
         assert abs(theta - sign * phi) <= 1e-15
     # spot value: |1010> stays put with angle phi = -alpha/2
-    assert ds.apply_to_basis(c, 0b1010) == (0b1010, phi)
+    assert ref.apply_to_basis(c, 0b1010) == (0b1010, phi)
 
 
 def test_conditioned_block_action():
@@ -294,43 +296,60 @@ def test_twolevel_circuits_read_back_their_input_exactly(order):
         assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)
 
 
-def test_cube_writes_in_small_chunks_change_no_bit(monkeypatch):
-    # the block cells go to np.add.at in chunks of about _CUBE_PAIRS pairs;
-    # any chunk size adds the same terms in the same order
-    rng = np.random.default_rng(33)
-    n = 6
-    gates = []
-    for _ in range(40):
-        lines = [int(line) for line in rng.permutation(np.arange(1, n + 1))]
-        k = int(rng.integers(0, n))
-        controls, angles = tuple(sorted(lines[:k])), rng.normal(size=2).tolist()
-        if rng.random() < 0.5:
-            block = ds.MCRZ(controls, lines[k], angles[0])
-        else:
-            block = ds.CDIAG(controls, lines[k], *angles)
-        flips = [ds.X(line) for line in lines[: int(rng.integers(0, k + 2))]]
-        gates += [*flips, block, *flips]
-    circuit = ds.Circuit(n, tuple(gates))
-    want = ds.circuit_to_diagonal(circuit).thetas
-    assert np.abs(want - ds.basis_action(circuit)[1]).max() <= 1e-12
-    for pairs in (1, 7, 64):
-        monkeypatch.setattr(simulate, "_CUBE_PAIRS", pairs)
-        assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == want.tobytes()
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (ds.RZ(2, 0.2), ds.CDIAG((1,), 3, 0.3, -0.8), ds.MCRZ((1, 2), 3, 0.5)),
+        (ds.X(1), ds.MCRZ((1,), 3, 0.4), ds.X(1)),
+        # a block on all three lines, and one that leaves line 1 free, both
+        # on lines that each carry one input bit after a swap
+        (ds.CNOT(1, 2), ds.CNOT(2, 1), ds.CNOT(1, 2), ds.RZ(2, 0.2), ds.CDIAG((1, 2), 3, 0.1, 0.6),
+         ds.CDIAG((2,), 3, 0.5, 0.1), ds.CNOT(1, 2), ds.CNOT(2, 1), ds.CNOT(1, 2)),
+    ],
+    ids=["partial-cdiag", "flipped-mcrz", "swapped"],
+)
+def test_a_block_that_leaves_a_line_free_is_replayed_once(gates, monkeypatch):
+    # the circuit's one basis_action call gives its angles
+    circuit = ds.Circuit(3, gates, 0.7)
+    replays = []
+    monkeypatch.setattr(simulate, "basis_action", lambda c: replays.append(c) or ds.basis_action(c))
+    thetas = ds.circuit_to_diagonal(circuit).thetas
+    assert len(replays) == 1 and replays[0] is circuit
+    assert thetas.tobytes() == (ds.basis_action(circuit)[1] + 0.7).tobytes()
 
 
 def test_synthesized_circuits_never_replay_per_state(monkeypatch):
     # every route's circuits are read off as a phase polynomial; the
-    # O(2**n * gates) replay is only for blocks on parity lines
+    # O(2**n * gates) replay is only for blocks on parity lines or blocks
+    # that leave a line free
     def replay(circuit):
         raise AssertionError("basis_action called")
 
     monkeypatch.setattr("diagsynth.simulate.basis_action", replay)
     rng = np.random.default_rng(27)
-    for n in range(2, 9):
+    for n in range(1, 13):
         u = random_diagonal(n, rng)
-        for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel):
-            circuit, _ = synth(u)
+        circuits = [
+            synth(u, keep_trivial_rotations=keep)[0]
+            for synth in (ds.synth_xor, ds.synth_controlled)
+            for keep in (False, True)
+        ]
+        if n > 1:
+            circuits += [ds.synth_twolevel(u)[0], shuffled_twolevel_circuit(u, rng)]
+        for circuit in circuits:
             assert ds.verify(circuit, u) <= 1e-9
+
+
+def test_blocks_after_an_xor_circuit_stay_on_the_phase_polynomial(monkeypatch):
+    # every line of a closed xor circuit ends on its own input bit, so the
+    # λ blocks that follow it are read as subset sums, with no replay
+    monkeypatch.setattr(simulate, "basis_action", None)
+    rng = np.random.default_rng(28)
+    u, v = random_diagonal(12, rng), random_diagonal(12, rng)
+    xor, lam = ds.synth_xor(u)[0], ds.synth_controlled(v)[0]
+    joined = ds.Circuit(12, Columns(*map(np.concatenate, zip(xor.columns, lam.columns))))
+    want = ds.from_thetas(12, u.thetas + v.thetas)
+    assert ds.verify(joined, want) <= 1e-9
 
 
 def _no_fwht(a):
@@ -393,9 +412,9 @@ def test_sequential_composition_matches_concatenation():
     c2 = random_monomial_circuit(3, 25, rng)
     joined = ds.Circuit(3, c1.gates + c2.gates)
     for j in range(8):
-        mid, theta1 = ds.apply_to_basis(c1, j)
-        out, theta2 = ds.apply_to_basis(c2, mid)
-        out_joined, theta_joined = ds.apply_to_basis(joined, j)
+        mid, theta1 = ref.apply_to_basis(c1, j)
+        out, theta2 = ref.apply_to_basis(c2, mid)
+        out_joined, theta_joined = ref.apply_to_basis(joined, j)
         assert out_joined == out
         assert abs(theta_joined - (theta1 + theta2)) <= 1e-12
 
@@ -407,7 +426,7 @@ def test_scalar_and_vector_paths_agree():
             c = random_monomial_circuit(n, 40, rng)
             perm, theta = ds.basis_action(c)
             for j in range(1 << n):
-                out, angle = ds.apply_to_basis(c, j)
+                out, angle = ref.apply_to_basis(c, j)
                 assert out == perm[j]
                 assert abs(angle - theta[j]) <= 1e-14
 
