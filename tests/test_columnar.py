@@ -140,11 +140,13 @@ def _edit(doc: dict, draw) -> None:
         gate[draw(st.sampled_from(angles))] = draw(st.sampled_from([0, -3, 7, 2**60, 10**400]))
     elif edit == "line type" and lines:
         name = draw(st.sampled_from(lines))
-        value = gate[name][0] if name == "controls" and gate[name] else gate[name]
+        # an earlier "extra key" edit may have left a scalar in "controls"
+        listed = name == "controls" and isinstance(gate[name], list)
+        value = gate[name][0] if listed and gate[name] else gate[name]
         if type(value) is not int:
             return
         value = draw(st.sampled_from([float(value), value + 0.5, True, False, str(value), None]))
-        if name == "controls":
+        if listed:
             gate[name][0] = value
         else:
             gate[name] = value
