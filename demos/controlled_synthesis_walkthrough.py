@@ -10,28 +10,29 @@ Run: python3 demos/controlled_synthesis_walkthrough.py
 import numpy as np
 
 import diagsynth as ds
+from diagsynth import paper
 
 pi = np.pi
 
-u = ds.from_thetas(3, np.array([6, 3, 9, 8, 5, 1, 6, 0]) * pi / 6)
+u = ds.DiagonalUnitary(3, np.array([6, 3, 9, 8, 5, 1, 6, 0]) * pi / 6)
 print("input angles (units pi/6):", np.round(u.thetas * 6 / pi).astype(int))
 
 psi = ds.obstruction(u)
 print("obstruction (units pi/6):", np.round(psi * 6 / pi).astype(int))
 
-system = ds.controlled_block_matrix(3)
+system = paper.controlled_block_matrix(3)
 print("\ncolumn subsets (dictionary order):", [ds.subset_lines(s, 2) for s in system.column_subsets])
 print("block system:\n", system.entries)
 
 # No -1/2 here: a conditioned block leaves non-selected states untouched.
-alphas = ds.solve_block_angles(system, psi)
+alphas = paper.solve_block_angles(system, psi)
 print("block angles (units pi/6):", np.round(alphas * 6 / pi).astype(int))
 
 remainder = u.thetas
 for mask, alpha in zip(system.column_subsets, alphas):
-    remainder = remainder + ds.controlled_block_angles(3, mask, -alpha)
+    remainder = remainder + paper.controlled_block_angles(3, mask, -alpha)
 print("\nremainder (units pi/12):", np.round(remainder * 12 / pi).astype(int))
-split = ds.tensor_split(ds.from_thetas(3, remainder))
+split = ds.tensor_split(ds.DiagonalUnitary(3, remainder))
 print("quotient for recursion (units pi/12):", np.round(split.v.thetas * 12 / pi).astype(int))
 
 circuit, report = ds.synth_controlled(u)

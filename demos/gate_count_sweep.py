@@ -23,7 +23,7 @@ for n in range(1, 11):
     rz = cnot = elem = 0
     worst = 0.0
     for _ in range(trials):
-        u = ds.from_thetas(n, rng.uniform(0, 2 * np.pi, 1 << n))
+        u = ds.DiagonalUnitary(n, rng.uniform(0, 2 * np.pi, 1 << n))
         circuit, report = ds.synth_xor(u)
         rz += report.counts["rz"]
         cnot += report.counts["cnot"]
@@ -42,5 +42,5 @@ for n in range(2, 9):
     for line, alpha in enumerate(alphas, start=1):
         bit = np.arange(1 << n) >> (n - line) & 1
         thetas = thetas + np.where(bit, alpha / 2, -alpha / 2)
-    circuit, report = ds.synth_xor(ds.from_thetas(n, thetas))
+    circuit, report = ds.synth_xor(ds.DiagonalUnitary(n, thetas))
     print(f"  n={n}: rz={report.counts['rz']}  cnot={report.counts['cnot']}")

@@ -10,12 +10,13 @@ Run: python3 demos/parity_synthesis_walkthrough.py
 import numpy as np
 
 import diagsynth as ds
+from diagsynth import paper
 
 pi = np.pi
 
 # A diagonal is just its 2**n phase angles. This one has angles k*pi/12 for
 # k = 4,2,9,7,3,8,11,10 and is NOT a tensor across the last line.
-u = ds.from_thetas(3, np.array([4, 2, 9, 7, 3, 8, 11, 10]) * pi / 12)
+u = ds.DiagonalUnitary(3, np.array([4, 2, 9, 7, 3, 8, 11, 10]) * pi / 12)
 print("input angles (units pi/12):", np.round(u.thetas * 12 / pi).astype(int))
 
 # Stage 1: the obstruction. Component j is the wrapped alternating sum
@@ -27,22 +28,22 @@ print("is a last-line tensor?", ds.is_tensor(u))
 
 # Stage 2: the block system. One column per nonempty control subset in Gray
 # order; the column is the obstruction of that subset's parity block.
-system = ds.xor_block_matrix(3)
+system = paper.xor_block_matrix(3)
 print("\ncolumn subsets:", [ds.subset_lines(s, 2) for s in system.column_subsets])
 print("block system:\n", system.entries)
 
 # Stage 3: block angles that cancel the obstruction (note the -1/2: a
 # parity block moves every basis state, doubling its leverage).
-alphas = -0.5 * ds.solve_block_angles(system, psi)
+alphas = -0.5 * paper.solve_block_angles(system, psi)
 print("block angles (units pi/24):", np.round(alphas * 24 / pi).astype(int))
 
 # Stage 4: compose the inverse blocks onto u; the remainder must now be a
 # tensor. Here the one-qubit factor even degenerates to an identity.
 remainder = u.thetas
 for mask, alpha in zip(system.column_subsets, alphas):
-    remainder = remainder + ds.xor_block_angles(3, mask, -alpha)
+    remainder = remainder + paper.xor_block_angles(3, mask, -alpha)
 print("\nremainder (units pi/48):", np.round(remainder * 48 / pi).astype(int))
-split = ds.tensor_split(ds.from_thetas(3, remainder))
+split = ds.tensor_split(ds.DiagonalUnitary(3, remainder))
 print("last-line rotation angle:", split.rotation_angle)
 print("quotient for recursion (units pi/48):", np.round(split.v.thetas * 48 / pi).astype(int))
 

@@ -14,7 +14,7 @@ import diagsynth as ds
 
 rng = np.random.default_rng(2026)
 
-u = ds.from_thetas(3, rng.uniform(0, 2 * np.pi, 8))
+u = ds.DiagonalUnitary(3, rng.uniform(0, 2 * np.pi, 8))
 circuit, report = ds.synth_twolevel(u)
 
 print("three-qubit example, gate by gate:")
@@ -45,6 +45,6 @@ print(
 
 print("\nX / block counts after Gray merging, by size:")
 for n in range(2, 9):
-    v = ds.from_thetas(n, rng.uniform(0, 2 * np.pi, 1 << n))
+    v = ds.DiagonalUnitary(n, rng.uniform(0, 2 * np.pi, 1 << n))
     _, rep = ds.synth_twolevel(v)
     print(f"  n={n}: x={rep.counts['x']:4d}  cdiag={rep.counts['cdiag']:4d}  (2**(n-1) = {1 << (n - 1)})")

@@ -6,7 +6,8 @@ route, 2**(n+1) - 3 elementary gates), fully-conditioned rotation synthesis
 (multi-controlled Rz blocks), and the two-level baseline (X-conjugated
 controlled diagonals). Every output is checked against its input by reading
 the circuit's diagonal off its phase polynomial. The paper's block systems
-and per-block oracles, kept for the tests and demos, are in ``paper``.
+and per-block oracles, kept for the tests and demos, are in ``paper`` only,
+and the per-state replay ``basis_action`` in ``simulate`` only.
 """
 
 from .angles import wrap_angle
@@ -21,12 +22,7 @@ from .circuits import (
     count_gates,
     peephole_cancel,
 )
-from .diagonal import (
-    DiagonalUnitary,
-    compose,
-    equal_up_to_global_phase,
-    from_thetas,
-)
+from .diagonal import DiagonalUnitary, compose, equal_up_to_global_phase
 from .errors import (
     DimensionError,
     FormatError,
@@ -37,20 +33,6 @@ from .errors import (
     UnsupportedGateError,
 )
 from .obstruction import is_tensor, obstruction, tensor_split
-from .paper import (
-    BlockMatrix,
-    character_angle,
-    conditioned_states,
-    controlled_block_angles,
-    controlled_block_matrix,
-    controlled_rotation_gates,
-    flip_states,
-    solve_block_angles,
-    xor_block_angles,
-    xor_block_matrix,
-    xor_flip_indicator_matrix,
-    xor_rotation_gates,
-)
 from .serialize import (
     load_circuit,
     load_diagonal,
@@ -59,13 +41,8 @@ from .serialize import (
     save_diagonal,
     to_qasm,
 )
-from .simulate import basis_action, circuit_to_diagonal, verify
-from .subsets import (
-    dictionary_subsets,
-    gray_subsets,
-    lines_to_mask,
-    subset_lines,
-)
+from .simulate import circuit_to_diagonal, verify
+from .subsets import lines_to_mask, subset_lines
 from .synth_controlled import synth_controlled
 from .synth_twolevel import synth_twolevel
 from .synth_xor import synth_xor
@@ -84,7 +61,6 @@ __all__ = [
     "count_gates",
     "peephole_cancel",
     "DiagonalUnitary",
-    "from_thetas",
     "compose",
     "equal_up_to_global_phase",
     "tensor_split",
@@ -95,29 +71,14 @@ __all__ = [
     "SingularSystemError",
     "SynthesisError",
     "UnsupportedGateError",
-    "character_angle",
     "obstruction",
     "is_tensor",
-    "gray_subsets",
-    "dictionary_subsets",
-    "flip_states",
-    "conditioned_states",
     "subset_lines",
     "lines_to_mask",
-    "BlockMatrix",
-    "xor_block_matrix",
-    "controlled_block_matrix",
-    "xor_flip_indicator_matrix",
-    "solve_block_angles",
-    "basis_action",
     "circuit_to_diagonal",
     "verify",
     "synth_xor",
-    "xor_rotation_gates",
-    "xor_block_angles",
     "synth_controlled",
-    "controlled_rotation_gates",
-    "controlled_block_angles",
     "synth_twolevel",
     "load_diagonal",
     "save_diagonal",

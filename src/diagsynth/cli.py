@@ -3,7 +3,7 @@
 Subcommands: ``synth`` compiles a diagonal file into a circuit file (with
 optional QASM export and verification), ``verify`` replays a circuit file
 against a diagonal file, ``bench`` prints a gate-count table over random
-diagonals next to the predicted 2**(n+1) - 3 total.
+diagonals next to the route's predicted total on generic input.
 """
 
 from __future__ import annotations
@@ -96,9 +96,10 @@ def _print_stats(report, residual=None) -> None:
 def _cmd_synth(args) -> int:
     u = load_diagonal(args.infile)
     circuit, report = _synthesize(args.algo, u, args.keep_trivial)
+    qasm = to_qasm(circuit) if args.qasm else None  # a refused export writes no file
     save_circuit(circuit, args.outfile)
-    if args.qasm:
-        Path(args.qasm).write_text(to_qasm(circuit))
+    if qasm is not None:
+        Path(args.qasm).write_text(qasm)
     residual = None
     if args.verify:
         residual = verify_circuit(circuit, u)
@@ -133,7 +134,7 @@ def _cmd_bench(args) -> int:
     rng = np.random.default_rng(20260810)
     header = (
         f"{'n':>3} {'trials':>6} {'rz':>7} {'cnot':>7} {'x':>7} "
-        f"{'mcrz':>7} {'cdiag':>7} {'elem':>7} {'2^(n+1)-3':>10} {'max resid':>10}"
+        f"{'mcrz':>7} {'cdiag':>7} {'elem':>7} {'total':>7} {'predicted':>9} {'max resid':>10}"
     )
     print(header)
     for n in range(args.n_min, args.n_max + 1):
@@ -148,10 +149,13 @@ def _cmd_bench(args) -> int:
             elementary += report.elementary
             max_residual = max(max_residual, verify_circuit(circuit, u))
         t = args.trials
+        # the route's gate total on generic input, elementary gates and blocks
+        predicted = {"xor": 2 ** (n + 1) - 3, "lambda": 2**n - 1, "twolevel": 2**n}[args.algo]
         print(
             f"{n:>3} {t:>6} {totals['rz'] / t:>7.1f} {totals['cnot'] / t:>7.1f} "
             f"{totals['x'] / t:>7.1f} {totals['mcrz'] / t:>7.1f} {totals['cdiag'] / t:>7.1f} "
-            f"{elementary / t:>7.1f} {2 ** (n + 1) - 3:>10} {max_residual:>10.2e}"
+            f"{elementary / t:>7.1f} {sum(totals.values()) / t:>7.1f} "
+            f"{predicted:>9} {max_residual:>10.2e}"
         )
     return 0
 

@@ -53,11 +53,6 @@ class DiagonalUnitary:
         return cls(n, np.zeros(1 << n))
 
 
-def from_thetas(n: int, thetas) -> DiagonalUnitary:
-    """Build a diagonal from its phase angles; no normalization is applied."""
-    return DiagonalUnitary(n, thetas)
-
-
 def compose(u1: DiagonalUnitary, u2: DiagonalUnitary) -> DiagonalUnitary:
     """Operator product of two diagonals: componentwise angle addition."""
     if u1.n != u2.n:

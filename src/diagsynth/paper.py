@@ -19,6 +19,7 @@ as the tests' oracles.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from .angles import wrap_angle
 from .circuits import CNOT, MCRZ, RZ, Gate
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError, SingularSystemError
-from .subsets import dictionary_subsets, gray_subsets
+from .subsets import checked_mask, dictionary_words, gray_walk
 
 # Acceptable residual per unit of dimension for a successful solve.
 RESIDUAL_PER_DIM = 1e-10
@@ -61,7 +62,7 @@ def _indicators(n: int, subsets, member) -> np.ndarray:
 def _block_matrix(n: int, order, member) -> BlockMatrix:
     if n < 2:
         raise DimensionError("block matrices need n >= 2")
-    subsets = tuple(mask for mask in order(n - 1) if mask)
+    subsets = tuple(mask for mask in order(n - 1).tolist() if mask)
     # Sum of v_j over an index set, expressed per row: row j of the result is
     # indicator[j] - indicator[j-1], with the j=1 row keeping indicator[1].
     entries = np.diff(_indicators(n, subsets, member), axis=0, prepend=0)
@@ -72,13 +73,13 @@ def _block_matrix(n: int, order, member) -> BlockMatrix:
 @lru_cache(maxsize=None)
 def xor_block_matrix(n: int) -> BlockMatrix:
     """System for parity-controlled rotation blocks, Gray column order."""
-    return _block_matrix(n, gray_subsets, _odd_parity)
+    return _block_matrix(n, lambda m: gray_walk(m)[0], _odd_parity)
 
 
 @lru_cache(maxsize=None)
 def controlled_block_matrix(n: int) -> BlockMatrix:
     """System for fully-conditioned rotation blocks, dictionary column order."""
-    return _block_matrix(n, dictionary_subsets, _all_set)
+    return _block_matrix(n, dictionary_words, _all_set)
 
 
 def xor_flip_indicator_matrix(n: int) -> np.ndarray:
@@ -120,7 +121,7 @@ def xor_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
     masked lines) is 0 and +alpha/2 otherwise; mask 0 is the plain rotation
     on line n.
     """
-    j = np.arange(1 << n)
+    mask, j = checked_mask(mask, n - 1), np.arange(1 << n)
     return np.where(j & 1 ^ _odd_parity(j >> 1, mask), 0.5 * alpha, -0.5 * alpha)
 
 
@@ -130,7 +131,7 @@ def controlled_block_angles(n: int, mask: int, alpha: float) -> np.ndarray:
     Basis states whose masked top lines are all 1 pick up -alpha/2 or
     +alpha/2 by the last bit; every other state is untouched.
     """
-    j = np.arange(1 << n)
+    mask, j = checked_mask(mask, n - 1), np.arange(1 << n)
     return np.where(_all_set(j >> 1, mask), np.where(j & 1, 0.5 * alpha, -0.5 * alpha), 0.0)
 
 
@@ -164,20 +165,21 @@ def flip_states(mask: int, m: int) -> set[int]:
     These are the top-line patterns on which a parity-controlled rotation
     applies the adjoint rotation instead; there are always 2**(m-1) of them.
     """
-    if mask == 0:
+    if checked_mask(mask, m) == 0:
         raise ValueError("flip states are undefined for the empty subset")
     return set(np.flatnonzero(_odd_parity(np.arange(1 << m), mask)).tolist())
 
 
 def conditioned_states(mask: int, m: int) -> set[int]:
     """Indices j in 1..2**m-1 with every masked line set; 2**(m-|S|) of them."""
-    if mask == 0:
+    if checked_mask(mask, m) == 0:
         raise ValueError("conditioned states are undefined for the empty subset")
     return set(np.flatnonzero(_all_set(np.arange(1 << m), mask)).tolist())
 
 
 def character_angle(u: DiagonalUnitary, j: int) -> float:
     """Angle of the j-th pair-ratio character, 1-based, in (-pi, pi]."""
+    j = operator.index(j)
     if u.n < 2:
         raise DimensionError("characters are defined for n >= 2")
     if not 1 <= j <= (1 << (u.n - 1)) - 1:

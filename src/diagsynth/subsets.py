@@ -24,8 +24,17 @@ def lines_to_mask(lines, m: int) -> int:
     return mask
 
 
+def checked_mask(mask, m: int) -> int:
+    """The mask as an int; one outside 0..2**m - 1 names a line outside 1..m."""
+    mask = operator.index(mask)
+    if not 0 <= mask < 1 << m:
+        raise DimensionError(f"mask {mask} outside 0..{(1 << m) - 1} for {m} lines")
+    return mask
+
+
 def subset_lines(mask: int, m: int) -> tuple[int, ...]:
     """Ascending line numbers contained in the mask."""
+    mask = checked_mask(mask, m)
     return tuple(k for k in range(1, m + 1) if mask >> (m - k) & 1)
 
 
@@ -40,11 +49,6 @@ def gray_walk(m: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, m - np.bitwise_count(changed - 1)
 
 
-def gray_subsets(m: int) -> list[int]:
-    """``gray_walk``'s masks: consecutive ones differ in exactly one line."""
-    return gray_walk(m)[0].tolist()
-
-
 def dictionary_words(m: int) -> np.ndarray:
     """Nonempty subset masks ordered like words, by the sorted element list
     ({1} < {1,2} < {1,2,3} < {1,3} < {2} < ...); none for m = 0. The words
@@ -53,10 +57,3 @@ def dictionary_words(m: int) -> np.ndarray:
     for top in 1 << np.arange(m):  # line m first
         words = np.concatenate(([top], top | words, words))
     return words
-
-
-def dictionary_subsets(m: int) -> list[int]:
-    """``dictionary_words`` as a list."""
-    if m < 1:
-        raise ValueError(f"need at least one line, got m={m}")
-    return dictionary_words(m).tolist()

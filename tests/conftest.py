@@ -20,16 +20,16 @@ REFERENCE_CTRL_THETAS = np.array([6, 3, 9, 8, 5, 1, 6, 0]) * PI / 6
 
 @pytest.fixture
 def reference_xor_u3() -> ds.DiagonalUnitary:
-    return ds.from_thetas(3, REFERENCE_XOR_THETAS)
+    return ds.DiagonalUnitary(3, REFERENCE_XOR_THETAS)
 
 
 @pytest.fixture
 def reference_ctrl_u3() -> ds.DiagonalUnitary:
-    return ds.from_thetas(3, REFERENCE_CTRL_THETAS)
+    return ds.DiagonalUnitary(3, REFERENCE_CTRL_THETAS)
 
 
 def random_diagonal(n: int, rng: np.random.Generator) -> ds.DiagonalUnitary:
-    return ds.from_thetas(n, rng.uniform(0.0, 2.0 * PI, size=1 << n))
+    return ds.DiagonalUnitary(n, rng.uniform(0.0, 2.0 * PI, size=1 << n))
 
 
 def tensor_rz_diagonal(alphas) -> ds.DiagonalUnitary:
@@ -39,7 +39,7 @@ def tensor_rz_diagonal(alphas) -> ds.DiagonalUnitary:
     for line, alpha in enumerate(alphas, start=1):
         bit = np.arange(1 << n) >> (n - line) & 1
         thetas = thetas + np.where(bit, 0.5 * alpha, -0.5 * alpha)
-    return ds.from_thetas(n, thetas)
+    return ds.DiagonalUnitary(n, thetas)
 
 
 def shuffled_twolevel_circuit(u: ds.DiagonalUnitary, rng: np.random.Generator) -> ds.Circuit:

@@ -17,6 +17,7 @@ import diagsynth as ds
 from conftest import (
     PI, random_diagonal, shuffled_twolevel_circuit, tensor_rz_diagonal, wrapped_max_diff,
 )
+from diagsynth import paper
 
 
 @contextmanager
@@ -93,23 +94,23 @@ def test_03_golden_matrices():
                 [1, -1, 0, 0, -1, 1, 0],
             ]
         )
-        system = ds.xor_block_matrix(4)
+        system = paper.xor_block_matrix(4)
         # entry-for-entry match, modulo the known transposition of the
         # {1,2,3} and {1,3} columns in the printed rendition (the printed
         # labeling is not Gray-adjacent; ours is)
         assert np.array_equal(system.entries[:, [0, 1, 2, 3, 5, 4, 6]], printed)
         for k, mask in enumerate(system.column_subsets):
-            block = ds.from_thetas(4, ds.xor_block_angles(4, mask, -0.5))
+            block = ds.DiagonalUnitary(4, paper.xor_block_angles(4, mask, -0.5))
             assert np.abs(ds.obstruction(block) - system.entries[:, k]).max() <= 1e-12
         assert np.array_equal(
-            ds.controlled_block_matrix(3).entries, [[0, 0, 1], [1, 0, -1], [0, 1, 1]]
+            paper.controlled_block_matrix(3).entries, [[0, 0, 1], [1, 0, -1], [0, 1, 1]]
         )
         inverse = np.array([[1, 1, 0], [-1, 0, 1], [1, 0, 0]])
-        system = ds.controlled_block_matrix(3)
+        system = paper.controlled_block_matrix(3)
         rng = np.random.default_rng(3)
         for _ in range(20):
             psi = rng.uniform(-PI, PI, size=3)
-            assert np.abs(ds.solve_block_angles(system, psi) - inverse @ psi).max() <= 1e-12
+            assert np.abs(paper.solve_block_angles(system, psi) - inverse @ psi).max() <= 1e-12
 
 
 def test_04_golden_parity_synthesis(reference_xor_u3):
@@ -117,21 +118,21 @@ def test_04_golden_parity_synthesis(reference_xor_u3):
         psi = ds.obstruction(reference_xor_u3)
         assert np.abs(psi - np.array([0, 7, -6]) * PI / 12).max() <= 1e-12
 
-        system = ds.xor_block_matrix(3)
-        alphas = -0.5 * ds.solve_block_angles(system, psi)
+        system = paper.xor_block_matrix(3)
+        alphas = -0.5 * paper.solve_block_angles(system, psi)
         assert np.allclose(
             np.sort(np.abs(alphas)), np.array([3, 3, 4]) * PI / 24, atol=1e-12, rtol=0
         )
 
         remainder = reference_xor_u3.thetas
         for mask, alpha in zip(system.column_subsets, alphas):
-            remainder = remainder + ds.xor_block_angles(3, mask, -alpha)
-        tilde = ds.from_thetas(3, remainder)
+            remainder = remainder + paper.xor_block_angles(3, mask, -alpha)
+        tilde = ds.DiagonalUnitary(3, remainder)
         assert np.abs(tilde.thetas - np.array([12, 12, 32, 32, 22, 22, 42, 42]) * PI / 48).max() <= 1e-12
         split = ds.tensor_split(tilde, 1e-12)
         assert abs(split.rotation_angle) <= 1e-12  # one-qubit factor is an identity
         assert ds.equal_up_to_global_phase(
-            split.v, ds.from_thetas(2, np.array([12, 32, 22, 42]) * PI / 48), 1e-12
+            split.v, ds.DiagonalUnitary(2, np.array([12, 32, 22, 42]) * PI / 48), 1e-12
         )
 
         circuit, report = ds.synth_xor(reference_xor_u3, keep_trivial_rotations=True)
@@ -141,16 +142,16 @@ def test_04_golden_parity_synthesis(reference_xor_u3):
 
 def test_05_golden_controlled_synthesis(reference_ctrl_u3):
     with criterion("05 golden three-qubit controlled synthesis"):
-        system = ds.controlled_block_matrix(3)
-        alphas = ds.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
+        system = paper.controlled_block_matrix(3)
+        alphas = paper.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
         assert np.abs(alphas - np.array([-1, -4, 2]) * PI / 6).max() <= 1e-12
 
         remainder = reference_ctrl_u3.thetas
         for mask, alpha in zip(system.column_subsets, alphas):
-            remainder = remainder + ds.controlled_block_angles(3, mask, -alpha)
-        split = ds.tensor_split(ds.from_thetas(3, remainder), 1e-12)
+            remainder = remainder + paper.controlled_block_angles(3, mask, -alpha)
+        split = ds.tensor_split(ds.DiagonalUnitary(3, remainder), 1e-12)
         assert ds.equal_up_to_global_phase(
-            split.v, ds.from_thetas(2, np.array([0, 8, -3, -3]) * PI / 12), 1e-12
+            split.v, ds.DiagonalUnitary(2, np.array([0, 8, -3, -3]) * PI / 12), 1e-12
         )
         assert np.abs(split.v.thetas - np.array([0, 8, -3, -3]) * PI / 12).max() <= 1e-12
 
@@ -180,13 +181,13 @@ def test_08_combinatorial_properties():
         for n in range(2, 7):
             m = n - 1
             masks = list(range(1, 1 << m))
-            flips = {mask: ds.flip_states(mask, m) for mask in masks}
+            flips = {mask: paper.flip_states(mask, m) for mask in masks}
             assert all(len(f) == 1 << (n - 2) for f in flips.values())
             for a in masks:
                 for b in masks:
                     if a < b:
                         assert len(flips[a] & flips[b]) == 1 << (n - 3)
-            ind = ds.xor_flip_indicator_matrix(n)
+            ind = paper.xor_flip_indicator_matrix(n)
             dim = ind.shape[0]
             gram = ind.T @ ind
             ones = np.ones((dim, dim), dtype=np.int64)
@@ -195,10 +196,10 @@ def test_08_combinatorial_properties():
             assert np.array_equal(2 * gram, (1 << (n - 2)) * (np.eye(dim, dtype=np.int64) + ones))
         rng = np.random.default_rng(88)
         for n in range(2, 13):
-            for builder in (ds.xor_block_matrix, ds.controlled_block_matrix):
+            for builder in (paper.xor_block_matrix, paper.controlled_block_matrix):
                 system = builder(n)
                 psi = rng.uniform(-PI, PI, size=system.dim)
-                x = ds.solve_block_angles(system, psi)
+                x = paper.solve_block_angles(system, psi)
                 assert np.abs(system.entries @ x - psi).max() <= 1e-10
 
 
@@ -236,17 +237,17 @@ def test_10_character_laws():
             alpha = float(rng.uniform(-6, 6))
 
             flip_vec = np.zeros(dim)
-            for j in ds.flip_states(mask, n - 1):
+            for j in paper.flip_states(mask, n - 1):
                 flip_vec[j - 1] += 1.0
                 if j < dim:
                     flip_vec[j] -= 1.0
-            parity_block = ds.from_thetas(n, ds.xor_block_angles(n, mask, alpha))
+            parity_block = ds.DiagonalUnitary(n, paper.xor_block_angles(n, mask, alpha))
             assert wrapped_max_diff(ds.obstruction(parity_block), -2 * alpha * flip_vec) <= 1e-12
 
             cond_vec = np.zeros(dim)
-            for j in ds.conditioned_states(mask, n - 1):
+            for j in paper.conditioned_states(mask, n - 1):
                 cond_vec[j - 1] += 1.0
                 if j < dim:
                     cond_vec[j] -= 1.0
-            cond_block = ds.from_thetas(n, ds.controlled_block_angles(n, mask, alpha))
+            cond_block = ds.DiagonalUnitary(n, paper.controlled_block_angles(n, mask, alpha))
             assert wrapped_max_diff(ds.obstruction(cond_block), alpha * cond_vec) <= 1e-12

@@ -5,13 +5,14 @@ import pytest
 
 import diagsynth as ds
 from conftest import random_monomial_circuit, wrapped_max_diff
+from diagsynth import simulate
 from diagsynth.circuits import K_CDIAG, K_MCRZ, Columns
 
 
 def circuits_equivalent(c1: ds.Circuit, c2: ds.Circuit, tol=1e-12) -> bool:
     """Same basis permutation and the same phases mod 2*pi."""
-    perm1, theta1 = ds.basis_action(c1)
-    perm2, theta2 = ds.basis_action(c2)
+    perm1, theta1 = simulate.basis_action(c1)
+    perm2, theta2 = simulate.basis_action(c2)
     return bool(np.array_equal(perm1, perm2)) and wrapped_max_diff(theta1, theta2) <= tol
 
 
@@ -117,7 +118,7 @@ def test_an_unknown_gate_object_is_refused():
 
 @pytest.mark.parametrize("n", [3.0, "3", None], ids=["float", "str", "None"])
 def test_line_count_that_is_no_int_is_refused(n):
-    columns = ds.synth_xor(ds.from_thetas(3, np.arange(8.0)))[0].columns
+    columns = ds.synth_xor(ds.DiagonalUnitary(3, np.arange(8.0)))[0].columns
     for gates in (columns, ()):
         with pytest.raises(TypeError, match="line count must be an int"):
             ds.Circuit(n, gates)

@@ -45,14 +45,25 @@ def test_synth_keep_trivial_full_layout(reference_diag_file, tmp_path, capsys):
 
 
 def test_synth_lambda_qasm_refused(reference_diag_file, tmp_path, capsys):
-    out = tmp_path / "circuit.json"
+    # the export is refused before any file is written
+    out, qasm = tmp_path / "circuit.json", tmp_path / "c.qasm"
     code = main([
         "synth", "--algo", "lambda",
         "--in", str(reference_diag_file), "--out", str(out),
-        "--qasm", str(tmp_path / "c.qasm"),
+        "--qasm", str(qasm), "--verify",
     ])
     assert code == 1
-    assert "QASM" in capsys.readouterr().err
+    assert "QASM" in _one_error_line(capsys)
+    assert not out.exists() and not qasm.exists()
+
+
+def test_synth_lambda_qasm_export_of_the_identity(tmp_path):
+    # the identity's lambda circuit has no gate, so it has a QASM form
+    diag, out, qasm = tmp_path / "u.json", tmp_path / "c.json", tmp_path / "c.qasm"
+    ds.save_diagonal(ds.DiagonalUnitary.identity(3), diag)
+    argv = ["synth", "--algo", "lambda", "--in", str(diag), "--out", str(out), "--qasm", str(qasm)]
+    assert main(argv + ["--verify"]) == 0
+    assert ds.parse_qasm(qasm.read_text()).gates == () and ds.load_circuit(out).gates == ()
 
 
 def test_synth_xor_qasm_export(reference_diag_file, tmp_path):
@@ -86,7 +97,7 @@ def test_verify_subcommand(reference_diag_file, tmp_path, capsys):
     assert main(["verify", "--circuit", str(out), "--diag", str(reference_diag_file)]) == 0
     # corrupt one angle: verification must fail
     u = ds.load_diagonal(reference_diag_file)
-    bad = ds.from_thetas(3, u.thetas + np.eye(1, 8, 4).ravel() * 0.01)
+    bad = ds.DiagonalUnitary(3, u.thetas + np.eye(1, 8, 4).ravel() * 0.01)
     bad_path = tmp_path / "bad.json"
     ds.save_diagonal(bad, bad_path)
     assert main(["verify", "--circuit", str(out), "--diag", str(bad_path)]) == 1
@@ -124,16 +135,23 @@ def test_angles_that_overflow_exit_with_one_line(tmp_path, capsys):
 
 
 def test_bench_table(capsys):
-    code = main(["bench", "--algo", "xor", "--n-min", "1", "--n-max", "4", "--trials", "3"])
-    assert code == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) == 5  # header + one row per n
-    for row, n in zip(lines[1:], range(1, 5)):
-        fields = row.split()
-        assert int(fields[0]) == n
-        assert float(fields[7]) == 2 ** (n + 1) - 3  # mean elementary hits the bound
-        assert int(fields[8]) == 2 ** (n + 1) - 3
-        assert float(fields[9]) <= 1e-8
+    # each route's mean total meets its own closed form on generic input
+    predicted = {"xor": lambda n: 2 ** (n + 1) - 3, "lambda": lambda n: 2**n - 1,
+                 "twolevel": lambda n: 2**n}
+    for algo, n_min in (("xor", 1), ("lambda", 1), ("twolevel", 2)):
+        code = main(["bench", "--algo", algo, "--n-min", str(n_min), "--n-max", "4", "--trials", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split()[7:10] == ["elem", "total", "predicted"]
+        assert len(lines) == 6 - n_min  # header + one row per n
+        for row, n in zip(lines[1:], range(n_min, 5)):
+            fields = row.split()
+            assert int(fields[0]) == n
+            counts = [float(x) for x in fields[2:7]]  # rz cnot x mcrz cdiag
+            assert float(fields[7]) == counts[0] + counts[1] + counts[2]
+            assert float(fields[8]) == sum(counts) == predicted[algo](n)
+            assert int(fields[9]) == predicted[algo](n)
+            assert float(fields[10]) <= 1e-8
 
 
 def test_dimension_error_exits_nonzero(tmp_path, capsys):
@@ -328,7 +346,7 @@ def test_hard_inputs_round_trip_through_the_cli(algo, kind, tmp_path, capsys):
     # JSON diagonal -> synth --verify (and QASM for xor) -> verify, per n
     rng = np.random.default_rng(930 + HARD_KINDS.index(kind))
     for n in range(2 if algo == "twolevel" else 1, 8):
-        u = ds.from_thetas(n, hard_thetas(kind, n, rng))
+        u = ds.DiagonalUnitary(n, hard_thetas(kind, n, rng))
         diag, out, qasm = tmp_path / f"u{n}.json", tmp_path / f"c{n}.json", tmp_path / f"c{n}.qasm"
         ds.save_diagonal(u, diag)
         argv = ["synth", "--algo", algo, "--in", str(diag), "--out", str(out), "--verify"]

@@ -7,11 +7,12 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
+from diagsynth import paper
 from diagsynth.diagonal import phase_aligned_residual
 
 
 def test_from_thetas_identity():
-    u = ds.from_thetas(1, [0.0, 0.0])
+    u = ds.DiagonalUnitary(1, [0.0, 0.0])
     assert u.n == 1
     assert np.array_equal(u.thetas, [0.0, 0.0])
 
@@ -24,11 +25,11 @@ def test_from_thetas_reference(reference_xor_u3):
 
 def test_from_thetas_rejects_bad_length():
     with pytest.raises(ds.DimensionError):
-        ds.from_thetas(2, [0.0, 0.0, 0.0])
+        ds.DiagonalUnitary(2, [0.0, 0.0, 0.0])
     with pytest.raises(ds.DimensionError):
-        ds.from_thetas(0, [])
+        ds.DiagonalUnitary(0, [])
     with pytest.raises(ValueError):
-        ds.from_thetas(1, [0.0, np.inf])
+        ds.DiagonalUnitary(1, [0.0, np.inf])
 
 
 @pytest.mark.parametrize("n, shown", [(2.0, "2.0"), ("2", "'2'"), (None, "None")])
@@ -83,7 +84,7 @@ def test_reference_four_factor_product(reference_xor_u3):
     acc = reference_xor_u3
     for lines, alpha in blocks:
         mask = ds.lines_to_mask(lines, 2)
-        acc = ds.compose(acc, ds.from_thetas(3, ds.xor_block_angles(3, mask, alpha)))
+        acc = ds.compose(acc, ds.DiagonalUnitary(3, paper.xor_block_angles(3, mask, alpha)))
     expected = np.array([12, 12, 32, 32, 22, 22, 42, 42]) * PI / 48
     assert np.abs(acc.thetas - expected).max() <= 1e-12
 
@@ -91,7 +92,7 @@ def test_reference_four_factor_product(reference_xor_u3):
 def test_equal_up_to_global_phase_shift():
     rng = np.random.default_rng(5)
     u = random_diagonal(3, rng)
-    shifted = ds.from_thetas(3, u.thetas + 1.234)
+    shifted = ds.DiagonalUnitary(3, u.thetas + 1.234)
     assert ds.equal_up_to_global_phase(u, shifted, 1e-12)
 
 
@@ -101,7 +102,7 @@ def test_equal_up_to_global_phase_detects_perturbation():
     tol = 1e-9
     bumped = u.thetas.copy()
     bumped[5] += 10 * tol
-    assert not ds.equal_up_to_global_phase(u, ds.from_thetas(3, bumped), tol)
+    assert not ds.equal_up_to_global_phase(u, ds.DiagonalUnitary(3, bumped), tol)
 
 
 def test_equal_up_to_global_phase_mismatch():
@@ -112,9 +113,9 @@ def test_equal_up_to_global_phase_mismatch():
 
 
 def test_equal_is_equivalence_at_zero_tol():
-    base = ds.from_thetas(2, np.array([0.25, 0.5, 0.75, 1.0]))
-    shift1 = ds.from_thetas(2, base.thetas + 0.5)
-    shift2 = ds.from_thetas(2, shift1.thetas + 0.25)
+    base = ds.DiagonalUnitary(2, np.array([0.25, 0.5, 0.75, 1.0]))
+    shift1 = ds.DiagonalUnitary(2, base.thetas + 0.5)
+    shift2 = ds.DiagonalUnitary(2, shift1.thetas + 0.25)
     assert ds.equal_up_to_global_phase(base, base, 0.0)
     assert ds.equal_up_to_global_phase(base, shift1, 0.0)
     assert ds.equal_up_to_global_phase(shift1, base, 0.0)
@@ -122,7 +123,7 @@ def test_equal_is_equivalence_at_zero_tol():
 
 
 def test_tensor_split_reference_composite():
-    composite = ds.from_thetas(3, np.array([12, 12, 32, 32, 22, 22, 42, 42]) * PI / 48)
+    composite = ds.DiagonalUnitary(3, np.array([12, 12, 32, 32, 22, 22, 42, 42]) * PI / 48)
     split = ds.tensor_split(composite, 1e-9)
     assert np.abs(split.v.thetas - np.array([0, 20, 10, 30]) * PI / 48).max() <= 1e-12
     assert (split.w0, split.w1) == (12 * PI / 48, 12 * PI / 48)
@@ -130,7 +131,7 @@ def test_tensor_split_reference_composite():
     assert abs(split.phi - 12 * PI / 48) <= 1e-15
     # same factor content as exponents (12,32,22,42)/48 with an identity
     # one-qubit factor, shifted by the global phase
-    paperlike = ds.from_thetas(2, np.array([12, 32, 22, 42]) * PI / 48)
+    paperlike = ds.DiagonalUnitary(2, np.array([12, 32, 22, 42]) * PI / 48)
     assert ds.equal_up_to_global_phase(split.v, paperlike, 1e-12)
 
 
@@ -142,7 +143,7 @@ def test_tensor_split_identity():
 
 
 def test_tensor_split_appendix_composite():
-    composite = ds.from_thetas(3, np.array([12, 6, 20, 14, 9, 3, 9, 3]) * PI / 12)
+    composite = ds.DiagonalUnitary(3, np.array([12, 6, 20, 14, 9, 3, 9, 3]) * PI / 12)
     split = ds.tensor_split(composite, 1e-9)
     assert np.abs(split.v.thetas - np.array([0, 8, -3, -3]) * PI / 12).max() <= 1e-12
     assert abs(split.w0 - 12 * PI / 12) <= 1e-15
@@ -162,7 +163,7 @@ def test_tensor_split_round_trip():
         thetas = np.repeat(v.thetas, 2) + np.tile([w0, w1], 1 << (n - 1))
         # entries shifted by multiples of 2*pi still satisfy the chain mod 2*pi
         thetas = thetas + 2 * PI * rng.integers(-2, 3, size=1 << n)
-        split = ds.tensor_split(ds.from_thetas(n, thetas), 1e-9)
+        split = ds.tensor_split(ds.DiagonalUnitary(n, thetas), 1e-9)
         recomposed = np.repeat(split.v.thetas, 2) + np.tile([split.w0, split.w1], 1 << (n - 1))
         assert wrapped_max_diff(recomposed, thetas) <= 1e-12
 
@@ -197,7 +198,7 @@ def test_wraps_match_their_reference_expressions_bit_for_bit():
         for scalar in (*values[:8].tolist(), *values[:8]):
             assert _bits(ds.wrap_angle(scalar)) == _bits(_wrap_reference(scalar))
     for first, second in itertools.product(cases, repeat=2):
-        u = ds.from_thetas(8, rng.choice(first, 256))
+        u = ds.DiagonalUnitary(8, rng.choice(first, 256))
         other = rng.choice(second, 256)
         kept = other.copy()
         residual = phase_aligned_residual(u.thetas, other)  # u.thetas is read-only

@@ -19,7 +19,8 @@ import pytest
 import diagsynth as ds
 import per_gate_reference as ref
 from conftest import PI, random_diagonal, tensor_rz_diagonal, wrapped_max_diff
-from diagsynth.subsets import dictionary_subsets, gray_subsets
+from diagsynth import paper
+from diagsynth.subsets import dictionary_words, gray_walk
 from diagsynth.synth_controlled import synthesize_levels
 from diagsynth.transforms import fwht
 
@@ -36,18 +37,18 @@ def _expand_then_cancel(route, u, keep):
         for k in range(n, 0, -1):
             level = angles[(1 << n) - (1 << k):]
             gates.append(ds.RZ(k, level[0]))
-            for mask in dictionary_subsets(k - 1) if k > 1 else []:
-                gates += ds.controlled_rotation_gates(ds.subset_lines(mask, k - 1), level[mask], k)
+            for mask in dictionary_words(k - 1).tolist():
+                gates += paper.controlled_rotation_gates(ds.subset_lines(mask, k - 1), level[mask], k)
     else:
         # per level k, one block per Gray subset S of lines 1..k-1 (the empty
         # one first); last the rotation of line 1. Line L is bit n - L of a
         # parity, and bit k - 1 - L of S.
         walsh = fwht(u.thetas) / (1 << n)
         for k in range(n, 0, -1):
-            for mask in gray_subsets(k - 1) if k > 1 else [0]:
+            for mask in gray_walk(k - 1)[0].tolist() if k > 1 else [0]:
                 parity = mask << (n - k + 1) | 1 << (n - k)
                 lines = ds.subset_lines(mask, k - 1)
-                gates += ds.xor_rotation_gates(lines, -2.0 * walsh[parity], k)
+                gates += paper.xor_rotation_gates(lines, -2.0 * walsh[parity], k)
         phase = float(walsh[0])
     circuit = ds.Circuit(n, tuple(gates), phase)
     if keep:  # cancel the fans but keep every zero rotation
@@ -68,14 +69,14 @@ def _zz_diagonal(n, rng):
     thetas = np.zeros(1 << n)
     for a in range(n - 1):
         thetas += rng.uniform(0.0, 2 * PI) * z[a] * z[a + 1]
-    return ds.from_thetas(n, thetas)
+    return ds.DiagonalUnitary(n, thetas)
 
 
 def _degenerate_inputs(n, rng):
     yield ds.DiagonalUnitary.identity(n)
     yield tensor_rz_diagonal(rng.uniform(-PI, PI, n))
     yield _zz_diagonal(n, rng)
-    yield ds.from_thetas(n, rng.choice([-PI, 0.0, PI], 1 << n))
+    yield ds.DiagonalUnitary(n, rng.choice([-PI, 0.0, PI], 1 << n))
 
 
 def _commuting_runs_sorted(gates):

@@ -23,6 +23,7 @@ import diagsynth as ds
 from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal, sparse_spectrum
 from diagsynth import paper, transforms
 from diagsynth.angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
+from diagsynth.subsets import gray_walk
 from diagsynth.synth_controlled import synthesize_levels, winding_parity
 from diagsynth.transforms import mobius, zeta
 from test_precision import ising_thetas, sparse_zz_thetas
@@ -65,7 +66,7 @@ def _lambda_recursion(u):
         t = wrap_angle(t - t[0])
         alphas = controlled_level_angles(t)
         t = cancel_blocks(t, alphas)
-        if not np.abs(ds.obstruction(ds.from_thetas(k, t))).max() <= DEFAULT_TOL:
+        if not np.abs(ds.obstruction(ds.DiagonalUnitary(k, t))).max() <= DEFAULT_TOL:
             raise ds.SynthesisError("block angles failed to cancel the obstruction")
         w0, w1 = float(t[0]), float(t[1])
         phase += 0.5 * (w0 + w1)
@@ -87,12 +88,12 @@ def _xor_recursion(u):
     # block applied whole, then the split of the last line
     angles, phase = [], 0.0
     for k in range(u.n, 1, -1):
-        system = ds.xor_block_matrix(k)
-        alphas = -0.5 * ds.solve_block_angles(system, ds.obstruction(u))
+        system = paper.xor_block_matrix(k)
+        alphas = -0.5 * paper.solve_block_angles(system, ds.obstruction(u))
         remainder = u.thetas
         for mask, alpha in zip(system.column_subsets, alphas):
-            remainder = remainder + ds.xor_block_angles(k, mask, -alpha)
-        split = ds.tensor_split(ds.from_thetas(k, remainder))
+            remainder = remainder + paper.xor_block_angles(k, mask, -alpha)
+        split = ds.tensor_split(ds.DiagonalUnitary(k, remainder))
         angles += [split.rotation_angle, *alphas]
         phase += split.phi
         u = split.v
@@ -111,7 +112,7 @@ def test_closed_form_angles_match_dense_solve(family, n):
     if family == "xor":
         # on angles this small no level wraps, so the one-shot Walsh angles
         # are the recursion's, rotation for rotation in the same layout
-        u = ds.from_thetas(n, rng.uniform(-0.01, 0.01, 1 << n))
+        u = ds.DiagonalUnitary(n, rng.uniform(-0.01, 0.01, 1 << n))
         expected, phase = _xor_recursion(u)
         circuit, _ = ds.synth_xor(u, keep_trivial_rotations=True)
         got = _rotations(circuit)
@@ -119,7 +120,7 @@ def test_closed_form_angles_match_dense_solve(family, n):
         assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
         assert abs(circuit.global_phase - phase) <= _tolerance(n, abs(phase))
         return
-    system = ds.controlled_block_matrix(n)
+    system = paper.controlled_block_matrix(n)
     u = random_diagonal(n, rng)
     psi = ds.obstruction(u)
     expected = np.linalg.solve(system.entries.astype(float), psi)
@@ -149,17 +150,17 @@ def test_one_shot_remainder_matches_block_loop(family, n):
         got = np.full(1 << n, circuit.global_phase)
         top = np.arange(1 << n)
         for k in range(n, 0, -1):
-            for mask in ds.gray_subsets(k - 1) if k > 1 else [0]:
-                got += ds.xor_block_angles(k, mask, next(alphas))[top >> (n - k)]
+            for mask in gray_walk(k - 1)[0].tolist() if k > 1 else [0]:
+                got += paper.xor_block_angles(k, mask, next(alphas))[top >> (n - k)]
         assert np.abs(got - u.thetas).max() <= _tolerance(n, 2 * PI)
         return
     alphas = controlled_level_angles(u.thetas)
     expected = u.thetas
-    for mask in ds.controlled_block_matrix(n).column_subsets:
-        expected = expected + ds.controlled_block_angles(n, mask, -alphas[mask])
+    for mask in paper.controlled_block_matrix(n).column_subsets:
+        expected = expected + paper.controlled_block_angles(n, mask, -alphas[mask])
     got = cancel_blocks(u.thetas, alphas)
     assert np.abs(got - expected).max() <= _tolerance(n, np.abs(expected).max())
-    assert ds.is_tensor(ds.from_thetas(n, got), 1e-9)
+    assert ds.is_tensor(ds.DiagonalUnitary(n, got), 1e-9)
 
 
 def _lambda_inputs(n, seed):
@@ -180,7 +181,7 @@ def test_level_pass_matches_per_level_loop(n, monkeypatch):
     blocks[starts] = False
     for seed in (n, 100 + n):
         for family, thetas in _lambda_inputs(n, seed):
-            u = ds.from_thetas(n, thetas)
+            u = ds.DiagonalUnitary(n, thetas)
             tol = _tolerance(n, np.abs(thetas).max())
             angles, phase = synthesize_levels(u)
             expected, expected_phase = _lambda_recursion(u)
@@ -242,7 +243,7 @@ def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
 def test_huge_finite_angles_synthesize_and_verify(synth):
     # theta_1 - theta_0 overflows to -inf: synthesis starts from the wrapped
     # angles, and the verifier wraps both sides before it subtracts them
-    u = ds.from_thetas(2, [1e308, -1e308, 0.0, 0.0])
+    u = ds.DiagonalUnitary(2, [1e308, -1e308, 0.0, 0.0])
     with np.errstate(over="raise", invalid="raise"):
         circuit, _ = synth(u)
         assert ds.verify(circuit, u) <= 1e-9
@@ -307,7 +308,7 @@ def _zz_diagonal(n, edges, gammas):
     thetas = np.zeros(1 << n)
     for (a, b), gamma in zip(edges, gammas):
         thetas += gamma * z[a] * z[b]
-    return ds.from_thetas(n, thetas)
+    return ds.DiagonalUnitary(n, thetas)
 
 
 def test_sparse_zz_input_keeps_its_controlled_full_turns():
@@ -329,7 +330,7 @@ def test_unwrapped_inputs_synthesize_at_small_magnitude():
     for n in range(2, 11):
         for _ in range(20):
             scale = 10 ** rng.uniform(3, 6)
-            u = ds.from_thetas(n, rng.uniform(0.0, 1.0, 1 << n) * scale)
+            u = ds.DiagonalUnitary(n, rng.uniform(0.0, 1.0, 1 << n) * scale)
             for synth in (ds.synth_xor, ds.synth_controlled):
                 circuit, _ = synth(u)
                 assert ds.verify(circuit, u) <= 1e-9
@@ -340,7 +341,7 @@ def hard_diagonals(draw):
     n = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(HARD_KINDS))
     seed = draw(st.integers(0, 2**32 - 1))
-    return kind, seed, ds.from_thetas(n, hard_thetas(kind, n, np.random.default_rng(seed)))
+    return kind, seed, ds.DiagonalUnitary(n, hard_thetas(kind, n, np.random.default_rng(seed)))
 
 
 @settings(max_examples=150, deadline=None)

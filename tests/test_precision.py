@@ -75,7 +75,7 @@ def _thetas(n, family, seed):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("case", CASES)
 def test_structured_input_verifies(case, route):
-    u = ds.from_thetas(CASES[case][0], _thetas(*CASES[case]))
+    u = ds.DiagonalUnitary(CASES[case][0], _thetas(*CASES[case]))
     circuit, _ = ROUTES[route](u)
     assert ds.verify(circuit, u) <= TOL
 
@@ -83,7 +83,7 @@ def test_structured_input_verifies(case, route):
 def test_ising_spectrum_is_its_couplings():
     # 14 fields and 91 couplings are the input's 105 nonzero parities, one
     # rotation each
-    u = ds.from_thetas(14, ising_thetas(14, 0))
+    u = ds.DiagonalUnitary(14, ising_thetas(14, 0))
     circuit, report = ds.synth_xor(u)
     assert report.counts == {"x": 0, "cnot": 182, "rz": 105, "mcrz": 0, "cdiag": 0}
     assert ds.verify(circuit, u) <= TOL

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import diagsynth as ds
 import per_gate_reference as ref
 from conftest import PI, random_diagonal, random_monomial_circuit, shuffled_twolevel_circuit
-from diagsynth import simulate
+from diagsynth import paper, simulate
 from diagsynth.circuits import Columns
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
@@ -40,7 +40,7 @@ def test_apply_index_range():
 def test_parity_fan_block_action():
     alpha = 0.77
     phi = -alpha / 2
-    gates = tuple(ds.xor_rotation_gates([1, 3], alpha, 4))
+    gates = tuple(paper.xor_rotation_gates([1, 3], alpha, 4))
     assert gates == (
         ds.CNOT(1, 4),
         ds.CNOT(3, 4),
@@ -60,7 +60,7 @@ def test_parity_fan_block_action():
 def test_conditioned_block_action():
     alpha = 1.1
     phi = -alpha / 2
-    c = ds.Circuit(4, tuple(ds.controlled_rotation_gates([1, 3], alpha, 4)))
+    c = ds.Circuit(4, tuple(paper.controlled_rotation_gates([1, 3], alpha, 4)))
     diag = ds.circuit_to_diagonal(c)
     expected = np.zeros(16)
     expected[0b1010], expected[0b1011] = phi, -phi
@@ -69,7 +69,7 @@ def test_conditioned_block_action():
 
 
 def test_conditioned_block_three_qubits():
-    c = ds.Circuit(3, tuple(ds.controlled_rotation_gates([1, 2], 4 * PI / 6, 3)))
+    c = ds.Circuit(3, tuple(paper.controlled_rotation_gates([1, 2], 4 * PI / 6, 3)))
     diag = ds.circuit_to_diagonal(c)
     expected = np.array([0, 0, 0, 0, 0, 0, -4, 4]) * PI / 12
     assert np.abs(diag.thetas - expected).max() <= 1e-12
@@ -158,7 +158,7 @@ def gate_lists(draw):
 @settings(max_examples=400, deadline=None)
 @given(circuit=gate_lists())
 def test_circuit_to_diagonal_matches_permutation_replay(circuit):
-    perm, theta = ds.basis_action(circuit)
+    perm, theta = simulate.basis_action(circuit)
     identity = np.arange(1 << circuit.n)
     # a circuit with a CNOT is read in one pass over its gates, any other
     # from its columns alone
@@ -311,11 +311,11 @@ def test_twolevel_circuits_read_back_their_input_exactly(order):
 def test_a_block_that_leaves_a_line_free_is_replayed_once(gates, monkeypatch):
     # the circuit's one basis_action call gives its angles
     circuit = ds.Circuit(3, gates, 0.7)
-    replays = []
-    monkeypatch.setattr(simulate, "basis_action", lambda c: replays.append(c) or ds.basis_action(c))
+    replays, basis_action = [], simulate.basis_action
+    monkeypatch.setattr(simulate, "basis_action", lambda c: replays.append(c) or basis_action(c))
     thetas = ds.circuit_to_diagonal(circuit).thetas
     assert len(replays) == 1 and replays[0] is circuit
-    assert thetas.tobytes() == (ds.basis_action(circuit)[1] + 0.7).tobytes()
+    assert thetas.tobytes() == (basis_action(circuit)[1] + 0.7).tobytes()
 
 
 def test_synthesized_circuits_never_replay_per_state(monkeypatch):
@@ -348,7 +348,7 @@ def test_blocks_after_an_xor_circuit_stay_on_the_phase_polynomial(monkeypatch):
     u, v = random_diagonal(12, rng), random_diagonal(12, rng)
     xor, lam = ds.synth_xor(u)[0], ds.synth_controlled(v)[0]
     joined = ds.Circuit(12, Columns(*map(np.concatenate, zip(xor.columns, lam.columns))))
-    want = ds.from_thetas(12, u.thetas + v.thetas)
+    want = ds.DiagonalUnitary(12, u.thetas + v.thetas)
     assert ds.verify(joined, want) <= 1e-9
 
 
@@ -367,7 +367,7 @@ def test_cnot_free_circuits_never_run_a_walsh_transform(monkeypatch):
             assert ds.verify(synth(u)[0], u) <= 1e-9
     # an RZ on an X-flipped line adds the terms of the opposite angle
     circuit = ds.Circuit(2, (ds.X(1), ds.RZ(1, 0.7), ds.MCRZ((1,), 2, 0.3), ds.X(1), ds.RZ(1, -1.1)), 0.2)
-    want = ds.basis_action(circuit)[1] + 0.2
+    want = simulate.basis_action(circuit)[1] + 0.2
     assert np.abs(ds.circuit_to_diagonal(circuit).thetas - want).max() <= 1e-15
 
 
@@ -379,7 +379,7 @@ def test_cnot_free_draws_never_run_a_walsh_transform(circuit):
         monkeypatch.setattr(simulate, "fwht", _no_fwht)
         outcome = _outcome(ds.circuit_to_diagonal, circuit)
     if isinstance(outcome, ds.DiagonalUnitary):
-        want = ds.basis_action(circuit)[1] + circuit.global_phase
+        want = simulate.basis_action(circuit)[1] + circuit.global_phase
         assert np.abs(outcome.thetas - want).max() <= 1e-12
 
 
@@ -402,7 +402,7 @@ def test_diagonal_only_gates_never_permute():
                 gates.append(ds.MCRZ((1,), 3, float(rng.normal())))
             else:
                 gates.append(ds.CDIAG((1, 2), 3, float(rng.normal()), float(rng.normal())))
-        perm, _ = ds.basis_action(ds.Circuit(3, tuple(gates)))
+        perm, _ = simulate.basis_action(ds.Circuit(3, tuple(gates)))
         assert np.array_equal(perm, np.arange(8))
 
 
@@ -424,7 +424,7 @@ def test_scalar_and_vector_paths_agree():
         for n in range(2, 7):
             rng = np.random.default_rng(seed)
             c = random_monomial_circuit(n, 40, rng)
-            perm, theta = ds.basis_action(c)
+            perm, theta = simulate.basis_action(c)
             for j in range(1 << n):
                 out, angle = ref.apply_to_basis(c, j)
                 assert out == perm[j]
@@ -439,9 +439,9 @@ def test_global_phase_included_in_diagonal():
 
 def test_verify_empty_cases():
     assert ds.verify(ds.Circuit(2, ()), ds.DiagonalUnitary.identity(2)) == 0.0
-    u = ds.from_thetas(2, [0.0, 0.0, 0.3, 0.0])
+    u = ds.DiagonalUnitary(2, [0.0, 0.0, 0.3, 0.0])
     assert abs(ds.verify(ds.Circuit(2, ()), u) - 0.3) <= 1e-15
-    u0 = ds.from_thetas(2, [0.3, 0.0, 0.0, 0.0])
+    u0 = ds.DiagonalUnitary(2, [0.3, 0.0, 0.0, 0.0])
     assert abs(ds.verify(ds.Circuit(2, ()), u0) - 0.3) <= 1e-15
 
 

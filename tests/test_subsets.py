@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 import diagsynth as ds
+from diagsynth import paper
 from diagsynth.subsets import dictionary_words, gray_walk
 
 
 def as_lines(masks, m):
     return [ds.subset_lines(mask, m) for mask in masks]
+
+
+def gray_masks(m):
+    return gray_walk(m)[0].tolist()
+
+
+def dictionary_masks(m):
+    return dictionary_words(m).tolist()
 
 
 def reflected_gray_oracle(m):
@@ -20,7 +29,7 @@ def reflected_gray_oracle(m):
 
 
 def test_gray_three_lines():
-    got = as_lines(ds.gray_subsets(3), 3)
+    got = as_lines(gray_masks(3), 3)
     assert got == [
         (),
         (3,),
@@ -34,16 +43,16 @@ def test_gray_three_lines():
 
 
 def test_gray_one_line():
-    assert as_lines(ds.gray_subsets(1), 1) == [(), (1,)]
+    assert as_lines(gray_masks(1), 1) == [(), (1,)]
 
 
 def test_gray_two_lines_matches_reflected_construction():
-    assert ds.gray_subsets(2) == reflected_gray_oracle(2) == [0b00, 0b01, 0b11, 0b10]
+    assert gray_masks(2) == reflected_gray_oracle(2) == [0b00, 0b01, 0b11, 0b10]
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_gray_adjacency_and_coverage(m):
-    seq = ds.gray_subsets(m)
+    seq = gray_masks(m)
     assert sorted(seq) == list(range(1 << m))
     assert seq == reflected_gray_oracle(m)
     for a, b in zip(seq, seq[1:]):
@@ -60,19 +69,19 @@ def test_gray_walk_steps_name_the_changed_line(m):
 
 def test_gray_rejects_zero_lines():
     with pytest.raises(ValueError):
-        ds.gray_subsets(0)
+        gray_walk(0)
 
 
 def test_dictionary_two_lines():
-    assert as_lines(ds.dictionary_subsets(2), 2) == [(1,), (1, 2), (2,)]
+    assert as_lines(dictionary_masks(2), 2) == [(1,), (1, 2), (2,)]
 
 
 def test_dictionary_one_line():
-    assert as_lines(ds.dictionary_subsets(1), 1) == [(1,)]
+    assert as_lines(dictionary_masks(1), 1) == [(1,)]
 
 
 def test_dictionary_three_lines():
-    got = as_lines(ds.dictionary_subsets(3), 3)
+    got = as_lines(dictionary_masks(3), 3)
     # oracle: sort the textual element lists
     words = sorted("".join(str(k) for k in lines) for lines in got)
     assert ["".join(str(k) for k in lines) for lines in got] == words
@@ -89,7 +98,7 @@ def test_dictionary_three_lines():
 
 @pytest.mark.parametrize("m", range(1, 15))
 def test_dictionary_order_is_the_sorted_word_order(m):
-    got = ds.dictionary_subsets(m)
+    got = dictionary_masks(m)
     assert got == sorted(range(1, 1 << m), key=lambda mask: ds.subset_lines(mask, m))
     assert all(type(mask) is int for mask in got)
 
@@ -98,12 +107,7 @@ def test_dictionary_words_are_the_order_as_int64():
     assert dictionary_words(0).dtype == np.int64 and dictionary_words(0).size == 0
     for m in range(1, 9):
         words = dictionary_words(m)
-        assert words.dtype == np.int64 and words.tolist() == ds.dictionary_subsets(m)
-
-
-def test_dictionary_rejects_zero_lines():
-    with pytest.raises(ValueError):
-        ds.dictionary_subsets(0)
+        assert words.dtype == np.int64 and words.tolist() == sorted(range(1, 1 << m), key=lambda mask: ds.subset_lines(mask, m))
 
 
 def brute_force_flips(lines, m):
@@ -127,22 +131,22 @@ def test_flip_states_table_four_qubit_controls():
         (3,): {0b001, 0b011, 0b101, 0b111},
     }
     for lines, expected in table.items():
-        assert ds.flip_states(ds.lines_to_mask(lines, 3), 3) == expected
+        assert paper.flip_states(ds.lines_to_mask(lines, 3), 3) == expected
 
 
 def test_flip_states_two_lines():
-    assert ds.flip_states(ds.lines_to_mask([2], 2), 2) == brute_force_flips([2], 2) == {0b01, 0b11}
+    assert paper.flip_states(ds.lines_to_mask([2], 2), 2) == brute_force_flips([2], 2) == {0b01, 0b11}
 
 
 def test_flip_states_cardinality():
     for m in range(1, 7):
         for mask in range(1, 1 << m):
-            assert len(ds.flip_states(mask, m)) == 1 << (m - 1)
+            assert len(paper.flip_states(mask, m)) == 1 << (m - 1)
 
 
 def test_flip_states_pairwise_intersections():
     for m in range(2, 7):
-        sets = {mask: ds.flip_states(mask, m) for mask in range(1, 1 << m)}
+        sets = {mask: paper.flip_states(mask, m) for mask in range(1, 1 << m)}
         for m1 in sets:
             for m2 in sets:
                 if m1 < m2:
@@ -151,7 +155,7 @@ def test_flip_states_pairwise_intersections():
 
 def test_flip_states_rejects_empty():
     with pytest.raises(ValueError):
-        ds.flip_states(0, 3)
+        paper.flip_states(0, 3)
 
 
 def brute_force_conditioned(lines, m):
@@ -164,21 +168,33 @@ def brute_force_conditioned(lines, m):
 
 
 def test_conditioned_states_examples():
-    assert ds.conditioned_states(ds.lines_to_mask([1, 3], 3), 3) == {0b101, 0b111}
-    assert ds.conditioned_states(ds.lines_to_mask([1], 2), 2) == brute_force_conditioned([1], 2) == {0b10, 0b11}
-    assert ds.conditioned_states(ds.lines_to_mask([1, 2], 2), 2) == {0b11}
+    assert paper.conditioned_states(ds.lines_to_mask([1, 3], 3), 3) == {0b101, 0b111}
+    assert paper.conditioned_states(ds.lines_to_mask([1], 2), 2) == brute_force_conditioned([1], 2) == {0b10, 0b11}
+    assert paper.conditioned_states(ds.lines_to_mask([1, 2], 2), 2) == {0b11}
 
 
 def test_conditioned_states_cardinality():
     for m in range(1, 7):
         for mask in range(1, 1 << m):
             size = bin(mask).count("1")
-            assert len(ds.conditioned_states(mask, m)) == 1 << (m - size)
+            assert len(paper.conditioned_states(mask, m)) == 1 << (m - size)
 
 
 def test_conditioned_states_rejects_empty():
     with pytest.raises(ValueError):
-        ds.conditioned_states(0, 2)
+        paper.conditioned_states(0, 2)
+
+
+def test_subset_lines_rejects_a_mask_outside_the_lines():
+    for mask in (0b111, -1):
+        with pytest.raises(ds.DimensionError):
+            ds.subset_lines(mask, 2)
+
+
+def test_state_sets_reject_a_mask_outside_the_lines():
+    for states in (paper.flip_states, paper.conditioned_states):
+        with pytest.raises(ds.DimensionError):
+            states(8, 3)
 
 
 def test_mask_line_round_trip():

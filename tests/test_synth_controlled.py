@@ -7,19 +7,20 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
+from diagsynth import paper
 from diagsynth.circuits import K_MCRZ, K_RZ
 
 
 def test_block_gates_reference():
-    assert ds.controlled_rotation_gates([1, 3], 0.4, 4) == [ds.MCRZ((1, 3), 4, 0.4)]
-    assert ds.controlled_rotation_gates([], 0.4, 4) == [ds.RZ(4, 0.4)]
+    assert paper.controlled_rotation_gates([1, 3], 0.4, 4) == [ds.MCRZ((1, 3), 4, 0.4)]
+    assert paper.controlled_rotation_gates([], 0.4, 4) == [ds.RZ(4, 0.4)]
 
 
 def test_block_gates_reject_bad_controls():
     with pytest.raises(ValueError):
-        ds.controlled_rotation_gates([4], 0.4, 4)
+        paper.controlled_rotation_gates([4], 0.4, 4)
     with pytest.raises(ValueError):
-        ds.controlled_rotation_gates([2, 2], 0.4, 4)
+        paper.controlled_rotation_gates([2, 2], 0.4, 4)
 
 
 def test_block_obstruction_formula():
@@ -31,9 +32,9 @@ def test_block_obstruction_formula():
         for _ in range(6):
             mask = int(rng.integers(1, 1 << (n - 1)))
             alpha = float(rng.uniform(-4, 4))
-            block = ds.from_thetas(n, ds.controlled_block_angles(n, mask, alpha))
+            block = ds.DiagonalUnitary(n, paper.controlled_block_angles(n, mask, alpha))
             expected = np.zeros(dim)
-            for j in ds.conditioned_states(mask, n - 1):
+            for j in paper.conditioned_states(mask, n - 1):
                 expected[j - 1] += alpha
                 if j < dim:
                     expected[j] -= alpha
@@ -41,20 +42,20 @@ def test_block_obstruction_formula():
 
 
 def test_reference_synthesis_angles(reference_ctrl_u3):
-    system = ds.controlled_block_matrix(3)
-    alphas = ds.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
+    system = paper.controlled_block_matrix(3)
+    alphas = paper.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
     assert np.abs(alphas - np.array([-1, -4, 2]) * PI / 6).max() <= 1e-12
 
 
 def test_reference_synthesis_remainder_and_quotient(reference_ctrl_u3):
-    system = ds.controlled_block_matrix(3)
-    alphas = ds.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
+    system = paper.controlled_block_matrix(3)
+    alphas = paper.solve_block_angles(system, ds.obstruction(reference_ctrl_u3))
     remainder = reference_ctrl_u3.thetas
     for mask, alpha in zip(system.column_subsets, alphas):
-        remainder = remainder + ds.controlled_block_angles(3, mask, -alpha)
+        remainder = remainder + paper.controlled_block_angles(3, mask, -alpha)
     expected = np.array([12, 6, 20, 14, 9, 3, 9, 3]) * PI / 12
     assert np.abs(remainder - expected).max() <= 1e-12
-    split = ds.tensor_split(ds.from_thetas(3, remainder), 1e-9)
+    split = ds.tensor_split(ds.DiagonalUnitary(3, remainder), 1e-9)
     assert np.abs(split.v.thetas - np.array([0, 8, -3, -3]) * PI / 12).max() <= 1e-12
 
 

@@ -7,13 +7,14 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, shuffled_twolevel_circuit
+from diagsynth import simulate
 from diagsynth.circuits import K_CDIAG, K_X
-from diagsynth.subsets import gray_subsets, subset_lines
+from diagsynth.subsets import gray_walk, subset_lines
 
 
 def test_two_qubit_structure():
     a, b, c, d = 0.3, 1.1, 2.0, 0.7
-    u = ds.from_thetas(2, [a, b, c, d])
+    u = ds.DiagonalUnitary(2, [a, b, c, d])
     circuit, report = ds.synth_twolevel(u)
     assert report.counts["x"] == 2
     assert report.counts["cdiag"] == 2
@@ -28,7 +29,7 @@ def test_two_qubit_structure():
     rng = np.random.default_rng(50)
     for n in range(2, 11):
         for scale in (2 * PI, 1e3, 1e4, 1e5, 1e6):
-            u = ds.from_thetas(n, rng.uniform(-scale, scale, size=1 << n))
+            u = ds.DiagonalUnitary(n, rng.uniform(-scale, scale, size=1 << n))
             circuit, _ = ds.synth_twolevel(u)
             assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, u.thetas)
 
@@ -82,7 +83,7 @@ def test_reference_values_in_blocks(reference_xor_u3):
     circuit, _ = ds.synth_twolevel(reference_xor_u3)
     lookup = {}
     # replay which pattern each block fires on to recover its angles
-    perm, _ = ds.basis_action(circuit)
+    perm, _ = simulate.basis_action(circuit)
     assert np.array_equal(perm, np.arange(8))
     blocks = [g for g in circuit.gates if isinstance(g, ds.CDIAG)]
     assert len(blocks) == 4
@@ -102,7 +103,7 @@ def _per_mask_layout(n):
     # next (and from the last back to the empty mask), the X on every line
     # that changes, then the block
     m = n - 1
-    sequence = gray_subsets(m)
+    sequence = gray_walk(m)[0].tolist()
     full = (1 << m) - 1
     kind, target = [], []
     previous = 0

@@ -5,11 +5,13 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, tensor_rz_diagonal
+from diagsynth import paper
+from diagsynth.subsets import gray_walk
 
 
 def test_block_gates_fan_reference():
     alpha = 0.3
-    assert ds.xor_rotation_gates([1, 3], alpha, 4) == [
+    assert paper.xor_rotation_gates([1, 3], alpha, 4) == [
         ds.CNOT(1, 4),
         ds.CNOT(3, 4),
         ds.RZ(4, alpha),
@@ -19,14 +21,14 @@ def test_block_gates_fan_reference():
 
 
 def test_block_gates_empty_subset():
-    assert ds.xor_rotation_gates([], 0.5, 4) == [ds.RZ(4, 0.5)]
+    assert paper.xor_rotation_gates([], 0.5, 4) == [ds.RZ(4, 0.5)]
 
 
 def test_block_gates_reject_target_as_control():
     with pytest.raises(ValueError):
-        ds.xor_rotation_gates([4], 0.1, 4)
+        paper.xor_rotation_gates([4], 0.1, 4)
     with pytest.raises(ValueError):
-        ds.xor_rotation_gates([1, 1], 0.1, 4)
+        paper.xor_rotation_gates([1, 1], 0.1, 4)
 
 
 def test_block_gates_realize_block_angles():
@@ -36,9 +38,9 @@ def test_block_gates_realize_block_angles():
             size = int(rng.integers(1, n))
             lines = sorted(rng.choice(np.arange(1, n), size=size, replace=False))
             alpha = float(rng.normal())
-            circuit = ds.Circuit(n, tuple(ds.xor_rotation_gates(lines, alpha, n)))
+            circuit = ds.Circuit(n, tuple(paper.xor_rotation_gates(lines, alpha, n)))
             mask = ds.lines_to_mask(lines, n - 1)
-            expected = ds.xor_block_angles(n, mask, alpha)
+            expected = paper.xor_block_angles(n, mask, alpha)
             assert np.abs(ds.circuit_to_diagonal(circuit).thetas - expected).max() <= 1e-12
             assert len(circuit.gates) == 2 * size + 1
 
@@ -47,7 +49,7 @@ def test_block_angle_count():
     # gate cost is 2|S| + 1
     for size in range(4):
         lines = list(range(1, size + 1))
-        assert len(ds.xor_rotation_gates(lines, 0.2, 5)) == 2 * size + 1
+        assert len(paper.xor_rotation_gates(lines, 0.2, 5)) == 2 * size + 1
 
 
 def test_reference_synthesis_keep_trivial_matches_published_layout(reference_xor_u3):
@@ -75,20 +77,20 @@ def test_reference_synthesis_keep_trivial_matches_published_layout(reference_xor
 def test_reference_synthesis_block_angles(reference_xor_u3):
     # the solved block angles carry magnitudes {3,3,4}*pi/24 on subsets
     # {2}, {1,2}, {1} in that column order
-    system = ds.xor_block_matrix(3)
-    alphas = -0.5 * ds.solve_block_angles(system, ds.obstruction(reference_xor_u3))
+    system = paper.xor_block_matrix(3)
+    alphas = -0.5 * paper.solve_block_angles(system, ds.obstruction(reference_xor_u3))
     assert np.abs(alphas - np.array([3, -3, -4]) * PI / 24).max() <= 1e-12
 
 
 def test_reference_synthesis_remainder_is_tensor(reference_xor_u3):
-    system = ds.xor_block_matrix(3)
-    alphas = -0.5 * ds.solve_block_angles(system, ds.obstruction(reference_xor_u3))
+    system = paper.xor_block_matrix(3)
+    alphas = -0.5 * paper.solve_block_angles(system, ds.obstruction(reference_xor_u3))
     remainder = reference_xor_u3.thetas
     for mask, alpha in zip(system.column_subsets, alphas):
-        remainder = remainder + ds.xor_block_angles(3, mask, -alpha)
+        remainder = remainder + paper.xor_block_angles(3, mask, -alpha)
     expected = np.array([12, 12, 32, 32, 22, 22, 42, 42]) * PI / 48
     assert np.abs(remainder - expected).max() <= 1e-12
-    split = ds.tensor_split(ds.from_thetas(3, remainder), 1e-9)
+    split = ds.tensor_split(ds.DiagonalUnitary(3, remainder), 1e-9)
     assert split.rotation_angle == pytest.approx(0.0, abs=1e-12)
 
 
@@ -138,9 +140,9 @@ def test_single_level_structure():
     rng = np.random.default_rng(36)
     for n in (3, 4, 5, 6):
         gates = [ds.RZ(n, float(rng.normal()))]
-        for mask in ds.gray_subsets(n - 1)[1:]:
+        for mask in gray_walk(n - 1)[0].tolist()[1:]:
             gates.extend(
-                ds.xor_rotation_gates(ds.subset_lines(mask, n - 1), float(rng.normal()), n)
+                paper.xor_rotation_gates(ds.subset_lines(mask, n - 1), float(rng.normal()), n)
             )
         report = ds.count_gates(ds.peephole_cancel(ds.Circuit(n, tuple(gates))))
         assert report.counts["rz"] == 1 << (n - 1)
@@ -151,16 +153,16 @@ def test_remainder_obstruction_is_flat():
     rng = np.random.default_rng(37)
     for n in (3, 5, 7):
         u = random_diagonal(n, rng)
-        system = ds.xor_block_matrix(n)
-        alphas = -0.5 * ds.solve_block_angles(system, ds.obstruction(u))
+        system = paper.xor_block_matrix(n)
+        alphas = -0.5 * paper.solve_block_angles(system, ds.obstruction(u))
         remainder = u.thetas
         for mask, alpha in zip(system.column_subsets, alphas):
-            remainder = remainder + ds.xor_block_angles(n, mask, -alpha)
-        assert np.abs(ds.obstruction(ds.from_thetas(n, remainder))).max() <= 1e-10
+            remainder = remainder + paper.xor_block_angles(n, mask, -alpha)
+        assert np.abs(ds.obstruction(ds.DiagonalUnitary(n, remainder))).max() <= 1e-10
 
 
 def test_single_qubit_input():
-    u = ds.from_thetas(1, [0.2, 0.9])
+    u = ds.DiagonalUnitary(1, [0.2, 0.9])
     circuit, report = ds.synth_xor(u)
     assert report.elementary == 1
     (gate,) = circuit.gates
