@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .angles import DEFAULT_TOL
+from .circuits import MAX_LINES
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError, SynthesisError
 from .serialize import load_circuit, load_diagonal, save_circuit, to_qasm
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument(
         "--keep-trivial",
         action="store_true",
-        help="keep zero-angle rotations (full generic layout)",
+        help="keep zero-angle rotations (full generic layout; xor and lambda only)",
     )
 
     ver = sub.add_parser("verify", help="check a circuit file against a diagonal file")
@@ -94,6 +95,8 @@ def _print_stats(report, residual=None) -> None:
 
 
 def _cmd_synth(args) -> int:
+    if args.keep_trivial and args.algo == "twolevel":
+        raise ValueError("--keep-trivial applies to --algo xor and lambda only")
     u = load_diagonal(args.infile)
     circuit, report = _synthesize(args.algo, u, args.keep_trivial)
     qasm = to_qasm(circuit) if args.qasm else None  # a refused export writes no file
@@ -131,6 +134,8 @@ def _cmd_bench(args) -> int:
         raise DimensionError(f"--n-min must be at least {lowest} for --algo {args.algo}")
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.n_max > MAX_LINES:
+        raise DimensionError(f"--n-max must be at most {MAX_LINES}, got {args.n_max}")
     rng = np.random.default_rng(20260810)
     header = (
         f"{'n':>3} {'trials':>6} {'rz':>7} {'cnot':>7} {'x':>7} "

@@ -54,10 +54,15 @@ class DiagonalUnitary:
 
 
 def compose(u1: DiagonalUnitary, u2: DiagonalUnitary) -> DiagonalUnitary:
-    """Operator product of two diagonals: componentwise angle addition."""
+    """Operator product of two diagonals: componentwise angle addition, of
+    the wrapped angles when a sum overflows."""
     if u1.n != u2.n:
         raise DimensionError(f"qubit counts differ: {u1.n} vs {u2.n}")
-    return DiagonalUnitary(u1.n, u1.thetas + u2.thetas)
+    with np.errstate(over="ignore"):
+        thetas = u1.thetas + u2.thetas
+    if not np.isfinite(thetas).all():
+        thetas = wrap_angle(u1.thetas) + wrap_angle(u2.thetas)
+    return DiagonalUnitary(u1.n, thetas)
 
 
 def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:

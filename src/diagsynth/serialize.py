@@ -9,12 +9,12 @@ then the gate dataclass's fields by name, in order}. One writer gives its
 text, the bytes ``json.dumps`` would: per gate a cached head and tail and
 its first value, joined and split where the angle texts go. Loading reads
 save_circuit's text as one byte array, and takes it when the writer, given
-the columns read and the text's own angle and control-list texts, writes
-it back byte for byte. Any other text is parsed as JSON and read gate by
-gate, from each gate dataclass's own fields, which words the first error.
-Every reading, and the diagonal reader, takes only a JSON int where the
-format says int and only a JSON number (not a bool or a string) where it
-says angle.
+the columns read and the text's own angle texts, writes it back byte for
+byte; ``Circuit`` validates the columns, as for every byte reader. Any
+other text is parsed as JSON and read gate by gate, from each gate
+dataclass's own fields, which words the first error. Every reading, and
+the diagonal reader, takes only a JSON int where the format says int and
+only a JSON number (not a bool or a string) where it says angle.
 
 QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
 symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
@@ -22,8 +22,8 @@ difference at most); multi-controlled blocks are refused. Export writes
 from the columns: one join of cached per-n line texts, split where the rz
 angle texts go. Import reads the text export writes as one byte array,
 and takes it only when the columns read, with the text's own angle texts,
-write it back byte for byte; any other text is read statement by
-statement, which words the error of a bad text.
+write it back byte for byte and ``Circuit`` accepts them; any other text
+is read statement by statement, which words the error of a bad text.
 """
 
 from __future__ import annotations
@@ -158,17 +158,15 @@ class _ControlTexts(dict):
         return text
 
 
-def _document_text(n_text: str, phase_text: str, kind, target, control, lists,
-                   angle_texts: list[str]) -> str:
+def _document_text(n: int, phase_text: str, kind, target, control, angle_texts: list[str]) -> str:
     # The document: each gate's head, first value and tail joined, and
-    # angle_texts (each gate's angles in field order) put in at the "\0"s;
-    # lists(mask) writes a block's control list.
+    # angle_texts (each gate's angles in field order) put in at the "\0"s
     parts = np.empty((kind.size, 3), dtype=object)
     parts[:, 0], parts[:, 2] = _HEADS[kind], _TAILS[kind, target]
     parts[:, 1] = _LINES[np.where(kind == K_CNOT, control, target)]
     blocks = kind >= K_MCRZ
-    parts[blocks, 1] = list(map(lists, control[blocks].tolist()))
-    parts = [f'{{"n": {n_text}, "global_phase": {phase_text}, "gates": [', *parts.ravel().tolist()]
+    parts[blocks, 1] = list(map(_ControlTexts(n).__getitem__, control[blocks].tolist()))
+    parts = [f'{{"n": {n}, "global_phase": {phase_text}, "gates": [', *parts.ravel().tolist()]
     parts[-1] = parts[-1].removesuffix(", ") + "]}"
     return _fill("".join(parts).split("\0"), angle_texts)
 
@@ -186,9 +184,8 @@ def _circuit_text(circuit: Circuit) -> str:
     # The document as json.dumps writes it, with repr of each angle
     kind, target, control = circuit.columns[:3]
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
-    head = json.dumps(circuit.n), json.dumps(circuit.global_phase)
-    lists = _ControlTexts(circuit.n).__getitem__
-    return _document_text(*head, kind, target, control, lists, list(map(repr, angles.tolist())))
+    texts = list(map(repr, angles.tolist()))
+    return _document_text(circuit.n, json.dumps(circuit.global_phase), kind, target, control, texts)
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -203,33 +200,6 @@ def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed gate document: {exc}") from exc
     raise FormatError(f"unknown gate kind {kind!r}")
-
-
-def _angle_column(values) -> np.ndarray:
-    if not set(map(type, values)) <= {int, float}:  # JSON numbers, not bools
-        raise TypeError("an angle is not a number")
-    column = np.array(values, dtype=float)
-    if not np.isfinite(column).all():
-        raise ValueError("an angle is not finite")
-    return column
-
-
-def _mask_column(values, n: int) -> np.ndarray:
-    # the mask of each list of control lines, each line an int in 1..n and
-    # none repeated; the masks of all the lists in one pass
-    if not set(map(type, values)) <= {list}:
-        raise TypeError("controls are not a list")
-    if not set(map(type, chain.from_iterable(values))) <= {int}:  # not bools
-        raise TypeError("a control line is not an int")
-    sizes = np.fromiter(map(len, values), np.int64, len(values))
-    lines = np.fromiter(chain.from_iterable(values), np.int64, int(sizes.sum()))
-    if ((lines < 1) | (lines > n)).any():
-        raise ValueError("control line outside 1..n")
-    masks = np.zeros(len(values), dtype=np.int64)
-    np.bitwise_or.at(masks, np.repeat(np.arange(len(values)), sizes), 1 << (n - lines))
-    if (np.bitwise_count(masks) != sizes).any():
-        raise ValueError("repeated control line")
-    return masks
 
 
 def circuit_to_document(circuit: Circuit) -> dict:
@@ -288,11 +258,13 @@ _COLONS, _TARGET_AT = np.array([[2, 3, 3, 4, 5], [1, 2, 1, 2, 2]])
 
 def _saved_circuit(text: str) -> Circuit:
     # The circuit of save_circuit's text, with or without its final newline,
-    # taken when _document_text writes it back from the columns read and the
-    # text's own list and angle texts, each checked to be one JSON value;
+    # when _document_text writes it back from the columns read and the text's
+    # own angle texts, each one JSON number, and Circuit takes the columns;
     # else an error. A gate starts at "{", each value 2 bytes after its ":".
     head = text[: text.find(', "gates": [') + 12]
     n = int(head[6 : head.find(",")])  # after '{"n": '
+    if not (text.isascii() and 1 <= n <= MAX_LINES):  # one byte per character; masks in int64
+        raise ValueError("not the text save_circuit writes")
     phase_text = head[len(f'{{"n": {n}, "global_phase": ') : -12]
     data = np.frombuffer(text.encode(), dtype=np.uint8)
     starts = np.flatnonzero(data == ord("{"))[1:]
@@ -306,13 +278,16 @@ def _saved_circuit(text: str) -> Circuit:
     target, control = line[first + _TARGET_AT[kind]], np.where(kind == K_CNOT, line[first + 1], 0)
     blocks, cdiag = kind >= K_MCRZ, kind == K_CDIAG
     opens, shuts = value[first[blocks] + 1], value[first[blocks] + 2] - 12  # ', "target": '
-    # (a list text that opens with its only "[" is one JSON value)
-    if not (text.isascii() and 1 <= n <= MAX_LINES and (data[opens] == ord("[")).all()
-            and np.count_nonzero(data == ord("[")) == opens.size + 1):
-        raise ValueError("not the text save_circuit writes")
     known: dict[str, int] = {}  # the distinct list texts
-    index = [known.setdefault(text[a:b], len(known)) for a, b in zip(opens.tolist(), shuts.tolist())]
-    masks = _mask_column(json.loads(f"[{','.join(known)}]"), n)
+    index = [known.setdefault(text[a:b], len(known))
+             for a, b in zip(opens.tolist(), shuts.tolist())]
+    lists = json.loads(f"[{','.join(known)}]")
+    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+    lines = np.fromiter(chain.from_iterable(lists), np.int64, int(sizes.sum()))
+    if ((lines < 1) | (lines > n)).any():  # keeps shift counts in range, masks non-negative
+        raise ValueError("control line outside 1..n")
+    masks = np.zeros(len(lists), dtype=np.int64)
+    np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
     control[blocks] = masks[index]
     # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": '
     slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
@@ -320,15 +295,16 @@ def _saved_circuit(text: str) -> Circuit:
     opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
     shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
     del data, colons, value, high, low, line  # before the text is written back
-    texts = [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
-    angles = np.zeros((2, kind.size))  # texts read as one list of numbers are one number each
-    angles.T[slots] = _angle_column(json.loads(f"[{','.join(texts)}]"))
-    lists = dict(zip(masks.tolist(), known)).__getitem__
-    written = _document_text(str(n), phase_text, kind, target, control, lists, texts)
+    texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
+    numbers = json.loads(f"[{','.join(texts)}]")  # one number per text, else a count is off
+    if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
+        raise TypeError("an angle is not a number")
+    angles = np.zeros((2, kind.size))
+    angles.T[slots] = numbers[1:]
+    written = _document_text(n, phase_text, kind, target, control, texts[1:])
     if len(written) != len(text) - text.endswith("\n") or not text.startswith(written):
         raise ValueError("not the text save_circuit writes")
-    phase = _number("global_phase", json.loads(phase_text))
-    return Circuit(n, Columns(kind, target, control, *angles), phase)
+    return Circuit(n, Columns(kind, target, control, *angles), float(numbers[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +358,32 @@ def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
 def parse_qasm(text: str) -> Circuit:
     """Parse the subset emitted by to_qasm back into a circuit.
 
-    The text is read as bytes, and taken when the columns read, with its
-    own rz angle texts, write it back byte for byte. Any other text is read
-    statement by statement, raising the error of the first bad statement.
+    The text is read as bytes, and taken when the columns read, which
+    ``Circuit`` validates, write it back with its own rz angle texts. Any
+    other text is read statement by statement; the first bad one words the
+    error.
     """
     head = text[: text.find("];\n") + 3]
     n = _QASM_HEADS.get(head)
     if n is not None:
         try:
-            columns = _qasm_columns(n, text[len(head) :])
-        except ValueError:
+            return Circuit(n, _qasm_columns(n, text[len(head) :]), 0.0)
+        except (IndexError, ValueError):
             pass
-        else:
-            return Circuit(n, columns, 0.0)
     return _parse_qasm_statements(text)
 
 
 def _qasm_columns(n: int, body: str) -> Columns:
-    # The columns of to_qasm's gate lines on n lines, else ValueError. A
-    # line's first byte is its kind, the digits before "];" its target, those
-    # after "cx q[" a cx's control, the text from "rz(" to ") q[" an angle.
+    # The columns of to_qasm's gate lines on n lines, else an error. A line's
+    # first byte is its kind, the digits before "];" its target, those after
+    # "cx q[" a cx's control, the text from "rz(" to ") q[" an angle, kept to
+    # the bytes of _QASM_BYTES: float() also reads "1_0" and "inf".
     if not body.isascii() or body.encode().translate(None, _QASM_BYTES):
         raise ValueError("a byte to_qasm does not write")
     text = np.frombuffer(body.encode(), dtype=np.uint8)
     ends = np.flatnonzero(text == 10)
     starts = np.concatenate(([0], ends + 1))[:-1]
     kind = _QASM_KINDS[text[starts]]
-    if (ends - starts < 7).any() or (kind < 0).any():
-        raise ValueError("a line that is no gate")
     def line(first, two):  # q[k] is line k + 1; k's digits start at first
         high, low = (text[at].astype(np.int64) - 48 for at in (first, first + two))
         return np.where(two, 10 * high + low, low) + 1
@@ -417,16 +391,12 @@ def _qasm_columns(n: int, body: str) -> Columns:
     target = line(ends - 3 - two, two)
     cx = kind == K_CNOT
     control = np.where(cx, line(starts + 5, text[starts + 6] != ord("]")), 0)
-    if not ((1 <= target) & (target <= n) & (cx <= control) & (control <= n)).all():
-        raise ValueError("a qubit outside the register")
     rz = kind == K_RZ
     opens = starts[rz] + 3  # an rz angle's text runs up to its ") q["
     closes = np.maximum(ends[rz] - 7 - two[rz], opens)
     texts = [body[a:b] for a, b in zip(opens.tolist(), closes.tolist())]
     angle = np.zeros(kind.size)
     angle[rz] = np.fromiter(map(float, texts), float, len(texts))
-    if not np.isfinite(angle).all():
-        raise ValueError("rz angle is not finite")
     if _qasm_body(n, kind, target, control, texts) != body:
         raise ValueError("not the text to_qasm writes")
     return Columns(kind, target, control, angle, np.zeros(kind.size))

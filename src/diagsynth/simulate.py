@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CNOT, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, MCRZ, RZ, Circuit, X
+from .circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, Circuit
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
@@ -63,22 +63,17 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     n = circuit.n
     j = np.arange(1 << n, dtype=np.int64)
     theta = np.zeros(1 << n)
-    for gate in circuit.gates:
-        if isinstance(gate, X):
-            j = j ^ (1 << _bitpos(n, gate.line))
-        elif isinstance(gate, CNOT):
-            j = j ^ ((j >> _bitpos(n, gate.control) & 1) << _bitpos(n, gate.target))
-        elif isinstance(gate, RZ):
-            bit = j >> _bitpos(n, gate.line) & 1
-            theta += np.where(bit, 0.5 * gate.alpha, -0.5 * gate.alpha)
-        else:  # MCRZ or CDIAG
-            cmask = sum(1 << _bitpos(n, c) for c in gate.controls)
-            if isinstance(gate, MCRZ):
-                off, on = -0.5 * gate.alpha, 0.5 * gate.alpha
-            else:
-                off, on = gate.theta0, gate.theta1
-            bit = j >> _bitpos(n, gate.target) & 1
-            theta += np.where((j & cmask) == cmask, np.where(bit, on, off), 0.0)
+    # per gate: kind code, target line, control line or mask, two angles;
+    # an RZ's mask is 0, so it acts on every state as a block with no control
+    for code, t, c, a0, a1 in zip(*(column.tolist() for column in circuit.columns)):
+        if code == K_X:
+            j = j ^ (1 << _bitpos(n, t))
+        elif code == K_CNOT:
+            j = j ^ ((j >> _bitpos(n, c) & 1) << _bitpos(n, t))
+        else:
+            off, on = (a0, a1) if code == K_CDIAG else (-0.5 * a0, 0.5 * a0)
+            bit = j >> _bitpos(n, t) & 1
+            theta += np.where((j & c) == c, np.where(bit, on, off), 0.0)
     return j, theta
 
 
@@ -87,9 +82,9 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
 
     Read off the phase polynomial in O(gates + n * 2**n); a diagonal
     circuit with a block on a parity line, or with an X-flipped or CDIAG
-    block that leaves a line free, is replayed by ``basis_action`` instead. Raises NotDiagonalError, from the final line map, when any
-    basis state lands elsewhere, which signals unbalanced CNOT or X
-    structure.
+    block that leaves a line free, is replayed by ``basis_action`` instead.
+    Raises NotDiagonalError, from the final line map, when any basis state
+    lands elsewhere, which signals unbalanced CNOT or X structure.
     """
     return DiagonalUnitary(circuit.n, _angles(circuit))
 

@@ -44,6 +44,19 @@ def test_synth_keep_trivial_full_layout(reference_diag_file, tmp_path, capsys):
     assert "elementary=13" in capsys.readouterr().out
 
 
+def test_synth_twolevel_refuses_keep_trivial(reference_diag_file, tmp_path, capsys):
+    # the two-level route keeps no rotation layout, so the flag is an error,
+    # raised before any file is written
+    out, qasm = tmp_path / "circuit.json", tmp_path / "c.qasm"
+    code = main([
+        "synth", "--algo", "twolevel", "--keep-trivial",
+        "--in", str(reference_diag_file), "--out", str(out), "--qasm", str(qasm),
+    ])
+    assert code == 1
+    assert "--keep-trivial" in _one_error_line(capsys)
+    assert not out.exists() and not qasm.exists()
+
+
 def test_synth_lambda_qasm_refused(reference_diag_file, tmp_path, capsys):
     # the export is refused before any file is written
     out, qasm = tmp_path / "circuit.json", tmp_path / "c.qasm"
@@ -194,17 +207,19 @@ def test_argument_checks_reject_bad_values(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "algo, n_min, n_max",
-    [("twolevel", 1, 3), ("xor", 0, 2), ("lambda", 0, 2), ("twolevel", 0, 2), ("xor", 4, 2)],
+    "algo, n_min, n_max, flag",
+    [pytest.param(*row, id="-".join(map(str, row[:3]))) for row in (
+        ("twolevel", 1, 3, "--n-min"), ("xor", 0, 2, "--n-min"), ("lambda", 0, 2, "--n-min"),
+        ("twolevel", 0, 2, "--n-min"), ("xor", 4, 2, "--n-min"), ("xor", 64, 64, "--n-max"))],
 )
-def test_bench_rejects_bad_range_before_the_table(algo, n_min, n_max, capsys):
+def test_bench_rejects_bad_range_before_the_table(algo, n_min, n_max, flag, capsys):
     code = main(["bench", "--algo", algo, "--n-min", str(n_min), "--n-max", str(n_max),
                  "--trials", "1"])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "--n-min" in err
+    assert flag in err
 
 
 def test_bench_too_large_to_allocate_exits_with_one_line(capsys):

@@ -372,6 +372,25 @@ def test_cancellation_matches_per_gate_reference(circuit):
         assert ds.count_gates(got) == ref.count_gates(want)
 
 
+def test_replay_builds_no_gate_objects(monkeypatch):
+    # an X-flipped block that leaves line 2 free is replayed by basis_action,
+    # from the columns
+    circuit = ds.Circuit(3, (ds.X(1), ds.MCRZ((1,), 3, 0.4), ds.X(1)))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} object was built")
+
+    def refuse_call(*args, **kwargs):
+        raise AssertionError("the gates were read one by one")
+
+    for cls in (ds.X, ds.CNOT, ds.RZ, ds.MCRZ, ds.CDIAG):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr("diagsynth.circuits.gate_fields", refuse_call)
+    # the block fires where line 1 is 0: -0.2 with line 3 at 0, +0.2 with it at 1
+    want = [-0.2, 0.2, -0.2, 0.2, 0.0, 0.0, 0.0, 0.0]
+    assert ds.circuit_to_diagonal(circuit).thetas.tolist() == want
+
+
 @pytest.mark.parametrize("n", [*range(2, 11), 12])
 def test_hot_paths_build_no_gate_objects(n, monkeypatch, tmp_path):
     u = random_diagonal(n, np.random.default_rng(900 + n))

@@ -68,6 +68,17 @@ def test_compose_associative_up_to_rounding():
     assert np.abs(left - right).max() <= 1e-15 * np.abs(left).max()
 
 
+def test_compose_of_angles_whose_sum_overflows():
+    # each angle is finite, so each diagonal is valid, and so is their
+    # product: the wrapped angles are added where a sum overflows
+    u = ds.DiagonalUnitary(2, np.array([1e308, -1e308, 3.0, 1e308]))
+    doubled = ds.DiagonalUnitary(2, 2 * ds.wrap_angle(u.thetas))
+    assert ds.equal_up_to_global_phase(ds.compose(u, u), doubled, 1e-12)
+    # finite sums are the plain sums
+    v = ds.DiagonalUnitary(2, np.array([-1e308, 1e308, 3.0, -1e307]))
+    assert ds.compose(u, v).thetas.tobytes() == (u.thetas + v.thetas).tobytes()
+
+
 def test_compose_size_mismatch():
     with pytest.raises(ds.DimensionError):
         ds.compose(ds.DiagonalUnitary.identity(2), ds.DiagonalUnitary.identity(3))

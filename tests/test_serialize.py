@@ -8,6 +8,7 @@ import pytest
 
 import diagsynth as ds
 from conftest import random_diagonal
+from diagsynth import serialize
 
 
 def test_diagonal_round_trip_bit_exact(tmp_path):
@@ -352,3 +353,45 @@ def test_qasm_reads_only_ascii_decimal_numbers(statements, error):
 def test_qasm_angle_may_have_spaces_and_tabs_around_it():
     circuit = ds.parse_qasm("OPENQASM 2.0;\nqreg q[1];\nrz( \t-.5e1\t) q[0];\nrz(+3.) q[0];\n")
     assert circuit.gates == (ds.RZ(1, -5.0), ds.RZ(1, 3.0))
+
+
+
+# save_circuit's text of MCRZ((1, 2), 3, 0.5) on 3 lines, and to_qasm's head on 2
+_MCRZ_TEXT = ('{"n": 3, "global_phase": 0.0, "gates": '
+              '[{"kind": "mcrz", "controls": [1, 2], "target": 3, "alpha": 0.5}]}')
+_QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+
+
+def _outcome(read):
+    # the columns and phase read, or the error's type and message
+    try:
+        circuit = read()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [column.tobytes() for column in circuit.columns], circuit.global_phase
+
+
+@pytest.mark.parametrize("field, value", [
+    *[("controls", lines) for lines in
+      ("[1, 1]", "[2, 1]", "[1,2]", "[0]", "[-60]", "[true]", "[1.0]", '"12"', '["1"]')],
+    *[(field, angle) for angle in ("true", '"1"', "Infinity", "1e400")
+      for field in ("alpha", "global_phase")],
+    *[("qasm", lines) for lines in ("x q[-1];", "x q[2];", "cx q[0],q[0];", "rz(1e999) q[0];",
+                                    "rz(1_0) q[0];", "y q[0];", "x q[0];\nx")],
+])
+def test_byte_readers_give_the_general_readers_outcome(field, value, tmp_path):
+    # texts a writer's own but for one value, which the byte readers refuse:
+    # the general reader reads the same circuit or raises the same error
+    if field == "qasm":
+        text = f"{_QASM_HEAD}{value}\n"
+        got = _outcome(lambda: ds.parse_qasm(text))
+        want = _outcome(lambda: serialize._parse_qasm_statements(text))
+    else:
+        old = {"controls": "[1, 2]", "alpha": '"alpha": 0.5', "global_phase": '"global_phase": 0.0'}
+        new = value if field == "controls" else f'"{field}": {value}'
+        text = _MCRZ_TEXT.replace(old[field], new)
+        path = tmp_path / "circuit.json"
+        path.write_text(text)
+        got = _outcome(lambda: ds.load_circuit(path))
+        want = _outcome(lambda: serialize.circuit_from_document(json.loads(text)))
+    assert got == want
