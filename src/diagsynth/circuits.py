@@ -273,6 +273,39 @@ def _cancel_runs(columns: Columns):
     return None if keep.all() else keep
 
 
+def _drop_trivial(columns: Columns, phase: float):
+    # peephole_cancel's drop rule: the kept columns and the phase, or None
+    kind, _, _, angle0, angle1 = columns
+    period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
+    trivial = (kind >= K_RZ) & _whole_turns(angle0, period)
+    if angle1.any():  # angle1 is 0 except on a CDIAG
+        trivial &= _whole_turns(angle1, TWO_PI)
+    if not trivial.any():
+        return None
+    odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
+    for _ in range(np.count_nonzero(odd)):
+        phase += math.pi
+    return Columns(*(column[~trivial] for column in columns)), phase
+
+
+def on_layout(n: int, columns: Columns, phase: float, drop=True, runs=True) -> Circuit:
+    """``Circuit(n, columns, phase)`` on rows of a checked, cached layout, after
+    the drop rule (``drop``) and, only if it dropped, the run scan (``runs``);
+    only the angles and the phase are checked, else ``Circuit`` words it."""
+    if drop and (dropped := _drop_trivial(columns, phase)) is not None:
+        columns, phase = dropped
+        while runs and (keep := _cancel_runs(columns)) is not None:
+            columns = Columns(*(column[keep] for column in columns))
+    if not (np.isfinite(columns.angle0).all() and np.isfinite(columns.angle1).all()
+            and math.isfinite(phase)):
+        return Circuit(n, columns, phase)
+    circuit = object.__new__(Circuit)
+    circuit.n, circuit.global_phase, circuit.columns, circuit._gates = n, phase, columns, None
+    for column in columns:
+        column.flags.writeable = False
+    return circuit
+
+
 def peephole_cancel(circuit: Circuit) -> Circuit:
     """Cancel redundant gates until a fixed point.
 
@@ -284,20 +317,14 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     which typically exposes further CNOT pairs. Preserves the induced
     diagonal including its global phase: a dropped RZ(2*pi*m) was
     (-1)**m * I, so odd m adds pi to the phase record. A circuit with
-    nothing to cancel is returned as is.
+    nothing to cancel is returned as is. The synthesizers apply the drop
+    rule themselves (``on_layout``): this pass is for other circuits.
     """
     columns, phase = circuit.columns, circuit.global_phase
     # one drop pass: cancelling removes only CNOT and X gates, so it never
     # leaves a new trivial rotation
-    kind, _, _, angle0, angle1 = columns
-    period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
-    # angle1 is 0 except on a CDIAG
-    trivial = (kind >= K_RZ) & _whole_turns(angle0, period) & _whole_turns(angle1, TWO_PI)
-    if trivial.any():
-        odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
-        for _ in range(np.count_nonzero(odd)):
-            phase += math.pi
-        columns = Columns(*(column[~trivial] for column in columns))
+    if (dropped := _drop_trivial(columns, phase)) is not None:
+        columns, phase = dropped
     while (keep := _cancel_runs(columns)) is not None:
         columns = Columns(*(column[keep] for column in columns))
     if columns.kind.size == circuit.columns.kind.size:

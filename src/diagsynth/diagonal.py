@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import DEFAULT_TOL, wrap_angle
+from .angles import DEFAULT_TOL, TWO_PI, wrap_angle
 from .errors import DimensionError
 
 
@@ -76,8 +76,10 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
     """
     diff = wrap_angle(thetas1)
     diff -= wrap_angle(thetas2)
-    diff -= wrap_angle(diff[0])
-    return float(np.abs(wrap_angle(diff)).max())
+    shift = float(diff[0]) % TWO_PI  # the bits of wrap_angle(diff[0])
+    diff -= shift - TWO_PI if shift > np.pi else shift
+    r = np.remainder(diff, TWO_PI, out=diff)
+    return float(np.minimum(r, TWO_PI - r).max())  # the bits of max |wrap_angle(diff)|
 
 
 def equal_up_to_global_phase(

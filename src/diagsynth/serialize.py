@@ -230,7 +230,7 @@ def load_circuit(path) -> Circuit:
     text = _read_text(path)
     try:
         return _saved_circuit(text)
-    except (IndexError, TypeError, ValueError, OverflowError):
+    except (IndexError, TypeError, ValueError, OverflowError, RecursionError):
         return circuit_from_document(_read_json(path, text))
 
 
@@ -244,7 +244,7 @@ def _read_text(path) -> str:
 def _read_json(path, text: str) -> dict:
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an integer, too deep
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")

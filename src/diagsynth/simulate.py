@@ -99,6 +99,9 @@ def _angles(circuit: Circuit) -> np.ndarray:
             return basis_action(circuit)[1] + circuit.global_phase
         # the walk lists every block, in gate order
         walsh, block_bits = terms
+        if not block_bits:  # the phase polynomial alone
+            thetas = np.zeros(1 << n) if walsh is None else fwht(walsh)
+            return np.add(thetas, circuit.global_phase, out=thetas)
         rows = np.flatnonzero(kind >= K_MCRZ)
         controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
         alpha = angle0[rows]
@@ -106,17 +109,19 @@ def _angles(circuit: Circuit) -> np.ndarray:
         # No CNOT: every line carries its own input bit, the X gates up to
         # a gate on its line give its affine bit, and an RZ is an MCRZ with
         # no controls, of the opposite angle on a flipped line.
-        bit = 1 << (n - target)
-        flips = np.bitwise_xor.accumulate(np.where(kind == K_X, bit, 0))
-        if flips.size and flips[-1]:
-            end = int(flips[-1])
-            raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
-        walsh, rows = None, np.flatnonzero(kind != K_X)
-        rz = kind[rows] == K_RZ
-        controls, targets = np.where(rz, 0, control[rows]), bit[rows]
-        flipped = flips[rows] & (controls | targets)
-        alpha = np.where(rz & (flipped != 0), -angle0[rows], angle0[rows])
-        flipped[rz] = 0
+        walsh, rows = None, slice(None)
+        bit, rz, x = 1 << (n - target), kind == K_RZ, kind == K_X
+        controls, alpha, flipped = np.where(rz, 0, control), angle0, np.zeros_like(target)
+        if x.any():  # else every row is a rotation and no line is flipped
+            flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
+            if end := int(flips[-1]):
+                raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
+            rows = np.flatnonzero(~x)
+            rz, controls = rz[rows], controls[rows]
+            flipped = flips[rows] & (controls | bit[rows])
+            alpha = np.where(rz & (flipped != 0), -angle0[rows], angle0[rows])
+            flipped[rz] = 0
+        targets = bit[rows]
     # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
     # control bit and +alpha on those also holding the target bit: two
     # subset sums. Any other block on all n lines fires on two inputs: the
@@ -136,9 +141,9 @@ def _angles(circuit: Circuit) -> np.ndarray:
         thetas = zeta(thetas)
     if cells.size:
         # both cells per block, added in gate order
-        a, mcrz, on = alpha[cells], kind[rows[cells]] == K_MCRZ, (size - 1) ^ flipped[cells]
+        a, mcrz, on = alpha[cells], kind[rows][cells] == K_MCRZ, (size - 1) ^ flipped[cells]
         at = np.array((on ^ targets[cells], on)).T.ravel()
-        values = np.where(mcrz, -0.5 * a, a), np.where(mcrz, 0.5 * a, angle1[rows[cells]])
+        values = np.where(mcrz, -0.5 * a, a), np.where(mcrz, 0.5 * a, angle1[rows][cells])
         np.add.at(thetas, at, np.array(values).T.ravel())
     if walsh is not None:
         thetas += fwht(walsh)

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
-from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gates, peephole_cancel
+from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gates, on_layout
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
 from .subsets import dictionary_words
@@ -37,20 +37,12 @@ from .transforms import mobius, zeta
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
 # module binds, finds them.
+from .circuits import peephole_cancel  # noqa: F401
 from .obstruction import is_tensor, obstruction, tensor_split  # noqa: F401
 from .paper import (  # noqa: F401
     controlled_block_angles, controlled_block_matrix, controlled_rotation_gates,
     solve_block_angles,
 )
-
-
-def winding_parity(d: np.ndarray) -> np.ndarray:
-    """Per entry j of a level's d = t[0::2] - t[1::2], the parity of the
-    windings w of the obstruction before it: wrap(s) = s + 2*pi*w with
-    s = d[:-1] - d[1:], summed exactly in integers; entry 0 is 0."""
-    s = d[:-1] - d[1:]
-    windings = np.rint((wrap_angle(s) - s) / TWO_PI).astype(np.int64)
-    return np.concatenate(([0], np.add.accumulate(windings) & 1))
 
 
 @lru_cache(maxsize=16)
@@ -83,7 +75,12 @@ def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
         level = slice(size - (1 << k), size - (1 << k - 1))
         low, high = t[0::2], t[1::2]  # the states with line k at 0, at 1
         d = np.subtract(low, high, out=diffs[level])
-        odds[level] = odd = winding_parity(d)
+        # the winding parities: wrap(s) = s + 2*pi*w for s = d[:-1] - d[1:];
+        # with s = 2*pi*q + r, r in [0, 2*pi) as np.remainder gives it,
+        # w = -q, or -q - 1 when r > pi; entry j sums w over entries < j
+        q, r = np.divmod(d[:-1] - d[1:], TWO_PI)
+        odd = odds[level]
+        np.bitwise_and(np.add.accumulate((q + (r > np.pi)).astype(np.int64)), 1, out=odd[1:])
         # line k splits off as a rotation by t[1] = -d[0]; half the blocks'
         # subset sums are (d[0] - d) / 2 + pi * odd mod 2*pi, so the next
         # level's angles, the even entries with those cancelled, are known
@@ -123,6 +120,7 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     source = np.concatenate([m + (1 << n) - (1 << k) for k, m in zip(levels, masks)])
     target = np.repeat(levels, [len(m) for m in masks])
     kind = np.where(control == 0, K_RZ, K_MCRZ).astype(np.int8)
+    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for on_layout
     return kind, target, control, source
 
 
@@ -136,7 +134,6 @@ def synth_controlled(
     angles, phase = synthesize_levels(u)
     kind, target, control, source = _layout(u.n)
     columns = Columns(kind, target, control, angles[source], np.zeros(kind.size))
-    circuit = Circuit(u.n, columns, phase)
-    if not keep_trivial_rotations:  # the layout has no CNOT or X, so only drops would cancel
-        circuit = peephole_cancel(circuit)
+    # the layout has no CNOT or X, and RZ and MCRZ never cancel each other
+    circuit = on_layout(u.n, columns, phase, drop=not keep_trivial_rotations, runs=False)
     return circuit, count_gates(circuit)

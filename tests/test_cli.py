@@ -302,6 +302,27 @@ def test_verify_names_a_gate_list_that_is_no_list_of_objects(gates, named, tmp_p
     assert _one_error_line(capsys) == f"error: {named}\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where", ["gates", "controls", "thetas"])
+def test_deeply_nested_json_exits_with_one_line(where, tmp_path, capsys):
+    # json.loads raises RecursionError on such nesting: as the whole gate
+    # list, as one MCRZ's controls (read first by the byte reader) and as a
+    # diagonal's angles
+    circuit, diag = tmp_path / "c.json", tmp_path / "d.json"
+    ds.save_circuit(ds.Circuit(2, (ds.MCRZ((1,), 2, 1.0),)), circuit)
+    ds.save_diagonal(ds.DiagonalUnitary.identity(2), diag)
+    if where == "gates":
+        circuit.write_text(f'{{"n": 2, "global_phase": 0.0, "gates": {DEEP}}}')
+    elif where == "controls":
+        circuit.write_text(circuit.read_text().replace('"controls": [1]', f'"controls": {DEEP}'))
+    else:
+        diag.write_text(f'{{"n": 2, "units": "rad", "thetas": {DEEP}}}')
+    assert main(["verify", "--circuit", str(circuit), "--diag", str(diag)]) == 1
+    assert "maximum recursion depth" in _one_error_line(capsys)
+
+
 def test_parser_is_built_once(reference_diag_file, tmp_path, capsys):
     # one parser serves every call, and no option carries over to the next
     from diagsynth.cli import _build_parser

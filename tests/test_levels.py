@@ -6,7 +6,9 @@ paper's per-level recursion and the per-block ``*_block_angles`` loop; the
 synthesizers use none of them. The xor route is one Walsh transform, the
 lambda route one pass down the levels and then one Moebius and one subset
 sum butterfly over all levels at once; its oracle here is the per-level
-loop it replaced, a closed-form solve and a remainder per level.
+loop it replaced, a closed-form solve and a remainder per level, and the
+pass as first written, with its windings counted from ``wrap_angle``, must
+give the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from conftest import HARD_KINDS, PI, hard_thetas, random_diagonal, sparse_spectr
 from diagsynth import paper, transforms
 from diagsynth.angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
 from diagsynth.subsets import gray_walk
-from diagsynth.synth_controlled import synthesize_levels, winding_parity
+from diagsynth.synth_controlled import synthesize_levels
 from diagsynth.transforms import mobius, zeta
 from test_precision import ising_thetas, sparse_zz_thetas
 
@@ -32,6 +34,15 @@ EPS = np.finfo(float).eps
 FAMILIES = ("xor", "lambda")
 # the package attribute synth_controlled is the function, so fetch the module
 synth_controlled_module = importlib.import_module("diagsynth.synth_controlled")
+
+
+def winding_parity(d: np.ndarray) -> np.ndarray:
+    """Per entry j of a level's d = t[0::2] - t[1::2], the parity of the
+    windings w of the obstruction before it: wrap(s) = s + 2*pi*w with
+    s = d[:-1] - d[1:], summed exactly in integers; entry 0 is 0."""
+    s = d[:-1] - d[1:]
+    windings = np.rint((wrap_angle(s) - s) / TWO_PI).astype(np.int64)
+    return np.concatenate(([0], np.add.accumulate(windings) & 1))
 
 
 def controlled_level_angles(t: np.ndarray) -> np.ndarray:
@@ -196,6 +207,44 @@ def test_level_pass_matches_per_level_loop(n, monkeypatch):
                 oracle, _ = ds.synth_controlled(u)
             for got, want in zip(circuit.columns[:3], oracle.columns[:3]):
                 assert np.array_equal(got, want), family
+
+
+def _level_pass_with_wrapped_windings(u):
+    # synthesize_levels as first written: each level's windings counted by
+    # winding_parity, from wrap_angle of the obstruction
+    size, t = 1 << u.n, reduced(u.thetas)
+    phase = float(t[0])
+    t = wrap_angle(t - t[0])
+    diffs, odds, rotations = np.zeros(size - 1), np.zeros(size - 1, dtype=np.int8), []
+    for k in range(u.n, 1, -1):
+        level = slice(size - (1 << k), size - (1 << k - 1))
+        low, high = t[0::2], t[1::2]
+        d = np.subtract(low, high, out=diffs[level])
+        odds[level] = odd = winding_parity(d)
+        rotations.append(float(t[1]))
+        phase += 0.5 * rotations[-1]
+        t = wrap_angle(0.5 * (low + high - rotations[-1]) + np.pi * odd)
+    rotations.append(float(t[1]))
+    phase += 0.5 * rotations[-1]
+    starts = (1 << u.n) - (1 << np.arange(u.n, 0, -1))
+    sizes = 1 << np.arange(u.n - 1, -1, -1)
+    angles = mobius(TWO_PI * odds - (diffs + np.repeat(rotations, sizes)), stacked=True)
+    angles = 2.0 * wrap_angle(0.5 * angles)
+    angles[starts] = rotations
+    return angles, phase
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_level_pass_windings_keep_every_bit(n):
+    # the pass counts windings with np.divmod; counted from wrap_angle, on
+    # angles at and next to multiples of pi/4 too, every bit is the same
+    rng = np.random.default_rng(300 + n)
+    edges = np.arange(-8, 9) * PI / 4
+    values = np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)))
+    for family, thetas in [*_lambda_inputs(n, n), ("edges", rng.choice(values, 1 << n))]:
+        angles, phase = synthesize_levels(ds.DiagonalUnitary(n, thetas))
+        want, want_phase = _level_pass_with_wrapped_windings(ds.DiagonalUnitary(n, thetas))
+        assert angles.tobytes() == want.tobytes() and phase == want_phase, family
 
 
 def _wrong_mobius(corrupt):
