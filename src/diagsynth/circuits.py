@@ -180,9 +180,10 @@ class Circuit:
         self.columns, self._gates = gates, None  # __post_init__ packs gate objects
         self.__post_init__()
 
-    def __post_init__(self):
+    def __post_init__(self, rows_checked=False):
         # one validation per circuit: gate objects as they are packed, then
         # one vector pass over the columns; the first bad row words the error
+        # (the rows of a layout checked when it was cached: only the angles)
         try:
             n = self.n = operator.index(self.n)
         except TypeError:
@@ -198,7 +199,8 @@ class Circuit:
                 got = getattr(column, "dtype", type(column).__name__)
                 raise TypeError(f"column {name} must have dtype {dtype}, got {got}")
             column.flags.writeable = False
-        bad = _invalid(n, self.columns)
+        bad = (~(np.isfinite(self.columns.angle0) & np.isfinite(self.columns.angle1))
+               if rows_checked else _invalid(n, self.columns))
         if bad.any():
             _refuse_row(n, self.columns, int(bad.argmax()))
         if not math.isfinite(self.global_phase):
@@ -273,36 +275,35 @@ def _cancel_runs(columns: Columns):
     return None if keep.all() else keep
 
 
-def _drop_trivial(columns: Columns, phase: float):
-    # peephole_cancel's drop rule: the kept columns and the phase, or None
+def _cancel(columns: Columns, phase: float, scan: bool):
+    # peephole_cancel's rules: one drop pass (cancelling removes only CNOT
+    # and X gates, so it never leaves a new trivial rotation), then run scans
+    # to a fixed point: always with ``scan``, else (a layout) only after a drop
     kind, _, _, angle0, angle1 = columns
     period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
     trivial = (kind >= K_RZ) & _whole_turns(angle0, period)
     if angle1.any():  # angle1 is 0 except on a CDIAG
         trivial &= _whole_turns(angle1, TWO_PI)
-    if not trivial.any():
-        return None
-    odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
-    for _ in range(np.count_nonzero(odd)):
-        phase += math.pi
-    return Columns(*(column[~trivial] for column in columns)), phase
+    if trivial.any():
+        odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
+        for _ in range(np.count_nonzero(odd)):
+            phase += math.pi
+        columns = Columns(*(column[~trivial] for column in columns))
+    elif not scan:
+        return columns, phase
+    while (keep := _cancel_runs(columns)) is not None:
+        columns = Columns(*(column[keep] for column in columns))
+    return columns, phase
 
 
-def on_layout(n: int, columns: Columns, phase: float, drop=True, runs=True) -> Circuit:
-    """``Circuit(n, columns, phase)`` on rows of a checked, cached layout, after
-    the drop rule (``drop``) and, only if it dropped, the run scan (``runs``);
-    only the angles and the phase are checked, else ``Circuit`` words it."""
-    if drop and (dropped := _drop_trivial(columns, phase)) is not None:
-        columns, phase = dropped
-        while runs and (keep := _cancel_runs(columns)) is not None:
-            columns = Columns(*(column[keep] for column in columns))
-    if not (np.isfinite(columns.angle0).all() and np.isfinite(columns.angle1).all()
-            and math.isfinite(phase)):
-        return Circuit(n, columns, phase)
+def _on_layout(n: int, columns: Columns, phase: float, drop: bool) -> Circuit:
+    # Circuit(n, columns, phase) on the rows of a layout checked when it was
+    # cached, after the drop rule if ``drop``: only angles and phase checked
+    if drop:
+        columns, phase = _cancel(columns, phase, scan=False)
     circuit = object.__new__(Circuit)
-    circuit.n, circuit.global_phase, circuit.columns, circuit._gates = n, phase, columns, None
-    for column in columns:
-        column.flags.writeable = False
+    circuit.n, circuit.columns, circuit.global_phase, circuit._gates = n, columns, phase, None
+    circuit.__post_init__(rows_checked=True)
     return circuit
 
 
@@ -317,16 +318,11 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     which typically exposes further CNOT pairs. Preserves the induced
     diagonal including its global phase: a dropped RZ(2*pi*m) was
     (-1)**m * I, so odd m adds pi to the phase record. A circuit with
-    nothing to cancel is returned as is. The synthesizers apply the drop
-    rule themselves (``on_layout``): this pass is for other circuits.
+    nothing to cancel is returned as is. The synthesizers apply these rules
+    themselves, scanning runs only after a drop: this pass is for circuits
+    built by hand.
     """
-    columns, phase = circuit.columns, circuit.global_phase
-    # one drop pass: cancelling removes only CNOT and X gates, so it never
-    # leaves a new trivial rotation
-    if (dropped := _drop_trivial(columns, phase)) is not None:
-        columns, phase = dropped
-    while (keep := _cancel_runs(columns)) is not None:
-        columns = Columns(*(column[keep] for column in columns))
+    columns, phase = _cancel(circuit.columns, circuit.global_phase, scan=True)
     if columns.kind.size == circuit.columns.kind.size:
         return circuit
     return Circuit(circuit.n, columns, phase)

@@ -20,13 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import K_CDIAG, K_X, Circuit, Columns, SynthesisReport, count_gates, on_layout
+from .circuits import K_CDIAG, K_X, Circuit, Columns, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError
 from .subsets import gray_walk
 
-# Unused here; bound so that perfbench/spans.py, which wraps the names each
-# module binds, finds it.
+# unused; bound for perfbench/spans.py, whose span reads 0 (ROADMAP item 1)
 from .circuits import peephole_cancel  # noqa: F401
 
 
@@ -41,7 +40,7 @@ def _layout(n: int) -> tuple[np.ndarray, ...]:
     kind = np.tile(np.array([K_CDIAG, K_X], dtype=np.int8), 1 << m)
     target = np.column_stack((np.full(1 << m, n), steps)).ravel()
     control = np.tile([full << 1, 0], 1 << m)  # lines 1..n-1 on the blocks
-    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for on_layout
+    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for _on_layout
     return kind, target, control, full ^ masks
 
 
@@ -49,10 +48,9 @@ def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into 2**(n-1) CDIAG blocks with X conjugation.
 
     The X masks are walked in Gray order from the empty mask, so a single X
-    gate follows each block. Identity blocks are dropped by
-    ``peephole_cancel``'s drop rule, applied here, and the X runs are
-    scanned only after a drop, so the identity input produces an empty
-    circuit; ``peephole_cancel`` is for circuits built by hand.
+    gate follows each block. Identity blocks are dropped here by the rule of
+    ``peephole_cancel`` (a pass for circuits built by hand), with the X runs
+    scanned only after a drop, so the identity input gives an empty circuit.
     """
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
@@ -61,5 +59,5 @@ def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     theta0, theta1 = np.zeros(kind.size), np.zeros(kind.size)
     theta0[blocks] = u.thetas[2 * pattern]
     theta1[blocks] = u.thetas[2 * pattern + 1]
-    circuit = on_layout(u.n, Columns(kind, target, control, theta0, theta1), 0.0)
+    circuit = _on_layout(u.n, Columns(kind, target, control, theta0, theta1), 0.0, drop=True)
     return circuit, count_gates(circuit)

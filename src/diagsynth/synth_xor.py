@@ -25,14 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import reduced
-from .circuits import K_CNOT, K_RZ, Circuit, Columns, SynthesisReport, count_gates, on_layout
+from .circuits import K_CNOT, K_RZ, Circuit, Columns, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .subsets import gray_walk
 from .transforms import fwht
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
 # module binds, finds them.
-from .circuits import peephole_cancel  # noqa: F401
+from .circuits import peephole_cancel  # noqa: F401  # its span reads 0: ROADMAP item 1
 from .obstruction import is_tensor, obstruction, tensor_split  # noqa: F401
 from .paper import (  # noqa: F401
     solve_block_angles, xor_block_angles, xor_block_matrix, xor_rotation_gates,
@@ -60,7 +60,7 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     parity.append([1 << (n - 1)])
     if lines:
         control[1::2] = np.concatenate(lines)
-    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for on_layout
+    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for _on_layout
     return kind, target, control, np.concatenate(parity)
 
 
@@ -76,17 +76,15 @@ def synth_xor(
 
     With ``keep_trivial_rotations`` no cancellation runs, so zero-angle
     rotations stay and the full generic layout (exactly 2**(n+1) - 3 gates)
-    is kept even on degenerate input. By default the synthesizer applies
-    ``peephole_cancel``'s drop rule itself and scans the CNOT runs only
-    after a drop, so tensor-product inputs collapse to their own n-rotation
-    circuit and generic input gets the layout circuit as it is;
-    ``peephole_cancel`` is for circuits built by hand.
+    is kept even on degenerate input. By default the synthesizer applies the
+    drop rule of ``peephole_cancel`` (a pass for circuits built by hand) and
+    scans the CNOT runs only after a drop, so generic input keeps the layout
+    and tensor-product inputs collapse to their own n-rotation circuit.
     """
     kind, target, control, parity = _layout(u.n)
     walsh = fwht(reduced(u.thetas)) / (1 << u.n)
     rotation = np.zeros(kind.size)
     rotation[::2] = -2.0 * walsh[parity]
     columns = Columns(kind, target, control, rotation, np.zeros(kind.size))
-    # RZ and CNOT alternate, so only a drop leaves CNOTs to cancel
-    circuit = on_layout(u.n, columns, float(walsh[0]), drop=not keep_trivial_rotations)
+    circuit = _on_layout(u.n, columns, float(walsh[0]), drop=not keep_trivial_rotations)
     return circuit, count_gates(circuit)
