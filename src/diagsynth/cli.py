@@ -169,10 +169,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"synth": _cmd_synth, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
-        # a sum of angles past the largest float is reported by verify's
-        # ValueError alone, not also by numpy's overflow warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            return handlers[args.command](args)
+        return handlers[args.command](args)
     except (ValueError, OSError, SynthesisError, MemoryError) as exc:
         # the typed input errors are ValueErrors; OSError covers missing,
         # unreadable and directory paths; MemoryError an n too large to hold

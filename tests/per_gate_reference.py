@@ -5,7 +5,9 @@ package did before circuits stored numpy columns: the gate-document codec,
 QASM export and import, ``peephole_cancel`` and ``count_gates``. The tests
 in ``test_columnar.py`` pin the columnar code to these. ``apply_to_basis``
 sends one basis state through a circuit, the scalar oracle of
-``basis_action``, which ``test_simulate.py`` pins to it. The gate-document
+``basis_action``, which ``test_simulate.py`` pins to it, and
+``walked_angles`` reads a circuit's angles with its layout in one uncached
+pass, the oracle of the cached reading in ``simulate``. The gate-document
 loaders take the field types the package takes, a JSON int for a line and
 a JSON number for an angle, so both read the same documents.
 """
@@ -20,9 +22,14 @@ from dataclasses import fields
 from functools import partial
 from itertools import groupby
 
+import numpy as np
+
 import diagsynth as ds
 from diagsynth.angles import TWO_PI, ZERO_ANGLE_EPS
-from diagsynth.circuits import SynthesisReport
+from diagsynth.circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, SynthesisReport
+from diagsynth.simulate import basis_action
+from diagsynth.subsets import subset_lines
+from diagsynth.transforms import fwht, zeta
 
 KINDS = {ds.X: "x", ds.CNOT: "cnot", ds.RZ: "rz", ds.MCRZ: "mcrz", ds.CDIAG: "cdiag"}
 CLASSES = {kind: cls for cls, kind in KINDS.items()}
@@ -278,3 +285,226 @@ def apply_to_basis(circuit, j: int) -> tuple[int, float]:
             else:
                 theta += gate.theta1 if bit(gate.target) else gate.theta0
     return j, theta
+
+
+# ---------------------------------------------------------------------------
+# the phase polynomial, read with its angles
+# ---------------------------------------------------------------------------
+#
+# ``simulate`` reads a gate layout once, without its angles, and caches the
+# reading; these functions read layout and angles together on every call,
+# the Walsh vector built gate by gate (or run by run) during the walk. The
+# cached reading must give the same bytes.
+
+
+def walked_angles(circuit) -> np.ndarray:
+    """The angles of ``circuit_to_diagonal``, read in one uncached pass
+    whose walk builds the Walsh vector from the angles as it goes."""
+    n = circuit.n
+    kind, target, control, angle0, angle1 = circuit.columns
+    if (kind == K_CNOT).any():
+        terms = _walk(circuit)
+        if terms is None:  # a block on a parity line
+            return basis_action(circuit)[1] + circuit.global_phase
+        # the walk lists every block, in gate order
+        walsh, block_bits = terms
+        if not block_bits:  # the phase polynomial alone
+            thetas = np.zeros(1 << n) if walsh is None else fwht(walsh)
+            return np.add(thetas, circuit.global_phase, out=thetas)
+        rows = np.flatnonzero(kind >= K_MCRZ)
+        controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
+        alpha = angle0[rows]
+    else:
+        # No CNOT: every line carries its own input bit, the X gates up to
+        # a gate on its line give its affine bit, and an RZ is an MCRZ with
+        # no controls, of the opposite angle on a flipped line.
+        walsh, rows = None, slice(None)
+        bit, rz, x = 1 << (n - target), kind == K_RZ, kind == K_X
+        controls, alpha, flipped = np.where(rz, 0, control), angle0, np.zeros_like(target)
+        if x.any():  # else every row is a rotation and no line is flipped
+            flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
+            if end := int(flips[-1]):
+                raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
+            rows = np.flatnonzero(~x)
+            rz, controls = rz[rows], controls[rows]
+            flipped = flips[rows] & (controls | bit[rows])
+            alpha = np.where(rz & (flipped != 0), -angle0[rows], angle0[rows])
+            flipped[rz] = 0
+        targets = bit[rows]
+    # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
+    # control bit and +alpha on those also holding the target bit: two
+    # subset sums. Any other block on all n lines fires on two inputs: the
+    # one that holds exactly its unflipped lines, and that one with its
+    # target bit the other way round. A diagonal circuit with a block that
+    # leaves a line free is replayed instead.
+    size = 1 << n
+    subset = (kind[rows] != K_CDIAG) & (flipped == 0)
+    cells = np.flatnonzero(~subset)
+    if cells.size and ((controls[cells] | targets[cells]) != size - 1).any():
+        return basis_action(circuit)[1] + circuit.global_phase
+    thetas = np.zeros(size)
+    if subset.any():
+        a, low = alpha[subset], controls[subset]
+        at = np.array((low, low | targets[subset])).T.ravel()
+        np.add.at(thetas, at, np.array((-0.5 * a, a)).T.ravel())
+        thetas = zeta(thetas)
+    if cells.size:
+        # both cells per block, added in gate order
+        a, mcrz, on = alpha[cells], kind[rows][cells] == K_MCRZ, (size - 1) ^ flipped[cells]
+        at = np.array((on ^ targets[cells], on)).T.ravel()
+        values = np.where(mcrz, -0.5 * a, a), np.where(mcrz, 0.5 * a, angle1[rows][cells])
+        np.add.at(thetas, at, np.array(values).T.ravel())
+    if walsh is not None:
+        thetas += fwht(walsh)
+    return np.add(thetas, circuit.global_phase, out=thetas)
+
+
+def _identity(n: int) -> list[int]:
+    # Per line 0..n, its state in the empty circuit. A line's state is the
+    # input bits it carries, as a parity mask with line L at bit n - L (as
+    # in basis-state indices), plus its affine bit at bit n. Line 0 is no
+    # circuit line but the constant affine bit, which an X adds to its line
+    # as a CNOT adds its control's state.
+    return [1 << n] + [1 << n - line for line in range(1, n + 1)]
+
+
+# the run-scan thresholds of simulate._walk
+_RUN_SCAN_GATES = 512
+_RUN_GATES = 8
+
+
+def _walk(circuit):
+    # The phase polynomial of a circuit with CNOTs: the Walsh coefficients
+    # of its RZs (None without an RZ) and, per block in gate order, its
+    # control bits, target bit and flipped bits; None when a block sits on
+    # a line that carries a parity of several bits. Raises from the final
+    # line states when the circuit is not diagonal.
+    target = circuit.columns.target
+    if target.size >= _RUN_SCAN_GATES:
+        # the first gate of each run
+        starts = np.concatenate(([0], np.flatnonzero(target[1:] != target[:-1]) + 1))
+        if target.size >= _RUN_GATES * starts.size:
+            return _walk_runs(circuit, starts)
+    return _walk_gates(circuit)
+
+
+def _walk_gates(circuit):
+    # One pass over the gates, carrying every line's state.
+    n = circuit.n
+    size = 1 << n
+    identity = _identity(n)
+    lines = identity[:]
+    walsh = None
+    blocks = []
+    controls: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
+    # per gate: kind code, target line, control line or mask, first angle
+    for code, t, c, a in zip(*(column.tolist() for column in circuit.columns[:4])):
+        if code == K_CNOT:
+            lines[t] ^= lines[c]
+        elif code == K_RZ:
+            if walsh is None:
+                walsh = [0.0] * size
+            state, half = lines[t], 0.5 * a
+            if state < size:  # the affine bit, bit n, is clear
+                walsh[state] -= half
+            else:
+                walsh[state ^ size] += half
+        elif code == K_X:
+            lines[t] ^= size
+        elif blocks is not None:
+            if c not in controls:
+                controls[c] = subset_lines(c, n)
+            bits = _block_bits(n, lines[t], [lines[line] for line in controls[c]])
+            if bits is None:
+                blocks = None
+            else:
+                blocks.append(bits)
+    if lines != identity:
+        raise _not_diagonal(n, lines)
+    return None if blocks is None else (walsh, blocks)
+
+
+def _walk_runs(circuit, starts: np.ndarray):
+    # The same reading, run by run. Within a run of gates on one target
+    # line only that line changes, so a loop over the runs carries the
+    # line states, and one XOR scan of per-gate steps, each the state its
+    # gate adds to the target, gives the target's state after every gate.
+    # States are uint64: line 63 is bit 63 of a run's set of lines, and
+    # on 63 lines the affine bit is bit 63 of a state.
+    n = circuit.n
+    size = 1 << n
+    kind, target, control, angle = circuit.columns[:4]
+    cnot = kind == K_CNOT
+    moves = cnot | (kind == K_X)
+    source = np.where(cnot, control, 0)  # the line whose state a gate adds
+    bits = np.where(moves, np.uint64(1) << source.astype(np.uint64), np.uint64(0))
+    odd = np.bitwise_xor.reduceat(bits, starts)  # per run, the lines added an odd number of times
+    lines = _identity(n)
+    at_start = []  # per run, the line states at its first gate
+    for t, added in zip(target[starts].tolist(), odd.tolist()):
+        at_start.append(lines)
+        lines = lines[:]
+        state = lines[t]
+        while added:
+            low = added & -added
+            state ^= lines[low.bit_length() - 1]
+            added ^= low
+        lines[t] = state
+    if lines != _identity(n):
+        raise _not_diagonal(n, lines)
+    table = np.array(at_start, dtype=np.uint64)
+    run = np.repeat(np.arange(starts.size), np.diff(starts, append=kind.size))
+    steps = np.where(moves, table[run, source], np.uint64(0))
+    scan = np.bitwise_xor.accumulate(steps)
+    # per run, its target's state at its start XOR the steps before it, so
+    # that base[run] ^ scan is the target's state after each gate
+    base = table[np.arange(starts.size), target[starts]] ^ scan[starts] ^ steps[starts]
+    walsh = None
+    rz = np.flatnonzero(kind == K_RZ)
+    if rz.size:
+        states, half = base[run[rz]] ^ scan[rz], 0.5 * angle[rz]
+        parity = (states & np.uint64(size - 1)).astype(np.intp)
+        walsh = np.bincount(parity, weights=np.where(states >> n, half, -half), minlength=size)
+    blocks = []
+    rows = np.flatnonzero(kind >= K_MCRZ)
+    for r, state, c in zip(run[rows].tolist(), (base[run[rows]] ^ scan[rows]).tolist(),
+                           control[rows].tolist()):
+        bits = _block_bits(n, state, [at_start[r][line] for line in subset_lines(c, n)])
+        if bits is None:
+            return None
+        blocks.append(bits)
+    return walsh, blocks
+
+
+def _block_bits(n: int, target: int, controls: list[int]):
+    # A block's control bits, target bit and flipped bits from the states
+    # of its target and control lines; None when one of those lines
+    # carries a parity of several bits. The parities of distinct lines are
+    # independent, so lines that carry one input bit each carry distinct
+    # bits.
+    mask = (1 << n) - 1
+    bits = flipped = 0
+    for state in (target, *controls):
+        bit = state & mask
+        if bit & (bit - 1):
+            return None
+        bits |= bit
+        if state >> n:
+            flipped |= bit
+    return bits ^ (target & mask), target & mask, flipped
+
+
+def _not_diagonal(n: int, lines: list[int]) -> ds.NotDiagonalError:
+    # line L of the image of |j> holds the parity of j & lines[L], plus
+    # the affine bit of lines[L]. |0> moves iff a line ends flipped; else
+    # the map is linear, so the lowest basis bit that moves is the first
+    # moved state.
+    image = {
+        j: sum(
+            ((j & lines[line]).bit_count() + (lines[line] >> n) & 1) << n - line
+            for line in range(1, n + 1)
+        )
+        for j in [0, *(1 << p for p in range(n))]
+    }
+    moved = next(j for j in image if image[j] != j)
+    return ds.NotDiagonalError(f"circuit is not diagonal: |{moved}> maps to |{image[moved]}>")

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 import diagsynth as ds
 import per_gate_reference as ref
-from conftest import PI, random_diagonal, random_monomial_circuit, shuffled_twolevel_circuit
+from conftest import (
+    PI, hard_thetas, random_diagonal, random_monomial_circuit, shuffled_twolevel_circuit,
+)
 from diagsynth import paper, simulate
-from diagsynth.circuits import Columns
+from diagsynth.circuits import K_CDIAG, Columns
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
 # basis state k (bits b1 b2 b3 b4) picks up sign[k] * phi with phi = -alpha/2.
@@ -160,14 +162,16 @@ def gate_lists(draw):
 def test_circuit_to_diagonal_matches_permutation_replay(circuit):
     perm, theta = simulate.basis_action(circuit)
     identity = np.arange(1 << circuit.n)
-    # a circuit with a CNOT is read in one pass over its gates, any other
-    # from its columns alone
+    # a layout with a CNOT is read in one pass over its gates, any other
+    # from its columns alone; a fresh cache reads it again
+    simulate._reading.cache_clear()
     walk, walked = simulate._walk, []
-    simulate._walk = lambda c: walked.append(c) or walk(c)
+    simulate._walk = lambda *layout: walked.append(layout) or walk(*layout)
     try:
         outcome = _outcome(ds.circuit_to_diagonal, circuit)
     finally:
         simulate._walk = walk
+        simulate._reading.cache_clear()
     assert bool(walked) == (ds.count_gates(circuit).counts["cnot"] > 0)
     if np.array_equal(perm, identity):
         diag = outcome
@@ -186,17 +190,111 @@ def _outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
-def _walked(walk, circuit):
-    # a walk's outcome as comparable values: Walsh bytes and block bits,
-    # None, or the NotDiagonalError text
+@pytest.fixture
+def fresh_readings():
+    # An empty reading cache when the test starts and when it ends: a layout
+    # read earlier would skip a patched walk or spoil a count of misses, and
+    # one read while a walk was patched would outlive the patch. Yields
+    # cache_clear, for a test that reads one layout through several walks.
+    simulate._reading.cache_clear()
+    yield simulate._reading.cache_clear
+    simulate._reading.cache_clear()
+
+
+def _reference(circuit):
+    # the uncached reading's bytes, or its NotDiagonalError
     try:
-        terms = walk(circuit)
+        return ref.walked_angles(circuit).tobytes()
+    except ds.NotDiagonalError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=gate_lists(), seed=st.integers(0, 2**32 - 1))
+def test_cached_reading_matches_the_uncached_one(circuit, seed):
+    # One layout with two angle sets: the first call reads the layout, the
+    # second reuses the reading. Both give the bytes of the reading done
+    # with the angles; a layout that is not diagonal is not cached and
+    # raises the same text both times.
+    rng = np.random.default_rng(seed)
+    columns = circuit.columns
+    other = ds.Circuit(circuit.n, columns._replace(
+        angle0=rng.uniform(-8.0, 8.0, columns.kind.size),
+        angle1=np.where(columns.kind == K_CDIAG, rng.uniform(-8.0, 8.0, columns.kind.size), 0.0),
+    ), float(rng.uniform(-8.0, 8.0)))
+    simulate._reading.cache_clear()
+    try:
+        outcomes = [_outcome(ds.circuit_to_diagonal, c) for c in (circuit, other)]
+        info = simulate._reading.cache_info()
+    finally:
+        simulate._reading.cache_clear()
+    for c, outcome in zip((circuit, other), outcomes):
+        if isinstance(outcome, ds.DiagonalUnitary):
+            assert outcome.thetas.tobytes() == _reference(c)
+            want = simulate.basis_action(c)[1] + c.global_phase
+            assert np.abs(outcome.thetas - want).max() <= 1e-12
+        else:
+            assert outcome == _reference(c)
+    diagonal = isinstance(outcomes[0], ds.DiagonalUnitary)
+    assert type(outcomes[1]) is type(outcomes[0])
+    assert (info.hits, info.misses, info.currsize) == ((1, 1, 1) if diagonal else (0, 2, 0))
+
+
+@pytest.mark.parametrize("first, second", [
+    # one control mask apart
+    (ds.Circuit(3, (ds.MCRZ((1,), 3, 0.4),)), ds.Circuit(3, (ds.MCRZ((2,), 3, 0.4),))),
+    (ds.Circuit(3, (ds.X(1), ds.CDIAG((1, 2), 3, 0.4, 0.9), ds.X(1))),
+     ds.Circuit(3, (ds.X(1), ds.CDIAG((1,), 3, 0.4, 0.9), ds.X(1)))),
+    # the same columns on another number of lines
+    (ds.Circuit(1, (ds.RZ(1, 0.4),)), ds.Circuit(2, (ds.RZ(1, 0.4),))),
+    (ds.Circuit(2, (ds.CNOT(1, 2), ds.RZ(2, 0.4), ds.CNOT(1, 2))),
+     ds.Circuit(3, (ds.CNOT(1, 2), ds.RZ(2, 0.4), ds.CNOT(1, 2)))),
+], ids=["mcrz-mask", "cdiag-mask", "rz-n", "fan-n"])
+def test_layouts_that_differ_only_in_a_mask_or_n_never_share_a_reading(first, second, fresh_readings):
+    for circuit in (first, second):
+        want = simulate.basis_action(circuit)[1] + circuit.global_phase
+        assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == want.tobytes()
+    assert simulate._reading.cache_info().currsize == 2
+
+
+def test_mixed_traffic_reads_each_recurring_layout_once(fresh_readings):
+    # The 27 generic classes, xor, λ and twolevel at n = 2..10, verified
+    # twice, the second time in reverse order, with a sparse xor or λ
+    # circuit, whose dropped rotations give a layout of its own, after
+    # every fifth op, about mixed_small's share of one-off layouts. The
+    # first class read comes back last, after the other 26 and all ten
+    # one-offs: the cache holds at least 37 readings.
+    rng = np.random.default_rng(44)
+    classes = [(synth, n) for n in range(2, 11)
+               for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel)]
+    generic = {key: random_diagonal(key[1], rng) for key in classes}
+    one_offs = (ds.synth_xor, ds.synth_controlled)
+    for second in (False, True):
+        for k, (synth, n) in enumerate(reversed(classes) if second else classes):
+            u = generic[synth, n]
+            misses = simulate._reading.cache_info().misses
+            assert ds.verify(synth(u)[0], u) <= 1e-9
+            assert simulate._reading.cache_info().misses == misses + (not second)
+            if k % 5 == 4:
+                m = 6 + k // 5  # 6..10
+                v = ds.DiagonalUnitary(m, hard_thetas("sparse", m, rng))
+                misses = simulate._reading.cache_info().misses
+                assert ds.verify(one_offs[k % 2](v)[0], v) <= 1e-9
+                assert simulate._reading.cache_info().misses == misses + 1
+
+
+def _walked(walk, circuit):
+    # a walk of the circuit's layout as comparable values: the bytes of the
+    # RZ line states and the block bits, None, or the NotDiagonalError text
+    try:
+        terms = walk(circuit.n, *circuit.columns[:3])
     except ds.NotDiagonalError as exc:
         return str(exc)
     if terms is None:
         return None
-    walsh, blocks = terms
-    return None if walsh is None else np.asarray(walsh, dtype=float).tobytes(), list(blocks)
+    states, blocks = terms
+    assert states.dtype == np.uint64
+    return states.tobytes(), list(blocks)
 
 
 def _run_scan_always(monkeypatch):
@@ -208,7 +306,8 @@ def _run_scan_always(monkeypatch):
 @settings(max_examples=400, deadline=None)
 @given(circuit=gate_lists())
 def test_run_scan_matches_gate_walk(circuit):
-    # same Walsh bits, block bits or error as the per-gate loop, on any size
+    # same RZ line states, block bits or error as the per-gate loop, on any
+    # size; the walks are called directly, so no reading is cached
     with pytest.MonkeyPatch.context() as monkeypatch:
         _run_scan_always(monkeypatch)
         assert _walked(simulate._walk, circuit) == _walked(simulate._walk_gates, circuit)
@@ -246,7 +345,8 @@ def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
     ("cnot", True, type(None)),  # a block on a parity line
     ("cnot", False, str),  # a moved state
 ])
-def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeypatch):
+def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeypatch,
+                                                fresh_readings):
     _run_scan_always(monkeypatch)
     rng = np.random.default_rng(63)
     for _ in range(20):
@@ -257,11 +357,12 @@ def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeyp
 
 
 @pytest.mark.parametrize("n", range(9, 15))
-def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch):
+def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch, fresh_readings):
     circuit, _ = ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))
     monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1 << 30)
     per_gate = ds.circuit_to_diagonal(circuit).thetas
     _run_scan_always(monkeypatch)
+    fresh_readings()
     assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == per_gate.tobytes()
 
 
@@ -270,11 +371,12 @@ def _walks_taken(circuit, monkeypatch) -> list[str]:
     for name in ("_walk_gates", "_walk_runs"):
         walk = getattr(simulate, name)
         monkeypatch.setattr(simulate, name, lambda *a, walk=walk, name=name: taken.append(name) or walk(*a))
+    simulate._reading.cache_clear()
     ds.circuit_to_diagonal(circuit)
     return taken
 
 
-def test_walk_is_chosen_by_circuit_size_and_run_length(monkeypatch):
+def test_walk_is_chosen_by_circuit_size_and_run_length(monkeypatch, fresh_readings):
     # the run scan's fixed cost pays only on large circuits with long runs
     rng = np.random.default_rng(41)
     assert _walks_taken(ds.synth_xor(random_diagonal(14, rng))[0], monkeypatch) == ["_walk_runs"]
@@ -383,11 +485,14 @@ def test_cnot_free_draws_never_run_a_walsh_transform(circuit):
         assert np.abs(outcome.thetas - want).max() <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_verify_refuses_angles_that_sum_past_the_largest_float():
+    # with a typed error alone: the suite turns numpy's overflow warnings
+    # into errors
     circuit = ds.Circuit(1, (ds.CDIAG((), 1, 1e308, 0.0),) * 2)
     with pytest.raises(ValueError, match="phase angles must be finite"):
         ds.verify(circuit, ds.DiagonalUnitary.identity(1))
+    with pytest.raises(ValueError, match="phase angles must be finite"):
+        ds.circuit_to_diagonal(circuit)
 
 
 def test_diagonal_only_gates_never_permute():
