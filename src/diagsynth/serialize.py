@@ -4,26 +4,23 @@ Diagonal documents carry {"n", "units", "thetas"}: an int, a units name and
 a list of numbers. Units "rad" stores plain radians, units "pi" stores
 multiples of pi so rational-angle fixtures stay exact in source form.
 
-Circuits round-trip through a gate-list document; each gate is {"kind",
-then the gate dataclass's fields by name, in order}. One writer gives its
-text, the bytes ``json.dumps`` would: per gate a cached head and tail and
-its first value, joined and split where the angle texts go. Loading reads
-save_circuit's text as one byte array, and takes it when the writer, given
-the columns read and the text's own angle texts, writes it back byte for
-byte; ``Circuit`` validates the columns, as for every byte reader. Any
-other text is parsed as JSON and read gate by gate, from each gate
-dataclass's own fields, which words the first error. Every reading, and
-the diagonal reader, takes only a JSON int where the format says int and
-only a JSON number (not a bool or a string) where it says angle.
+Circuits round-trip through a gate-list document, the bytes json.dumps
+writes; each gate is {"kind", then the gate dataclass's fields by name, in
+order}. QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as
+the symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
+difference at most); multi-controlled blocks are refused.
 
-QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as the
-symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
-difference at most); multi-controlled blocks are refused. Export writes
-from the columns: one join of cached per-n line texts, split where the rz
-angle texts go. Import reads the text export writes as one byte array,
-and takes it only when the columns read, with the text's own angle texts,
-write it back byte for byte and ``Circuit`` accepts them; any other text
-is read statement by statement, which words the error of a bad text.
+A writer fills its layout's skeleton: the constant pieces of the text
+between its angle slots (the JSON phase is slot 0), rendered from the
+columns by joins of cached texts and kept for four layouts by signature
+(format, n, slot count, the pieces' total length). A byte reader finds a
+text's angle texts once, each a finite JSON number or QASM real. It takes
+the text when the registered skeleton of its signature, filled with them,
+gives it back byte for byte (the circuit is then built on the entry's
+columns), or when the columns read write it back and Circuit accepts them
+(and registers that skeleton). Any other text is read gate by gate or
+statement by statement, by a general reader that words the first error.
+Every reader takes only a JSON int where the format says int.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import numpy as np
 
 from .circuits import (
     _SLOTS, GATE_CLASSES, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, Circuit,
-    Columns,
+    Columns, _on_layout,
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
@@ -158,34 +155,74 @@ class _ControlTexts(dict):
         return text
 
 
-def _document_text(n: int, phase_text: str, kind, target, control, angle_texts: list[str]) -> str:
-    # The document: each gate's head, first value and tail joined, and
-    # angle_texts (each gate's angles in field order) put in at the "\0"s
+def _document_skeleton(n: int, kind, target, control) -> str:
+    # The document with "\0" for the phase and each angle text: each gate's
+    # head, first value and tail joined
     parts = np.empty((kind.size, 3), dtype=object)
     parts[:, 0], parts[:, 2] = _HEADS[kind], _TAILS[kind, target]
     parts[:, 1] = _LINES[np.where(kind == K_CNOT, control, target)]
     blocks = kind >= K_MCRZ
     parts[blocks, 1] = list(map(_ControlTexts(n).__getitem__, control[blocks].tolist()))
-    parts = [f'{{"n": {n}, "global_phase": {phase_text}, "gates": [', *parts.ravel().tolist()]
+    parts = [f'{{"n": {n}, "global_phase": \0, "gates": [', *parts.ravel().tolist()]
     parts[-1] = parts[-1].removesuffix(", ") + "]}"
-    return _fill("".join(parts).split("\0"), angle_texts)
+    return "".join(parts)
 
 
 def _fill(pieces: list[str], angle_texts: list[str]) -> str:
-    # a text split at each "\0", rejoined with the angle texts in between; ValueError
-    # unless one each. The caller splits, so its joined text is freed before this join.
+    # a skeleton's pieces rejoined with the angle texts in between; ValueError
+    # unless one each
     parts = [""] * (2 * len(pieces) - 1)
     parts[0::2] = pieces
     parts[1::2] = angle_texts
     return "".join(parts)
 
 
+# Skeletons kept, each with the columns of a circuit Circuit accepted. A
+# process that writes or reads circuits of one (route, n) class sees one
+# layout, since generic input gives the route's cached layout: one entry per
+# format. Four keep both formats of two classes, or three layouts in turn.
+# An entry keeps 8 bytes per slot, each distinct piece once, and 17 bytes
+# of columns per gate (25 in QASM), the synthesizer's when a writer
+# registered them: xor QASM pieces take 0.14 MB at n=14 and 8.5 MB at n=20
+# (columns 52 MB), lambda JSON ones, one per control list, 2.2 MB at n=14
+# and 35 MB at n=18. Four n=20 entries keep 250 MB to about 0.7 GB.
+_SKELETONS_KEPT = 4
+_SKELETONS: dict[tuple, tuple] = {}  # signature: kind, target, control, zero or None, pieces
+
+
+def _register(key: tuple, circuit: Circuit, pieces: list[str], zero) -> Circuit:
+    # keep a skeleton, its equal pieces as one string, the oldest out past the
+    # bound; each step one dict call, so threads that register at once raise nothing
+    known: dict[str, str] = {}
+    _SKELETONS.pop(key, None)
+    _SKELETONS[key] = *circuit.columns[:3], zero, list(map(known.setdefault, pieces, pieces))
+    for oldest in list(_SKELETONS)[:-_SKELETONS_KEPT]:
+        _SKELETONS.pop(oldest, None)
+    return circuit
+
+
+def _skeleton(form: str, render, circuit: Circuit, slots: int) -> list[str]:
+    # A writer's pieces: the registered ones of the circuit's layout, found
+    # by (format, n, slot count) and equal columns, else render's text split
+    # at its slots, registered when the byte reader reads the columns back as
+    # they are: no control on an X or RZ row, and in QASM a zero angle1
+    kind, target, control, _, angle1 = columns = circuit.columns
+    for key, entry in list(_SKELETONS.items()):
+        if key[:3] == (form, circuit.n, slots) and all(map(np.array_equal, entry[:3], columns)):
+            return entry[-1]
+    text = render(circuit.n, kind, target, control)
+    pieces, zero = text.split("\0"), angle1 if form == "qasm" else None
+    if not (control[(kind == K_X) | (kind == K_RZ)].any() or zero is not None and zero.any()):
+        _register((form, circuit.n, slots, len(text) - slots), circuit, pieces, zero)
+    return pieces
+
+
 def _circuit_text(circuit: Circuit) -> str:
     # The document as json.dumps writes it, with repr of each angle
-    kind, target, control = circuit.columns[:3]
+    kind = circuit.columns.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
-    texts = list(map(repr, angles.tolist()))
-    return _document_text(circuit.n, json.dumps(circuit.global_phase), kind, target, control, texts)
+    texts = [json.dumps(circuit.global_phase), *map(repr, angles.tolist())]
+    return _fill(_skeleton("json", _document_skeleton, circuit, len(texts)), texts)
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -223,7 +260,10 @@ def circuit_from_document(doc: dict) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    Path(path).write_text(_circuit_text(circuit) + "\n")
+    text = _circuit_text(circuit)
+    with Path(path).open("w") as file:  # the newline apart: no copy of the text
+        file.write(text)
+        file.write("\n")
 
 
 def load_circuit(path) -> Circuit:
@@ -258,9 +298,8 @@ _COLONS, _TARGET_AT = np.array([[2, 3, 3, 4, 5], [1, 2, 1, 2, 2]])
 
 def _saved_circuit(text: str) -> Circuit:
     # The circuit of save_circuit's text, with or without its final newline,
-    # when _document_text writes it back from the columns read and the text's
-    # own angle texts, each one JSON number, and Circuit takes the columns;
-    # else an error. A gate starts at "{", each value 2 bytes after its ":".
+    # read as the module docstring says, its angle texts each one JSON
+    # number; else an error. A gate starts at "{", each value 2 bytes after its ":".
     head = text[: text.find(', "gates": [') + 12]
     n = int(head[6 : head.find(",")])  # after '{"n": '
     if not (text.isascii() and 1 <= n <= MAX_LINES):  # one byte per character; masks in int64
@@ -273,10 +312,26 @@ def _saved_circuit(text: str) -> Circuit:
     count = _COLONS[kind]
     first = np.cumsum(count) - count  # each gate's colon after "kind"
     value = colons + 2
+    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": '
+    cdiag, size = kind == K_CDIAG, len(text) - text.endswith("\n")
+    slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
+    end = np.append(starts, size)[1:] - 3
+    opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
+    shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
+    texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
+    numbers = json.loads(f"[{','.join(texts)}]")  # one number per text, else a count is off
+    if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
+        raise TypeError("an angle is not a number")
+    angles = np.zeros((2, kind.size))
+    angles.T[slots] = numbers[1:]
+    key = ("json", n, len(texts), size - len(phase_text) - int((shuts - opens).sum()))
+    # a hit: the key fixes the filled text's length
+    if (entry := _SKELETONS.get(key)) and text.startswith(_fill(entry[-1], texts)):
+        return _on_layout(n, Columns(*entry[:3], *angles), float(numbers[0]), drop=False)
     high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
     line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
     target, control = line[first + _TARGET_AT[kind]], np.where(kind == K_CNOT, line[first + 1], 0)
-    blocks, cdiag = kind >= K_MCRZ, kind == K_CDIAG
+    blocks = kind >= K_MCRZ
     opens, shuts = value[first[blocks] + 1], value[first[blocks] + 2] - 12  # ', "target": '
     known: dict[str, int] = {}  # the distinct list texts
     index = [known.setdefault(text[a:b], len(known))
@@ -289,22 +344,13 @@ def _saved_circuit(text: str) -> Circuit:
     masks = np.zeros(len(lists), dtype=np.int64)
     np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
     control[blocks] = masks[index]
-    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": '
-    slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
-    end = np.append(starts, len(text) - text.endswith("\n"))[1:] - 3
-    opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
-    shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
     del data, colons, value, high, low, line  # before the text is written back
-    texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
-    numbers = json.loads(f"[{','.join(texts)}]")  # one number per text, else a count is off
-    if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
-        raise TypeError("an angle is not a number")
-    angles = np.zeros((2, kind.size))
-    angles.T[slots] = numbers[1:]
-    written = _document_text(n, phase_text, kind, target, control, texts[1:])
-    if len(written) != len(text) - text.endswith("\n") or not text.startswith(written):
+    pieces = _document_skeleton(n, kind, target, control).split("\0")
+    written = _fill(pieces, texts)
+    if len(written) != size or not text.startswith(written):
         raise ValueError("not the text save_circuit writes")
-    return Circuit(n, Columns(kind, target, control, *angles), float(numbers[0]))
+    circuit = Circuit(n, Columns(kind, target, control, *angles), float(numbers[0]))
+    return _register(key, circuit, pieces, None)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +371,14 @@ def to_qasm(circuit: Circuit) -> str:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
     texts = list(map(repr, angle[kind == K_RZ].tolist()))
-    return _QASM_HEAD.format(circuit.n) + _qasm_body(circuit.n, kind, target, control, texts)
+    return _fill(_skeleton("qasm", _qasm_skeleton, circuit, len(texts)), texts)
 
 
-# The header for each line count; the bytes of the gate lines, and a gate
+# The header for each line count; the bytes of an rz angle text, and a gate
 # line's kind code by its first byte
 _QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{}];\n'
 _QASM_HEADS = {_QASM_HEAD.format(n): n for n in range(1, MAX_LINES + 1)}
-_QASM_BYTES = b"0123456789.e+-xcrzq[],;() \n"
+_ANGLE_BYTES = b"0123456789.e+- "
 _QASM_KINDS = np.full(256, -1, dtype=np.int8)
 _QASM_KINDS[list(b"xcr")] = K_X, K_CNOT, K_RZ
 
@@ -349,57 +395,61 @@ def _qasm_lines(n: int) -> np.ndarray:
     )
 
 
-def _qasm_body(n: int, kind, target, control, angle_texts: list[str]) -> str:
-    # The gate lines: the joined line texts, with angle_texts at the rz "\0"s
+def _qasm_skeleton(n: int, kind, target, control) -> str:
+    # The text with "\0" for each rz angle text: the head and the line texts
     row = np.where(kind == K_X, 0, np.where(kind == K_CNOT, 1 + control, n + 2))
-    return _fill("".join(_qasm_lines(n)[row * (n + 1) + target].tolist()).split("\0"), angle_texts)
+    return _QASM_HEAD.format(n) + "".join(_qasm_lines(n)[row * (n + 1) + target].tolist())
 
 
 def parse_qasm(text: str) -> Circuit:
     """Parse the subset emitted by to_qasm back into a circuit.
 
-    The text is read as bytes, and taken when the columns read, which
-    ``Circuit`` validates, write it back with its own rz angle texts. Any
-    other text is read statement by statement; the first bad one words the
-    error.
+    The text to_qasm writes is read as bytes, checked by its skeleton (see
+    the module docstring); any other text is read statement by statement,
+    and the first bad one words the error.
     """
     head = text[: text.find("];\n") + 3]
     n = _QASM_HEADS.get(head)
     if n is not None:
         try:
-            return Circuit(n, _qasm_columns(n, text[len(head) :]), 0.0)
+            return _qasm_circuit(n, text, text[len(head) :])
         except (IndexError, ValueError):
             pass
     return _parse_qasm_statements(text)
 
 
-def _qasm_columns(n: int, body: str) -> Columns:
-    # The columns of to_qasm's gate lines on n lines, else an error. A line's
-    # first byte is its kind, the digits before "];" its target, those after
-    # "cx q[" a cx's control, the text from "rz(" to ") q[" an angle, kept to
-    # the bytes of _QASM_BYTES: float() also reads "1_0" and "inf".
-    if not body.isascii() or body.encode().translate(None, _QASM_BYTES):
-        raise ValueError("a byte to_qasm does not write")
-    text = np.frombuffer(body.encode(), dtype=np.uint8)
-    ends = np.flatnonzero(text == 10)
+def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
+    # The circuit of to_qasm's text, body its lines on n lines, else an error.
+    # An angle text runs from a "(" to the next ")", of _ANGLE_BYTES only:
+    # float() also reads "1_0", "inf" and a newline. A line's first byte is
+    # its kind, the digits before "];" its target, those after "cx q[" a
+    # cx's control.
+    texts = body.replace(")", "(").split("(")[1::2]
+    if not body.isascii() or "".join(texts).encode().translate(None, _ANGLE_BYTES):
+        raise ValueError("an angle text to_qasm does not write")
+    angles = np.fromiter(map(float, texts), float, len(texts))
+    key = ("qasm", n, len(texts), len(text) - sum(map(len, texts)))
+    if (entry := _SKELETONS.get(key)) and _fill(entry[-1], texts) == text:
+        angle = np.zeros(entry[0].size)
+        angle[entry[0] == K_RZ] = angles
+        return _on_layout(n, Columns(*entry[:3], angle, entry[3]), 0.0, drop=False)
+    data = np.frombuffer(body.encode(), dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
     starts = np.concatenate(([0], ends + 1))[:-1]
-    kind = _QASM_KINDS[text[starts]]
+    kind = _QASM_KINDS[data[starts]]
     def line(first, two):  # q[k] is line k + 1; k's digits start at first
-        high, low = (text[at].astype(np.int64) - 48 for at in (first, first + two))
+        high, low = (data[at].astype(np.int64) - 48 for at in (first, first + two))
         return np.where(two, 10 * high + low, low) + 1
-    two = text[ends - 4] != ord("[")  # the target has two digits
+    two = data[ends - 4] != ord("[")  # the target has two digits
     target = line(ends - 3 - two, two)
-    cx = kind == K_CNOT
-    control = np.where(cx, line(starts + 5, text[starts + 6] != ord("]")), 0)
-    rz = kind == K_RZ
-    opens = starts[rz] + 3  # an rz angle's text runs up to its ") q["
-    closes = np.maximum(ends[rz] - 7 - two[rz], opens)
-    texts = [body[a:b] for a, b in zip(opens.tolist(), closes.tolist())]
-    angle = np.zeros(kind.size)
-    angle[rz] = np.fromiter(map(float, texts), float, len(texts))
-    if _qasm_body(n, kind, target, control, texts) != body:
+    control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
+    pieces = _qasm_skeleton(n, kind, target, control).split("\0")
+    if _fill(pieces, texts) != text:
         raise ValueError("not the text to_qasm writes")
-    return Columns(kind, target, control, angle, np.zeros(kind.size))
+    angle, zero = np.zeros(kind.size), np.zeros(kind.size)
+    angle[kind == K_RZ] = angles
+    circuit = Circuit(n, Columns(kind, target, control, angle, zero), 0.0)
+    return _register(key, circuit, pieces, zero)
 
 
 # One statement per line, in ASCII. The alternative that matched is named

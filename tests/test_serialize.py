@@ -9,6 +9,7 @@ import pytest
 import diagsynth as ds
 from conftest import random_diagonal
 from diagsynth import serialize
+from diagsynth.circuits import K_RZ, Columns
 
 
 def test_diagonal_round_trip_bit_exact(tmp_path):
@@ -377,21 +378,187 @@ def _outcome(read):
     *[(field, angle) for angle in ("true", '"1"', "Infinity", "1e400")
       for field in ("alpha", "global_phase")],
     *[("qasm", lines) for lines in ("x q[-1];", "x q[2];", "cx q[0],q[0];", "rz(1e999) q[0];",
-                                    "rz(1_0) q[0];", "y q[0];", "x q[0];\nx")],
+                                    "rz(1_0) q[0];", "y q[0];", "x q[0];\nx",
+                                    "rz(\n.594953617696407) q[0];")],
 ])
-def test_byte_readers_give_the_general_readers_outcome(field, value, tmp_path):
+def test_byte_readers_give_the_general_readers_outcome(field, value, monkeypatch, tmp_path):
     # texts a writer's own but for one value, which the byte readers refuse:
-    # the general reader reads the same circuit or raises the same error
+    # the general reader reads the same circuit or raises the same error,
+    # with no skeleton registered and with the unedited text's registered
     if field == "qasm":
-        text = f"{_QASM_HEAD}{value}\n"
-        got = _outcome(lambda: ds.parse_qasm(text))
+        text, unedited = f"{_QASM_HEAD}{value}\n", f"{_QASM_HEAD}rz(0.5) q[0];\n"
+        read = ds.parse_qasm
         want = _outcome(lambda: serialize._parse_qasm_statements(text))
     else:
         old = {"controls": "[1, 2]", "alpha": '"alpha": 0.5', "global_phase": '"global_phase": 0.0'}
         new = value if field == "controls" else f'"{field}": {value}'
-        text = _MCRZ_TEXT.replace(old[field], new)
-        path = tmp_path / "circuit.json"
-        path.write_text(text)
-        got = _outcome(lambda: ds.load_circuit(path))
+        text, unedited = _MCRZ_TEXT.replace(old[field], new), _MCRZ_TEXT
+
+        def read(text):
+            path = tmp_path / "circuit.json"
+            path.write_text(text)
+            return ds.load_circuit(path)
+
         want = _outcome(lambda: serialize.circuit_from_document(json.loads(text)))
-    assert got == want
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    assert _outcome(lambda: read(text)) == want
+    serialize._SKELETONS.clear()
+    read(unedited)
+    assert len(serialize._SKELETONS) == 1
+    assert _outcome(lambda: read(text)) == want
+
+
+def _writer_texts():
+    # (format, text) of each route's circuit at n = 1..3, in both formats
+    # where it has a QASM form, and of one n = 11 xor circuit
+    rng = np.random.default_rng(26)
+    texts = []
+    for n in (1, 2, 3, 11):
+        u = random_diagonal(n, rng)
+        routes = (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel)[: 1 if n == 11 else min(n + 1, 3)]
+        for synth in routes:
+            circuit = synth(u)[0]
+            texts.append(("json", serialize._circuit_text(circuit)))
+            if circuit.columns.kind.max() <= K_RZ:
+                texts.append(("qasm", ds.to_qasm(circuit)))
+    return texts
+
+
+_EDIT_BYTES = '0123456789.eE+-_ \t\n[](){},;:"xcrzqnkitaufIN/'
+
+
+@pytest.mark.parametrize("form", ["qasm", "json"])
+def test_byte_readers_give_the_general_readers_outcome_on_edited_writer_texts(
+    form, monkeypatch, tmp_path
+):
+    # 2,000 single-byte replace, insert and delete edits of writer texts (one
+    # in 40 of the n = 11 text): the byte reader reads what the general reader
+    # reads, or raises its error, with the unedited text's skeleton registered
+    # (a hit whenever only angle texts changed) and with none (a miss)
+    renders = []
+    for name in ("_qasm_skeleton", "_document_skeleton"):
+        render = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda *a, render=render: renders.append(1) or render(*a))
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    texts = [text for f, text in _writer_texts() if f == form]
+    if form == "qasm":
+        read, general, sources = ds.parse_qasm, serialize._parse_qasm_statements, texts
+    else:
+        sources, edited = [tmp_path / f"{k}.json" for k in range(len(texts))], tmp_path / "edit.json"
+        for path, text in zip(sources, texts):
+            path.write_text(text)
+        read = ds.load_circuit
+        general = lambda text: serialize.circuit_from_document(serialize._read_json(edited, text))
+    # half the edits at an angle text's first or last byte, or just outside it
+    bounds = [[at for at, c in enumerate(text) if c in "():,}"] for text in texts]
+    rng = np.random.default_rng(2026)
+    hits = read_back = 0
+    for _ in range(2000):
+        k = len(texts) - 1 if rng.random() < 0.025 else rng.integers(len(texts) - 1)
+        at = rng.integers(len(texts[k]))
+        if rng.random() < 0.5:
+            at = min(rng.choice(bounds[k]) + rng.integers(-1, 3), len(texts[k]) - 1)
+        byte = _EDIT_BYTES[rng.integers(len(_EDIT_BYTES))]
+        edit = ("", byte, byte + texts[k][at])[rng.integers(3)]
+        text = source = texts[k][:at] + edit + texts[k][at + 1 :]
+        if form == "json":
+            edited.write_text(text)
+            source = edited
+        want = _outcome(lambda: general(text))
+        read_back += isinstance(want, tuple) and type(want[1]) is float
+        serialize._SKELETONS.clear()
+        assert _outcome(lambda: read(source)) == want  # a miss
+        read(sources[k])
+        before = len(renders)
+        assert _outcome(lambda: read(source)) == want  # a hit when only angle texts changed
+        hits += len(renders) == before and isinstance(want, tuple) and type(want[1]) is float
+    assert hits > 200 and read_back - hits < read_back / 2
+
+
+def test_each_layout_is_rendered_once_in_mixed_round_trips(monkeypatch, tmp_path):
+    # an n = 14 xor circuit through QASM, and n = 13 twolevel and lambda
+    # circuits through JSON, twice each in turn on new angles: each skeleton
+    # is rendered once, by its first write, and every read and later write
+    # fills it; the bound keeps the three layouts
+    renders = []
+    for name in ("_qasm_skeleton", "_document_skeleton"):
+        render = getattr(serialize, name)
+        monkeypatch.setattr(serialize, name, lambda n, *a, render=render: renders.append(n) or render(n, *a))
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    rng = np.random.default_rng(14)
+    path = tmp_path / "circuit.json"
+    for _ in range(2):
+        for synth, n in ((ds.synth_xor, 14), (ds.synth_twolevel, 13), (ds.synth_controlled, 13)):
+            circuit = synth(random_diagonal(n, rng))[0]
+            if synth is ds.synth_xor:  # QASM has no phase record
+                read, phase = ds.parse_qasm(ds.to_qasm(circuit)), 0.0
+            else:
+                ds.save_circuit(circuit, path)
+                read, phase = ds.load_circuit(path), circuit.global_phase
+            assert _outcome(lambda: read) == (_outcome(lambda: circuit)[0], phase)
+    assert renders == [14, 13, 13]
+
+
+def test_registering_one_layout_more_than_the_bound_evicts_the_oldest(monkeypatch):
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    kept = serialize._SKELETONS_KEPT
+    for n in range(1, kept + 2):
+        ds.to_qasm(ds.Circuit(n, (ds.RZ(n, 0.5),)))
+    assert [key[:2] for key in serialize._SKELETONS] == [("qasm", n) for n in range(2, kept + 2)]
+
+
+@pytest.mark.parametrize("column, value", [("control", 2), ("angle1", 0.5)])
+def test_writers_register_no_layout_whose_text_reads_back_otherwise(
+    column, value, monkeypatch, tmp_path
+):
+    # a control on an X or RZ row, or an RZ's angle1, is in no text and reads
+    # back as 0: a skeleton registered with such columns would give a hit
+    # another circuit than the general reader's
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    columns = ds.Circuit(2, (ds.X(1), ds.RZ(2, 0.5))).columns._asdict()
+    columns[column] = np.full(2, value, dtype=columns[column].dtype)
+    circuit = ds.Circuit(2, Columns(**columns))
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(circuit, path)
+    text = ds.to_qasm(circuit)
+    assert _outcome(lambda: ds.parse_qasm(text)) == _outcome(
+        lambda: serialize._parse_qasm_statements(text)
+    )
+    assert _outcome(lambda: ds.load_circuit(path)) == _outcome(
+        lambda: serialize.circuit_from_document(json.loads(path.read_text()))
+    )
+
+
+def test_threads_that_share_the_registry_read_what_they_wrote(monkeypatch):
+    # six threads on two cores, each writing and reading its own layouts,
+    # with the interpreter switching threads as often as it can
+    import sys
+    import threading
+
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    circuits = [ds.synth_xor(random_diagonal(n, np.random.default_rng(n)))[0] for n in range(1, 7)]
+    failures = []
+
+    def round_trips(circuit):
+        try:
+            for _ in range(40):
+                read = ds.parse_qasm(ds.to_qasm(circuit))
+                assert [c.tobytes() for c in read.columns[:4]] == [
+                    c.tobytes() for c in circuit.columns[:4]
+                ]
+        except Exception as exc:  # reported below, not lost in the thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=round_trips, args=(c,)) for c in circuits]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(serialize._SKELETONS) <= serialize._SKELETONS_KEPT

@@ -108,7 +108,8 @@ def test_agrees_with_parity_route():
 def _sorted_word_layout(n):
     # per level k = n..1: line k's rotation, then one MCRZ per nonempty
     # subset of lines 1..k-1 in sorted word order; each gate's angle index is
-    # its level's offset plus its subset's mask over lines 1..k-1
+    # its level's offset plus its subset's mask over lines 1..k-1; then the
+    # zero angle1 column
     kind, target, control, source = [], [], [], []
     for k in range(n, 0, -1):
         masks = sorted(range(1, 1 << (k - 1)), key=lambda mask: ds.subset_lines(mask, k - 1))
@@ -118,7 +119,7 @@ def _sorted_word_layout(n):
             control.append(ds.lines_to_mask(ds.subset_lines(mask, k - 1), n))
             source.append((1 << n) - (1 << k) + mask)
     columns = (np.array(c, dtype=np.int64) for c in (target, control, source))
-    return (np.array(kind, dtype=np.int8), *columns)
+    return (np.array(kind, dtype=np.int8), *columns, np.zeros(len(kind)))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
