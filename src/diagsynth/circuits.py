@@ -10,17 +10,20 @@ one entry per gate: the kind code (the gate class's index in
 ``GATE_CLASSES``), the target line (an X's or RZ's line), the control (a
 CNOT's control line, or a block's control lines as a mask with line L at
 bit n - L, as in basis-state indices), and two angles (an RZ's or MCRZ's
-alpha, a CDIAG's theta0 and theta1). Gate objects passed in are packed into
-the columns and not kept; all the work is done on the columns, and
-``circuit.gates`` is always read off them on first use: a block's controls
-ascending, every field a Python int or float.
+alpha, a CDIAG's theta0 and theta1). The first three and n are its
+``Layout``, a value the circuits of one route and n share, checked once.
+Gate objects passed in are packed into the columns and not kept; all the
+work is done on the columns, and ``circuit.gates`` is always read off them
+on first use: a block's controls ascending, every field a Python int or
+float.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -101,7 +104,7 @@ def columns_from_fields(gates, n: int) -> Columns:
     """Columns of the gate objects' fields on n lines, checking each gate's
     lines as they are packed: a line that is no int raises TypeError, a
     line outside 1..n or repeated in one gate DimensionError."""
-    ints, floats = [], []
+    rows = []
     for gate in gates:
         code = _CODES.get(type(gate))
         if code is None:
@@ -115,11 +118,9 @@ def columns_from_fields(gates, n: int) -> Columns:
             raise DimensionError(f"duplicate control or target line in {gate}")
         if code >= K_MCRZ:
             row[1] = mask ^ 1 << (n - operator.index(row[0]))
-        ints.append((code, row[0], row[1]))
-        floats.append((row[2], row[3]))
-    ints = np.array(ints, dtype=np.int64).reshape(-1, 3)
-    floats = np.array(floats, dtype=float).reshape(-1, 2)
-    return Columns(ints[:, 0].astype(np.int8), ints[:, 1], ints[:, 2], floats[:, 0], floats[:, 1])
+        rows.append((code, *row))
+    # one array per column, so that each owns its data
+    return Columns(*map(np.array, list(zip(*rows)) or [()] * 5, _DTYPES))
 
 
 def gate_fields(circuit: Circuit):
@@ -163,54 +164,116 @@ def _refuse_row(n: int, columns: Columns, index: int):
     raise ValueError(f"gate {index} ({KIND_NAMES[code]}) has a non-finite angle: {gate}")
 
 
+def _line_count(n) -> int:
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"line count must be an int, got {n!r}") from None
+    if n < 1:
+        raise DimensionError(f"line count must be >= 1, got {n}")
+    if n > MAX_LINES:
+        raise DimensionError(f"line count must be <= {MAX_LINES}, got {n}")
+    return n
+
+
+def _own(column: np.ndarray) -> np.ndarray:
+    # the column read-only, copied first if it is a view: writes to the
+    # array it views would show through
+    column = column.copy() if column.base is not None else column
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Layout:
+    """A circuit's gates without their angles: n and the kind, target and
+    control columns, read-only and the layout's own. The rows are checked
+    here, with a circuit's two ``angles`` columns if given, so that the first
+    bad row words the error as its gate would. What is read off the layout
+    alone is kept on it by ``memo``, as long as a circuit or cache holds it.
+    """
+
+    n: int
+    kind: np.ndarray
+    target: np.ndarray
+    control: np.ndarray
+    angles: InitVar[tuple] = ()
+
+    def __post_init__(self, angles):
+        n, rows = _line_count(self.n), (self.kind, self.target, self.control)
+        for name, column, dtype in zip(Columns._fields, rows + angles, _DTYPES):
+            if not isinstance(column, np.ndarray) or column.dtype != dtype:
+                got = getattr(column, "dtype", type(column).__name__)
+                raise TypeError(f"column {name} must have dtype {dtype}, got {got}")
+        _hold(self, n, rows)
+        columns = self.columns(*(angles or (self.zero, self.zero)))
+        bad = _invalid(n, columns)
+        if bad.any():
+            _refuse_row(n, columns, int(bad.argmax()))
+
+    def columns(self, angle0, angle1) -> Columns:
+        """The columns of the gates of these angles on this layout."""
+        return Columns(self.kind, self.target, self.control, angle0, angle1)
+
+    def memo(self, key, build):
+        """``build(self)``, made on the first call for ``key`` and kept on
+        the layout; an error is not kept, so each call raises it again."""
+        memo = self._memo
+        return memo[key] if key in memo else memo.setdefault(key, build(self))
+
+    @cached_property
+    def zero(self) -> np.ndarray:
+        """A read-only column of zeros: the angle1 of a circuit with no CDIAG."""
+        return _own(np.zeros(self.kind.size))
+
+
+def _hold(layout: Layout, n: int, rows) -> Layout:
+    # n, the rows owned and read-only, and an empty memo
+    kind, target, control = map(_own, rows)
+    layout.__dict__.update(n=n, kind=kind, target=target, control=control, _memo={})
+    return layout
+
+
 class Circuit:
     """Ordered gate list (leftmost acts first) plus an accumulated global
     phase that the gate library cannot express.
 
     ``gates`` is a sequence of gate objects, packed into columns and not
-    kept, or the ``Columns`` that the synthesizers, the codecs and
-    ``peephole_cancel`` build directly. ``.gates`` is always read off the
-    columns and cached: a block's controls ascending, every field a Python
-    int or float.
+    kept, or ``Columns``; either way they get a new ``Layout``, which checks
+    the rows. The circuit holds the layout, its two angle columns (read-only
+    and its own) and its phase. ``.gates`` is read off the columns on first
+    use: a block's controls ascending, every field a Python int or float.
     """
 
     def __init__(self, n: int, gates=(), global_phase: float = 0.0):
-        self.n = n
+        if not isinstance(gates, Columns):
+            gates = columns_from_fields(gates, _line_count(n))
+        self.layout = Layout(n, *gates[:3], gates[3:])
+        self.angle0, self.angle1 = gates[3:]
         self.global_phase = global_phase
-        self.columns, self._gates = gates, None  # __post_init__ packs gate objects
         self.__post_init__()
 
-    def __post_init__(self, rows_checked=False):
-        # one validation per circuit: gate objects as they are packed, then
-        # one vector pass over the columns; the first bad row words the error
-        # (the rows of a layout checked when it was cached: only the angles)
-        try:
-            n = self.n = operator.index(self.n)
-        except TypeError:
-            raise TypeError(f"line count must be an int, got {self.n!r}") from None
-        if n < 1:
-            raise DimensionError(f"line count must be >= 1, got {n}")
-        if n > MAX_LINES:
-            raise DimensionError(f"line count must be <= {MAX_LINES}, got {n}")
-        if not isinstance(self.columns, Columns):
-            self.columns = columns_from_fields(self.columns, n)
-        for name, column, dtype in zip(Columns._fields, self.columns, _DTYPES):
-            if not isinstance(column, np.ndarray) or column.dtype != dtype:
-                got = getattr(column, "dtype", type(column).__name__)
-                raise TypeError(f"column {name} must have dtype {dtype}, got {got}")
-            column.flags.writeable = False
-        bad = (~(np.isfinite(self.columns.angle0) & np.isfinite(self.columns.angle1))
-               if rows_checked else _invalid(n, self.columns))
-        if bad.any():
-            _refuse_row(n, self.columns, int(bad.argmax()))
+    def __post_init__(self):
+        # the hook every circuit passes: the angles and the phase (the rows
+        # were checked when the layout was built)
+        self.angle0, self.angle1 = _own(self.angle0), _own(self.angle1)
+        finite = np.isfinite(self.angle0) & np.isfinite(self.angle1)
+        if not finite.all():
+            _refuse_row(self.n, self.columns, int(finite.argmin()))
         if not math.isfinite(self.global_phase):
             raise ValueError(f"global_phase is not finite: {self.global_phase}")
 
     @property
+    def n(self) -> int:
+        return self.layout.n
+
+    @property
+    def columns(self) -> Columns:
+        return self.layout.columns(self.angle0, self.angle1)
+
+    @cached_property
     def gates(self) -> tuple[Gate, ...]:
-        if self._gates is None:
-            self._gates = tuple(GATE_CLASSES[code](*values) for code, values in gate_fields(self))
-        return self._gates
+        return tuple(GATE_CLASSES[code](*values) for code, values in gate_fields(self))
 
     def __repr__(self) -> str:
         return f"Circuit(n={self.n!r}, gates={self.gates!r}, global_phase={self.global_phase!r})"
@@ -229,7 +292,7 @@ class SynthesisReport:
 
 def count_gates(circuit: Circuit) -> SynthesisReport:
     """Tally the circuit's gates by kind, with its global phase record."""
-    tally = np.bincount(circuit.columns.kind, minlength=len(KIND_NAMES)).tolist()
+    tally = np.bincount(circuit.layout.kind, minlength=len(KIND_NAMES)).tolist()
     counts = dict(zip(KIND_NAMES, tally))
     return SynthesisReport(
         counts=counts,
@@ -296,14 +359,17 @@ def _cancel(columns: Columns, phase: float, scan: bool):
     return columns, phase
 
 
-def _on_layout(n: int, columns: Columns, phase: float, drop: bool) -> Circuit:
-    # Circuit(n, columns, phase) on the rows of a layout checked when it was
-    # cached, after the drop rule if ``drop``: only angles and phase checked
+def _on_layout(layout: Layout, columns: Columns, phase: float, drop: bool = False) -> Circuit:
+    # the circuit of columns on a checked layout's rows, after the drop rule
+    # if ``drop``: rows kept of them need no check, so only angles and phase are
     if drop:
         columns, phase = _cancel(columns, phase, scan=False)
+    if columns.kind is not layout.kind:
+        layout = _hold(object.__new__(Layout), layout.n, columns[:3])
     circuit = object.__new__(Circuit)
-    circuit.n, circuit.columns, circuit.global_phase, circuit._gates = n, columns, phase, None
-    circuit.__post_init__(rows_checked=True)
+    circuit.__dict__.update(layout=layout, angle0=columns.angle0, angle1=columns.angle1,
+                            global_phase=phase)
+    circuit.__post_init__()
     return circuit
 
 
@@ -323,6 +389,6 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     built by hand.
     """
     columns, phase = _cancel(circuit.columns, circuit.global_phase, scan=True)
-    if columns.kind.size == circuit.columns.kind.size:
+    if columns.kind.size == circuit.layout.kind.size:
         return circuit
-    return Circuit(circuit.n, columns, phase)
+    return _on_layout(circuit.layout, columns, phase)

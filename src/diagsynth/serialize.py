@@ -12,13 +12,13 @@ difference at most); multi-controlled blocks are refused.
 
 A writer fills its layout's skeleton: the constant pieces of the text
 between its angle slots (the JSON phase is slot 0), rendered from the
-columns by joins of cached texts and kept for four layouts by signature
-(format, n, slot count, the pieces' total length). A byte reader finds a
-text's angle texts once, each a finite JSON number or QASM real. It takes
-the text when the registered skeleton of its signature, filled with them,
-gives it back byte for byte (the circuit is then built on the entry's
-columns), or when the columns read write it back and Circuit accepts them
-(and registers that skeleton). Any other text is read gate by gate or
+columns by joins of cached texts on first use and kept on the layout. A
+byte reader finds a text's angle texts once, each a finite JSON number or
+QASM real. It takes the text when the skeleton of the layout registered
+under its signature (format, n, slot count, the pieces' total length),
+filled with them, gives it back byte for byte (the circuit is then built on
+that layout), or when the columns read write it back and Circuit accepts
+them (and registers their layout). Any other text is read gate by gate or
 statement by statement, by a general reader that words the first error.
 Every reader takes only a JSON int where the format says int.
 """
@@ -29,7 +29,7 @@ import json
 import math
 import re
 from dataclasses import fields
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .circuits import (
     _SLOTS, GATE_CLASSES, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, Circuit,
-    Columns, _on_layout,
+    Columns, Layout, _on_layout,
 )
 from .diagonal import DiagonalUnitary
 from .errors import FormatError, UnsupportedGateError
@@ -177,52 +177,59 @@ def _fill(pieces: list[str], angle_texts: list[str]) -> str:
     return "".join(parts)
 
 
-# Skeletons kept, each with the columns of a circuit Circuit accepted. A
-# process that writes or reads circuits of one (route, n) class sees one
-# layout, since generic input gives the route's cached layout: one entry per
-# format. Four keep both formats of two classes, or three layouts in turn.
-# An entry keeps 8 bytes per slot, each distinct piece once, and 17 bytes
-# of columns per gate (25 in QASM), the synthesizer's when a writer
-# registered them: xor QASM pieces take 0.14 MB at n=14 and 8.5 MB at n=20
-# (columns 52 MB), lambda JSON ones, one per control list, 2.2 MB at n=14
-# and 35 MB at n=18. Four n=20 entries keep 250 MB to about 0.7 GB.
+def _skeleton(form: str, render, layout: Layout) -> tuple[tuple, list[str]]:
+    # The signature and pieces of the layout's text, rendered on first use
+    # and kept on the layout, equal pieces as one string
+    def split(layout):
+        text, known = render(layout.n, layout.kind, layout.target, layout.control), {}
+        pieces = text.split("\0")
+        pieces = list(map(known.setdefault, pieces, pieces))
+        return (form, layout.n, len(pieces) - 1, len(text) - len(pieces) + 1), pieces
+
+    return layout.memo(form, split)
+
+
+# Layouts the byte readers know, by signature. A process that writes or
+# reads circuits of one (route, n) class sees one layout, since generic
+# input gives the route's cached layout: one entry per format. Four keep
+# both formats of two classes, or three layouts in turn. A skeleton keeps 8
+# bytes per slot and each distinct piece once: xor QASM pieces take 0.14 MB
+# at n=14 and 8.5 MB at n=20, lambda JSON ones, one per control list, 2.2
+# MB at n=14 and 35 MB at n=18. It lives as long as its layout, as a reading
+# does (see simulate._reading): at most one layout per (route, n) and these
+# four, so what is kept over all n is under twice the largest entry.
 _SKELETONS_KEPT = 4
-_SKELETONS: dict[tuple, tuple] = {}  # signature: kind, target, control, zero or None, pieces
+_SKELETONS: dict[tuple, Layout] = {}
 
 
-def _register(key: tuple, circuit: Circuit, pieces: list[str], zero) -> Circuit:
-    # keep a skeleton, its equal pieces as one string, the oldest out past the
-    # bound; each step one dict call, so threads that register at once raise nothing
-    known: dict[str, str] = {}
+def _register(key: tuple, layout: Layout) -> None:
+    # the oldest out past the bound; each step one dict call, so threads
+    # that register at once raise nothing
     _SKELETONS.pop(key, None)
-    _SKELETONS[key] = *circuit.columns[:3], zero, list(map(known.setdefault, pieces, pieces))
+    _SKELETONS[key] = layout
     for oldest in list(_SKELETONS)[:-_SKELETONS_KEPT]:
         _SKELETONS.pop(oldest, None)
-    return circuit
 
 
-def _skeleton(form: str, render, circuit: Circuit, slots: int) -> list[str]:
-    # A writer's pieces: the registered ones of the circuit's layout, found
-    # by (format, n, slot count) and equal columns, else render's text split
-    # at its slots, registered when the byte reader reads the columns back as
-    # they are: no control on an X or RZ row, and in QASM a zero angle1
-    kind, target, control, _, angle1 = columns = circuit.columns
-    for key, entry in list(_SKELETONS.items()):
-        if key[:3] == (form, circuit.n, slots) and all(map(np.array_equal, entry[:3], columns)):
-            return entry[-1]
-    text = render(circuit.n, kind, target, control)
-    pieces, zero = text.split("\0"), angle1 if form == "qasm" else None
-    if not (control[(kind == K_X) | (kind == K_RZ)].any() or zero is not None and zero.any()):
-        _register((form, circuit.n, slots, len(text) - slots), circuit, pieces, zero)
+def _written(form: str, render, circuit: Circuit) -> list[str]:
+    # A writer's pieces: its layout's skeleton. The layout is registered
+    # when the byte reader reads its columns back as they are: no control on
+    # an X or RZ row, and in QASM an all-zero angle1
+    layout, (kind, _, control, _, angle1) = circuit.layout, circuit.columns
+    key, pieces = _skeleton(form, render, layout)
+    if _SKELETONS.get(key) is not layout and not (
+        control[(kind == K_X) | (kind == K_RZ)].any() or form == "qasm" and angle1.any()
+    ):
+        _register(key, layout)
     return pieces
 
 
 def _circuit_text(circuit: Circuit) -> str:
     # The document as json.dumps writes it, with repr of each angle
-    kind = circuit.columns.kind
+    kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
     texts = [json.dumps(circuit.global_phase), *map(repr, angles.tolist())]
-    return _fill(_skeleton("json", _document_skeleton, circuit, len(texts)), texts)
+    return _fill(_written("json", _document_skeleton, circuit), texts)
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -326,8 +333,9 @@ def _saved_circuit(text: str) -> Circuit:
     angles.T[slots] = numbers[1:]
     key = ("json", n, len(texts), size - len(phase_text) - int((shuts - opens).sum()))
     # a hit: the key fixes the filled text's length
-    if (entry := _SKELETONS.get(key)) and text.startswith(_fill(entry[-1], texts)):
-        return _on_layout(n, Columns(*entry[:3], *angles), float(numbers[0]), drop=False)
+    layout = _SKELETONS.get(key)
+    if layout and text.startswith(_fill(_skeleton("json", _document_skeleton, layout)[1], texts)):
+        return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
     high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
     line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
     target, control = line[first + _TARGET_AT[kind]], np.where(kind == K_CNOT, line[first + 1], 0)
@@ -345,12 +353,12 @@ def _saved_circuit(text: str) -> Circuit:
     np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
     control[blocks] = masks[index]
     del data, colons, value, high, low, line  # before the text is written back
-    pieces = _document_skeleton(n, kind, target, control).split("\0")
-    written = _fill(pieces, texts)
+    layout = Layout(n, kind, target, control)
+    written = _fill(_skeleton("json", _document_skeleton, layout)[1], texts)
     if len(written) != size or not text.startswith(written):
         raise ValueError("not the text save_circuit writes")
-    circuit = Circuit(n, Columns(kind, target, control, *angles), float(numbers[0]))
-    return _register(key, circuit, pieces, None)
+    _register(key, layout)
+    return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +373,13 @@ def to_qasm(circuit: Circuit) -> str:
     fixed elementary expansion here. The global phase record is dropped,
     matching the up-to-phase reading of the output.
     """
-    kind, target, control, angle, _ = circuit.columns
+    kind = circuit.layout.kind
     blocks = np.flatnonzero(kind >= K_MCRZ)
     if blocks.size:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
-    texts = list(map(repr, angle[kind == K_RZ].tolist()))
-    return _fill(_skeleton("qasm", _qasm_skeleton, circuit, len(texts)), texts)
+    texts = list(map(repr, circuit.angle0[kind == K_RZ].tolist()))
+    return _fill(_written("qasm", _qasm_skeleton, circuit), texts)
 
 
 # The header for each line count; the bytes of an rz angle text, and a gate
@@ -383,22 +391,18 @@ _QASM_KINDS = np.full(256, -1, dtype=np.int8)
 _QASM_KINDS[list(b"xcr")] = K_X, K_CNOT, K_RZ
 
 
-@lru_cache(maxsize=16)
-def _qasm_lines(n: int) -> np.ndarray:
-    # The text of each gate line on n lines, by row: x by target, cx by
-    # control and target, and rz by target with "\0" for its angle text
-    return np.array(
+def _qasm_skeleton(n: int, kind, target, control) -> str:
+    # The text with "\0" for each rz angle text: the head and, by row, the
+    # text of each gate line: x by target, cx by control and target, and rz
+    # by target with "\0" for its angle text
+    lines = np.array(
         [f"x q[{t - 1}];\n" for t in range(n + 1)]
         + [f"cx q[{c - 1}],q[{t - 1}];\n" for c in range(n + 1) for t in range(n + 1)]
         + [f"rz(\0) q[{t - 1}];\n" for t in range(n + 1)],
         dtype=object,
     )
-
-
-def _qasm_skeleton(n: int, kind, target, control) -> str:
-    # The text with "\0" for each rz angle text: the head and the line texts
     row = np.where(kind == K_X, 0, np.where(kind == K_CNOT, 1 + control, n + 2))
-    return _QASM_HEAD.format(n) + "".join(_qasm_lines(n)[row * (n + 1) + target].tolist())
+    return _QASM_HEAD.format(n) + "".join(lines[row * (n + 1) + target].tolist())
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -427,29 +431,26 @@ def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
     texts = body.replace(")", "(").split("(")[1::2]
     if not body.isascii() or "".join(texts).encode().translate(None, _ANGLE_BYTES):
         raise ValueError("an angle text to_qasm does not write")
-    angles = np.fromiter(map(float, texts), float, len(texts))
     key = ("qasm", n, len(texts), len(text) - sum(map(len, texts)))
-    if (entry := _SKELETONS.get(key)) and _fill(entry[-1], texts) == text:
-        angle = np.zeros(entry[0].size)
-        angle[entry[0] == K_RZ] = angles
-        return _on_layout(n, Columns(*entry[:3], angle, entry[3]), 0.0, drop=False)
-    data = np.frombuffer(body.encode(), dtype=np.uint8)
-    ends = np.flatnonzero(data == 10)
-    starts = np.concatenate(([0], ends + 1))[:-1]
-    kind = _QASM_KINDS[data[starts]]
-    def line(first, two):  # q[k] is line k + 1; k's digits start at first
-        high, low = (data[at].astype(np.int64) - 48 for at in (first, first + two))
-        return np.where(two, 10 * high + low, low) + 1
-    two = data[ends - 4] != ord("[")  # the target has two digits
-    target = line(ends - 3 - two, two)
-    control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
-    pieces = _qasm_skeleton(n, kind, target, control).split("\0")
-    if _fill(pieces, texts) != text:
-        raise ValueError("not the text to_qasm writes")
-    angle, zero = np.zeros(kind.size), np.zeros(kind.size)
-    angle[kind == K_RZ] = angles
-    circuit = Circuit(n, Columns(kind, target, control, angle, zero), 0.0)
-    return _register(key, circuit, pieces, zero)
+    layout = _SKELETONS.get(key)
+    if not layout or _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
+        data = np.frombuffer(body.encode(), dtype=np.uint8)
+        ends = np.flatnonzero(data == 10)
+        starts = np.concatenate(([0], ends + 1))[:-1]
+        kind = _QASM_KINDS[data[starts]]
+        def line(first, two):  # q[k] is line k + 1; k's digits start at first
+            high, low = (data[at].astype(np.int64) - 48 for at in (first, first + two))
+            return np.where(two, 10 * high + low, low) + 1
+        two = data[ends - 4] != ord("[")  # the target has two digits
+        target = line(ends - 3 - two, two)
+        control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
+        layout = Layout(n, kind, target, control)
+        if _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
+            raise ValueError("not the text to_qasm writes")
+        _register(key, layout)
+    angle = np.zeros(layout.kind.size)
+    angle[layout.kind == K_RZ] = np.fromiter(map(float, texts), float, len(texts))
+    return _on_layout(layout, layout.columns(angle, layout.zero), 0.0)
 
 
 # One statement per line, in ASCII. The alternative that matched is named

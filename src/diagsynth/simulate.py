@@ -30,14 +30,11 @@ circuit is not diagonal, and the map alone names the first basis state it
 moves.
 
 None of this reads an angle, and the circuits of one route and n share one
-layout. So each layout is read once and cached, keyed by n and the bytes
-of its kind, target and control columns, and built from those bytes; a
-NotDiagonalError is not cached. Each call then makes one pass over the
-angles, adding each term in gate order as a walk would: one
+``Layout``. So a layout's reading is made once, from its own columns, and
+kept on it; a NotDiagonalError is not kept. Each call then makes one pass
+over the angles, adding each term in gate order as a walk would: one
 ``np.bincount`` of the RZ terms, one of the subset terms, and one
-``np.add.at`` of the cells. The cache holds 64 readings. An entry holds the
-three columns, 17 bytes per gate, and at most 48 bytes per rotation or
-block: about 1 MB for an n = 14 xor circuit, 61 MB at n = 20.
+``np.add.at`` of the cells.
 
 A diagonal circuit with any other block, one on a line that carries a
 parity of several bits or one that leaves a line free, is replayed by
@@ -50,11 +47,9 @@ scalar per-state oracle of it lives with the tests.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, Circuit
+from .circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, Circuit, Layout
 from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
@@ -105,10 +100,9 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
 
 def _angles(circuit: Circuit) -> np.ndarray:
     # the angles of circuit_to_diagonal, in a fresh array: the layout's
-    # cached reading, then one pass over the angles in gate order
-    n = circuit.n
-    kind, target, control, angle0, angle1 = circuit.columns
-    reading = _reading(n, kind.tobytes(), target.tobytes(), control.tobytes())
+    # reading, then one pass over the angles in gate order
+    n, angle0, angle1 = circuit.n, circuit.angle0, circuit.angle1
+    reading = circuit.layout.memo("reading", _reading)
     if reading is None:  # a block the reading cannot place
         return basis_action(circuit)[1] + circuit.global_phase
     rz, subset, cells = reading
@@ -134,22 +128,18 @@ def _angles(circuit: Circuit) -> np.ndarray:
     return np.add(thetas, circuit.global_phase, out=thetas)
 
 
-# Readings kept. The benchmark's mixed_small verifies 27 recurring layouts
-# (xor, lambda, twolevel at n = 2..10) between one-off sparse layouts, about
-# 1 op in 8. Of its 1080 timed ops at seed 5, 952 could reuse a reading:
-# 64 entries reuse 944, 48 reuse 936, 32 reuse 778 and 16 reuse 191.
-_READINGS = 64
-
-
-@lru_cache(maxsize=_READINGS)
-def _reading(n: int, kind: bytes, target: bytes, control: bytes):
+# A reading holds at most 48 bytes per rotation or block (24 per RZ: 0.4
+# MB for the n = 14 xor layout, 25 MB at n = 20) and lives as long as its
+# layout. Those are held by live circuits, by each synthesizer's cache, one
+# layout per (route, n), and by the codecs' four reader entries. Sizes halve
+# with each n less, so what is kept over all n is under twice the largest.
+def _reading(layout: Layout):
     # What the angle pass needs of a layout, in gate order, each part None
     # when empty: per RZ of a CNOT circuit, its row, its line's parity and
     # +-1/2 by its affine bit; per block term, rows, indices and angle
     # factors; per block cell pair, rows, indices and the MCRZ mask (None
     # without an MCRZ). None for a block the reading cannot place.
-    kind = np.frombuffer(kind, np.int8)
-    target, control = np.frombuffer(target, np.int64), np.frombuffer(control, np.int64)
+    n, kind, target, control = layout.n, layout.kind, layout.target, layout.control
     size, rz = 1 << n, None
     if (kind == K_CNOT).any():
         walked = _walk(n, kind, target, control)

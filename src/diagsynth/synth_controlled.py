@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import DEFAULT_TOL, TWO_PI, reduced, wrap_angle
-from .circuits import K_MCRZ, K_RZ, Circuit, Columns, SynthesisReport, count_gates, _on_layout
+from .circuits import K_MCRZ, K_RZ, Circuit, Layout, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
 from .subsets import dictionary_words
@@ -107,12 +107,12 @@ def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[np.ndarray, ...]:
-    # kind, target and control columns of the generic n-line layout, each
-    # gate's index into the angles of ``synthesize_levels`` and a zero angle1
-    # column: per level k, the rotation of line k, then one MCRZ on target k
-    # per nonempty subset of lines 1..k-1, in the dictionary order of lines
-    # 1..n-1. A level's masks number line L at bit k - 1 - L, the circuit's n - L.
+def _layout(n: int) -> tuple[Layout, np.ndarray]:
+    # the generic n-line layout and each gate's index into the angles of
+    # ``synthesize_levels``: per level k, the rotation of line k, then one
+    # MCRZ on target k per nonempty subset of lines 1..k-1, in the dictionary
+    # order of lines 1..n-1. A level's masks number line L at bit k - 1 - L,
+    # the circuit's n - L.
     levels = range(n, 0, -1)
     words = dictionary_words(n - 1)
     masks = [np.append(0, words[words % (1 << (n - k)) == 0] >> (n - k)) for k in levels]
@@ -120,9 +120,7 @@ def _layout(n: int) -> tuple[np.ndarray, ...]:
     source = np.concatenate([m + (1 << n) - (1 << k) for k, m in zip(levels, masks)])
     target = np.repeat(levels, [len(m) for m in masks])
     kind = np.where(control == 0, K_RZ, K_MCRZ).astype(np.int8)
-    zero = np.zeros(kind.size)
-    Circuit(n, Columns(kind, target, control, zero, zero))  # checked for _on_layout
-    return kind, target, control, source, zero
+    return Layout(n, kind, target, control), source
 
 
 def synth_controlled(
@@ -133,7 +131,7 @@ def synth_controlled(
     ``keep_trivial_rotations`` keeps zero-angle blocks, as for ``synth_xor``.
     """
     angles, phase = synthesize_levels(u)
-    kind, target, control, source, zero = _layout(u.n)
-    columns = Columns(kind, target, control, angles[source], zero)
-    circuit = _on_layout(u.n, columns, phase, drop=not keep_trivial_rotations)
+    layout, source = _layout(u.n)
+    columns = layout.columns(angles[source], layout.zero)
+    circuit = _on_layout(layout, columns, phase, drop=not keep_trivial_rotations)
     return circuit, count_gates(circuit)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import K_CDIAG, K_X, Circuit, Columns, SynthesisReport, count_gates, _on_layout
+from .circuits import K_CDIAG, K_X, Circuit, Layout, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .errors import DimensionError
 from .subsets import gray_walk
@@ -30,18 +30,17 @@ from .circuits import peephole_cancel  # noqa: F401
 
 
 @lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[np.ndarray, ...]:
-    # kind, target and control columns, and each block's top-line pattern:
-    # per Gray X mask, its block, then the X on the line where the mask
-    # differs from the next (line 1 after the last)
+def _layout(n: int) -> tuple[Layout, np.ndarray]:
+    # the n-line layout and each block's top-line pattern: per Gray X mask,
+    # its block, then the X on the line where the mask differs from the next
+    # (line 1 after the last)
     m = n - 1
     masks, steps = gray_walk(m)
     full = (1 << m) - 1
     kind = np.tile(np.array([K_CDIAG, K_X], dtype=np.int8), 1 << m)
     target = np.column_stack((np.full(1 << m, n), steps)).ravel()
     control = np.tile([full << 1, 0], 1 << m)  # lines 1..n-1 on the blocks
-    Circuit(n, Columns(kind, target, control, *np.zeros((2, kind.size))))  # checked for _on_layout
-    return kind, target, control, full ^ masks
+    return Layout(n, kind, target, control), full ^ masks
 
 
 def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
@@ -54,10 +53,10 @@ def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     """
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
-    kind, target, control, pattern = _layout(u.n)
-    blocks = kind == K_CDIAG
-    theta0, theta1 = np.zeros(kind.size), np.zeros(kind.size)
+    layout, pattern = _layout(u.n)
+    blocks = layout.kind == K_CDIAG
+    theta0, theta1 = np.zeros(blocks.size), np.zeros(blocks.size)
     theta0[blocks] = u.thetas[2 * pattern]
     theta1[blocks] = u.thetas[2 * pattern + 1]
-    circuit = _on_layout(u.n, Columns(kind, target, control, theta0, theta1), 0.0, drop=True)
+    circuit = _on_layout(layout, layout.columns(theta0, theta1), 0.0, drop=True)
     return circuit, count_gates(circuit)

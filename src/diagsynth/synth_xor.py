@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import reduced
-from .circuits import K_CNOT, K_RZ, Circuit, Columns, SynthesisReport, count_gates, _on_layout
+from .circuits import K_CNOT, K_RZ, Circuit, Layout, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .subsets import gray_walk
 from .transforms import fwht
@@ -40,13 +40,12 @@ from .paper import (  # noqa: F401
 
 
 @lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[np.ndarray, ...]:
-    # kind, target and control columns of the generic n-line layout, the
-    # parity mask of each rotation's wire (line L at bit n - L) and a zero
-    # angle1 column. Level k is 2**k gates on target k: per Gray subset S of
-    # lines 1..k-1, the rotation on parity {k} | S and the CNOT from the line
-    # where S differs from the next subset (line 1 after the last); then line
-    # 1's own rotation. So the whole circuit alternates RZ, CNOT from index 0.
+def _layout(n: int) -> tuple[Layout, np.ndarray]:
+    # the generic n-line layout and the parity mask of each rotation's wire
+    # (line L at bit n - L). Level k is 2**k gates on target k: per Gray
+    # subset S of lines 1..k-1, the rotation on parity {k} | S and the CNOT
+    # from the line where S differs from the next subset (line 1 after the
+    # last); then line 1's own rotation: RZ and CNOT alternate from index 0.
     size = (1 << (n + 1)) - 3
     kind = np.full(size, K_RZ, dtype=np.int8)
     kind[1::2] = K_CNOT
@@ -60,9 +59,7 @@ def _layout(n: int) -> tuple[np.ndarray, ...]:
     parity.append([1 << (n - 1)])
     if lines:
         control[1::2] = np.concatenate(lines)
-    zero = np.zeros(size)
-    Circuit(n, Columns(kind, target, control, zero, zero))  # checked for _on_layout
-    return kind, target, control, np.concatenate(parity), zero
+    return Layout(n, kind, target, control), np.concatenate(parity)
 
 
 def synth_xor(
@@ -82,10 +79,10 @@ def synth_xor(
     scans the CNOT runs only after a drop, so generic input keeps the layout
     and tensor-product inputs collapse to their own n-rotation circuit.
     """
-    kind, target, control, parity, zero = _layout(u.n)
+    layout, parity = _layout(u.n)
     walsh = fwht(reduced(u.thetas)) / (1 << u.n)
-    rotation = np.zeros(kind.size)
+    rotation = np.zeros(layout.kind.size)
     rotation[::2] = -2.0 * walsh[parity]
-    columns = Columns(kind, target, control, rotation, zero)
-    circuit = _on_layout(u.n, columns, float(walsh[0]), drop=not keep_trivial_rotations)
+    columns = layout.columns(rotation, layout.zero)
+    circuit = _on_layout(layout, columns, float(walsh[0]), drop=not keep_trivial_rotations)
     return circuit, count_gates(circuit)

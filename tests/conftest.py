@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 import diagsynth as ds
+from diagsynth import simulate
 
 PI = np.pi
 
@@ -26,6 +30,35 @@ def reference_xor_u3() -> ds.DiagonalUnitary:
 @pytest.fixture
 def reference_ctrl_u3() -> ds.DiagonalUnitary:
     return ds.DiagonalUnitary(3, REFERENCE_CTRL_THETAS)
+
+
+def fresh_layouts() -> None:
+    """Empty the synthesizers' layout caches, so that the next circuit of
+    each route and n is built on a new layout, with nothing read off it."""
+    for name in ("synth_xor", "synth_controlled", "synth_twolevel"):
+        importlib.import_module(f"diagsynth.{name}")._layout.cache_clear()
+
+
+@contextmanager
+def reading_builds():
+    """The layouts whose reading ``simulate`` builds inside the block, one
+    entry a build."""
+    built, build = [], simulate._reading
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_reading", lambda layout: built.append(layout) or build(layout))
+        yield built
+
+
+@pytest.fixture
+def fresh_readings():
+    """Reading builds on new synthesizer layouts: the layout caches are
+    emptied when the test starts and when it ends, since a layout read
+    earlier would skip a patched walk or spoil a count, and one read while
+    a walk was patched would outlive the patch."""
+    fresh_layouts()
+    with reading_builds() as built:
+        yield built
+    fresh_layouts()
 
 
 def random_diagonal(n: int, rng: np.random.Generator) -> ds.DiagonalUnitary:

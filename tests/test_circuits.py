@@ -152,6 +152,29 @@ def test_line_count_is_at_most_63():
         ds.Circuit(64, ())
 
 
+def test_a_circuit_on_views_of_a_callers_array_keeps_the_gates_it_was_built_with():
+    # The kind, target and control columns view one array of the caller's,
+    # and the angles are the caller's own arrays. A write to that array
+    # after the circuit is built, its QASM written and its reading taken
+    # changes neither the circuit nor what the codecs and the verifier read.
+    ints = np.array([[2, 1, 0], [1, 2, 1], [2, 2, 0], [1, 2, 1]])
+    angle0 = np.array([0.3, 0.0, 0.5, 0.0])
+    circuit = ds.Circuit(2, Columns(ints[:, 0].astype(np.int8), ints[:, 1], ints[:, 2], angle0,
+                                    np.zeros(4)))
+    built = (ds.RZ(1, 0.3), ds.CNOT(1, 2), ds.RZ(2, 0.5), ds.CNOT(1, 2))
+    u = ds.circuit_to_diagonal(ds.Circuit(2, built))
+    text = ds.to_qasm(circuit)
+    assert ds.verify(circuit, u) == 0.0
+    ints[0, 1], ints[2, 1] = 2, 1
+    with pytest.raises(ValueError, match="read-only"):
+        angle0[0] = 0.7
+    assert circuit.columns.target.tolist() == [1, 2, 2, 2]
+    assert ds.parse_qasm(text).columns.target.tolist() == [1, 2, 2, 2]
+    assert ds.to_qasm(circuit) == text
+    assert ds.verify(circuit, u) == 0.0
+    assert circuit.gates == built
+
+
 def test_count_empty():
     report = ds.count_gates(ds.Circuit(3, ()))
     assert report.elementary == 0

@@ -1,8 +1,8 @@
 """Every synthesizer builds its circuit on its cached, once-checked layout.
 
-A layout's kind, target and control columns are checked by ``Circuit`` when
-they are cached; per call only the angles and the phase are checked, and a
-circuit built that way must equal ``Circuit(n, columns, phase)``. The drop
+A cached ``Layout``'s rows are checked once, when it is built; per call
+only the angles and the phase are checked, and a circuit built that way
+must equal ``Circuit(n, columns, phase)``. The drop
 rule of ``peephole_cancel`` runs inside the synthesizers, so the default
 output of every route must be ``peephole_cancel`` of its full layout
 circuit, byte for byte, and on generic input, where nothing drops, no
@@ -12,13 +12,16 @@ synthesizer may check rows or scan runs.
 from __future__ import annotations
 
 import importlib
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import diagsynth as ds
-from conftest import PI, random_diagonal, tensor_rz_diagonal
-from diagsynth import circuits
+from conftest import PI, hard_thetas, random_diagonal, tensor_rz_diagonal
+from diagsynth import circuits, serialize
 from test_precision import sparse_zz_thetas
 
 # the package attribute synth_twolevel is the function, so fetch the module
@@ -38,11 +41,12 @@ def _full(route, u):
         return ds.synth_xor(u, keep_trivial_rotations=True)[0]
     if route == "lambda":
         return ds.synth_controlled(u, keep_trivial_rotations=True)[0]
-    kind, target, control, pattern = twolevel_module._layout(u.n)
+    layout, pattern = twolevel_module._layout(u.n)
+    kind = layout.kind
     theta0, theta1 = np.zeros(kind.size), np.zeros(kind.size)
     blocks = kind == circuits.K_CDIAG
     theta0[blocks], theta1[blocks] = u.thetas[2 * pattern], u.thetas[2 * pattern + 1]
-    return ds.Circuit(u.n, circuits.Columns(kind, target, control, theta0, theta1))
+    return ds.Circuit(u.n, circuits.Columns(kind, layout.target, layout.control, theta0, theta1))
 
 
 def _default(route, u):
@@ -99,21 +103,21 @@ def test_layout_construction_equals_circuit(route, n):
 
 @pytest.mark.parametrize("where", ["angle0", "angle1", "phase"])
 def test_layout_construction_refuses_nan_as_circuit_does(where):
-    columns = ds.synth_twolevel(random_diagonal(3, np.random.default_rng(3)))[0].columns
-    columns = circuits.Columns(*(c.copy() for c in columns))
+    circuit = ds.synth_twolevel(random_diagonal(3, np.random.default_rng(3)))[0]
+    columns = circuits.Columns(*(c.copy() for c in circuit.columns))
     phase = np.nan if where == "phase" else 0.0
     if where != "phase":
         getattr(columns, where)[2] = np.nan
     with pytest.raises(ValueError) as want:
         ds.Circuit(3, columns, phase)
     with pytest.raises(type(want.value)) as got:
-        circuits._on_layout(3, columns, phase, drop=True)
+        circuits._on_layout(circuit.layout, circuit.layout.columns(*columns[3:]), phase, drop=True)
     assert str(got.value) == str(want.value)
 
 
 def test_generic_synthesis_checks_no_row_and_scans_no_run(monkeypatch):
     us = {(route, n): random_diagonal(n, np.random.default_rng(40 + n)) for route, n in _cases(10)}
-    for (route, _), u in us.items():  # fill the layout caches, which Circuit checks once
+    for (route, _), u in us.items():  # fill the layout caches, each layout checked once
         _default(route, u)
     calls = []
 
@@ -132,3 +136,81 @@ def test_generic_synthesis_checks_no_row_and_scans_no_run(monkeypatch):
     assert calls == []
     ds.synth_xor(tensor_rz_diagonal([0.3, 0.7, 1.1, 1.9]))  # the spies see a drop
     assert "_cancel_runs" in calls
+
+
+def test_circuits_of_one_route_and_n_share_one_layout_through_the_codecs(
+    fresh_readings, monkeypatch, tmp_path
+):
+    # mixed_small's recurring classes, and the round trips of xor_large and
+    # replay_files: generic circuits of one route and n are on one layout, a
+    # reader hit hands out the writer's layout, and a verify after the round
+    # trip finds the reading the first op built
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    rng = np.random.default_rng(27)
+    for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel):
+        first, second = (synth(random_diagonal(6, rng))[0] for _ in range(2))
+        assert first.layout is second.layout
+    path = tmp_path / "circuit.json"
+    for synth, n in ((ds.synth_xor, 14), (ds.synth_twolevel, 13), (ds.synth_controlled, 13)):
+        for op in range(2):
+            u = random_diagonal(n, rng)
+            circuit = synth(u)[0]
+            if synth is ds.synth_xor:
+                read = ds.parse_qasm(ds.to_qasm(circuit))
+            else:
+                ds.save_circuit(circuit, path)
+                read = ds.load_circuit(path)
+            assert read.layout is circuit.layout
+            before = len(fresh_readings)
+            assert ds.verify(read, u) <= 1e-9
+            assert fresh_readings[before:] == ([circuit.layout] if op == 0 else [])
+
+
+def test_a_one_off_layout_is_released_with_its_last_circuit(fresh_readings):
+    # a sparse input whose drop rule removes rows gets a layout of its own;
+    # its reading lives on it, and both go with the circuit
+    v = ds.DiagonalUnitary(8, hard_thetas("sparse", 8, np.random.default_rng(5)))
+    circuit = ds.synth_xor(v)[0]
+    assert circuit.columns.kind.size < (1 << 9) - 3
+    assert ds.verify(circuit, v) <= 1e-9
+    assert fresh_readings == [circuit.layout]
+    layout = weakref.ref(circuit.layout)
+    del circuit, fresh_readings[:]
+    assert layout() is None
+
+
+def test_threads_that_share_a_new_layout_give_the_single_thread_bytes(
+    fresh_readings, monkeypatch
+):
+    # eight threads verify and write circuits on one layout no thread has
+    # read, at once, with the interpreter switching threads as often as it
+    # can: whichever fills the layout's reading and skeleton first, each
+    # result is the one a single thread gets
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    rng = np.random.default_rng(8)
+    us = [random_diagonal(10, rng) for _ in range(8)]
+    circuits = [ds.synth_xor(u)[0] for u in us]
+    assert all(c.layout is circuits[0].layout for c in circuits)
+
+    def results(circuit, u):
+        return ds.verify(circuit, u), ds.circuit_to_diagonal(circuit).thetas.tobytes(), ds.to_qasm(circuit)
+
+    want = [results(ds.Circuit(10, c.columns, c.global_phase), u) for c, u in zip(circuits, us)]
+    got, start = [None] * 8, threading.Barrier(8)
+
+    def run(k):
+        start.wait()
+        got[k] = results(circuits[k], us[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert circuits[0].layout in fresh_readings  # read by the threads, not before

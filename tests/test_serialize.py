@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import diagsynth as ds
-from conftest import random_diagonal
+from conftest import fresh_layouts, random_diagonal
 from diagsynth import serialize
 from diagsynth.circuits import K_RZ, Columns
 
@@ -478,8 +478,10 @@ def test_byte_readers_give_the_general_readers_outcome_on_edited_writer_texts(
 def test_each_layout_is_rendered_once_in_mixed_round_trips(monkeypatch, tmp_path):
     # an n = 14 xor circuit through QASM, and n = 13 twolevel and lambda
     # circuits through JSON, twice each in turn on new angles: each skeleton
-    # is rendered once, by its first write, and every read and later write
-    # fills it; the bound keeps the three layouts
+    # is rendered once, by its first write, and kept on its layout, and every
+    # read and later write fills it; the bound keeps the three layouts. The
+    # synthesizers' layouts are new, so that none has a skeleton yet.
+    fresh_layouts()
     renders = []
     for name in ("_qasm_skeleton", "_document_skeleton"):
         render = getattr(serialize, name)

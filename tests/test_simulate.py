@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import diagsynth as ds
 import per_gate_reference as ref
 from conftest import (
-    PI, hard_thetas, random_diagonal, random_monomial_circuit, shuffled_twolevel_circuit,
+    PI, hard_thetas, random_diagonal, random_monomial_circuit, reading_builds,
+    shuffled_twolevel_circuit,
 )
-from diagsynth import paper, simulate
+from diagsynth import circuits, paper, simulate
 from diagsynth.circuits import K_CDIAG, Columns
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
@@ -163,15 +164,13 @@ def test_circuit_to_diagonal_matches_permutation_replay(circuit):
     perm, theta = simulate.basis_action(circuit)
     identity = np.arange(1 << circuit.n)
     # a layout with a CNOT is read in one pass over its gates, any other
-    # from its columns alone; a fresh cache reads it again
-    simulate._reading.cache_clear()
+    # from its columns alone; each circuit here is on a new layout
     walk, walked = simulate._walk, []
     simulate._walk = lambda *layout: walked.append(layout) or walk(*layout)
     try:
         outcome = _outcome(ds.circuit_to_diagonal, circuit)
     finally:
         simulate._walk = walk
-        simulate._reading.cache_clear()
     assert bool(walked) == (ds.count_gates(circuit).counts["cnot"] > 0)
     if np.array_equal(perm, identity):
         diag = outcome
@@ -190,17 +189,6 @@ def _outcome(call, *args):
         return type(exc).__name__, str(exc)
 
 
-@pytest.fixture
-def fresh_readings():
-    # An empty reading cache when the test starts and when it ends: a layout
-    # read earlier would skip a patched walk or spoil a count of misses, and
-    # one read while a walk was patched would outlive the patch. Yields
-    # cache_clear, for a test that reads one layout through several walks.
-    simulate._reading.cache_clear()
-    yield simulate._reading.cache_clear
-    simulate._reading.cache_clear()
-
-
 def _reference(circuit):
     # the uncached reading's bytes, or its NotDiagonalError
     try:
@@ -212,22 +200,18 @@ def _reference(circuit):
 @settings(max_examples=300, deadline=None)
 @given(circuit=gate_lists(), seed=st.integers(0, 2**32 - 1))
 def test_cached_reading_matches_the_uncached_one(circuit, seed):
-    # One layout with two angle sets: the first call reads the layout, the
-    # second reuses the reading. Both give the bytes of the reading done
-    # with the angles; a layout that is not diagonal is not cached and
+    # One new layout with two angle sets: the first call reads the layout,
+    # the second reuses the reading. Both give the bytes of the reading done
+    # with the angles; a layout that is not diagonal keeps no reading and
     # raises the same text both times.
     rng = np.random.default_rng(seed)
-    columns = circuit.columns
-    other = ds.Circuit(circuit.n, columns._replace(
-        angle0=rng.uniform(-8.0, 8.0, columns.kind.size),
-        angle1=np.where(columns.kind == K_CDIAG, rng.uniform(-8.0, 8.0, columns.kind.size), 0.0),
+    layout = circuit.layout
+    other = circuits._on_layout(layout, layout.columns(
+        rng.uniform(-8.0, 8.0, layout.kind.size),
+        np.where(layout.kind == K_CDIAG, rng.uniform(-8.0, 8.0, layout.kind.size), 0.0),
     ), float(rng.uniform(-8.0, 8.0)))
-    simulate._reading.cache_clear()
-    try:
+    with reading_builds() as built:
         outcomes = [_outcome(ds.circuit_to_diagonal, c) for c in (circuit, other)]
-        info = simulate._reading.cache_info()
-    finally:
-        simulate._reading.cache_clear()
     for c, outcome in zip((circuit, other), outcomes):
         if isinstance(outcome, ds.DiagonalUnitary):
             assert outcome.thetas.tobytes() == _reference(c)
@@ -237,7 +221,8 @@ def test_cached_reading_matches_the_uncached_one(circuit, seed):
             assert outcome == _reference(c)
     diagonal = isinstance(outcomes[0], ds.DiagonalUnitary)
     assert type(outcomes[1]) is type(outcomes[0])
-    assert (info.hits, info.misses, info.currsize) == ((1, 1, 1) if diagonal else (0, 2, 0))
+    kept = "reading" in circuit.layout._memo
+    assert (built, kept) == (([circuit.layout], True) if diagonal else ([circuit.layout] * 2, False))
 
 
 @pytest.mark.parametrize("first, second", [
@@ -254,16 +239,18 @@ def test_layouts_that_differ_only_in_a_mask_or_n_never_share_a_reading(first, se
     for circuit in (first, second):
         want = simulate.basis_action(circuit)[1] + circuit.global_phase
         assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == want.tobytes()
-    assert simulate._reading.cache_info().currsize == 2
+    assert fresh_readings == [first.layout, second.layout]
 
 
 def test_mixed_traffic_reads_each_recurring_layout_once(fresh_readings):
     # The 27 generic classes, xor, λ and twolevel at n = 2..10, verified
     # twice, the second time in reverse order, with a sparse xor or λ
     # circuit, whose dropped rotations give a layout of its own, after
-    # every fifth op, about mixed_small's share of one-off layouts. The
-    # first class read comes back last, after the other 26 and all ten
-    # one-offs: the cache holds at least 37 readings.
+    # every fifth op, about mixed_small's share of one-off layouts. Each
+    # class keeps its reading on its synthesizer's cached layout (9 values
+    # of n per route, within each cache of 16), so the second pass reads
+    # nothing, not even the first class, which comes back last; each
+    # one-off is read once.
     rng = np.random.default_rng(44)
     classes = [(synth, n) for n in range(2, 11)
                for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel)]
@@ -272,15 +259,15 @@ def test_mixed_traffic_reads_each_recurring_layout_once(fresh_readings):
     for second in (False, True):
         for k, (synth, n) in enumerate(reversed(classes) if second else classes):
             u = generic[synth, n]
-            misses = simulate._reading.cache_info().misses
+            builds = len(fresh_readings)
             assert ds.verify(synth(u)[0], u) <= 1e-9
-            assert simulate._reading.cache_info().misses == misses + (not second)
+            assert len(fresh_readings) == builds + (not second)
             if k % 5 == 4:
                 m = 6 + k // 5  # 6..10
                 v = ds.DiagonalUnitary(m, hard_thetas("sparse", m, rng))
-                misses = simulate._reading.cache_info().misses
+                builds = len(fresh_readings)
                 assert ds.verify(one_offs[k % 2](v)[0], v) <= 1e-9
-                assert simulate._reading.cache_info().misses == misses + 1
+                assert len(fresh_readings) == builds + 1
 
 
 def _walked(walk, circuit):
@@ -357,13 +344,17 @@ def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeyp
 
 
 @pytest.mark.parametrize("n", range(9, 15))
-def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch, fresh_readings):
+def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch):
     circuit, _ = ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))
     monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1 << 30)
-    per_gate = ds.circuit_to_diagonal(circuit).thetas
+    per_gate = ds.circuit_to_diagonal(_on_a_new_layout(circuit)).thetas
     _run_scan_always(monkeypatch)
-    fresh_readings()
-    assert ds.circuit_to_diagonal(circuit).thetas.tobytes() == per_gate.tobytes()
+    assert ds.circuit_to_diagonal(_on_a_new_layout(circuit)).thetas.tobytes() == per_gate.tobytes()
+
+
+def _on_a_new_layout(circuit):
+    # the same circuit on a layout of its own, which no walk has read
+    return ds.Circuit(circuit.n, circuit.columns, circuit.global_phase)
 
 
 def _walks_taken(circuit, monkeypatch) -> list[str]:
@@ -371,8 +362,7 @@ def _walks_taken(circuit, monkeypatch) -> list[str]:
     for name in ("_walk_gates", "_walk_runs"):
         walk = getattr(simulate, name)
         monkeypatch.setattr(simulate, name, lambda *a, walk=walk, name=name: taken.append(name) or walk(*a))
-    simulate._reading.cache_clear()
-    ds.circuit_to_diagonal(circuit)
+    ds.circuit_to_diagonal(_on_a_new_layout(circuit))
     return taken
 
 

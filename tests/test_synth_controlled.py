@@ -125,7 +125,8 @@ def _sorted_word_layout(n):
 @pytest.mark.parametrize("n", range(1, 15))
 def test_layout_matches_the_sorted_word_order(n):
     # the package attribute synth_controlled is the function, so fetch the module
-    got = importlib.import_module("diagsynth.synth_controlled")._layout(n)
+    layout, source = importlib.import_module("diagsynth.synth_controlled")._layout(n)
+    got = layout.kind, layout.target, layout.control, source, layout.zero
     expected = _sorted_word_layout(n)
     assert len(got) == len(expected)
     for column, reference in zip(got, expected):

@@ -120,7 +120,8 @@ def _per_mask_layout(n):
 @pytest.mark.parametrize("n", range(2, 15))
 def test_layout_matches_the_per_mask_walk(n):
     # the package attribute synth_twolevel is the function, so fetch the module
-    got = importlib.import_module("diagsynth.synth_twolevel")._layout(n)
+    layout, pattern = importlib.import_module("diagsynth.synth_twolevel")._layout(n)
+    got = layout.kind, layout.target, layout.control, pattern
     expected = _per_mask_layout(n)
     assert len(got) == len(expected)
     for column, reference in zip(got, expected):
