@@ -21,6 +21,13 @@ that layout), or when the columns read write it back and Circuit accepts
 them (and registers their layout). Any other text is read gate by gate or
 statement by statement, by a general reader that words the first error.
 Every reader takes only a JSON int where the format says int.
+
+Number texts: each angle text is repr's, made by orjson and by repr where
+their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
+json.dumps's. The byte readers read angle texts with orjson (float()'s
+bits), and with float() a QASM real orjson refuses or reads as zero;
+load_diagonal takes orjson's reading where it is the document json reads.
+The general readers read with json and float(), and word every error.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .circuits import (
     _SLOTS, GATE_CLASSES, K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, KIND_NAMES, MAX_LINES, Circuit,
@@ -79,7 +87,20 @@ def save_diagonal(u: DiagonalUnitary, path) -> None:
 
 
 def load_diagonal(path) -> DiagonalUnitary:
-    return diagonal_from_document(_read_json(path, _read_text(path)))
+    # orjson's reading where it is json's: one "{" and one "[" (no nesting,
+    # so no RecursionError) and an int, a str and a list as "n", "units" and
+    # "thetas" (orjson reads an integer past 64 bits as a float, which an
+    # error text would show). json reads any other text and words its error.
+    text = _read_text(path)
+    if text.count("[") == 1 and text.count("{") == 1:
+        try:
+            doc = orjson.loads(text)
+        except orjson.JSONDecodeError:
+            doc = None
+        keys = ("n", "units", "thetas")
+        if type(doc) is dict and [type(doc.get(key)) for key in keys] == [int, str, list]:
+            return diagonal_from_document(doc)
+    return diagonal_from_document(_read_json(path, text))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +198,29 @@ def _fill(pieces: list[str], angle_texts: list[str]) -> str:
     return "".join(parts)
 
 
+def _angle_texts(angles: np.ndarray) -> list[str]:
+    # repr of each angle, read off orjson's text of the array: the same
+    # shortest round-trip digits, in repr's form but for nonzero |x| < 1e-4
+    # or |x| >= 1e16 ("0.00001" and "1e16" for repr's "1e-05" and "1e+16"),
+    # whose texts repr makes. orjson's bytes are freed before the split.
+    text = str(memoryview(orjson.dumps(angles, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1], "ascii")
+    texts = text.split(",") if text else []
+    size = np.abs(angles)
+    for k in np.flatnonzero((size < 1e-4) & (angles != 0) | (size >= 1e16)).tolist():
+        texts[k] = repr(float(angles[k]))
+    return texts
+
+
+def _numbers(texts: list[str]) -> list:
+    # The values of the texts read by orjson as one JSON array: a float has
+    # float()'s bits, and an integer in 64 bits is an int, as json reads it.
+    # ValueError unless each text is one JSON value.
+    numbers = orjson.loads(f"[{','.join(texts)}]")
+    if len(numbers) != len(texts):
+        raise ValueError("not one JSON value per text")
+    return numbers
+
+
 def _skeleton(form: str, render, layout: Layout) -> tuple[tuple, list[str]]:
     # The signature and pieces of the layout's text, rendered on first use
     # and kept on the layout, equal pieces as one string
@@ -225,10 +269,10 @@ def _written(form: str, render, circuit: Circuit) -> list[str]:
 
 
 def _circuit_text(circuit: Circuit) -> str:
-    # The document as json.dumps writes it, with repr of each angle
+    # The document as json.dumps writes it (a phase set by hand may be an int)
     kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
-    texts = [json.dumps(circuit.global_phase), *map(repr, angles.tolist())]
+    texts = [json.dumps(circuit.global_phase), *_angle_texts(angles)]
     return _fill(_written("json", _document_skeleton, circuit), texts)
 
 
@@ -326,11 +370,13 @@ def _saved_circuit(text: str) -> Circuit:
     opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
     shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
     texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
-    numbers = json.loads(f"[{','.join(texts)}]")  # one number per text, else a count is off
+    numbers = _numbers(texts)
     if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
         raise TypeError("an angle is not a number")
-    angles = np.zeros((2, kind.size))
-    angles.T[slots] = numbers[1:]
+    # two columns of their own, which the circuit keeps without a copy
+    angles = np.zeros(kind.size), np.zeros(kind.size)
+    values, theta1 = np.array(numbers[1:], dtype=float), np.flatnonzero(slots) % 2 == 1
+    angles[0][slots[:, 0]], angles[1][cdiag] = values[~theta1], values[theta1]
     key = ("json", n, len(texts), size - len(phase_text) - int((shuts - opens).sum()))
     # a hit: the key fixes the filled text's length
     layout = _SKELETONS.get(key)
@@ -378,7 +424,7 @@ def to_qasm(circuit: Circuit) -> str:
     if blocks.size:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
-    texts = list(map(repr, circuit.angle0[kind == K_RZ].tolist()))
+    texts = _angle_texts(circuit.angle0[kind == K_RZ])
     return _fill(_written("qasm", _qasm_skeleton, circuit), texts)
 
 
@@ -448,8 +494,16 @@ def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
         if _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
             raise ValueError("not the text to_qasm writes")
         _register(key, layout)
+    try:
+        numbers = np.array(_numbers(texts), dtype=float)
+    except ValueError:  # QASM reals that are no JSON numbers: "1.", ".5", "+1", "01"
+        numbers = np.fromiter(map(float, texts), float, len(texts))
+    # orjson reads "-0" as the int 0, where float() gives -0.0; any other
+    # int it reads has float()'s value, so only the zeros are read again
+    zeros = np.flatnonzero(numbers == 0).tolist()
+    numbers[zeros] = [float(texts[k]) for k in zeros]
     angle = np.zeros(layout.kind.size)
-    angle[layout.kind == K_RZ] = np.fromiter(map(float, texts), float, len(texts))
+    angle[layout.kind == K_RZ] = numbers
     return _on_layout(layout, layout.columns(angle, layout.zero), 0.0)
 
 

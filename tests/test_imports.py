@@ -1,5 +1,5 @@
-"""Every import in the package sits at module level, and every public name
-has one home.
+"""Every import in the package sits at module level, every public name has
+one home, and every third-party module it imports is a declared dependency.
 
 An import inside a function body hides an import cycle until call time;
 ``tensor_split`` once reached ``is_tensor`` that way.
@@ -8,6 +8,8 @@ An import inside a function body hides an import cycle until call time;
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ import pytest
 import diagsynth
 from diagsynth import paper
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diagsynth"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diagsynth"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -53,3 +56,24 @@ def test_the_top_level_exports_the_compiler_only():
     for alias in ("from_thetas", "gray_subsets", "dictionary_subsets"):
         assert not hasattr(diagsynth, alias)
         assert not [path.name for path in PACKAGE.glob("*.py") if alias in path.read_text()]
+
+
+def test_every_third_party_module_the_package_imports_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {
+        re.match(r"[\w.-]+", requirement)[0].lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+    imported = {
+        name.split(".")[0]
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+    }
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "diagsynth"}
+    assert third_party == declared == {"numpy", "orjson"}

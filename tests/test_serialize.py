@@ -8,7 +8,7 @@ import pytest
 
 import diagsynth as ds
 from conftest import fresh_layouts, random_diagonal
-from diagsynth import serialize
+from diagsynth import circuits, serialize
 from diagsynth.circuits import K_RZ, Columns
 
 
@@ -203,6 +203,27 @@ def test_circuit_load_reads_the_file_once(monkeypatch, tmp_path):
     monkeypatch.setattr(Path, "read_text", lambda self, *a: reads.append(self) or read_text(self, *a))
     assert ds.load_circuit(path).gates == circuit.gates
     assert reads == [path]
+
+
+def test_a_reader_hit_fills_angle_columns_the_circuit_keeps_without_a_copy(
+    monkeypatch, tmp_path
+):
+    # circuits._own copies a column that views another array: each byte
+    # reader fills columns of their own, so a hit copies none
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    u = random_diagonal(5, np.random.default_rng(67))
+    twolevel, xor = ds.synth_twolevel(u)[0], ds.synth_xor(u)[0]
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(twolevel, path)
+    text = ds.to_qasm(xor)
+    views, own = [], circuits._own
+    monkeypatch.setattr(
+        circuits, "_own", lambda column: views.append(column.base is not None) or own(column)
+    )
+    for written, read in ((twolevel, ds.load_circuit(path)), (xor, ds.parse_qasm(text))):
+        assert read.layout is written.layout  # a hit
+        assert all(map(np.array_equal, read.columns, written.columns))
+    assert views == [False] * 4
 
 
 @pytest.mark.parametrize("load", [ds.load_circuit, ds.load_diagonal])
