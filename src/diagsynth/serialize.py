@@ -25,9 +25,10 @@ Every reader takes only a JSON int where the format says int.
 Number texts: each angle text is repr's, made by orjson and by repr where
 their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
 json.dumps's. The byte readers read angle texts with orjson (float()'s
-bits), and with float() a QASM real orjson refuses or reads as zero;
-load_diagonal takes orjson's reading where it is the document json reads.
-The general readers read with json and float(), and word every error.
+bits), and with float() a QASM zero (orjson reads "-0" as the int 0); a
+text orjson refuses goes to the general reader. load_diagonal takes
+orjson's reading where it is the document json reads. The general readers
+read with json and float(), and word every error.
 """
 
 from __future__ import annotations
@@ -494,12 +495,10 @@ def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
         if _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
             raise ValueError("not the text to_qasm writes")
         _register(key, layout)
-    try:
-        numbers = np.array(_numbers(texts), dtype=float)
-    except ValueError:  # QASM reals that are no JSON numbers: "1.", ".5", "+1", "01"
-        numbers = np.fromiter(map(float, texts), float, len(texts))
-    # orjson reads "-0" as the int 0, where float() gives -0.0; any other
-    # int it reads has float()'s value, so only the zeros are read again
+    # A QASM real that is no JSON number ("1.", ".5", "+1", "01") raises
+    # here, for the statement reader. orjson reads "-0" as the int 0; any
+    # other int it reads has float()'s value, so only zeros are read again
+    numbers = np.array(_numbers(texts), dtype=float)
     zeros = np.flatnonzero(numbers == 0).tolist()
     numbers[zeros] = [float(texts[k]) for k in zeros]
     angle = np.zeros(layout.kind.size)
