@@ -19,15 +19,10 @@ line carries its own input bit, so an RZ is an MCRZ with no controls, and
 one subset-sum transform (Björklund, Husfeldt, Kaski and Koivisto,
 arXiv:cs/0611101) reads every rotation. One ``np.bitwise_xor.accumulate``
 of the X gates gives each gate's affine bits; a nonzero final XOR means
-the circuit is not diagonal. Any other circuit is walked, tracking the
-parity and the affine bit of each line, and ends with the circuit's line
-map. A small circuit, or one whose target line changes every few gates, is
-walked gate by gate. A large one is walked run by run: within a run of
-gates on one target line only that line changes, so a loop over the runs
-carries the line states, and one ``np.bitwise_xor.accumulate`` gives the
-target's state at every gate. If the final map is not the identity, the
-circuit is not diagonal, and the map alone names the first basis state it
-moves.
+the circuit is not diagonal. Any other circuit is walked gate by gate,
+tracking the parity and the affine bit of each line, and ends with the
+circuit's line map. If that map is not the identity, the circuit is not
+diagonal, and the map alone names the first basis state it moves.
 
 None of this reads an angle, and the circuits of one route and n share one
 ``Layout``. So a layout's reading is made once, from its own columns, and
@@ -204,35 +199,13 @@ def _identity(n: int) -> list[int]:
     return [1 << n] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
 
 
-# _walk reads a circuit run by run when it has at least _RUN_SCAN_GATES
-# gates and its runs of gates on one target line average at least
-# _RUN_GATES gates. Below either the per-gate loop is faster: the run scan
-# costs 50-100 us on the smallest circuit, and alternating targets would
-# make its table of line states per run about as large as the circuit
-# times its lines. On xor circuits the two walks break even at about 500
-# gates (best of 9 on a 2-core x86 host): the per-gate walk takes 57-83 us
-# and the run scan 57-99 us at n = 8 (509 gates), 109-195 and 68-125 us at
-# n = 9 (1021 gates).
-_RUN_SCAN_GATES = 512
-_RUN_GATES = 8
-
-
 def _walk(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray):
     # The phase polynomial of a layout with CNOTs: per RZ, its line's state
     # as uint64, and per block in gate order, its control bits, target bit
     # and flipped bits; None when a block sits on a line that carries a
     # parity of several bits. Raises from the final line states when the
-    # layout is not diagonal.
-    if target.size >= _RUN_SCAN_GATES:
-        # the first gate of each run
-        starts = np.concatenate(([0], np.flatnonzero(target[1:] != target[:-1]) + 1))
-        if target.size >= _RUN_GATES * starts.size:
-            return _walk_runs(n, kind, target, control, starts)
-    return _walk_gates(n, kind, target, control)
-
-
-def _walk_gates(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray):
-    # One pass over the gates, carrying every line's state.
+    # layout is not diagonal. One pass over the gates, carrying every
+    # line's state.
     size = 1 << n
     identity = _identity(n)
     lines = identity[:]
@@ -257,51 +230,6 @@ def _walk_gates(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarra
     if lines != identity:
         raise _not_diagonal(n, lines)
     return None if blocks is None else (np.array(states, dtype=np.uint64), blocks)
-
-
-def _walk_runs(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray,
-               starts: np.ndarray):
-    # The same reading, run by run. Within a run of gates on one target
-    # line only that line changes, so a loop over the runs carries the
-    # line states, and one XOR scan of per-gate steps, each the state its
-    # gate adds to the target, gives the target's state after every gate.
-    # States are uint64: line 63 is bit 63 of a run's set of lines, and
-    # on 63 lines the affine bit is bit 63 of a state.
-    cnot = kind == K_CNOT
-    moves = cnot | (kind == K_X)
-    source = np.where(cnot, control, 0)  # the line whose state a gate adds
-    bits = np.where(moves, np.uint64(1) << source.astype(np.uint64), np.uint64(0))
-    odd = np.bitwise_xor.reduceat(bits, starts)  # per run, the lines added an odd number of times
-    lines = _identity(n)
-    at_start = []  # per run, the line states at its first gate
-    for t, added in zip(target[starts].tolist(), odd.tolist()):
-        at_start.append(lines)
-        lines = lines[:]
-        state = lines[t]
-        while added:
-            low = added & -added
-            state ^= lines[low.bit_length() - 1]
-            added ^= low
-        lines[t] = state
-    if lines != _identity(n):
-        raise _not_diagonal(n, lines)
-    table = np.array(at_start, dtype=np.uint64)
-    run = np.repeat(np.arange(starts.size), np.diff(starts, append=kind.size))
-    steps = np.where(moves, table[run, source], np.uint64(0))
-    scan = np.bitwise_xor.accumulate(steps)
-    # per run, its target's state at its start XOR the steps before it, so
-    # that base[run] ^ scan is the target's state after each gate
-    base = table[np.arange(starts.size), target[starts]] ^ scan[starts] ^ steps[starts]
-    blocks = []
-    rows = np.flatnonzero(kind >= K_MCRZ)
-    for r, state, c in zip(run[rows].tolist(), (base[run[rows]] ^ scan[rows]).tolist(),
-                           control[rows].tolist()):
-        bits = _block_bits(n, state, [at_start[r][line] for line in subset_lines(c, n)])
-        if bits is None:
-            return None
-        blocks.append(bits)
-    rz = np.flatnonzero(kind == K_RZ)
-    return base[run[rz]] ^ scan[rz], blocks
 
 
 def _block_bits(n: int, target: int, controls: list[int]):

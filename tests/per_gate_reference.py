@@ -293,8 +293,8 @@ def apply_to_basis(circuit, j: int) -> tuple[int, float]:
 #
 # ``simulate`` reads a gate layout once, without its angles, and caches the
 # reading; these functions read layout and angles together on every call,
-# the Walsh vector built gate by gate (or run by run) during the walk. The
-# cached reading must give the same bytes.
+# the Walsh vector built gate by gate during the walk. The cached reading
+# must give the same bytes.
 
 
 def walked_angles(circuit) -> np.ndarray:
@@ -303,7 +303,7 @@ def walked_angles(circuit) -> np.ndarray:
     n = circuit.n
     kind, target, control, angle0, angle1 = circuit.columns
     if (kind == K_CNOT).any():
-        terms = _walk(circuit)
+        terms = _walk_gates(circuit)
         if terms is None:  # a block on a parity line
             return basis_action(circuit)[1] + circuit.global_phase
         # the walk lists every block, in gate order
@@ -368,28 +368,13 @@ def _identity(n: int) -> list[int]:
     return [1 << n] + [1 << n - line for line in range(1, n + 1)]
 
 
-# the run-scan thresholds of simulate._walk
-_RUN_SCAN_GATES = 512
-_RUN_GATES = 8
-
-
-def _walk(circuit):
+def _walk_gates(circuit):
     # The phase polynomial of a circuit with CNOTs: the Walsh coefficients
     # of its RZs (None without an RZ) and, per block in gate order, its
     # control bits, target bit and flipped bits; None when a block sits on
     # a line that carries a parity of several bits. Raises from the final
-    # line states when the circuit is not diagonal.
-    target = circuit.columns.target
-    if target.size >= _RUN_SCAN_GATES:
-        # the first gate of each run
-        starts = np.concatenate(([0], np.flatnonzero(target[1:] != target[:-1]) + 1))
-        if target.size >= _RUN_GATES * starts.size:
-            return _walk_runs(circuit, starts)
-    return _walk_gates(circuit)
-
-
-def _walk_gates(circuit):
-    # One pass over the gates, carrying every line's state.
+    # line states when the circuit is not diagonal. One pass over the
+    # gates, carrying every line's state.
     n = circuit.n
     size = 1 << n
     identity = _identity(n)
@@ -422,58 +407,6 @@ def _walk_gates(circuit):
     if lines != identity:
         raise _not_diagonal(n, lines)
     return None if blocks is None else (walsh, blocks)
-
-
-def _walk_runs(circuit, starts: np.ndarray):
-    # The same reading, run by run. Within a run of gates on one target
-    # line only that line changes, so a loop over the runs carries the
-    # line states, and one XOR scan of per-gate steps, each the state its
-    # gate adds to the target, gives the target's state after every gate.
-    # States are uint64: line 63 is bit 63 of a run's set of lines, and
-    # on 63 lines the affine bit is bit 63 of a state.
-    n = circuit.n
-    size = 1 << n
-    kind, target, control, angle = circuit.columns[:4]
-    cnot = kind == K_CNOT
-    moves = cnot | (kind == K_X)
-    source = np.where(cnot, control, 0)  # the line whose state a gate adds
-    bits = np.where(moves, np.uint64(1) << source.astype(np.uint64), np.uint64(0))
-    odd = np.bitwise_xor.reduceat(bits, starts)  # per run, the lines added an odd number of times
-    lines = _identity(n)
-    at_start = []  # per run, the line states at its first gate
-    for t, added in zip(target[starts].tolist(), odd.tolist()):
-        at_start.append(lines)
-        lines = lines[:]
-        state = lines[t]
-        while added:
-            low = added & -added
-            state ^= lines[low.bit_length() - 1]
-            added ^= low
-        lines[t] = state
-    if lines != _identity(n):
-        raise _not_diagonal(n, lines)
-    table = np.array(at_start, dtype=np.uint64)
-    run = np.repeat(np.arange(starts.size), np.diff(starts, append=kind.size))
-    steps = np.where(moves, table[run, source], np.uint64(0))
-    scan = np.bitwise_xor.accumulate(steps)
-    # per run, its target's state at its start XOR the steps before it, so
-    # that base[run] ^ scan is the target's state after each gate
-    base = table[np.arange(starts.size), target[starts]] ^ scan[starts] ^ steps[starts]
-    walsh = None
-    rz = np.flatnonzero(kind == K_RZ)
-    if rz.size:
-        states, half = base[run[rz]] ^ scan[rz], 0.5 * angle[rz]
-        parity = (states & np.uint64(size - 1)).astype(np.intp)
-        walsh = np.bincount(parity, weights=np.where(states >> n, half, -half), minlength=size)
-    blocks = []
-    rows = np.flatnonzero(kind >= K_MCRZ)
-    for r, state, c in zip(run[rows].tolist(), (base[run[rows]] ^ scan[rows]).tolist(),
-                           control[rows].tolist()):
-        bits = _block_bits(n, state, [at_start[r][line] for line in subset_lines(c, n)])
-        if bits is None:
-            return None
-        blocks.append(bits)
-    return walsh, blocks
 
 
 def _block_bits(n: int, target: int, controls: list[int]):

@@ -270,34 +270,14 @@ def test_mixed_traffic_reads_each_recurring_layout_once(fresh_readings):
                 assert len(fresh_readings) == builds + 1
 
 
-def _walked(walk, circuit):
-    # a walk of the circuit's layout as comparable values: the bytes of the
-    # RZ line states and the block bits, None, or the NotDiagonalError text
+def _walked(walk, *args):
+    # a walk of a circuit without RZ as a comparable value: its block bits,
+    # None, or the NotDiagonalError text
     try:
-        terms = walk(circuit.n, *circuit.columns[:3])
+        terms = walk(*args)
     except ds.NotDiagonalError as exc:
         return str(exc)
-    if terms is None:
-        return None
-    states, blocks = terms
-    assert states.dtype == np.uint64
-    return states.tobytes(), list(blocks)
-
-
-def _run_scan_always(monkeypatch):
-    # any circuit with a gate; circuit_to_diagonal walks only those with a CNOT
-    monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1)
-    monkeypatch.setattr(simulate, "_RUN_GATES", 0)
-
-
-@settings(max_examples=400, deadline=None)
-@given(circuit=gate_lists())
-def test_run_scan_matches_gate_walk(circuit):
-    # same RZ line states, block bits or error as the per-gate loop, on any
-    # size; the walks are called directly, so no reading is cached
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _run_scan_always(monkeypatch)
-        assert _walked(simulate._walk, circuit) == _walked(simulate._walk_gates, circuit)
+    return None if terms is None else tuple(terms[1])
 
 
 def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
@@ -332,50 +312,35 @@ def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
     ("cnot", True, type(None)),  # a block on a parity line
     ("cnot", False, str),  # a moved state
 ])
-def test_run_scan_matches_gate_walk_on_63_lines(wiring, closed, outcome, monkeypatch,
-                                                fresh_readings):
-    _run_scan_always(monkeypatch)
+def test_walk_on_63_lines_matches_the_reference(wiring, closed, outcome):
+    # the walk called directly, so no reading is cached; on 63 lines the
+    # affine bit of a line state is bit 63
     rng = np.random.default_rng(63)
     for _ in range(20):
         circuit = _wide_circuit(rng, wiring, closed)
-        walked = _walked(simulate._walk, circuit)
-        assert walked == _walked(simulate._walk_gates, circuit)
+        walked = _walked(simulate._walk, circuit.n, *circuit.columns[:3])
+        assert walked == _walked(ref._walk_gates, circuit)
         assert type(walked) is outcome
 
 
-@pytest.mark.parametrize("n", range(9, 15))
-def test_xor_circuit_reads_the_same_bits_through_both_walks(n, monkeypatch):
-    circuit, _ = ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))
-    monkeypatch.setattr(simulate, "_RUN_SCAN_GATES", 1 << 30)
-    per_gate = ds.circuit_to_diagonal(_on_a_new_layout(circuit)).thetas
-    _run_scan_always(monkeypatch)
-    assert ds.circuit_to_diagonal(_on_a_new_layout(circuit)).thetas.tobytes() == per_gate.tobytes()
+def _large_circuit(name: str) -> ds.Circuit:
+    if name == "alternating":
+        # 2**15 gates whose target line changes every gate
+        return ds.Circuit(2, [ds.CNOT(1, 2), ds.RZ(1, 0.1)] * (1 << 14))
+    n = int(name.removeprefix("xor-"))
+    return ds.synth_xor(random_diagonal(n, np.random.default_rng(40 + n)))[0]
 
 
-def _on_a_new_layout(circuit):
-    # the same circuit on a layout of its own, which no walk has read
-    return ds.Circuit(circuit.n, circuit.columns, circuit.global_phase)
-
-
-def _walks_taken(circuit, monkeypatch) -> list[str]:
-    taken = []
-    for name in ("_walk_gates", "_walk_runs"):
-        walk = getattr(simulate, name)
-        monkeypatch.setattr(simulate, name, lambda *a, walk=walk, name=name: taken.append(name) or walk(*a))
-    ds.circuit_to_diagonal(_on_a_new_layout(circuit))
-    return taken
-
-
-def test_walk_is_chosen_by_circuit_size_and_run_length(monkeypatch, fresh_readings):
-    # the run scan's fixed cost pays only on large circuits with long runs
-    rng = np.random.default_rng(41)
-    assert _walks_taken(ds.synth_xor(random_diagonal(14, rng))[0], monkeypatch) == ["_walk_runs"]
-    for n in range(2, 9):
-        circuit = ds.synth_xor(random_diagonal(n, rng))[0]
-        assert _walks_taken(circuit, monkeypatch) == ["_walk_gates"]
-    assert _walks_taken(ds.synth_xor(random_diagonal(9, rng))[0], monkeypatch) == ["_walk_runs"]
-    alternating = ds.Circuit(2, [ds.CNOT(1, 2), ds.RZ(1, 0.1)] * (1 << 14))
-    assert _walks_taken(alternating, monkeypatch) == ["_walk_gates"]
+@pytest.mark.parametrize("name", [*(f"xor-{n}" for n in range(9, 15)), "alternating"])
+def test_large_circuit_reads_the_reference_bits(name):
+    # the hypothesis tests reach only small circuits; this one is on a
+    # layout of its own, which no walk has read
+    circuit = _large_circuit(name)
+    circuit = ds.Circuit(circuit.n, circuit.columns, circuit.global_phase)
+    with reading_builds() as built:
+        thetas = ds.circuit_to_diagonal(circuit).thetas
+    assert built == [circuit.layout]
+    assert thetas.tobytes() == ref.walked_angles(circuit).tobytes()
 
 
 @pytest.mark.parametrize("order", ["gray", "shuffled"])
