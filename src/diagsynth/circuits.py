@@ -91,7 +91,7 @@ _DTYPES = tuple(map(np.dtype, (np.int8, np.int64, np.int64, np.float64, np.float
 
 
 class Columns(NamedTuple):
-    """A circuit's gates as parallel arrays; unused entries hold 0."""
+    """A circuit's gates as parallel arrays; ``Layout`` refuses a nonzero unused entry."""
 
     kind: np.ndarray  # int8 kind code
     target: np.ndarray  # int64 target line
@@ -138,12 +138,14 @@ def gate_fields(circuit: Circuit):
 
 def _invalid(n: int, columns: Columns) -> np.ndarray:
     # per gate: a kind code outside 0..4, a line outside 1..n (a block mask
-    # bit included), a repeated line or a non-finite angle
+    # bit included), a repeated line, a non-finite angle or a set unused entry
     kind, target, control, angle0, angle1 = columns
     cnot = kind == K_CNOT
     other = np.where(cnot, control, target)  # a CNOT's second line
     bad = (np.minimum(target, other) < 1) | (np.maximum(target, other) > n)
     bad |= (cnot & (control == target)) | ~(np.isfinite(angle0) & np.isfinite(angle1))
+    bad |= ((kind == K_X) | (kind == K_RZ)) & (control != 0) | (kind != K_CDIAG) & (angle1 != 0)
+    bad |= (kind <= K_CNOT) & (angle0 != 0)
     code = kind.astype(np.uint8)  # a negative code wraps past K_CDIAG
     blocks = code >= K_MCRZ
     if blocks.any():  # a mask bit on the target or off lines 1..n
@@ -159,9 +161,13 @@ def _refuse_row(n: int, columns: Columns, index: int):
         raise ValueError(f"gate {index} has unknown kind code {code}")
     if code >= K_MCRZ:  # every line of the mask, also those off 1..n
         row[1] = tuple(n - bit for bit in range(63, -1, -1) if row[1] >> bit & 1)
-    gate = GATE_CLASSES[code](*[row[slot] for slot in _SLOTS[code]])
+    gate, name = GATE_CLASSES[code](*[row[slot] for slot in _SLOTS[code]]), KIND_NAMES[code]
     columns_from_fields([gate], n)  # raises for a bad line
-    raise ValueError(f"gate {index} ({KIND_NAMES[code]}) has a non-finite angle: {gate}")
+    if not math.isfinite(row[2]) or not math.isfinite(row[3]):
+        raise ValueError(f"gate {index} ({name}) has a non-finite angle: {gate}")
+    slot = next(slot for slot in (1, 2, 3) if row[slot] and slot not in _SLOTS[code])
+    raise ValueError(f"gate {index} ({name}) sets {Columns._fields[slot + 1]} {row[slot]}, "
+                     f"which {'a' if code == K_CNOT else 'an'} {name} gate does not use")
 
 
 def _line_count(n) -> int:
@@ -187,10 +193,11 @@ def _own(column: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Layout:
     """A circuit's gates without their angles: n and the kind, target and
-    control columns, read-only and the layout's own. The rows are checked
-    here, with a circuit's two ``angles`` columns if given, so that the first
-    bad row words the error as its gate would. What is read off the layout
-    alone is kept on it by ``memo``, as long as a circuit or cache holds it.
+    control columns, read-only and the layout's own. It refuses the first row
+    (with a circuit's two ``angles`` columns if given) with an unknown kind, a
+    bad line, a non-finite angle or a nonzero entry its kind does not use, as
+    its gate would word it. What is read off the layout alone is kept on it
+    by ``memo``, as long as a circuit or cache holds it.
     """
 
     n: int
@@ -254,14 +261,15 @@ class Circuit:
         self.__post_init__()
 
     def __post_init__(self):
-        # the hook every circuit passes: the angles and the phase (the rows
-        # were checked when the layout was built)
+        # the hook every circuit passes: the angles and the phase, kept as a
+        # float unless an int (the rows were checked when the layout was built)
         self.angle0, self.angle1 = _own(self.angle0), _own(self.angle1)
         finite = np.isfinite(self.angle0) & np.isfinite(self.angle1)
         if not finite.all():
             _refuse_row(self.n, self.columns, int(finite.argmin()))
-        if not math.isfinite(self.global_phase):
-            raise ValueError(f"global_phase is not finite: {self.global_phase}")
+        if not math.isfinite(phase := self.global_phase):
+            raise ValueError(f"global_phase is not finite: {phase}")
+        self.global_phase = phase if type(phase) is int else float(phase)
 
     @property
     def n(self) -> int:
@@ -345,7 +353,7 @@ def _cancel(columns: Columns, phase: float, scan: bool):
     kind, _, _, angle0, angle1 = columns
     period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
     trivial = (kind >= K_RZ) & _whole_turns(angle0, period)
-    if angle1.any():  # angle1 is 0 except on a CDIAG
+    if angle1.any():  # Layout checks that only a CDIAG's angle1 is nonzero
         trivial &= _whole_turns(angle1, TWO_PI)
     if trivial.any():
         odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)

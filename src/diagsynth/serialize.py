@@ -10,17 +10,17 @@ order}. QASM 2.0 export covers only circuits made of x/cx/rz (rz is read as
 the symmetric diag(exp(-i*a/2), exp(+i*a/2)) convention, a global-phase
 difference at most); multi-controlled blocks are refused.
 
-A writer fills its layout's skeleton: the constant pieces of the text
+A writer fills its layout's skeleton, the constant pieces of the text
 between its angle slots (the JSON phase is slot 0), rendered from the
-columns by joins of cached texts on first use and kept on the layout. A
-byte reader finds a text's angle texts once, each a finite JSON number or
-QASM real. It takes the text when the skeleton of the layout registered
-under its signature (format, n, slot count, the pieces' total length),
-filled with them, gives it back byte for byte (the circuit is then built on
-that layout), or when the columns read write it back and Circuit accepts
-them (and registers their layout). Any other text is read gate by gate or
-statement by statement, by a general reader that words the first error.
-Every reader takes only a JSON int where the format says int.
+columns by joins of cached texts on first use and kept on the layout, which
+it registers. A byte reader finds a text's angle texts once, each a finite
+JSON number or QASM real. It takes the text when the skeleton of the layout
+registered under its signature (format, n, slot count, the pieces' total
+length), filled with them, gives it back byte for byte (the circuit is then
+built on that layout), or when the columns read write it back and Circuit
+accepts them (and registers their layout). Any other text is read gate by
+gate or statement by statement, by a general reader that words the first
+error. Every reader takes only a JSON int where the format says int.
 
 Number texts: each angle text is repr's, made by orjson and by repr where
 their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
@@ -256,15 +256,10 @@ def _register(key: tuple, layout: Layout) -> None:
         _SKELETONS.pop(oldest, None)
 
 
-def _written(form: str, render, circuit: Circuit) -> list[str]:
-    # A writer's pieces: its layout's skeleton. The layout is registered
-    # when the byte reader reads its columns back as they are: no control on
-    # an X or RZ row, and in QASM an all-zero angle1
-    layout, (kind, _, control, _, angle1) = circuit.layout, circuit.columns
+def _written(form: str, render, layout: Layout) -> list[str]:
+    # a writer's pieces: its layout's skeleton, the layout registered
     key, pieces = _skeleton(form, render, layout)
-    if _SKELETONS.get(key) is not layout and not (
-        control[(kind == K_X) | (kind == K_RZ)].any() or form == "qasm" and angle1.any()
-    ):
+    if _SKELETONS.get(key) is not layout:
         _register(key, layout)
     return pieces
 
@@ -274,7 +269,7 @@ def _circuit_text(circuit: Circuit) -> str:
     kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
     texts = [json.dumps(circuit.global_phase), *_angle_texts(angles)]
-    return _fill(_written("json", _document_skeleton, circuit), texts)
+    return _fill(_written("json", _document_skeleton, circuit.layout), texts)
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -426,7 +421,7 @@ def to_qasm(circuit: Circuit) -> str:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
     texts = _angle_texts(circuit.angle0[kind == K_RZ])
-    return _fill(_written("qasm", _qasm_skeleton, circuit), texts)
+    return _fill(_written("qasm", _qasm_skeleton, circuit.layout), texts)
 
 
 # The header for each line count; the bytes of an rz angle text, and a gate

@@ -154,9 +154,8 @@ def _reading(layout: Layout):
         # No CNOT: every line carries its own input bit, the X gates up to
         # a gate on its line give its affine bit, and an RZ is an MCRZ with
         # no controls, of the opposite angle on a flipped line.
-        bit, is_rz, x = 1 << (n - target), kind == K_RZ, kind == K_X
-        rows, controls = np.arange(kind.size), np.where(is_rz, 0, control)
-        sign, flipped = np.ones(kind.size), np.zeros_like(target)
+        bit, is_rz, x, controls = 1 << (n - target), kind == K_RZ, kind == K_X, control
+        rows, sign, flipped = np.arange(kind.size), np.ones(kind.size), np.zeros_like(target)
         if x.any():  # else every row is a rotation and no line is flipped
             flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
             if end := int(flips[-1]):

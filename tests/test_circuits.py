@@ -6,7 +6,7 @@ import pytest
 import diagsynth as ds
 from conftest import random_monomial_circuit, wrapped_max_diff
 from diagsynth import simulate
-from diagsynth.circuits import K_CDIAG, K_MCRZ, Columns
+from diagsynth.circuits import K_CDIAG, K_MCRZ, KIND_NAMES, Columns
 
 
 def circuits_equivalent(c1: ds.Circuit, c2: ds.Circuit, tol=1e-12) -> bool:
@@ -81,6 +81,67 @@ def test_columns_with_a_block_mask_off_the_lines_are_refused(mask, line, kind):
     # the error names the line a mask bit off 1..n stands for: line n - bit
     with pytest.raises(ds.DimensionError, match=f"line {line} outside 1..3"):
         ds.Circuit(3, _one_row(kind, 1, mask))
+
+
+@pytest.mark.parametrize("kind, control, column, value", [
+    (0, 0, "control", 2), (0, 0, "angle0", 0.5), (0, 0, "angle1", -1.0),
+    (1, 2, "angle0", 0.5), (1, 2, "angle1", 1e-300),
+    (2, 0, "control", -1), (2, 0, "angle1", 0.5), (3, 2, "angle1", 0.5),
+])
+def test_columns_with_a_nonzero_unused_entry_are_refused(kind, control, column, value):
+    # an X's or RZ's control, an X's or CNOT's angle0 and angle1 off a CDIAG
+    columns = _one_row(kind, 1, control)._asdict()
+    columns[column] = np.array([value], dtype=columns[column].dtype)
+    name = KIND_NAMES[kind]
+    article = "a" if name == "cnot" else "an"
+    with pytest.raises(ValueError) as refused:
+        ds.Circuit(3, Columns(**columns))
+    want = f"gate 0 ({name}) sets {column} {value}, which {article} {name} gate does not use"
+    assert str(refused.value) == want
+
+
+def test_an_unused_entry_is_worded_after_a_bad_line_and_a_non_finite_angle():
+    columns = _one_row(0, 4, 2)._asdict()  # an X on line 4 of 3 with a control
+    with pytest.raises(ds.DimensionError, match="line 4 outside 1..3"):
+        ds.Circuit(3, Columns(**columns))
+    columns = _one_row(2, 1, 2)._asdict()  # an RZ with a control and an inf angle1
+    columns["angle1"] = np.array([np.inf])
+    with pytest.raises(ValueError, match=r"gate 0 \(rz\) has a non-finite angle"):
+        ds.Circuit(3, Columns(**columns))
+
+
+def _set(circuit, column, row, value) -> Columns:
+    # the circuit's columns with one entry set
+    columns = {name: c.copy() for name, c in circuit.columns._asdict().items()}
+    columns[column][row] = value
+    return Columns(**columns)
+
+
+@pytest.mark.parametrize("case", ["verify", "replay", "peephole", "qasm"])
+def test_stray_entries_that_split_the_readings_are_refused(case):
+    # each stray entry below is in no gate object, yet was read by the replay
+    # (a control bit on an RZ) or by the drop rule and the QASM writer (an
+    # RZ's angle1); the circuit without it reads the same everywhere
+    if case == "verify":
+        circuit = ds.Circuit(3, (ds.RZ(2, 0.3), ds.CDIAG((2,), 3, 0.1, 0.6)))
+        stray, text = _set(circuit, "control", 0, 2), "gate 0 (rz) sets control 2"
+        assert ds.verify(circuit, ds.circuit_to_diagonal(ds.Circuit(3, circuit.gates))) == 0.0
+    elif case == "replay":
+        circuit = ds.Circuit(2, (ds.RZ(1, 0.3),))
+        stray, text = _set(circuit, "control", 0, 1), "gate 0 (rz) sets control 1"
+        replay = simulate.basis_action(circuit)[1]
+        assert np.array_equal(ds.circuit_to_diagonal(circuit).thetas, replay)
+    else:
+        circuit = ds.Circuit(2, (ds.RZ(1, 2 * np.pi),))
+        stray, text = _set(circuit, "angle1", 0, 0.5), "gate 0 (rz) sets angle1 0.5"
+        if case == "peephole":
+            assert ds.peephole_cancel(circuit).gates == ()
+        else:
+            read = ds.parse_qasm(ds.to_qasm(circuit))
+            assert [c.tobytes() for c in read.columns] == [c.tobytes() for c in circuit.columns]
+    with pytest.raises(ValueError) as refused:
+        ds.Circuit(circuit.n, stray)
+    assert str(refused.value) == text + ", which an rz gate does not use"
 
 
 def _numpy_fields(gate, rng):

@@ -530,26 +530,44 @@ def test_registering_one_layout_more_than_the_bound_evicts_the_oldest(monkeypatc
     assert [key[:2] for key in serialize._SKELETONS] == [("qasm", n) for n in range(2, kept + 2)]
 
 
+@pytest.mark.parametrize(
+    "phase", [True, np.int64(3), np.float32(0.1), np.float64(0.5)],
+    ids=["bool", "int64", "float32", "float64"],
+)
+def test_a_phase_that_is_no_int_or_float_is_kept_and_saved_as_its_float(phase, tmp_path):
+    # json.dumps writes no numpy scalar, and a bool it writes is refused on reading
+    circuit = ds.Circuit(1, (ds.RZ(1, 0.5),), phase)
+    assert type(circuit.global_phase) is float and circuit.global_phase == float(phase)
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(circuit, path)
+    assert json.loads(path.read_text())["global_phase"] == float(phase)
+    assert ds.load_circuit(path).global_phase == float(phase)
+
+
 @pytest.mark.parametrize("column, value", [("control", 2), ("angle1", 0.5)])
 def test_writers_register_no_layout_whose_text_reads_back_otherwise(
     column, value, monkeypatch, tmp_path
 ):
-    # a control on an X or RZ row, or an RZ's angle1, is in no text and reads
-    # back as 0: a skeleton registered with such columns would give a hit
-    # another circuit than the general reader's
+    # a control on an X or RZ row, or an RZ's angle1, is in no text and would
+    # read back as 0: Circuit refuses such columns, so a writer registers
+    # every layout it writes, and a hit gives back the circuit written
     monkeypatch.setattr(serialize, "_SKELETONS", {})
-    columns = ds.Circuit(2, (ds.X(1), ds.RZ(2, 0.5))).columns._asdict()
+    circuit = ds.Circuit(2, (ds.X(1), ds.RZ(2, 0.5)))
+    columns = circuit.columns._asdict()
     columns[column] = np.full(2, value, dtype=columns[column].dtype)
-    circuit = ds.Circuit(2, Columns(**columns))
+    with pytest.raises(ValueError) as refused:
+        ds.Circuit(2, Columns(**columns))
+    assert str(refused.value) == f"gate 0 (x) sets {column} {value}, which an x gate does not use"
     path = tmp_path / "circuit.json"
     ds.save_circuit(circuit, path)
     text = ds.to_qasm(circuit)
-    assert _outcome(lambda: ds.parse_qasm(text)) == _outcome(
-        lambda: serialize._parse_qasm_statements(text)
-    )
-    assert _outcome(lambda: ds.load_circuit(path)) == _outcome(
-        lambda: serialize.circuit_from_document(json.loads(path.read_text()))
-    )
+    renders = {"json": serialize._document_skeleton, "qasm": serialize._qasm_skeleton}
+    for form, render in renders.items():
+        key = serialize._skeleton(form, render, circuit.layout)[0]
+        assert serialize._SKELETONS[key] is circuit.layout
+    for read in (ds.load_circuit(path), ds.parse_qasm(text)):
+        assert read.layout is circuit.layout
+        assert [c.tobytes() for c in read.columns] == [c.tobytes() for c in circuit.columns]
 
 
 def test_threads_that_share_the_registry_read_what_they_wrote(monkeypatch):

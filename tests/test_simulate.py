@@ -11,8 +11,8 @@ from conftest import (
     PI, hard_thetas, random_diagonal, random_monomial_circuit, reading_builds,
     shuffled_twolevel_circuit,
 )
-from diagsynth import circuits, paper, simulate
-from diagsynth.circuits import K_CDIAG, Columns
+from diagsynth import circuits, paper, serialize, simulate
+from diagsynth.circuits import K_CDIAG, K_MCRZ, KIND_NAMES, Columns
 
 # Multiplier signs of the parity block on controls {1,3} of four lines:
 # basis state k (bits b1 b2 b3 b4) picks up sign[k] * phi with phi = -alpha/2.
@@ -180,6 +180,82 @@ def test_circuit_to_diagonal_matches_permutation_replay(circuit):
         assert outcome == (
             "NotDiagonalError", f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
         )
+
+
+# Per kind code, the entries its gates do not use, in column order
+_UNUSED = (
+    ("control", "angle0", "angle1"), ("angle0", "angle1"), ("control", "angle1"), ("angle1",), (),
+)
+
+
+@st.composite
+def stray_columns(draw):
+    """The columns of a gate_lists circuit, in some draws with nonzero values
+    in up to three entries that their row's kind does not use."""
+    circuit = draw(gate_lists())
+    columns = {name: column.copy() for name, column in circuit.columns._asdict().items()}
+    for _ in range(draw(st.integers(0, 3)) if circuit.columns.kind.size else 0):
+        row = draw(st.integers(0, circuit.columns.kind.size - 1))
+        names = _UNUSED[columns["kind"][row]]
+        if names:
+            name = draw(st.sampled_from(names))
+            ints = st.integers(-(2**63), 2**63 - 1)
+            columns[name][row] = draw((ints if name == "control" else ANGLES).filter(bool))
+    return circuit.n, Columns(**columns), circuit.global_phase
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=stray_columns())
+def test_circuit_refuses_exactly_the_unused_entries_the_readings_ignore(draw, tmp_path_factory):
+    # Circuit refuses a row with a nonzero entry its kind does not use and
+    # names the first; on every circuit it accepts the reading agrees with
+    # the replay, and the gate objects and both codecs give back its columns
+    n, columns, phase = draw
+    stray = [
+        (row, name)
+        for row, code in enumerate(columns.kind.tolist())
+        for name in _UNUSED[code]
+        if getattr(columns, name)[row] != 0
+    ]
+    if stray:
+        row, name = stray[0]
+        kind = KIND_NAMES[columns.kind[row]]
+        value = getattr(columns, name)[row].item()
+        with pytest.raises(ValueError) as refused:
+            ds.Circuit(n, columns, phase)
+        assert str(refused.value) == (
+            f"gate {row} ({kind}) sets {name} {value}, "
+            f"which {'a' if kind == 'cnot' else 'an'} {kind} gate does not use"
+        )
+        return
+    circuit = ds.Circuit(n, columns, phase)
+    perm, theta = simulate.basis_action(circuit)
+    identity = np.arange(1 << n)
+    outcome = _outcome(ds.circuit_to_diagonal, circuit)
+    if np.array_equal(perm, identity):
+        assert np.abs(outcome.thetas - (theta + phase)).max() <= 1e-12
+    else:
+        moved = int(np.argmax(perm != identity))
+        assert outcome == (
+            "NotDiagonalError", f"circuit is not diagonal: |{moved}> maps to |{int(perm[moved])}>"
+        )
+
+    def same(read):
+        assert [c.tobytes() for c in read.columns] == [c.tobytes() for c in columns]
+
+    same(ds.Circuit(n, circuit.gates, circuit.global_phase))
+    path = tmp_path_factory.getbasetemp() / "contract.json"
+    ds.save_circuit(circuit, path)
+    qasm = None if (columns.kind >= K_MCRZ).any() else ds.to_qasm(circuit)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for registry in ("written", "empty"):  # a hit on the writer's layout, then a miss
+            if registry == "empty":
+                monkeypatch.setattr(serialize, "_SKELETONS", {})
+            read = ds.load_circuit(path)
+            same(read)
+            assert read.global_phase == phase
+            if qasm is not None:
+                same(ds.parse_qasm(qasm))
 
 
 def _outcome(call, *args):
