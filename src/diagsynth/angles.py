@@ -8,7 +8,7 @@ TWO_PI = 2.0 * np.pi
 
 # Default comparison tolerance in radians. On uniform input up to n = 18,
 # ``synth_xor`` rounds to about 1.2e-15 * max|theta| (1.2e-9 at 1e6 rad),
-# and ``synth_controlled``, which wraps every level, to at most 4.4e-12.
+# and ``synth_controlled``, which wraps its coefficients, to at most 4.4e-12.
 DEFAULT_TOL = 1e-9
 
 # Threshold below which a rotation angle counts as zero during cancellation.

@@ -8,12 +8,6 @@ one vectorized butterfly per bit:
   it twice multiplies by 2**m.
 * ``zeta``: subset sums, out[t] = sum of a[S] over all S contained in t.
 * ``mobius``: the inverse of ``zeta``.
-
-With ``stacked=True``, ``zeta`` and ``mobius`` transform every vector of a
-stack of length 2**m - 1: vectors of length 2**(m-1), ..., 2, 1 back to back,
-each starting at an offset that is a multiple of its length. Step ``half``
-then acts on the first 2**m - 2 * half entries, which hold every vector
-longer than ``half``, so the whole stack costs one butterfly pass.
 """
 
 from __future__ import annotations
@@ -23,17 +17,16 @@ import numpy as np
 from .errors import DimensionError
 
 
-def _butterfly(a, step, stacked: bool = False) -> np.ndarray:
+def _butterfly(a, step) -> np.ndarray:
     out = np.array(a, dtype=float)
-    size = out.size + stacked
+    size = out.size
     if out.ndim != 1 or size == 0 or size & (size - 1):
-        kind = "one less than a power of two" if stacked else "a power of two"
-        raise DimensionError(f"transform length must be {kind}, got shape {out.shape}")
+        raise DimensionError(f"transform length must be a power of two, got shape {out.shape}")
     half = 1
-    while half < size >> stacked:
+    while half < size:
         # [:, 0] holds the indices with this bit clear, [:, 1] the same
         # indices with it set; both are views into out
-        pairs = out[: size - 2 * half if stacked else size].reshape(-1, 2, half)
+        pairs = out.reshape(-1, 2, half)
         step(pairs[:, 0], pairs[:, 1])
         half <<= 1
     return out
@@ -58,13 +51,11 @@ def fwht(a) -> np.ndarray:
     return _butterfly(a, _hadamard_step)
 
 
-def zeta(a, stacked: bool = False) -> np.ndarray:
-    """Sum over subsets: out[t] = sum of a[S] for S contained in t; of each
-    vector of a stack when ``stacked``."""
-    return _butterfly(a, _zeta_step, stacked)
+def zeta(a) -> np.ndarray:
+    """Sum over subsets: out[t] = sum of a[S] for S contained in t."""
+    return _butterfly(a, _zeta_step)
 
 
-def mobius(a, stacked: bool = False) -> np.ndarray:
-    """Inverse of ``zeta``: out[t] = sum of (-1)**|t - S| * a[S] for S in t;
-    of each vector of a stack when ``stacked``."""
-    return _butterfly(a, _mobius_step, stacked)
+def mobius(a) -> np.ndarray:
+    """Inverse of ``zeta``: out[t] = sum of (-1)**|t - S| * a[S] for S in t."""
+    return _butterfly(a, _mobius_step)

@@ -4,7 +4,7 @@ The oracle is the expand-then-cancel path: every block emitted whole
 (``xor_rotation_gates`` / ``controlled_rotation_gates``), followed by
 ``peephole_cancel``. For the xor route block (k, S) takes its angle from
 the input's Walsh spectrum at the parity {k} | S, computed here from (k, S)
-itself; for the lambda route the angles come from its level loop. The
+itself; for the lambda route they come from ``synthesize_levels``. The
 synthesizers must produce the circuit that path produces.
 """
 

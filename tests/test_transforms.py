@@ -42,22 +42,3 @@ def test_transforms_reject_lengths_that_are_not_powers_of_two(bad):
         with pytest.raises(ds.DimensionError):
             transform(bad)
 
-
-@pytest.mark.parametrize("m", range(0, 10))
-def test_stacked_transforms_act_on_each_vector_alone(m):
-    # vectors of length 2**(k-1) at offset 2**m - 2**k, for k = m..1, come
-    # out bit for bit as from one transform each
-    a = np.random.default_rng(200 + m).normal(size=(1 << m) - 1)
-    for transform in (zeta, mobius):
-        got = transform(a, stacked=True)
-        assert got.shape == a.shape
-        for k in range(m, 0, -1):
-            level = slice((1 << m) - (1 << k), (1 << m) - (1 << (k - 1)))
-            assert np.array_equal(got[level], transform(a[level]))
-
-
-@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros(4), np.zeros(6), np.zeros((1, 3))])
-def test_stacked_transforms_reject_lengths_that_are_not_one_less_than_powers_of_two(bad):
-    for transform in (zeta, mobius):
-        with pytest.raises(ds.DimensionError, match="one less than a power of two"):
-            transform(bad, stacked=True)
