@@ -298,10 +298,13 @@ class SynthesisReport:
     global_phase: float
 
 
+def _tally(layout: Layout) -> tuple[int, ...]:
+    return tuple(np.bincount(layout.kind, minlength=len(KIND_NAMES)).tolist())
+
+
 def count_gates(circuit: Circuit) -> SynthesisReport:
     """Tally the circuit's gates by kind, with its global phase record."""
-    tally = np.bincount(circuit.layout.kind, minlength=len(KIND_NAMES)).tolist()
-    counts = dict(zip(KIND_NAMES, tally))
+    counts = dict(zip(KIND_NAMES, circuit.layout.memo("tally", _tally)))
     return SynthesisReport(
         counts=counts,
         elementary=counts["x"] + counts["cnot"] + counts["rz"],
@@ -346,11 +349,25 @@ def _cancel_runs(columns: Columns):
     return None if keep.all() else keep
 
 
-def _cancel(columns: Columns, phase: float, scan: bool):
+def _no_whole_turn(layout: Layout, angle0: np.ndarray) -> bool:
+    # The drop rule's screen, exact: an |angle0| strictly inside
+    # (eps, 2*pi - eps) is below both periods, so fmod returns it unchanged,
+    # and neither it nor period - it is within eps of a whole turn; and a
+    # CDIAG is trivial only when its angle0 is. A NaN fails the screen.
+    rows = layout.memo("rotation rows", lambda layout: np.flatnonzero(layout.kind >= K_RZ))
+    size = np.abs(angle0[rows])
+    low, high = size.min(initial=np.inf), size.max(initial=0.0)
+    return low > ZERO_ANGLE_EPS and high < TWO_PI - ZERO_ANGLE_EPS
+
+
+def _cancel(columns: Columns, phase: float, layout: Layout | None = None):
     # peephole_cancel's rules: one drop pass (cancelling removes only CNOT
     # and X gates, so it never leaves a new trivial rotation), then run scans
-    # to a fixed point: always with ``scan``, else (a layout) only after a drop
+    # to a fixed point: always without ``layout``; with it (a synthesizer's
+    # columns on it) only after a drop, and only past the screen
     kind, _, _, angle0, angle1 = columns
+    if layout is not None and _no_whole_turn(layout, angle0):
+        return columns, phase
     period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
     trivial = (kind >= K_RZ) & _whole_turns(angle0, period)
     if angle1.any():  # Layout checks that only a CDIAG's angle1 is nonzero
@@ -360,7 +377,7 @@ def _cancel(columns: Columns, phase: float, scan: bool):
         for _ in range(np.count_nonzero(odd)):
             phase += math.pi
         columns = Columns(*(column[~trivial] for column in columns))
-    elif not scan:
+    elif layout is not None:
         return columns, phase
     while (keep := _cancel_runs(columns)) is not None:
         columns = Columns(*(column[keep] for column in columns))
@@ -371,7 +388,7 @@ def _on_layout(layout: Layout, columns: Columns, phase: float, drop: bool = Fals
     # the circuit of columns on a checked layout's rows, after the drop rule
     # if ``drop``: rows kept of them need no check, so only angles and phase are
     if drop:
-        columns, phase = _cancel(columns, phase, scan=False)
+        columns, phase = _cancel(columns, phase, layout)
     if columns.kind is not layout.kind:
         layout = _hold(object.__new__(Layout), layout.n, columns[:3])
     circuit = object.__new__(Circuit)
@@ -396,7 +413,7 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     themselves, scanning runs only after a drop: this pass is for circuits
     built by hand.
     """
-    columns, phase = _cancel(circuit.columns, circuit.global_phase, scan=True)
+    columns, phase = _cancel(circuit.columns, circuit.global_phase)
     if columns.kind.size == circuit.layout.kind.size:
         return circuit
     return _on_layout(circuit.layout, columns, phase)

@@ -333,6 +333,11 @@ def test_report_fields():
     assert report.elementary == 2
     assert report.blocks == 1
     assert report.global_phase == 0.7
+    # the tally is kept on the layout, but each report gets its own dict
+    report.counts["rz"] = 5
+    again = ds.count_gates(c)
+    assert again.counts == {"x": 0, "cnot": 1, "rz": 1, "mcrz": 1, "cdiag": 0}
+    assert again.counts is not report.counts
 
 
 @pytest.mark.parametrize("alpha", [2 * np.pi, -2 * np.pi, 4 * np.pi, 6 * np.pi])

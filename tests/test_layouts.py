@@ -22,6 +22,7 @@ import pytest
 import diagsynth as ds
 from conftest import PI, hard_thetas, random_diagonal, tensor_rz_diagonal
 from diagsynth import circuits, serialize
+from diagsynth.angles import TWO_PI, ZERO_ANGLE_EPS
 from test_precision import sparse_zz_thetas
 
 # the package attribute synth_twolevel is the function, so fetch the module
@@ -84,11 +85,80 @@ def test_rotation_tensor_keeps_18_gates_after_the_drop_and_4_rz_after_the_scan(m
     assert full.columns.kind.size == 29
     with monkeypatch.context() as patch:
         patch.setattr(circuits, "_cancel_runs", lambda columns: None)  # the drop alone
-        dropped, _ = circuits._cancel(full.columns, full.global_phase, scan=False)
+        dropped, _ = circuits._cancel(full.columns, full.global_phase, full.layout)
     assert dropped.kind.size == 18
     circuit, report = ds.synth_xor(u)
     assert report.counts == {"x": 0, "cnot": 0, "rz": 4, "mcrz": 0, "cdiag": 0}
     assert _bytes(circuit) == _bytes(ds.peephole_cancel(full))
+
+
+EPS = ZERO_ANGLE_EPS
+# the drop rule's edges: zero, the threshold and one ulp either side of it,
+# a whole turn less the threshold (and its ulps), a whole turn, and two
+EDGES = [0.0, -0.0] + [sign * value for value in (
+    EPS, np.nextafter(EPS, 0.0), np.nextafter(EPS, 1.0),
+    TWO_PI - EPS, np.nextafter(TWO_PI - EPS, 0.0), np.nextafter(TWO_PI - EPS, 7.0),
+    TWO_PI, 2 * TWO_PI,
+) for sign in (1.0, -1.0)]
+
+
+def _screened_and_full(layout, angle0, angle1, phase, monkeypatch):
+    # the synthesizers' drop rule on a layout, as run (screened) and with
+    # the screen patched out (the full rule), as column and phase bytes
+    columns = layout.columns(angle0, angle1)
+    got = circuits._cancel(columns, phase, layout)
+    with monkeypatch.context() as patch:
+        patch.setattr(circuits, "_no_whole_turn", lambda layout, angle0: False)
+        want = circuits._cancel(columns, phase, layout)
+    return [_bytes_of(*result) for result in (got, want)]
+
+
+def _bytes_of(columns, phase):
+    return [column.tobytes() for column in columns], np.float64(phase).tobytes()
+
+
+@pytest.mark.parametrize("route, n", _cases(6))
+def test_screened_drop_rule_equals_the_full_rule_on_every_layout(route, n, monkeypatch):
+    full = _full(route, random_diagonal(n, np.random.default_rng(60 + n)))
+    layout, kind = full.layout, full.layout.kind
+    got, want = _screened_and_full(layout, full.angle0, full.angle1, 0.25, monkeypatch)
+    assert got == want
+    # the first and last row of each rotation or block kind
+    rows = [at[i] for code in (circuits.K_RZ, circuits.K_MCRZ, circuits.K_CDIAG)
+            if (at := np.flatnonzero(kind == code)).size for i in (0, -1)]
+    dropped = set()
+    for row in rows:
+        # a CDIAG with angle0 at the edge, angle1 at it, and both
+        which = ("0", "1", "01") if kind[row] == circuits.K_CDIAG else ("0",)
+        for value in EDGES:
+            for at in which:
+                angle0, angle1 = full.angle0.copy(), full.angle1.copy()
+                if "0" in at:
+                    angle0[row] = value
+                if "1" in at:
+                    angle1[row] = value
+                got, want = _screened_and_full(layout, angle0, angle1, 0.25, monkeypatch)
+                assert got == want, (row, value, at)
+                dropped.add(len(want[0][0]) < kind.size)
+    assert dropped == {True, False}
+
+
+def test_screened_drop_rule_equals_the_full_rule_on_hand_built_circuits(monkeypatch):
+    dropped = set()
+    for value in EDGES + [1.0, -3.0]:
+        for gates in (
+            [ds.CNOT(1, 2), ds.RZ(2, value), ds.CNOT(1, 2), ds.RZ(1, 1.0)],
+            [ds.X(1), ds.MCRZ((1,), 2, value), ds.X(1), ds.MCRZ((1, 2), 3, 1.0)],
+            [ds.CDIAG((1,), 2, value, 1.0), ds.CDIAG((1,), 2, 1.0, value),
+             ds.CDIAG((2, 3), 1, value, value), ds.RZ(3, -2.0)],
+        ):
+            circuit = ds.Circuit(3, gates, 0.5)
+            got, want = _screened_and_full(
+                circuit.layout, circuit.angle0, circuit.angle1, 0.5, monkeypatch
+            )
+            assert got == want, (value, gates)
+            dropped.add(want != _bytes_of(circuit.columns, 0.5))
+    assert dropped == {True, False}
 
 
 @pytest.mark.parametrize("route, n", _cases(14))

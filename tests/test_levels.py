@@ -267,20 +267,23 @@ def test_remainder_check_rejects_wrong_block_angles(n, monkeypatch):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
     # the coefficients are one Moebius pass and the check one subset-sum
-    # pass, of n steps each; the half-sum pass is not a butterfly
+    # pass, of n stages each (a paired step, from 2**11 entries, is two);
+    # the half-sum pass is not a butterfly
     passes = []
     butterfly = transforms._butterfly
 
-    def counted(a, step):
-        steps = []
-        passes.append((step.__name__, steps))
-        return butterfly(a, lambda lo, hi: steps.append(1) or step(lo, hi))
+    def counted(a, step, pair):
+        stages = []
+        passes.append((step.__name__, stages))
+        return butterfly(a, lambda *views: stages.append(1) or step(*views),
+                         lambda *views: stages.append(2) or pair(*views))
 
     monkeypatch.setattr(transforms, "_butterfly", counted)
     ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
-    assert [(name, len(steps)) for name, steps in passes] == [
+    assert [(name, sum(stages)) for name, stages in passes] == [
         ("_mobius_step", n), ("_zeta_step", n)
     ]
+    assert (2 in passes[0][1]) == (n >= 11)
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])

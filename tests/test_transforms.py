@@ -29,6 +29,54 @@ def test_transforms_invert(m):
     assert np.abs(zeta(mobius(a)) - a).max() <= 1e-12
 
 
+def _per_stage(a, step):
+    # the transforms as one pass per stage, lowest bit first: the reference
+    # the paired stages (from 2**11 entries) must equal bit for bit
+    out = np.array(a, dtype=float)
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        step(pairs[:, 0], pairs[:, 1])
+        half <<= 1
+    return out
+
+
+def _hadamard(lo, hi):
+    diff = lo - hi
+    lo += hi
+    hi[...] = diff
+
+
+def _subset_sum(lo, hi):
+    hi += lo
+
+
+def _subset_difference(lo, hi):
+    hi -= lo
+
+
+@pytest.mark.parametrize("m", range(0, 17))
+def test_transforms_equal_the_per_stage_loop_bit_for_bit(m):
+    # random values with +-0.0 and subnormals strewn in; then the same with
+    # two quads of +-1e308, whose sums overflow to inf, and to NaN where
+    # infs meet
+    rng = np.random.default_rng(700 + m)
+    a = rng.normal(size=1 << m) * 10.0 ** rng.integers(-8, 9, 1 << m)
+    where = rng.integers(0, 1 << m, (1 << m) // 4 + 1)
+    a[where] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310], where.size)
+    huge = a.copy()
+    quads = rng.permutation(max(1, 1 << m >> 2))
+    for quad, signs in zip(quads, ([1, 1, -1, -1], [1, -1, 1, -1])):
+        huge[4 * quad:4 * quad + 4] = (1e308 * np.array(signs))[:a.size]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values in (a, huge):
+            for transform, step in ((fwht, _hadamard), (zeta, _subset_sum),
+                                    (mobius, _subset_difference)):
+                got, want = transform(values), _per_stage(values, step)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), transform
+    assert np.isfinite(fwht(a)).all()
+
+
 def test_transforms_leave_their_input_alone():
     a = np.arange(8.0)
     for transform in (fwht, zeta, mobius):
