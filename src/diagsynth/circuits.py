@@ -24,6 +24,7 @@ import math
 import operator
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from numbers import Real
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -101,9 +102,9 @@ class Columns(NamedTuple):
 
 
 def columns_from_fields(gates, n: int) -> Columns:
-    """Columns of the gate objects' fields on n lines, checking each gate's
-    lines as they are packed: a line that is no int raises TypeError, a
-    line outside 1..n or repeated in one gate DimensionError."""
+    """Columns of the gate objects' fields on n lines, checked as they are
+    packed: an angle that is no real number or a line that is no int raises
+    TypeError, a line outside 1..n or repeated in one gate DimensionError."""
     rows = []
     for gate in gates:
         code = _CODES.get(type(gate))
@@ -112,6 +113,8 @@ def columns_from_fields(gates, n: int) -> Columns:
         row = [0, 0, 0.0, 0.0]
         for slot, value in zip(_SLOTS[code], vars(gate).values()):
             row[slot] = value
+        if not (isinstance(row[2], Real) and isinstance(row[3], Real)):
+            raise TypeError(f"an angle of {gate} is not a real number")
         controls = row[1] if code >= K_MCRZ else (row[1],) if code == K_CNOT else ()
         mask = lines_to_mask((*controls, row[0]), n)
         if mask.bit_count() != len(controls) + 1:

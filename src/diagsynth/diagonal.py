@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -33,7 +34,11 @@ class DiagonalUnitary:
             raise TypeError(f"qubit count must be an int, got {self.n!r}") from None
         if self.n < 1:
             raise DimensionError(f"qubit count must be >= 1, got {self.n}")
-        t = np.array(self.thetas, dtype=float)
+        t = np.asarray(self.thetas)
+        if t.dtype.kind not in "biuf":  # numpy would read text as a number, None as NaN
+            if bad := [v for v in np.asarray(self.thetas, object).flat if not isinstance(v, Real)]:
+                raise TypeError(f"phase angles must be real numbers, got {bad[0]!r}")
+        t = np.array(t, dtype=float)
         # t.size == 2**n, tested by shifting so that a huge n builds no 2**n
         if t.ndim != 1 or t.size >> self.n != 1 or t.size & (t.size - 1):
             raise DimensionError(

@@ -45,24 +45,12 @@ from .paper import (  # noqa: F401
 )
 
 
-@lru_cache(maxsize=16)
-def _stacked(n: int) -> np.ndarray:
-    # per level k = n..1 and subset mask m of lines 1..k-1 (line L at bit
-    # k - 1 - L), the index of the set {k} | m among the state indices
-    # (line L at bit n - L)
-    return np.concatenate(
-        [np.arange(1 << (k - 1)) << (n - k + 1) | 1 << (n - k) for k in range(n, 0, -1)]
-    )
-
-
-def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
-    """Run the recursion on u; returns (angles, global phase).
-
-    The 2**n - 1 angles come per level k = n..1, 2**(k-1) of them indexed by
-    subset mask of lines 1..k-1: the block angles, and at mask 0 the
-    split-off rotation of line k.
-    Raises SynthesisError when the blocks fail to rebuild the input to
-    within DEFAULT_TOL (NaN included), which signals an inconsistent solve.
+def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
+    """Run the recursion on u; returns the block angles by set: entry T
+    (line L at bit n - L) is the block on T's last line controlled by the
+    rest of T, and entry 0 the global phase. Raises SynthesisError when the
+    blocks fail to rebuild the input to within DEFAULT_TOL (NaN included),
+    which signals an inconsistent solve.
     """
     t = wrap_angle(u.thetas)
     a = wrap_angle(mobius(t))
@@ -71,33 +59,30 @@ def synthesize_levels(u: DiagonalUnitary) -> tuple[np.ndarray, float]:
     # since it only gains from later lines
     for i in range(u.n):
         a[0 :: 2 << i] += 0.5 * a[1 << i :: 2 << i]
-    phase = float(a[0])
-    a = 2.0 * wrap_angle(0.5 * a)
-    a[0] = phase
-    angles = a[_stacked(u.n)]
+    blocks = 2.0 * wrap_angle(0.5 * a)
+    blocks[0] = a[0]
     # the emitted blocks must rebuild the input: undo the pass, sum subsets
+    a = blocks.copy()
     for i in range(u.n - 1, -1, -1):
         a[0 :: 2 << i] -= 0.5 * a[1 << i :: 2 << i]
     if not np.abs(wrap_angle(zeta(a) - t)).max() <= DEFAULT_TOL:
         raise SynthesisError("block angles failed to cancel the obstruction")
-    return angles, phase
+    return blocks
 
 
 @lru_cache(maxsize=16)
 def _layout(n: int) -> tuple[Layout, np.ndarray]:
-    # the generic n-line layout and each gate's index into the angles of
-    # ``synthesize_levels``: per level k, the rotation of line k, then one
-    # MCRZ on target k per nonempty subset of lines 1..k-1, in the dictionary
-    # order of lines 1..n-1. A level's masks number line L at bit k - 1 - L,
-    # the circuit's n - L.
+    # the generic n-line layout and each gate's set, its controls and target,
+    # at which ``synthesize_levels`` holds its angle: per level k, line k's
+    # rotation, then one MCRZ per nonempty subset of lines 1..k-1 in the
+    # dictionary order of lines 1..n-1, a mask with line L at bit k - 1 - L
     levels = range(n, 0, -1)
     words = dictionary_words(n - 1)
     masks = [np.append(0, words[words % (1 << (n - k)) == 0] >> (n - k)) for k in levels]
     control = np.concatenate([m << (n - k + 1) for k, m in zip(levels, masks)])
-    source = np.concatenate([m + (1 << n) - (1 << k) for k, m in zip(levels, masks)])
     target = np.repeat(levels, [len(m) for m in masks])
     kind = np.where(control == 0, K_RZ, K_MCRZ).astype(np.int8)
-    return Layout(n, kind, target, control), source
+    return Layout(n, kind, target, control), control | 1 << (n - target)
 
 
 def synth_controlled(
@@ -105,10 +90,11 @@ def synth_controlled(
 ) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into multi-controlled z-rotation blocks: the rotation
     and then one MCRZ per nonempty subset in dictionary order, per level.
+    Each gate's angle is the block angle of its set, controls and target.
     ``keep_trivial_rotations`` keeps zero-angle blocks, as for ``synth_xor``.
     """
-    angles, phase = synthesize_levels(u)
-    layout, source = _layout(u.n)
-    columns = layout.columns(angles[source], layout.zero)
-    circuit = _on_layout(layout, columns, phase, drop=not keep_trivial_rotations)
+    blocks = synthesize_levels(u)
+    layout, sets = _layout(u.n)
+    columns = layout.columns(blocks[sets], layout.zero)
+    circuit = _on_layout(layout, columns, float(blocks[0]), drop=not keep_trivial_rotations)
     return circuit, count_gates(circuit)

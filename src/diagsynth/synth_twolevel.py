@@ -54,9 +54,7 @@ def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
     layout, pattern = _layout(u.n)
-    blocks = layout.kind == K_CDIAG
-    theta0, theta1 = np.zeros(blocks.size), np.zeros(blocks.size)
-    theta0[blocks] = u.thetas[2 * pattern]
-    theta1[blocks] = u.thetas[2 * pattern + 1]
+    theta0, theta1 = np.zeros(layout.kind.size), np.zeros(layout.kind.size)
+    theta0[::2], theta1[::2] = u.thetas.reshape(-1, 2)[pattern].T  # the blocks' rows
     circuit = _on_layout(layout, layout.columns(theta0, theta1), 0.0, drop=True)
     return circuit, count_gates(circuit)

@@ -80,7 +80,8 @@ def synth_xor(
     and tensor-product inputs collapse to their own n-rotation circuit.
     """
     layout, parity = _layout(u.n)
-    walsh = fwht(reduced(u.thetas)) / (1 << u.n)
+    walsh = fwht(reduced(u.thetas))
+    walsh /= 1 << u.n
     rotation = np.zeros(layout.kind.size)
     rotation[::2] = -2.0 * walsh[parity]
     columns = layout.columns(rotation, layout.zero)

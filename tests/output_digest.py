@@ -6,8 +6,9 @@ lines mean byte-identical outputs:
     PYTHONPATH=src python tests/output_digest.py > digest.txt
 
 Inputs: every route (xor and lambda with keep_trivial_rotations on and off,
-twolevel) at n = 1..10, and xor at n = 14, on seeded generic angles, zeros,
-angles drawn from {-pi, 0, pi} and angles up to 1e5 rad either way. Outputs
+twolevel) at n = 1..10, lambda (both ways) and twolevel at n = 11..14, and
+xor (both ways) at n = 14, on seeded generic angles, zeros, angles drawn
+from {-pi, 0, pi} and angles up to 1e5 rad either way. Outputs
 per input: the synthesized columns, phase and gate counts, the save_circuit
 and to_qasm bytes (or the error text), the load_circuit and parse_qasm
 columns and phase on a registry hit and on a miss, the circuit_to_diagonal
@@ -108,7 +109,9 @@ def _write(path: Path, text: str) -> Path:
 
 def bad_inputs(path: Path):
     # inputs refused, or accepted, the same way before and after the
-    # unused-entry rule: none sets an entry its kind does not use
+    # unused-entry rule: none sets an entry its kind does not use. The
+    # text and None angles below (after "parse-cx-repeated") were read as
+    # numbers, or None as NaN, until angles had to be real numbers
     x = {"kind": "x", "line": 1}
     doc = lambda **fields: json.dumps({"n": 2, "global_phase": 0.0, "gates": [x], **fields})
     qasm = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
@@ -157,12 +160,22 @@ def bad_inputs(path: Path):
     yield "parse-angle-inf", lambda: ds.parse_qasm(qasm + "rz(inf) q[0];\n")
     yield "parse-real", lambda: ds.parse_qasm(qasm + "rz(.5) q[0];\n")
     yield "parse-cx-repeated", lambda: ds.parse_qasm(qasm + "cx q[1],q[1];\n")
+    yield "diagonal-text", lambda: ds.DiagonalUnitary(1, ["0.5", 1.0])
+    yield "diagonal-text-array", lambda: ds.DiagonalUnitary(1, np.array(["0.5", "1"]))
+    yield "diagonal-none", lambda: ds.DiagonalUnitary(1, [None, 1.0])
+    yield "diagonal-big-int", lambda: ds.DiagonalUnitary(1, [10**30, np.float32(0.5)])
+    yield "rz-text", lambda: ds.Circuit(1, (ds.RZ(1, "0.5"),))
+    yield "rz-none", lambda: ds.Circuit(1, (ds.RZ(1, None),))
+    yield "cdiag-bytes", lambda: ds.Circuit(2, (ds.CDIAG((1,), 2, b"0.5", 0.0),))
+    yield "rz-numpy", lambda: ds.Circuit(2, (ds.RZ(1, np.float32(0.5)), ds.RZ(2, np.int8(2))))
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "circuit.json"
         sizes = [(route, n) for n in range(1, 11) for route in ROUTES]
+        large = ("lambda", "lambda-keep", "twolevel")
+        sizes += [(route, n) for n in range(11, 15) for route in large]
         for route, n in sizes + [("xor", 14), ("xor-keep", 14)]:
             for label, thetas in inputs(n):
                 digest_route(route, n, label, thetas, path)

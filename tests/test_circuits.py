@@ -177,6 +177,20 @@ def test_an_unknown_gate_object_is_refused():
             ds.Circuit(2, (ds.X(1), gate))
 
 
+@pytest.mark.parametrize("gate", [
+    ds.RZ(1, "0.5"), ds.RZ(1, None), ds.MCRZ((1,), 2, "1"), ds.CDIAG((1,), 2, b"0.5", 0.0),
+    ds.CDIAG((1,), 2, 0.0, 1j),
+], ids=["rz-text", "rz-None", "mcrz-text", "cdiag-bytes", "cdiag-complex"])
+def test_an_angle_that_is_no_real_number_is_refused(gate):
+    # numpy would read the text as a number, and None as NaN
+    with pytest.raises(TypeError) as exc:
+        ds.Circuit(2, (ds.X(1), gate))
+    assert str(exc.value) == f"an angle of {gate} is not a real number"
+    gates = (ds.RZ(1, np.float32(0.5)), ds.MCRZ((1,), 2, np.int8(2)), ds.CDIAG((1,), 2, 1, 0.25))
+    assert ds.Circuit(2, gates).gates == (ds.RZ(1, 0.5), ds.MCRZ((1,), 2, 2.0),
+                                          ds.CDIAG((1,), 2, 1.0, 0.25))
+
+
 @pytest.mark.parametrize("n", [3.0, "3", None], ids=["float", "str", "None"])
 def test_line_count_that_is_no_int_is_refused(n):
     columns = ds.synth_xor(ds.DiagonalUnitary(3, np.arange(8.0)))[0].columns

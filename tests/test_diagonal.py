@@ -39,6 +39,22 @@ def test_qubit_count_must_be_an_int(n, shown):
     assert str(exc.value) == f"qubit count must be an int, got {shown}"
 
 
+@pytest.mark.parametrize("thetas, shown", [
+    ([1.0, "0.5"], "'0.5'"), (np.array(["0.5", "1"]), "'0.5'"), ([0.0, b"1"], "b'1'"),
+    ([None, 1.0], "None"), ([0.0, 1j], "1j"), (np.array([0.0, 1j]), "0j"),
+], ids=["text", "text-array", "bytes", "None", "complex", "complex-array"])
+def test_phase_angles_that_are_no_real_numbers_are_refused(thetas, shown):
+    # numpy would read the text as a number, and None as NaN
+    with pytest.raises(TypeError) as exc:
+        ds.DiagonalUnitary(1, thetas)
+    assert str(exc.value) == f"phase angles must be real numbers, got {shown}"
+
+
+def test_phase_angles_of_any_real_number_type_are_kept():
+    thetas = [np.float32(0.5), np.int8(2), 10**30, True]
+    assert ds.DiagonalUnitary(2, thetas).thetas.tolist() == [0.5, 2.0, 1e30, 1.0]
+
+
 def test_qubit_count_is_kept_as_a_python_int():
     assert type(ds.DiagonalUnitary(np.int64(2), np.zeros(4)).n) is int
 

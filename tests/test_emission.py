@@ -4,8 +4,9 @@ The oracle is the expand-then-cancel path: every block emitted whole
 (``xor_rotation_gates`` / ``controlled_rotation_gates``), followed by
 ``peephole_cancel``. For the xor route block (k, S) takes its angle from
 the input's Walsh spectrum at the parity {k} | S, computed here from (k, S)
-itself; for the lambda route they come from ``synthesize_levels``. The
-synthesizers must produce the circuit that path produces.
+itself; for the lambda route from the block vector of ``synthesize_levels``
+at the set {k} | S, computed the same way. The synthesizers must produce
+the circuit that path produces.
 """
 
 from __future__ import annotations
@@ -28,16 +29,16 @@ def _expand_then_cancel(route, u, keep):
     n = u.n
     gates = []
     if route == "lambda":
-        # the angles come per level k = n..1, indexed by the subset mask of
-        # lines 1..k-1, with line k's rotation at mask 0; the blocks go in
-        # dictionary order
-        angles, phase = synthesize_levels(u)
-        angles = angles.tolist()
+        # per level k, line k's rotation (the set {k}), then one block per
+        # nonempty subset S of lines 1..k-1 in dictionary order, at the set
+        # {k} | S, as a parity is indexed below; entry 0 is the phase
+        blocks = synthesize_levels(u).tolist()
         for k in range(n, 0, -1):
-            level = angles[(1 << n) - (1 << k):]
-            gates.append(ds.RZ(k, level[0]))
+            gates.append(ds.RZ(k, blocks[1 << (n - k)]))
             for mask in dictionary_words(k - 1).tolist():
-                gates += paper.controlled_rotation_gates(ds.subset_lines(mask, k - 1), level[mask], k)
+                angle = blocks[mask << (n - k + 1) | 1 << (n - k)]
+                gates += paper.controlled_rotation_gates(ds.subset_lines(mask, k - 1), angle, k)
+        phase = blocks[0]
     else:
         # per level k, one block per Gray subset S of lines 1..k-1 (the empty
         # one first); last the rotation of line 1. Line L is bit n - L of a

@@ -69,10 +69,12 @@ def cancel_blocks(t: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 def _lambda_recursion(u):
     # the level loop: per level, its own solve, the blocks applied, the
-    # remainder checked and the last line split off
-    angles, phase = [], 0.0
+    # remainder checked and the last line split off; level k's angle of
+    # mask m over lines 1..k-1 goes to the set {k} | m, and the phase to 0
+    n = u.n
+    blocks, phase = np.zeros(1 << n), 0.0
     t = reduced(u.thetas)
-    for k in range(u.n, 1, -1):
+    for k in range(n, 1, -1):
         phase += float(t[0])
         t = wrap_angle(t - t[0])
         alphas = controlled_level_angles(t)
@@ -82,11 +84,12 @@ def _lambda_recursion(u):
         w0, w1 = float(t[0]), float(t[1])
         phase += 0.5 * (w0 + w1)
         alphas[0] = w1 - w0
-        angles.append(alphas)
+        blocks[np.arange(alphas.size) << (n - k + 1) | 1 << (n - k)] = alphas
         t = t[0::2] - t[0]
     rotation = float(wrap_angle(t[1] - t[0]))
-    angles.append([rotation])
-    return np.concatenate(angles), phase + float(t[0]) + 0.5 * rotation
+    blocks[1 << (n - 1)] = rotation
+    blocks[0] = phase + float(t[0]) + 0.5 * rotation
+    return blocks
 
 
 def _tolerance(n: int, scale: float) -> float:
@@ -213,7 +216,7 @@ def _half_sum_recursion(u):
     # in plain Python: c_T by its inclusion-exclusion sum over the subsets
     # of T, then A_T = c_T + 1/2 * sum of A_{T | {j}} over the lines j after
     # T's last line (the bits below T's lowest), from the largest sets down;
-    # returned in the stacked level order with the phase A_{}
+    # returned by set, the phase A_{} at 0
     n, t = u.n, wrap_angle(u.thetas).tolist()
     coeffs = [
         float(wrap_angle(sum((-1) ** bin(mask ^ s).count("1") * t[s]
@@ -224,10 +227,7 @@ def _half_sum_recursion(u):
     for mask in sorted(range(1 << n), key=lambda m: -bin(m).count("1")):
         low = (mask & -mask).bit_length() - 1 if mask else n
         blocks[mask] = coeffs[mask] + 0.5 * sum(blocks[mask | 1 << j] for j in range(low))
-    angles = [
-        blocks[m << (n - k + 1) | 1 << (n - k)] for k in range(n, 0, -1) for m in range(1 << (k - 1))
-    ]
-    return np.array(angles), blocks[0]
+    return np.array([blocks[mask] for mask in range(1 << n)])
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -235,11 +235,11 @@ def test_half_sum_pass_matches_per_subset_recursion(n):
     # the pass's blocks, taken mod 4*pi, and its phase are the recursion's
     for family, thetas in _lambda_inputs(n, 600 + n):
         u = ds.DiagonalUnitary(n, thetas)
-        angles, phase = synthesize_levels(u)
-        expected, expected_phase = _half_sum_recursion(u)
-        tol = _tolerance(n, np.abs(expected).max())
-        assert np.abs(2 * wrap_angle(0.5 * (angles - expected))).max() <= tol, family
-        assert abs(phase - expected_phase) <= tol, family
+        blocks = synthesize_levels(u)
+        expected = _half_sum_recursion(u)
+        tol = _tolerance(n, np.abs(expected[1:]).max())
+        assert np.abs(2 * wrap_angle(0.5 * (blocks[1:] - expected[1:]))).max() <= tol, family
+        assert abs(blocks[0] - expected[0]) <= tol, family
 
 
 def _wrong_mobius(corrupt):
@@ -267,23 +267,20 @@ def test_remainder_check_rejects_wrong_block_angles(n, monkeypatch):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
     # the coefficients are one Moebius pass and the check one subset-sum
-    # pass, of n stages each (a paired step, from 2**11 entries, is two);
-    # the half-sum pass is not a butterfly
+    # pass, of n stages each, none paired at any size (a paired step would
+    # count 2); the half-sum pass is not a butterfly
     passes = []
     butterfly = transforms._butterfly
 
-    def counted(a, step, pair):
+    def counted(a, step, pair=None):
         stages = []
         passes.append((step.__name__, stages))
-        return butterfly(a, lambda *views: stages.append(1) or step(*views),
-                         lambda *views: stages.append(2) or pair(*views))
+        paired = pair and (lambda *views: stages.append(2) or pair(*views))
+        return butterfly(a, lambda *views: stages.append(1) or step(*views), paired)
 
     monkeypatch.setattr(transforms, "_butterfly", counted)
     ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
-    assert [(name, sum(stages)) for name, stages in passes] == [
-        ("_mobius_step", n), ("_zeta_step", n)
-    ]
-    assert (2 in passes[0][1]) == (n >= 11)
+    assert passes == [("_mobius_step", [1] * n), ("_zeta_step", [1] * n)]
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])
@@ -405,9 +402,9 @@ def test_any_finite_input_synthesizes_and_verifies(case):
     circuit, report = ds.synth_controlled(u)
     assert report.counts["rz"] + report.counts["mcrz"] <= 2**u.n - 1
     assert ds.verify(circuit, u) <= 1e-9
-    # every block is taken mod 4*pi, a full turn of an MCRZ
-    angles, _ = synthesize_levels(u)
-    assert np.all((-2 * PI < angles) & (angles <= 2 * PI))
+    # every block is taken mod 4*pi, a full turn of an MCRZ; entry 0 is the phase
+    blocks = synthesize_levels(u)[1:]
+    assert np.all((-2 * PI < blocks) & (blocks <= 2 * PI))
     if u.n >= 2:
         # the two-level blocks carry absolute phases: the angles come back exactly
         circuit, _ = ds.synth_twolevel(u)

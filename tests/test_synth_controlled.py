@@ -108,25 +108,25 @@ def test_agrees_with_parity_route():
 def _sorted_word_layout(n):
     # per level k = n..1: line k's rotation, then one MCRZ per nonempty
     # subset of lines 1..k-1 in sorted word order; each gate's angle index is
-    # its level's offset plus its subset's mask over lines 1..k-1; then the
-    # zero angle1 column
-    kind, target, control, source = [], [], [], []
+    # the set of its controls and target; then the zero angle1 column
+    kind, target, control, sets = [], [], [], []
     for k in range(n, 0, -1):
         masks = sorted(range(1, 1 << (k - 1)), key=lambda mask: ds.subset_lines(mask, k - 1))
         for mask in [0, *masks]:
+            controls = ds.subset_lines(mask, k - 1)
             kind.append(K_MCRZ if mask else K_RZ)
             target.append(k)
-            control.append(ds.lines_to_mask(ds.subset_lines(mask, k - 1), n))
-            source.append((1 << n) - (1 << k) + mask)
-    columns = (np.array(c, dtype=np.int64) for c in (target, control, source))
+            control.append(ds.lines_to_mask(controls, n))
+            sets.append(ds.lines_to_mask((*controls, k), n))
+    columns = (np.array(c, dtype=np.int64) for c in (target, control, sets))
     return (np.array(kind, dtype=np.int8), *columns, np.zeros(len(kind)))
 
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_layout_matches_the_sorted_word_order(n):
     # the package attribute synth_controlled is the function, so fetch the module
-    layout, source = importlib.import_module("diagsynth.synth_controlled")._layout(n)
-    got = layout.kind, layout.target, layout.control, source, layout.zero
+    layout, sets = importlib.import_module("diagsynth.synth_controlled")._layout(n)
+    got = layout.kind, layout.target, layout.control, sets, layout.zero
     expected = _sorted_word_layout(n)
     assert len(got) == len(expected)
     for column, reference in zip(got, expected):

@@ -31,7 +31,7 @@ def test_transforms_invert(m):
 
 def _per_stage(a, step):
     # the transforms as one pass per stage, lowest bit first: the reference
-    # the paired stages (from 2**11 entries) must equal bit for bit
+    # fwht's paired stages (from 2**11 entries) must equal bit for bit
     out = np.array(a, dtype=float)
     half = 1
     while half < out.size:
