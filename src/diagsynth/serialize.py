@@ -13,14 +13,14 @@ difference at most); multi-controlled blocks are refused.
 A writer fills its layout's skeleton, the constant pieces of the text
 between its angle slots (the JSON phase is slot 0), rendered from the
 columns by joins of cached texts on first use and kept on the layout, which
-it registers. A byte reader finds a text's angle texts once, each a finite
-JSON number or QASM real. It takes the text when the skeleton of the layout
-registered under its signature (format, n, slot count, the pieces' total
-length), filled with them, gives it back byte for byte (the circuit is then
-built on that layout), or when the columns read write it back and Circuit
-accepts them (and registers their layout). Any other text is read gate by
-gate or statement by statement, by a general reader that words the first
-error. Every reader takes only a JSON int where the format says int.
+it stores as the layout of its format and n. A byte reader finds a text's
+angle texts once, each a finite JSON number or QASM real. It takes the text
+when the skeleton of the layout stored for its format and n, filled with
+them, gives it back byte for byte (the circuit is then built on that
+layout), or when the columns read write it back and Circuit accepts them
+(their layout is then stored). Any other text is read gate by gate or
+statement by statement, by a general reader that words the first error.
+Every reader takes only a JSON int where the format says int.
 
 Number texts: each angle text is repr's, made by orjson and by repr where
 their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
@@ -212,56 +212,49 @@ def _angle_texts(angles: np.ndarray) -> list[str]:
     return texts
 
 
-def _numbers(texts: list[str]) -> list:
-    # The values of the texts read by orjson as one JSON array: a float has
-    # float()'s bits, and an integer in 64 bits is an int, as json reads it.
-    # ValueError unless each text is one JSON value.
-    numbers = orjson.loads(f"[{','.join(texts)}]")
-    if len(numbers) != len(texts):
+def _numbers(joined: str, count: int) -> list:
+    # The values of count texts joined by ",", read by orjson: a float has float()'s
+    # bits, an integer in 64 bits is an int, as json reads it; ValueError unless one per text.
+    numbers = orjson.loads(f"[{joined}]")
+    if len(numbers) != count:
         raise ValueError("not one JSON value per text")
     return numbers
 
 
-def _skeleton(form: str, render, layout: Layout) -> tuple[tuple, list[str]]:
-    # The signature and pieces of the layout's text, rendered on first use
-    # and kept on the layout, equal pieces as one string
+def _skeleton(form: str, render, layout: Layout) -> list[str]:
+    # The pieces of the layout's text, rendered on first use and kept on the
+    # layout, equal pieces as one string
     def split(layout):
-        text, known = render(layout.n, layout.kind, layout.target, layout.control), {}
-        pieces = text.split("\0")
-        pieces = list(map(known.setdefault, pieces, pieces))
-        return (form, layout.n, len(pieces) - 1, len(text) - len(pieces) + 1), pieces
+        pieces = render(layout.n, layout.kind, layout.target, layout.control).split("\0")
+        known: dict[str, str] = {}
+        return list(map(known.setdefault, pieces, pieces))
 
     return layout.memo(form, split)
 
 
-# Layouts the byte readers know, by signature. A process that writes or
-# reads circuits of one (route, n) class sees one layout, since generic
-# input gives the route's cached layout: one entry per format. Four keep
-# both formats of two classes, or three layouts in turn. A skeleton keeps 8
-# bytes per slot and each distinct piece once: xor QASM pieces take 0.14 MB
-# at n=14 and 8.5 MB at n=20, lambda JSON ones, one per control list, 2.2
-# MB at n=14 and 35 MB at n=18. It lives as long as its layout, as a reading
-# does (see simulate._reading): at most one layout per (route, n) and these
-# four, so what is kept over all n is under twice the largest entry.
-_SKELETONS_KEPT = 4
-_SKELETONS: dict[tuple, Layout] = {}
+def _gives_back(form: str, render, layout: Layout, texts: list[str], text: str, size: int) -> bool:
+    # whether the layout's skeleton has a slot per text and, filled with them,
+    # is the text's first size characters: all of it but a final newline
+    pieces = _skeleton(form, render, layout)
+    if len(pieces) != len(texts) + 1:
+        return False
+    written = _fill(pieces, texts)
+    return len(written) == size and text.startswith(written)
 
 
-def _register(key: tuple, layout: Layout) -> None:
-    # the oldest out past the bound; each step one dict call, so threads
-    # that register at once raise nothing
-    _SKELETONS.pop(key, None)
-    _SKELETONS[key] = layout
-    for oldest in list(_SKELETONS)[:-_SKELETONS_KEPT]:
-        _SKELETONS.pop(oldest, None)
+# The layout each writer last wrote, or each byte reader last read, per
+# format and n, which the byte readers try first; one dict call an access,
+# so threads raise nothing. A skeleton keeps 8 bytes per slot and each
+# distinct piece once (0.14 MB for the n=14 xor QASM one, 2.2 MB for the
+# n=14 lambda JSON one) and lives as long as its layout: sizes halve with
+# each n less, so all n keep under twice the largest entry.
+_SKELETONS: dict[tuple[str, int], Layout] = {}
 
 
 def _written(form: str, render, layout: Layout) -> list[str]:
-    # a writer's pieces: its layout's skeleton, the layout registered
-    key, pieces = _skeleton(form, render, layout)
-    if _SKELETONS.get(key) is not layout:
-        _register(key, layout)
-    return pieces
+    # a writer's pieces: its layout's skeleton, the layout stored
+    _SKELETONS[form, layout.n] = layout
+    return _skeleton(form, render, layout)
 
 
 def _circuit_text(circuit: Circuit) -> str:
@@ -366,17 +359,15 @@ def _saved_circuit(text: str) -> Circuit:
     opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
     shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
     texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
-    numbers = _numbers(texts)
+    numbers = _numbers(",".join(texts), len(texts))
     if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
         raise TypeError("an angle is not a number")
     # two columns of their own, which the circuit keeps without a copy
     angles = np.zeros(kind.size), np.zeros(kind.size)
     values, theta1 = np.array(numbers[1:], dtype=float), np.flatnonzero(slots) % 2 == 1
     angles[0][slots[:, 0]], angles[1][cdiag] = values[~theta1], values[theta1]
-    key = ("json", n, len(texts), size - len(phase_text) - int((shuts - opens).sum()))
-    # a hit: the key fixes the filled text's length
-    layout = _SKELETONS.get(key)
-    if layout and text.startswith(_fill(_skeleton("json", _document_skeleton, layout)[1], texts)):
+    layout = _SKELETONS.get(("json", n))
+    if layout and _gives_back("json", _document_skeleton, layout, texts, text, size):
         return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
     high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
     line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
@@ -396,10 +387,9 @@ def _saved_circuit(text: str) -> Circuit:
     control[blocks] = masks[index]
     del data, colons, value, high, low, line  # before the text is written back
     layout = Layout(n, kind, target, control)
-    written = _fill(_skeleton("json", _document_skeleton, layout)[1], texts)
-    if len(written) != size or not text.startswith(written):
+    if not _gives_back("json", _document_skeleton, layout, texts, text, size):
         raise ValueError("not the text save_circuit writes")
-    _register(key, layout)
+    _SKELETONS["json", n] = layout
     return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
 
 
@@ -424,11 +414,11 @@ def to_qasm(circuit: Circuit) -> str:
     return _fill(_written("qasm", _qasm_skeleton, circuit.layout), texts)
 
 
-# The header for each line count; the bytes of an rz angle text, and a gate
-# line's kind code by its first byte
+# The header for each line count; the bytes of the rz angle texts joined by
+# ",", and a gate line's kind code by its first byte
 _QASM_HEAD = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{}];\n'
 _QASM_HEADS = {_QASM_HEAD.format(n): n for n in range(1, MAX_LINES + 1)}
-_ANGLE_BYTES = b"0123456789.e+- "
+_ANGLE_BYTES = b"0123456789.e+-, "
 _QASM_KINDS = np.full(256, -1, dtype=np.int8)
 _QASM_KINDS[list(b"xcr")] = K_X, K_CNOT, K_RZ
 
@@ -466,16 +456,16 @@ def parse_qasm(text: str) -> Circuit:
 
 def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
     # The circuit of to_qasm's text, body its lines on n lines, else an error.
-    # An angle text runs from a "(" to the next ")", of _ANGLE_BYTES only:
-    # float() also reads "1_0", "inf" and a newline. A line's first byte is
-    # its kind, the digits before "];" its target, those after "cx q[" a
-    # cx's control.
+    # An angle text runs from a "(" to the next ")", the texts joined by ","
+    # of _ANGLE_BYTES only: float() also reads "1_0", "inf" and a newline.
+    # A line's first byte is its kind, the digits before "];" its target,
+    # those after "cx q[" a cx's control.
     texts = body.replace(")", "(").split("(")[1::2]
-    if not body.isascii() or "".join(texts).encode().translate(None, _ANGLE_BYTES):
+    joined = ",".join(texts)
+    if not body.isascii() or joined.encode().translate(None, _ANGLE_BYTES):
         raise ValueError("an angle text to_qasm does not write")
-    key = ("qasm", n, len(texts), len(text) - sum(map(len, texts)))
-    layout = _SKELETONS.get(key)
-    if not layout or _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
+    layout = _SKELETONS.get(("qasm", n))
+    if not (layout and _gives_back("qasm", _qasm_skeleton, layout, texts, text, len(text))):
         data = np.frombuffer(body.encode(), dtype=np.uint8)
         ends = np.flatnonzero(data == 10)
         starts = np.concatenate(([0], ends + 1))[:-1]
@@ -487,13 +477,13 @@ def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
         target = line(ends - 3 - two, two)
         control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
         layout = Layout(n, kind, target, control)
-        if _fill(_skeleton("qasm", _qasm_skeleton, layout)[1], texts) != text:
+        if not _gives_back("qasm", _qasm_skeleton, layout, texts, text, len(text)):
             raise ValueError("not the text to_qasm writes")
-        _register(key, layout)
-    # A QASM real that is no JSON number ("1.", ".5", "+1", "01") raises
-    # here, for the statement reader. orjson reads "-0" as the int 0; any
-    # other int it reads has float()'s value, so only zeros are read again
-    numbers = np.array(_numbers(texts), dtype=float)
+        _SKELETONS["qasm", n] = layout
+    # A QASM real that is no JSON number ("1.", ".5", "+1", "01") or has a
+    # comma raises here, for the statement reader. orjson reads "-0" as the
+    # int 0, any other int as float() does: only zeros are read again
+    numbers = np.array(_numbers(joined, len(texts)), dtype=float)
     zeros = np.flatnonzero(numbers == 0).tolist()
     numbers[zeros] = [float(texts[k]) for k in zeros]
     angle = np.zeros(layout.kind.size)

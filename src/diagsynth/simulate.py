@@ -126,8 +126,8 @@ def _angles(circuit: Circuit) -> np.ndarray:
 # A reading holds at most 48 bytes per rotation or block (24 per RZ: 0.4
 # MB for the n = 14 xor layout, 25 MB at n = 20) and lives as long as its
 # layout. Those are held by live circuits, by each synthesizer's cache, one
-# layout per (route, n), and by the codecs' four reader entries. Sizes halve
-# with each n less, so what is kept over all n is under twice the largest.
+# layout per (route, n), and by the codecs, one per format and n. Sizes halve
+# with each n less, so what each keeps over all n is under twice its largest.
 def _reading(layout: Layout):
     # What the angle pass needs of a layout, in gate order, each part None
     # when empty: per RZ of a CNOT circuit, its row, its line's parity and

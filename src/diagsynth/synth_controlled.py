@@ -24,7 +24,7 @@ must give back the input. Blocks stay MCRZ primitives in the output:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
     return blocks
 
 
-@lru_cache(maxsize=16)
+@cache
 def _layout(n: int) -> tuple[Layout, np.ndarray]:
     # the generic n-line layout and each gate's set, its controls and target,
     # at which ``synthesize_levels`` holds its angle: per level k, line k's

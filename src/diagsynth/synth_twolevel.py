@@ -16,7 +16,7 @@ global-phase residue.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .subsets import gray_walk
 from .circuits import peephole_cancel  # noqa: F401
 
 
-@lru_cache(maxsize=16)
+@cache
 def _layout(n: int) -> tuple[Layout, np.ndarray]:
     # the n-line layout and each block's top-line pattern: per Gray X mask,
     # its block, then the X on the line where the mask differs from the next

@@ -20,7 +20,7 @@ phase is W[0] / 2**n. One transform, O(n * 2**n), gives every angle.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .paper import (  # noqa: F401
 )
 
 
-@lru_cache(maxsize=16)
+@cache
 def _layout(n: int) -> tuple[Layout, np.ndarray]:
     # the generic n-line layout and the parity mask of each rotation's wire
     # (line L at bit n - L). Level k is 2**k gates on target k: per Gray

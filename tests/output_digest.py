@@ -11,9 +11,10 @@ xor (both ways) at n = 14, on seeded generic angles, zeros, angles drawn
 from {-pi, 0, pi} and angles up to 1e5 rad either way. Outputs
 per input: the synthesized columns, phase and gate counts, the save_circuit
 and to_qasm bytes (or the error text), the load_circuit and parse_qasm
-columns and phase on a registry hit and on a miss, the circuit_to_diagonal
-bytes and the verify residual. Then the error texts (or "accepted") of a
-fixed list of bad inputs.
+columns and phase on a registry hit, on a miss, and with another layout of
+the same format and n written first (another route's circuit, or a one-RZ
+circuit for QASM), the circuit_to_diagonal bytes and the verify residual.
+Then the error texts (or "accepted") of a fixed list of bad inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ ROUTES = {
     "lambda-keep": lambda u: ds.synth_controlled(u, keep_trivial_rotations=True)[0],
     "twolevel": lambda u: ds.synth_twolevel(u)[0],
 }
+# the route whose circuit is written before a read meets another layout
+OTHER = {"xor": "lambda", "xor-keep": "lambda", "lambda": "xor", "lambda-keep": "xor",
+         "twolevel": "lambda"}
 
 
 def inputs(n: int):
@@ -85,9 +89,12 @@ def digest_route(route: str, n: int, label: str, thetas: np.ndarray, path: Path)
     emit(f"{item}/json", path.read_bytes())
     qasm = outcome(lambda: ds.to_qasm(circuit))
     emit(f"{item}/qasm", qasm)
-    for registry in ("hit", "miss"):
-        if registry == "miss":
+    for registry in ("hit", "miss", "wrong"):
+        if registry != "hit":
             serialize._SKELETONS.clear()
+        if registry == "wrong":
+            ds.save_circuit(ROUTES[OTHER[route]](u), path.with_name("other.json"))
+            ds.to_qasm(ds.Circuit(n, (ds.RZ(1, 0.5),)))
         emit(f"{item}/load.{registry}", outcome(lambda: ds.load_circuit(path)))
         if qasm.startswith(b"OPENQASM"):
             emit(f"{item}/parse.{registry}", outcome(lambda: ds.parse_qasm(qasm.decode())))

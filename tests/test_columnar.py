@@ -5,7 +5,8 @@
 the same QASM text, the same JSON bytes, equal gates after a round trip,
 and the same cancellation; on mutated QASM texts and edited circuit
 documents it must read the same gates or raise the same error. Both byte
-readers must take every text their writer writes. A circuit
+readers must take every text their writer writes, whatever layout is
+stored for its format and n. A circuit
 stores a block's controls as a mask, so the generated blocks list their
 controls in ascending order, as every synthesizer writes them. The hot
 paths of all three routes, and the CLI's synth and verify, must run
@@ -358,6 +359,45 @@ def test_circuit_file_round_trip_is_read_as_bytes(newline, monkeypatch, tmp_path
         assert math.copysign(1, got.global_phase) == math.copysign(1, circuit.global_phase)
         for column, want in zip(got.columns, circuit.columns):
             assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+
+
+def _stored_layouts(circuit: ds.Circuit) -> list:
+    # what a byte reader may find stored for the circuit's format and n:
+    # nothing, the writer's layout, one with another slot count, and one
+    # with the same slot count but other rows: without a last X or CNOT (its
+    # QASM text a prefix of the circuit's), or else with an X more
+    gates, n = circuit.gates, circuit.n
+    rows = gates[:-1] if gates and isinstance(gates[-1], (ds.X, ds.CNOT)) else (*gates, ds.X(1))
+    slots = (*gates, ds.RZ(1, 0.5))
+    return [None, circuit.layout, ds.Circuit(n, slots).layout, ds.Circuit(n, rows).layout]
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuits(), circuits(kinds="x cnot rz"))
+def test_byte_readers_read_past_a_wrong_stored_layout(tmp_path_factory, circuit, qasm_circuit):
+    # with the general readers refused, each byte reader gives the written
+    # columns and phase whatever layout is stored for the text's format and n
+    def refuse(*args):
+        raise AssertionError("a general reader ran")
+
+    path = tmp_path_factory.mktemp("stored") / "circuit.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "circuit_from_document", refuse)
+        patch.setattr(serialize, "_parse_qasm_statements", refuse)
+        patch.setattr(serialize, "_SKELETONS", {})
+        text = ds.to_qasm(qasm_circuit)
+        ds.save_circuit(circuit, path)
+        for form, written in (("qasm", qasm_circuit), ("json", circuit)):
+            for stored in _stored_layouts(written):
+                serialize._SKELETONS.clear()
+                if stored is not None:
+                    serialize._SKELETONS[form, written.n] = stored
+                read = ds.parse_qasm(text) if form == "qasm" else ds.load_circuit(path)
+                assert [(c.dtype, c.tobytes()) for c in read.columns] == [
+                    (c.dtype, c.tobytes()) for c in written.columns
+                ]
+                phase = written.global_phase if form == "json" else 0.0
+                assert repr(read.global_phase) == repr(phase)
 
 
 @settings(max_examples=400, deadline=None)

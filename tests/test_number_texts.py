@@ -99,7 +99,7 @@ def test_qasm_reader_reads_float_bits_of_each_angle_text(texts):
     rz = circuit.layout.kind == K_RZ
     assert _bits(circuit.angle0[rz]) == _bits(expected)
     try:
-        serialize._numbers(texts)
+        serialize._numbers(",".join(texts), len(texts))
     except ValueError:
         with pytest.raises(ValueError):
             serialize._qasm_circuit(2, qasm, qasm[qasm.index("cx") :])

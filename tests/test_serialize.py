@@ -500,7 +500,7 @@ def test_each_layout_is_rendered_once_in_mixed_round_trips(monkeypatch, tmp_path
     # an n = 14 xor circuit through QASM, and n = 13 twolevel and lambda
     # circuits through JSON, twice each in turn on new angles: each skeleton
     # is rendered once, by its first write, and kept on its layout, and every
-    # read and later write fills it; the bound keeps the three layouts. The
+    # read (on the layout its writer stored) and later write fills it. The
     # synthesizers' layouts are new, so that none has a skeleton yet.
     fresh_layouts()
     renders = []
@@ -522,12 +522,28 @@ def test_each_layout_is_rendered_once_in_mixed_round_trips(monkeypatch, tmp_path
     assert renders == [14, 13, 13]
 
 
-def test_registering_one_layout_more_than_the_bound_evicts_the_oldest(monkeypatch):
+def test_the_readers_know_the_last_layout_of_each_format_and_n(monkeypatch):
+    # one layout per format and n: the texts written at n = 1..6 all read
+    # back on their writers' layouts, a second layout at n = 3 takes the
+    # place of the first for n = 3 alone, and the first n = 3 text then reads
+    # back through the row read, which stores its layout again
     monkeypatch.setattr(serialize, "_SKELETONS", {})
-    kept = serialize._SKELETONS_KEPT
-    for n in range(1, kept + 2):
-        ds.to_qasm(ds.Circuit(n, (ds.RZ(n, 0.5),)))
-    assert [key[:2] for key in serialize._SKELETONS] == [("qasm", n) for n in range(2, kept + 2)]
+    written = {n: ds.Circuit(n, (ds.RZ(n, 0.5), ds.X(1), ds.RZ(1, -2.0))) for n in range(1, 7)}
+    texts = {n: ds.to_qasm(circuit) for n, circuit in written.items()}
+    built = []
+    Layout = serialize.Layout
+    monkeypatch.setattr(serialize, "Layout", lambda *rows: built.append(rows[0]) or Layout(*rows))
+    for n, text in texts.items():
+        assert ds.parse_qasm(text).layout is written[n].layout
+    assert built == []
+    other = ds.Circuit(3, (ds.X(2), ds.RZ(3, 0.5), ds.RZ(1, -2.0)))
+    ds.to_qasm(other)
+    layouts = {("qasm", n): circuit.layout for n, circuit in written.items()}
+    assert serialize._SKELETONS == {**layouts, ("qasm", 3): other.layout}
+    read = ds.parse_qasm(texts[3])
+    assert built == [3]
+    assert [c.tobytes() for c in read.columns] == [c.tobytes() for c in written[3].columns]
+    assert serialize._SKELETONS == {**layouts, ("qasm", 3): read.layout}
 
 
 @pytest.mark.parametrize(
@@ -561,10 +577,8 @@ def test_writers_register_no_layout_whose_text_reads_back_otherwise(
     path = tmp_path / "circuit.json"
     ds.save_circuit(circuit, path)
     text = ds.to_qasm(circuit)
-    renders = {"json": serialize._document_skeleton, "qasm": serialize._qasm_skeleton}
-    for form, render in renders.items():
-        key = serialize._skeleton(form, render, circuit.layout)[0]
-        assert serialize._SKELETONS[key] is circuit.layout
+    for form in ("json", "qasm"):
+        assert serialize._SKELETONS[form, 2] is circuit.layout
     for read in (ds.load_circuit(path), ds.parse_qasm(text)):
         assert read.layout is circuit.layout
         assert [c.tobytes() for c in read.columns] == [c.tobytes() for c in circuit.columns]
@@ -602,4 +616,4 @@ def test_threads_that_share_the_registry_read_what_they_wrote(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert len(serialize._SKELETONS) <= serialize._SKELETONS_KEPT
+    assert sorted(serialize._SKELETONS) == [("qasm", n) for n in range(1, 7)]
