@@ -307,13 +307,9 @@ def _tally(layout: Layout) -> tuple[int, ...]:
 
 def count_gates(circuit: Circuit) -> SynthesisReport:
     """Tally the circuit's gates by kind, with its global phase record."""
-    counts = dict(zip(KIND_NAMES, circuit.layout.memo("tally", _tally)))
-    return SynthesisReport(
-        counts=counts,
-        elementary=counts["x"] + counts["cnot"] + counts["rz"],
-        blocks=counts["mcrz"] + counts["cdiag"],
-        global_phase=circuit.global_phase,
-    )
+    x, cnot, rz, mcrz, cdiag = tally = circuit.layout.memo("tally", _tally)
+    return SynthesisReport(dict(zip(KIND_NAMES, tally)), elementary=x + cnot + rz,
+                           blocks=mcrz + cdiag, global_phase=circuit.global_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -352,46 +348,60 @@ def _cancel_runs(columns: Columns):
     return None if keep.all() else keep
 
 
-def _no_whole_turn(layout: Layout, angle0: np.ndarray) -> bool:
-    # The drop rule's screen, exact: an |angle0| strictly inside
-    # (eps, 2*pi - eps) is below both periods, so fmod returns it unchanged,
-    # and neither it nor period - it is within eps of a whole turn; and a
-    # CDIAG is trivial only when its angle0 is. A NaN fails the screen.
-    rows = layout.memo("rotation rows", lambda layout: np.flatnonzero(layout.kind >= K_RZ))
-    size = np.abs(angle0[rows])
+def _kept(columns: Columns, phase: float, walk: bool = False):
+    # The drop rule: the rows that are no identity rotation or block, and
+    # the phase, plus pi per RZ dropped at an odd turn. With ``walk`` (on a
+    # synthesizer's layout) they are the even rows, each followed by a step
+    # of the Gray walk on its target t: row 2i has rank r = i + 2**t - 2**n,
+    # and its step flips bit b of the walk's set where r + 1 is an odd
+    # multiple of 2**b, or closes the walk. Between kept rows a < b of a walk
+    # (its ends count as kept) cancelling keeps the first flip at or after a
+    # of each bit their sets differ in. Exact screens: an |angle0| below
+    # 2*pi - eps is a whole turn only within eps of 0 (see _whole_turns), an
+    # even one, and a CDIAG drops only when its angle0 does; NaN passes none.
+    size = np.abs(columns.angle0[:: 1 + walk])
     low, high = size.min(initial=np.inf), size.max(initial=0.0)
-    return low > ZERO_ANGLE_EPS and high < TWO_PI - ZERO_ANGLE_EPS
-
-
-def _cancel(columns: Columns, phase: float, layout: Layout | None = None):
-    # peephole_cancel's rules: one drop pass (cancelling removes only CNOT
-    # and X gates, so it never leaves a new trivial rotation), then run scans
-    # to a fixed point: always without ``layout``; with it (a synthesizer's
-    # columns on it) only after a drop, and only past the screen
-    kind, _, _, angle0, angle1 = columns
-    if layout is not None and _no_whole_turn(layout, angle0):
+    if low > ZERO_ANGLE_EPS and high < TWO_PI - ZERO_ANGLE_EPS:
         return columns, phase
-    period = np.where(kind == K_MCRZ, 2 * TWO_PI, TWO_PI)
-    trivial = (kind >= K_RZ) & _whole_turns(angle0, period)
+    kind, target, _, angle0, angle1 = Columns(*(column[:: 1 + walk] for column in columns))
+    if high < TWO_PI - ZERO_ANGLE_EPS:
+        trivial = (kind >= K_RZ) & (size <= ZERO_ANGLE_EPS)
+    else:
+        trivial = (kind >= K_RZ) & _whole_turns(angle0, TWO_PI * (1 + (kind == K_MCRZ)))
+        turns = np.rint(angle0[trivial & (kind == K_RZ)] / TWO_PI)
+        for _ in range(np.count_nonzero(np.fmod(turns, 2))):  # pi per odd turn, in row order
+            phase += math.pi
     if angle1.any():  # Layout checks that only a CDIAG's angle1 is nonzero
         trivial &= _whole_turns(angle1, TWO_PI)
-    if trivial.any():
-        odd = trivial & (kind == K_RZ) & (np.fmod(np.rint(angle0 / TWO_PI), 2) != 0)
-        for _ in range(np.count_nonzero(odd)):
-            phase += math.pi
-        columns = Columns(*(column[~trivial] for column in columns))
-    elif layout is not None:
+    if not trivial.any():
         return columns, phase
+    keep = ~trivial
+    if walk:
+        at = np.flatnonzero(keep | np.append(True, target[1:] != target[:-1]))  # and walk starts
+        rank = at + (1 << target[at]) - (1 << target[0])  # the first walk is on line n
+        gray = np.append(rank ^ rank >> 1, 0)  # the walk's set at each, 0 past the last row
+        pair, bit = np.nonzero((gray[:-1] ^ gray[1:])[:, None] >> np.arange(target[0]) & 1)
+        bit, rank = 1 << bit, rank[pair]
+        step = at[pair] - rank + ((rank + bit) & -bit | bit) - 1
+        keep = np.column_stack((keep, np.zeros_like(keep))).ravel()[: columns.kind.size]
+        keep[2 * np.minimum(step, np.append(at[1:], target.size)[pair] - 1) + 1] = True
+    return Columns(*(column[keep] for column in columns)), phase
+
+
+def _cancel(columns: Columns, phase: float):
+    # peephole_cancel's rules: the drop (cancelling removes only CNOT and X
+    # gates, so it leaves no new trivial rotation), then run scans to a fixed point
+    columns, phase = _kept(columns, phase)
     while (keep := _cancel_runs(columns)) is not None:
         columns = Columns(*(column[keep] for column in columns))
     return columns, phase
 
 
-def _on_layout(layout: Layout, columns: Columns, phase: float, drop: bool = False) -> Circuit:
-    # the circuit of columns on a checked layout's rows, after the drop rule
-    # if ``drop``: rows kept of them need no check, so only angles and phase are
+def _on_layout(layout: Layout, columns: Columns, phase: float, drop=False, walk=False) -> Circuit:
+    # the circuit of columns on a checked layout's rows, or with ``drop`` of
+    # the rows _kept selects: neither needs a check, only angles and phase
     if drop:
-        columns, phase = _cancel(columns, phase, layout)
+        columns, phase = _kept(columns, phase, walk)
     if columns.kind is not layout.kind:
         layout = _hold(object.__new__(Layout), layout.n, columns[:3])
     circuit = object.__new__(Circuit)
@@ -412,9 +422,8 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     which typically exposes further CNOT pairs. Preserves the induced
     diagonal including its global phase: a dropped RZ(2*pi*m) was
     (-1)**m * I, so odd m adds pi to the phase record. A circuit with
-    nothing to cancel is returned as is. The synthesizers apply these rules
-    themselves, scanning runs only after a drop: this pass is for circuits
-    built by hand.
+    nothing to cancel is returned as is. For circuits built by hand: each
+    synthesizer selects the rows these rules keep of its own layout.
     """
     columns, phase = _cancel(circuit.columns, circuit.global_phase)
     if columns.kind.size == circuit.layout.kind.size:

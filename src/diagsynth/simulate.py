@@ -51,11 +51,6 @@ from .subsets import subset_lines
 from .transforms import fwht, zeta
 
 
-def _bitpos(n: int, line: int) -> int:
-    # line 1 is the most significant bit of a state index
-    return n - line
-
-
 def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized action on all basis states: (index permutation, angles).
 
@@ -66,15 +61,16 @@ def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(1 << n, dtype=np.int64)
     theta = np.zeros(1 << n)
     # per gate: kind code, target line, control line or mask, two angles;
-    # an RZ's mask is 0, so it acts on every state as a block with no control
+    # line L is bit n - L of a state; an RZ's mask is 0, so it acts on
+    # every state as a block with no control
     for code, t, c, a0, a1 in zip(*(column.tolist() for column in circuit.columns)):
         if code == K_X:
-            j = j ^ (1 << _bitpos(n, t))
+            j = j ^ (1 << (n - t))
         elif code == K_CNOT:
-            j = j ^ ((j >> _bitpos(n, c) & 1) << _bitpos(n, t))
+            j = j ^ ((j >> (n - c) & 1) << (n - t))
         else:
             off, on = (a0, a1) if code == K_CDIAG else (-0.5 * a0, 0.5 * a0)
-            bit = j >> _bitpos(n, t) & 1
+            bit = j >> (n - t) & 1
             theta += np.where((j & c) == c, np.where(bit, on, off), 0.0)
     return j, theta
 
@@ -195,7 +191,7 @@ def _identity(n: int) -> list[int]:
     # in basis-state indices), plus its affine bit at bit n. Line 0 is no
     # circuit line but the constant affine bit, which an X adds to its line
     # as a CNOT adds its control's state.
-    return [1 << n] + [1 << _bitpos(n, line) for line in range(1, n + 1)]
+    return [1 << n] + [1 << (n - line) for line in range(1, n + 1)]
 
 
 def _walk(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray):
@@ -256,7 +252,7 @@ def _not_diagonal(n: int, lines: list[int]) -> NotDiagonalError:
     # moved state.
     image = {
         j: sum(
-            ((j & lines[line]).bit_count() + (lines[line] >> n) & 1) << _bitpos(n, line)
+            ((j & lines[line]).bit_count() + (lines[line] >> n) & 1) << (n - line)
             for line in range(1, n + 1)
         )
         for j in [0, *(1 << p for p in range(n))]

@@ -47,14 +47,14 @@ def synth_twolevel(u: DiagonalUnitary) -> tuple[Circuit, SynthesisReport]:
     """Compile a diagonal into 2**(n-1) CDIAG blocks with X conjugation.
 
     The X masks are walked in Gray order from the empty mask, so a single X
-    gate follows each block. Identity blocks are dropped here by the rule of
-    ``peephole_cancel`` (a pass for circuits built by hand), with the X runs
-    scanned only after a drop, so the identity input gives an empty circuit.
+    gate follows each block. The circuit is the rows of that layout which
+    ``peephole_cancel`` (a pass for circuits built by hand) would keep, so
+    identity blocks drop and the identity input gives an empty circuit.
     """
     if u.n < 2:
         raise DimensionError("two-level synthesis needs n >= 2")
     layout, pattern = _layout(u.n)
     theta0, theta1 = np.zeros(layout.kind.size), np.zeros(layout.kind.size)
     theta0[::2], theta1[::2] = u.thetas.reshape(-1, 2)[pattern].T  # the blocks' rows
-    circuit = _on_layout(layout, layout.columns(theta0, theta1), 0.0, drop=True)
+    circuit = _on_layout(layout, layout.columns(theta0, theta1), 0.0, drop=True, walk=True)
     return circuit, count_gates(circuit)

@@ -74,10 +74,10 @@ def synth_xor(
 
     With ``keep_trivial_rotations`` no cancellation runs, so zero-angle
     rotations stay and the full generic layout (exactly 2**(n+1) - 3 gates)
-    is kept even on degenerate input. By default the synthesizer applies the
-    drop rule of ``peephole_cancel`` (a pass for circuits built by hand) and
-    scans the CNOT runs only after a drop, so generic input keeps the layout
-    and tensor-product inputs collapse to their own n-rotation circuit.
+    is kept even on degenerate input. By default the circuit is the rows of
+    that layout which ``peephole_cancel`` (a pass for circuits built by
+    hand) would keep, selected at once: generic input keeps the layout, and
+    tensor-product inputs collapse to their own n-rotation circuit.
     """
     layout, parity = _layout(u.n)
     walsh = fwht(reduced(u.thetas))
@@ -85,5 +85,5 @@ def synth_xor(
     rotation = np.zeros(layout.kind.size)
     rotation[::2] = -2.0 * walsh[parity]
     columns = layout.columns(rotation, layout.zero)
-    circuit = _on_layout(layout, columns, float(walsh[0]), drop=not keep_trivial_rotations)
+    circuit = _on_layout(layout, columns, float(walsh[0]), not keep_trivial_rotations, walk=True)
     return circuit, count_gates(circuit)

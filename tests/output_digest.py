@@ -8,7 +8,10 @@ lines mean byte-identical outputs:
 Inputs: every route (xor and lambda with keep_trivial_rotations on and off,
 twolevel) at n = 1..10, lambda (both ways) and twolevel at n = 11..14, and
 xor (both ways) at n = 14, on seeded generic angles, zeros, angles drawn
-from {-pi, 0, pi} and angles up to 1e5 rad either way. Outputs
+from {-pi, 0, pi} and angles up to 1e5 rad either way; the default xor,
+lambda and twolevel routes at n = 8..13 on the sparse-ZZ and Ising inputs
+of ``test_precision``, whose rows mostly drop; and twolevel at n = 10 on
+generic angles with identity blocks at random patterns. Outputs
 per input: the synthesized columns, phase and gate counts, the save_circuit
 and to_qasm bytes (or the error text), the load_circuit and parse_qasm
 columns and phase on a registry hit, on a miss, and with another layout of
@@ -31,6 +34,7 @@ import numpy as np
 import diagsynth as ds
 from diagsynth import serialize
 from diagsynth.circuits import Columns
+from test_precision import ising_thetas, sparse_zz_thetas
 
 ROUTES = {
     "xor": lambda u: ds.synth_xor(u)[0],
@@ -51,6 +55,20 @@ def inputs(n: int):
     yield "zero", np.zeros(size)
     yield "pi", rng.choice([-math.pi, 0.0, math.pi], size)
     yield "1e5", rng.uniform(-1e5, 1e5, size)
+
+
+def sparse_inputs(n: int):
+    yield "sparse-zz", sparse_zz_thetas(n, np.random.default_rng([n, 1]))
+    yield "ising", ising_thetas(n, n)
+
+
+def identity_blocks(n: int) -> np.ndarray:
+    # generic two-level blocks, and whole turns on about half the patterns
+    rng = np.random.default_rng([n, 2])
+    thetas = rng.uniform(0, 2 * math.pi, 1 << n).reshape(-1, 2)
+    identity = rng.random(thetas.shape[0]) < 0.5
+    thetas[identity] = 2 * math.pi * rng.integers(-2, 3, (np.count_nonzero(identity), 2))
+    return thetas.ravel()
 
 
 def emit(item: str, data) -> None:
@@ -186,6 +204,11 @@ def main() -> int:
         for route, n in sizes + [("xor", 14), ("xor-keep", 14)]:
             for label, thetas in inputs(n):
                 digest_route(route, n, label, thetas, path)
+        for n in range(8, 14):
+            for route in ("xor", "lambda", "twolevel"):
+                for label, thetas in sparse_inputs(n):
+                    digest_route(route, n, label, thetas, path)
+        digest_route("twolevel", 10, "identity-blocks", identity_blocks(10), path)
         for name, call in bad_inputs(path):
             # an error text names the file without its temporary directory
             emit(f"error/{name}", outcome(call).replace(scratch.encode(), b""))

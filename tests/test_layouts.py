@@ -2,11 +2,11 @@
 
 A cached ``Layout``'s rows are checked once, when it is built; per call
 only the angles and the phase are checked, and a circuit built that way
-must equal ``Circuit(n, columns, phase)``. The drop
-rule of ``peephole_cancel`` runs inside the synthesizers, so the default
-output of every route must be ``peephole_cancel`` of its full layout
-circuit, byte for byte, and on generic input, where nothing drops, no
-synthesizer may check rows or scan runs.
+must equal ``Circuit(n, columns, phase)``. A synthesizer applies the rules
+of ``peephole_cancel`` by selecting the rows of its layout they keep, so
+the default output of every route must be ``peephole_cancel`` of its full
+layout circuit, byte for byte; on generic input, where nothing drops, it
+is the layout itself, and no synthesizer checks rows or scans runs.
 """
 
 from __future__ import annotations
@@ -18,11 +18,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diagsynth as ds
+import per_gate_reference as ref
 from conftest import PI, hard_thetas, random_diagonal, tensor_rz_diagonal
 from diagsynth import circuits, serialize
 from diagsynth.angles import TWO_PI, ZERO_ANGLE_EPS
+from diagsynth.transforms import fwht
 from test_precision import sparse_zz_thetas
 
 # the package attribute synth_twolevel is the function, so fetch the module
@@ -77,17 +81,62 @@ def test_default_output_is_peephole_cancel_of_the_full_layout(route, n):
         assert _bytes(_default(route, u)) == _bytes(ds.peephole_cancel(_full(route, u))), family
 
 
+FAMILIES = ("sparse spectrum", "whole turns", "identity blocks", "zero", "pi")
+
+
+def _drop_heavy(family, n, rng):
+    # angles of which the drop rule removes many rows. A spectrum w gives
+    # thetas = fwht(w), whose own spectrum is 2**n * w: the xor rotation on
+    # parity p is -2 * w[p], and w[p] = pi * k makes it k whole turns, odd k
+    # moving the phase
+    size = 1 << n
+    if family in ("sparse spectrum", "whole turns"):
+        w = np.zeros(size)
+        at = rng.choice(size, size=min(size, rng.integers(1, 3 * n + 1)), replace=False)
+        if family == "sparse spectrum":
+            w[at] = rng.uniform(-10.0, 10.0, at.size)
+        else:
+            w[at] = PI * rng.integers(-4, 5, at.size)
+        return fwht(w)
+    if family == "identity blocks":  # two-level blocks at whole turns, at random patterns
+        thetas = rng.uniform(0.0, 2 * PI, size).reshape(-1, 2)
+        identity = rng.random(thetas.shape[0]) < rng.random()
+        thetas[identity] = TWO_PI * rng.integers(-2, 3, (np.count_nonzero(identity), 2))
+        return thetas.ravel()
+    return np.zeros(size) if family == "zero" else rng.choice([-PI, 0.0, PI], size)
+
+
+@st.composite
+def drop_heavy_diagonals(draw):
+    n = draw(st.integers(1, 10))
+    family = draw(st.sampled_from(FAMILIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return family, ds.DiagonalUnitary(n, _drop_heavy(family, n, rng))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=drop_heavy_diagonals())
+def test_selected_rows_are_peephole_cancel_of_the_full_layout(case):
+    # peephole_cancel, with its drop pass and run scans, is the oracle of
+    # the rows each synthesizer selects
+    family, u = case
+    for route in ROUTES if u.n > 1 else ROUTES[:2]:
+        want = ds.peephole_cancel(_full(route, u))
+        assert _bytes(_default(route, u)) == _bytes(want), (route, family)
+
+
 def test_rotation_tensor_keeps_18_gates_after_the_drop_and_4_rz_after_the_scan(monkeypatch):
     # the drop alone leaves CNOTs that meet around each dropped rotation;
-    # only the run scan after it takes the circuit down to the tensor's RZs
+    # the run scan after it takes the circuit down to the tensor's RZs, and
+    # synth_xor selects those rows of its layout without a scan
     u = tensor_rz_diagonal([0.3, 0.7, 1.1, 1.9])
     full = _full("xor", u)
     assert full.columns.kind.size == 29
-    with monkeypatch.context() as patch:
-        patch.setattr(circuits, "_cancel_runs", lambda columns: None)  # the drop alone
-        dropped, _ = circuits._cancel(full.columns, full.global_phase, full.layout)
+    dropped, _ = circuits._kept(full.columns, full.global_phase)  # the drop alone
     assert dropped.kind.size == 18
-    circuit, report = ds.synth_xor(u)
+    with monkeypatch.context() as patch:
+        patch.setattr(circuits, "_cancel_runs", None)
+        circuit, report = ds.synth_xor(u)
     assert report.counts == {"x": 0, "cnot": 0, "rz": 4, "mcrz": 0, "cdiag": 0}
     assert _bytes(circuit) == _bytes(ds.peephole_cancel(full))
 
@@ -102,27 +151,20 @@ EDGES = [0.0, -0.0] + [sign * value for value in (
 ) for sign in (1.0, -1.0)]
 
 
-def _screened_and_full(layout, angle0, angle1, phase, monkeypatch):
-    # the synthesizers' drop rule on a layout, as run (screened) and with
-    # the screen patched out (the full rule), as column and phase bytes
-    columns = layout.columns(angle0, angle1)
-    got = circuits._cancel(columns, phase, layout)
-    with monkeypatch.context() as patch:
-        patch.setattr(circuits, "_no_whole_turn", lambda layout, angle0: False)
-        want = circuits._cancel(columns, phase, layout)
-    return [_bytes_of(*result) for result in (got, want)]
-
-
-def _bytes_of(columns, phase):
-    return [column.tobytes() for column in columns], np.float64(phase).tobytes()
-
-
 @pytest.mark.parametrize("route, n", _cases(6))
-def test_screened_drop_rule_equals_the_full_rule_on_every_layout(route, n, monkeypatch):
+def test_screened_drop_rule_equals_the_full_rule_on_every_layout(route, n):
+    # a synthesizer's selection, behind its screen, against the per-gate
+    # reference of peephole_cancel, which tests each gate with math.remainder
     full = _full(route, random_diagonal(n, np.random.default_rng(60 + n)))
     layout, kind = full.layout, full.layout.kind
-    got, want = _screened_and_full(layout, full.angle0, full.angle1, 0.25, monkeypatch)
-    assert got == want
+
+    def selected_and_reference(angle0, angle1):
+        columns = layout.columns(angle0, angle1)
+        got = circuits._on_layout(layout, columns, 0.25, drop=True, walk=route != "lambda")
+        return got, ref.peephole_cancel(ds.Circuit(n, columns, 0.25))
+
+    got, want = selected_and_reference(full.angle0, full.angle1)
+    assert _bytes(got) == _bytes(want)
     # the first and last row of each rotation or block kind
     rows = [at[i] for code in (circuits.K_RZ, circuits.K_MCRZ, circuits.K_CDIAG)
             if (at := np.flatnonzero(kind == code)).size for i in (0, -1)]
@@ -137,13 +179,15 @@ def test_screened_drop_rule_equals_the_full_rule_on_every_layout(route, n, monke
                     angle0[row] = value
                 if "1" in at:
                     angle1[row] = value
-                got, want = _screened_and_full(layout, angle0, angle1, 0.25, monkeypatch)
-                assert got == want, (row, value, at)
-                dropped.add(len(want[0][0]) < kind.size)
+                got, want = selected_and_reference(angle0, angle1)
+                assert _bytes(got) == _bytes(want), (row, value, at)
+                dropped.add(got.layout.kind.size < kind.size)
     assert dropped == {True, False}
 
 
-def test_screened_drop_rule_equals_the_full_rule_on_hand_built_circuits(monkeypatch):
+def test_screened_drop_rule_equals_the_full_rule_on_hand_built_circuits():
+    # peephole_cancel screens a circuit of rotations and blocks alone; with
+    # or without the screen it must equal the per-gate reference
     dropped = set()
     for value in EDGES + [1.0, -3.0]:
         for gates in (
@@ -151,13 +195,12 @@ def test_screened_drop_rule_equals_the_full_rule_on_hand_built_circuits(monkeypa
             [ds.X(1), ds.MCRZ((1,), 2, value), ds.X(1), ds.MCRZ((1, 2), 3, 1.0)],
             [ds.CDIAG((1,), 2, value, 1.0), ds.CDIAG((1,), 2, 1.0, value),
              ds.CDIAG((2, 3), 1, value, value), ds.RZ(3, -2.0)],
+            [ds.RZ(1, value), ds.MCRZ((1,), 3, 1.0), ds.MCRZ((1, 2), 3, value)],
         ):
             circuit = ds.Circuit(3, gates, 0.5)
-            got, want = _screened_and_full(
-                circuit.layout, circuit.angle0, circuit.angle1, 0.5, monkeypatch
-            )
-            assert got == want, (value, gates)
-            dropped.add(want != _bytes_of(circuit.columns, 0.5))
+            got, want = ds.peephole_cancel(circuit), ref.peephole_cancel(circuit)
+            assert _bytes(got) == _bytes(want), (value, gates)
+            dropped.add(want is not circuit)
     assert dropped == {True, False}
 
 
@@ -204,8 +247,17 @@ def test_generic_synthesis_checks_no_row_and_scans_no_run(monkeypatch):
         if route != "twolevel":
             _full(route, u)
     assert calls == []
-    ds.synth_xor(tensor_rz_diagonal([0.3, 0.7, 1.1, 1.9]))  # the spies see a drop
-    assert "_cancel_runs" in calls
+    # nor on sparse input, on every route: the rows kept are selected
+    dropped = set()
+    for (route, n), u in us.items():
+        rng = np.random.default_rng(n)
+        if route == "twolevel":
+            v = ds.DiagonalUnitary(n, _drop_heavy("identity blocks", n, rng))
+        else:
+            v = ds.DiagonalUnitary(n, sparse_zz_thetas(n, rng))
+        if _default(route, v).layout is not _default(route, u).layout:
+            dropped.add(route)
+    assert calls == [] and dropped == set(ROUTES)
 
 
 def test_circuits_of_one_route_and_n_share_one_layout_through_the_codecs(
