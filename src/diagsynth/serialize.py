@@ -14,13 +14,18 @@ A writer fills its layout's skeleton, the constant pieces of the text
 between its angle slots (the JSON phase is slot 0), rendered from the
 columns by joins of cached texts on first use and kept on the layout, which
 it stores as the layout of its format and n. A byte reader finds a text's
-angle texts once, each a finite JSON number or QASM real. It takes the text
+angle texts, each a finite JSON number or QASM real. It takes the text
 when the skeleton of the layout stored for its format and n, filled with
 them, gives it back byte for byte (the circuit is then built on that
 layout), or when the columns read write it back and Circuit accepts them
 (their layout is then stored). Any other text is read gate by gate or
 statement by statement, by a general reader that words the first error.
 Every reader takes only a JSON int where the format says int.
+
+Writers and byte readers work one chunk of _CHUNK angle slots at a time
+(a QASM reader one slice of text cut just after a ")"), and save_circuit
+writes each chunk as it is made: a string per angle of the whole circuit,
+and whole-text copies, took more memory than the text at n=20.
 
 Number texts: each angle text is repr's, made by orjson and by repr where
 their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
@@ -162,6 +167,13 @@ _TAILS = np.array([[tail.format(t) for t in range(MAX_LINES + 1)] for tail in (
 )], dtype=object)
 _LINES = np.array([str(line) for line in range(MAX_LINES + 1)], dtype=object)
 
+# The angle slots a writer fills, a JSON byte reader reads and _gives_back
+# compares at a time; a QASM byte reader's slice spans 64 bytes per slot
+# (an xor text has about 48 per rz line). From n=14 and n=20 timings: 2^12
+# ran the QASM codec about 5% faster and load_circuit 8% slower, with the
+# same n=20 peaks, and 2^10 kept the benchmark's n=14 peak RSS lowest.
+_CHUNK = 1 << 10
+
 
 class _ControlTexts(dict):
     # The "[1, 2, …]" text of each mask's lines on n lines, made on first
@@ -190,13 +202,21 @@ def _document_skeleton(n: int, kind, target, control) -> str:
     return "".join(parts)
 
 
-def _fill(pieces: list[str], angle_texts: list[str]) -> str:
-    # a skeleton's pieces rejoined with the angle texts in between; ValueError
-    # unless one each
-    parts = [""] * (2 * len(pieces) - 1)
+def _fill(pieces: list[str], texts: list[str]) -> str:
+    # pieces[0], texts[0], pieces[1], ...: one piece before each text
+    parts = [""] * (2 * len(texts))
     parts[0::2] = pieces
-    parts[1::2] = angle_texts
+    parts[1::2] = texts
     return "".join(parts)
+
+
+def _chunks(pieces: list[str], angles: np.ndarray, at: int = 0):
+    # The text from pieces[at] on, filled with the angles' texts: one chunk
+    # of _CHUNK slots at a time, then the last piece
+    for start in range(0, angles.size, _CHUNK):
+        texts = _angle_texts(angles[start : start + _CHUNK])
+        yield _fill(pieces[at + start : at + start + len(texts)], texts)
+    yield pieces[-1]
 
 
 def _angle_texts(angles: np.ndarray) -> list[str]:
@@ -232,14 +252,22 @@ def _skeleton(form: str, render, layout: Layout) -> list[str]:
     return layout.memo(form, split)
 
 
-def _gives_back(form: str, render, layout: Layout, texts: list[str], text: str, size: int) -> bool:
-    # whether the layout's skeleton has a slot per text and, filled with them,
-    # is the text's first size characters: all of it but a final newline
+def _gives_back(form: str, render, layout: Layout, chunks, text: str, size: int) -> bool:
+    # whether the layout's skeleton, filled with the angle texts chunks yields
+    # a list at a time, is the text's first size characters: all of it but a
+    # final newline. Each filled chunk is compared where it falls in the text,
+    # and dropped before the next.
     pieces = _skeleton(form, render, layout)
-    if len(pieces) != len(texts) + 1:
-        return False
-    written = _fill(pieces, texts)
-    return len(written) == size and text.startswith(written)
+    at = slot = 0
+    for texts in chunks:
+        if slot + len(texts) >= len(pieces):
+            return False
+        chunk = _fill(pieces[slot : slot + len(texts)], texts)
+        if not text.startswith(chunk, at):
+            return False
+        at, slot = at + len(chunk), slot + len(texts)
+    last = pieces[slot]
+    return slot == len(pieces) - 1 and at + len(last) == size and text.startswith(last, at)
 
 
 # The layout each writer last wrote, or each byte reader last read, per
@@ -257,12 +285,18 @@ def _written(form: str, render, layout: Layout) -> list[str]:
     return _skeleton(form, render, layout)
 
 
-def _circuit_text(circuit: Circuit) -> str:
-    # The document as json.dumps writes it (a phase set by hand may be an int)
+def _document_chunks(circuit: Circuit):
+    # The document as json.dumps writes it, a chunk at a time: the head with
+    # the phase (set by hand it may be an int), then the gates
     kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
-    texts = [json.dumps(circuit.global_phase), *_angle_texts(angles)]
-    return _fill(_written("json", _document_skeleton, circuit.layout), texts)
+    pieces = _written("json", _document_skeleton, circuit.layout)
+    yield _fill(pieces[:1], [json.dumps(circuit.global_phase)])
+    yield from _chunks(pieces, angles, 1)
+
+
+def _circuit_text(circuit: Circuit) -> str:
+    return "".join(_document_chunks(circuit))
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -300,9 +334,8 @@ def circuit_from_document(doc: dict) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    text = _circuit_text(circuit)
-    with Path(path).open("w") as file:  # the newline apart: no copy of the text
-        file.write(text)
+    with Path(path).open("w") as file:  # each chunk written as it is made
+        file.writelines(_document_chunks(circuit))
         file.write("\n")
 
 
@@ -341,55 +374,65 @@ def _saved_circuit(text: str) -> Circuit:
     # read as the module docstring says, its angle texts each one JSON
     # number; else an error. A gate starts at "{", each value 2 bytes after its ":".
     head = text[: text.find(', "gates": [') + 12]
-    n = int(head[6 : head.find(",")])  # after '{"n": '
-    if not (text.isascii() and 1 <= n <= MAX_LINES):  # one byte per character; masks in int64
+    n, gates = int(head[6 : head.find(",")]), len(head) - 12  # after '{"n": '; the phase's end
+    if not (gates > 0 and text.isascii() and 1 <= n <= MAX_LINES):  # masks in int64
         raise ValueError("not the text save_circuit writes")
-    phase_text = head[len(f'{{"n": {n}, "global_phase": ') : -12]
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
+    data = np.frombuffer(text.encode(), dtype=np.uint8)  # one byte per character
     starts = np.flatnonzero(data == ord("{"))[1:]
     colons = np.flatnonzero(data == ord(":"))[3:]
     kind = _KIND_BYTES[data[starts + 11]]
     count = _COLONS[kind]
     first = np.cumsum(count) - count  # each gate's colon after "kind"
     value = colons + 2
-    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": '
+    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": ';
+    # the phase text is slot 0
     cdiag, size = kind == K_CDIAG, len(text) - text.endswith("\n")
     slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
     end = np.append(starts, size)[1:] - 3
     opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
     shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
-    texts = [phase_text] + [text[a:b] for a, b in zip(opens.tolist(), shuts.tolist())]
-    numbers = _numbers(",".join(texts), len(texts))
-    if not set(map(type, numbers)) <= {int, float}:  # a bool or a str would read as a float
-        raise TypeError("an angle is not a number")
-    # two columns of their own, which the circuit keeps without a copy
-    angles = np.zeros(kind.size), np.zeros(kind.size)
-    values, theta1 = np.array(numbers[1:], dtype=float), np.flatnonzero(slots) % 2 == 1
-    angles[0][slots[:, 0]], angles[1][cdiag] = values[~theta1], values[theta1]
+    opens = np.append(len(f'{{"n": {n}, "global_phase": '), opens)
+    shuts = np.append(gates, shuts)
+    numbers = np.empty(opens.size)
+
+    def texts():
+        # the slots' texts, _CHUNK at a time, each read into numbers as one
+        # JSON number (a bool or a str would read as a float)
+        for at in range(0, opens.size, _CHUNK):
+            bounds = zip(opens[at : at + _CHUNK].tolist(), shuts[at : at + _CHUNK].tolist())
+            chunk = [text[a:b] for a, b in bounds]
+            values = _numbers(",".join(chunk), len(chunk))
+            if not set(map(type, values)) <= {int, float}:
+                raise TypeError("an angle is not a number")
+            numbers[at : at + len(chunk)] = values
+            yield chunk
+
     layout = _SKELETONS.get(("json", n))
-    if layout and _gives_back("json", _document_skeleton, layout, texts, text, size):
-        return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
-    high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
-    line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
-    target, control = line[first + _TARGET_AT[kind]], np.where(kind == K_CNOT, line[first + 1], 0)
-    blocks = kind >= K_MCRZ
-    opens, shuts = value[first[blocks] + 1], value[first[blocks] + 2] - 12  # ', "target": '
-    known: dict[str, int] = {}  # the distinct list texts
-    index = [known.setdefault(text[a:b], len(known))
-             for a, b in zip(opens.tolist(), shuts.tolist())]
-    lists = json.loads(f"[{','.join(known)}]")
-    sizes = np.fromiter(map(len, lists), np.int64, len(lists))
-    lines = np.fromiter(chain.from_iterable(lists), np.int64, int(sizes.sum()))
-    if ((lines < 1) | (lines > n)).any():  # keeps shift counts in range, masks non-negative
-        raise ValueError("control line outside 1..n")
-    masks = np.zeros(len(lists), dtype=np.int64)
-    np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
-    control[blocks] = masks[index]
-    del data, colons, value, high, low, line  # before the text is written back
-    layout = Layout(n, kind, target, control)
-    if not _gives_back("json", _document_skeleton, layout, texts, text, size):
-        raise ValueError("not the text save_circuit writes")
-    _SKELETONS["json", n] = layout
+    if not (layout and _gives_back("json", _document_skeleton, layout, texts(), text, size)):
+        high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
+        line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
+        target = line[first + _TARGET_AT[kind]]
+        control = np.where(kind == K_CNOT, line[first + 1], 0)
+        blocks = kind >= K_MCRZ
+        heads = first[blocks]  # a control list runs up to ', "target": '
+        known: dict[str, int] = {}  # the distinct list texts
+        index = [known.setdefault(text[a:b], len(known))
+                 for a, b in zip(value[heads + 1].tolist(), (value[heads + 2] - 12).tolist())]
+        lists = json.loads(f"[{','.join(known)}]")
+        sizes = np.fromiter(map(len, lists), np.int64, len(lists))
+        lines = np.fromiter(chain.from_iterable(lists), np.int64, int(sizes.sum()))
+        if ((lines < 1) | (lines > n)).any():  # keeps shift counts in range, masks non-negative
+            raise ValueError("control line outside 1..n")
+        masks = np.zeros(len(lists), dtype=np.int64)
+        np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
+        control[blocks] = masks[index]
+        layout = Layout(n, kind, target, control)
+        if not _gives_back("json", _document_skeleton, layout, texts(), text, size):
+            raise ValueError("not the text save_circuit writes")
+        _SKELETONS["json", n] = layout
+    # two columns of their own, which the circuit keeps without a copy
+    angles, theta1 = (np.zeros(kind.size), np.zeros(kind.size)), np.flatnonzero(slots) % 2 == 1
+    angles[0][slots[:, 0]], angles[1][cdiag] = numbers[1:][~theta1], numbers[1:][theta1]
     return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
 
 
@@ -410,8 +453,8 @@ def to_qasm(circuit: Circuit) -> str:
     if blocks.size:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
-    texts = _angle_texts(circuit.angle0[kind == K_RZ])
-    return _fill(_written("qasm", _qasm_skeleton, circuit.layout), texts)
+    pieces = _written("qasm", _qasm_skeleton, circuit.layout)
+    return "".join(_chunks(pieces, circuit.angle0[kind == K_RZ]))
 
 
 # The header for each line count; the bytes of the rz angle texts joined by
@@ -446,27 +489,47 @@ def parse_qasm(text: str) -> Circuit:
     """
     head = text[: text.find("];\n") + 3]
     n = _QASM_HEADS.get(head)
-    if n is not None:
+    if n is not None and text.isascii():  # one byte per character
         try:
-            return _qasm_circuit(n, text, text[len(head) :])
+            return _qasm_circuit(n, text, len(head))
         except (IndexError, ValueError):
             pass
     return _parse_qasm_statements(text)
 
 
-def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
-    # The circuit of to_qasm's text, body its lines on n lines, else an error.
-    # An angle text runs from a "(" to the next ")", the texts joined by ","
-    # of _ANGLE_BYTES only: float() also reads "1_0", "inf" and a newline.
-    # A line's first byte is its kind, the digits before "];" its target,
-    # those after "cx q[" a cx's control.
-    texts = body.replace(")", "(").split("(")[1::2]
-    joined = ",".join(texts)
-    if not body.isascii() or joined.encode().translate(None, _ANGLE_BYTES):
-        raise ValueError("an angle text to_qasm does not write")
+def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
+    # The circuit of to_qasm's text, its lines on n lines from start, else an
+    # error. An angle text runs from a "(" to the next ")", the texts of a
+    # slice joined by "," of _ANGLE_BYTES only: float() also reads "1_0",
+    # "inf" and a newline. A line's first byte is its kind, the digits before
+    # "];" its target, those after "cx q[" a cx's control.
+    numbers = np.empty(text.count("(", start))
+
+    def texts():
+        # each slice's angle texts, read into numbers; a slice ends just
+        # after the last ")" in 64 * _CHUNK bytes, or the first one past them
+        at, slot = start, 0
+        while at < len(text):
+            end = (text.rfind(")", at, at + 64 * _CHUNK) + 1
+                   or text.find(")", at + 64 * _CHUNK) + 1 or len(text))
+            chunk = text[at:end].replace(")", "(").split("(")[1::2]
+            joined = ",".join(chunk)
+            if joined.encode().translate(None, _ANGLE_BYTES):
+                raise ValueError("an angle text to_qasm does not write")
+            # A QASM real that is no JSON number ("1.", ".5", "+1", "01") or
+            # has a comma raises here, for the statement reader. orjson reads
+            # "-0" as the int 0, any other int as float() does: only zeros
+            # are read again
+            values = np.array(_numbers(joined, len(chunk)), dtype=float)
+            zeros = np.flatnonzero(values == 0).tolist()
+            values[zeros] = [float(chunk[k]) for k in zeros]
+            numbers[slot : slot + len(chunk)] = values
+            at, slot = end, slot + len(chunk)
+            yield chunk
+
     layout = _SKELETONS.get(("qasm", n))
-    if not (layout and _gives_back("qasm", _qasm_skeleton, layout, texts, text, len(text))):
-        data = np.frombuffer(body.encode(), dtype=np.uint8)
+    if not (layout and _gives_back("qasm", _qasm_skeleton, layout, texts(), text, len(text))):
+        data = np.frombuffer(text.encode(), dtype=np.uint8)[start:]
         ends = np.flatnonzero(data == 10)
         starts = np.concatenate(([0], ends + 1))[:-1]
         kind = _QASM_KINDS[data[starts]]
@@ -477,15 +540,9 @@ def _qasm_circuit(n: int, text: str, body: str) -> Circuit:
         target = line(ends - 3 - two, two)
         control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
         layout = Layout(n, kind, target, control)
-        if not _gives_back("qasm", _qasm_skeleton, layout, texts, text, len(text)):
+        if not _gives_back("qasm", _qasm_skeleton, layout, texts(), text, len(text)):
             raise ValueError("not the text to_qasm writes")
         _SKELETONS["qasm", n] = layout
-    # A QASM real that is no JSON number ("1.", ".5", "+1", "01") or has a
-    # comma raises here, for the statement reader. orjson reads "-0" as the
-    # int 0, any other int as float() does: only zeros are read again
-    numbers = np.array(_numbers(joined, len(texts)), dtype=float)
-    zeros = np.flatnonzero(numbers == 0).tolist()
-    numbers[zeros] = [float(texts[k]) for k in zeros]
     angle = np.zeros(layout.kind.size)
     angle[layout.kind == K_RZ] = numbers
     return _on_layout(layout, layout.columns(angle, layout.zero), 0.0)

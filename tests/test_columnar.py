@@ -10,11 +10,13 @@ stored for its format and n. A circuit
 stores a block's controls as a mask, so the generated blocks list their
 controls in ascending order, as every synthesizer writes them. The hot
 paths of all three routes, and the CLI's synth and verify, must run
-without building one gate object.
+without building one gate object. The chunked byte readers must take and
+refuse what the whole-text reading they replaced takes and refuses.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -27,7 +29,9 @@ from hypothesis import strategies as st
 import diagsynth as ds
 import per_gate_reference as ref
 from conftest import random_diagonal
+from test_precision import sparse_zz_thetas
 from diagsynth import cli, serialize
+from diagsynth.circuits import K_CDIAG, K_RZ
 
 TWO_PI = 2.0 * np.pi
 SPECIAL_ANGLES = (
@@ -458,3 +462,189 @@ def test_hot_paths_build_no_gate_objects(n, monkeypatch, tmp_path):
     ds.save_diagonal(u, diag)
     assert cli.main(["synth", "--algo", "twolevel", "--in", str(diag), "--out", str(out)]) == 0
     assert cli.main(["verify", "--circuit", str(out), "--diag", str(diag)]) == 0
+
+
+# The byte readers work a chunk of angle texts at a time. The whole-text
+# reading they replaced is kept here as their oracle: every angle text found
+# at once, one fill of the whole skeleton compared with the text, against the
+# stored layout and then against the text's own (the general reader's, which
+# a row read of a writer's text gives), and one read of every number.
+_SLOT_TEXT = {
+    "qasm": re.compile(r"\(([^)]*)\)"),
+    "json": re.compile(r'"(?:global_phase|alpha|theta0|theta1)": ([^,}]*)'),
+}
+_SPAN = 64 * serialize._CHUNK  # a QASM slice's span in bytes
+
+
+def _whole_text_fill(form: str, layout, texts: list[str], text: str, size: int) -> bool:
+    render = serialize._qasm_skeleton if form == "qasm" else serialize._document_skeleton
+    pieces = serialize._skeleton(form, render, layout)
+    if len(pieces) != len(texts) + 1:
+        return False
+    parts = [""] * (2 * len(pieces) - 1)
+    parts[0::2], parts[1::2] = pieces, texts
+    written = "".join(parts)
+    return len(written) == size and text.startswith(written)
+
+
+def _general(form: str, text: str):
+    if form == "qasm":
+        return serialize._parse_qasm_statements(text)
+    return serialize.circuit_from_document(json.loads(text))
+
+
+def _whole_text_reading(form: str, text: str, stored):
+    # the columns and phase the whole-text byte reading gives, or None where
+    # it refuses the text (which the general reader then reads)
+    texts = _SLOT_TEXT[form].findall(text)
+    size = len(text) - (form == "json" and text.endswith("\n"))
+    joined = ",".join(texts)
+    try:
+        numbers = serialize._numbers(joined, len(texts))
+    except ValueError:
+        return None
+    if form == "qasm" and (not text.isascii() or joined.encode().translate(None, serialize._ANGLE_BYTES)):
+        return None
+    if form == "json" and not (text.isascii() and set(map(type, numbers)) <= {int, float}):
+        return None
+    for layout in (stored, "own"):
+        if layout == "own":
+            try:
+                layout = _general(form, text).layout
+            except (ValueError, TypeError, RecursionError):  # also json's errors
+                return None
+        if layout is not None and _whole_text_fill(form, layout, texts, text, size):
+            break
+    else:
+        return None
+    values, kind = np.array(numbers, dtype=float), layout.kind
+    if form == "qasm":  # orjson reads "-0" as the int 0
+        values[values == 0] = [float(t) for t, v in zip(texts, values) if v == 0]
+        return _columns(layout, values, 0.0, np.stack((kind == K_RZ, kind < 0), 1))
+    slots = np.stack((kind >= K_RZ, kind == K_CDIAG), 1)
+    return _columns(layout, values[1:], float(numbers[0]), slots)
+
+
+def _columns(layout, values, phase, slots):
+    # the columns of the angles in their slots, per row its angle0 and angle1
+    angles = np.zeros((layout.kind.size, 2))
+    angles[slots] = values
+    columns = (layout.kind, layout.target, layout.control, angles[:, 0], angles[:, 1])
+    return [(c.dtype.str, c.tobytes()) for c in columns], repr(phase)
+
+
+def _byte_reading(form: str, text: str):
+    # the columns and phase the byte reader gives, or None where it refuses
+    try:
+        if form == "qasm":
+            head = text[: text.find("];\n") + 3]
+            n = serialize._QASM_HEADS.get(head)
+            if n is None or not text.isascii():  # as parse_qasm takes it
+                return None
+            circuit = serialize._qasm_circuit(n, text, len(head))
+        else:
+            circuit = serialize._saved_circuit(text)
+    except (IndexError, TypeError, ValueError, OverflowError, RecursionError):
+        return None
+    return [(c.dtype.str, c.tobytes()) for c in circuit.columns], repr(circuit.global_phase)
+
+
+@functools.cache
+def _written_texts() -> dict:
+    # (format, n, input family, route) -> the text its writer writes and
+    # the layout it was written from: n = 11..14, generic and sparse inputs,
+    # xor in QASM and every route in JSON, and a hand-built QASM text with
+    # more than a span of x and cx lines between two rz lines
+    written = {}
+    for n in range(11, 15):
+        for family in ("generic", "sparse"):
+            thetas = random_diagonal(n, np.random.default_rng(n)).thetas
+            if family == "sparse":
+                thetas = sparse_zz_thetas(n, np.random.default_rng([n, 5]))
+            u = ds.DiagonalUnitary(n, thetas)
+            for route, synth in (("xor", ds.synth_xor), ("lambda", ds.synth_controlled),
+                                 ("twolevel", ds.synth_twolevel)):
+                circuit = synth(u)[0]
+                written["json", n, family, route] = (
+                    serialize._circuit_text(circuit) + "\n", circuit.layout)
+                if route == "xor":
+                    written["qasm", n, family, route] = (ds.to_qasm(circuit), circuit.layout)
+    lines = [ds.X(2)] * (_SPAN // 16) + [ds.CNOT(1, 3)] * (_SPAN // 28)
+    circuit = ds.Circuit(3, [ds.RZ(1, 0.5), *lines, ds.RZ(3, -0.25), *lines, ds.RZ(2, 1e-5)])
+    written["qasm", 3, "hand-built", "x and cx runs"] = (ds.to_qasm(circuit), circuit.layout)
+    return written
+
+
+def _boundaries(form: str, text: str) -> list[int]:
+    # offsets where a chunk or slice of the byte reader starts or ends
+    if form == "json":
+        spans = [m.span(1) for m in _SLOT_TEXT["json"].finditer(text)]
+        chunk = serialize._CHUNK
+        return [at for k in range(chunk, len(spans), chunk) for at in (*spans[k - 1], *spans[k])]
+    at, cuts = text.find("];\n") + 3, []
+    while at < len(text):  # the rule of serialize._qasm_circuit's slices
+        end = text.rfind(")", at, at + _SPAN) + 1 or text.find(")", at + _SPAN) + 1 or len(text)
+        cuts += [end - 1, end, at + _SPAN]
+        at = end
+    return [cut for cut in cuts if cut < len(text)]
+
+
+_LONG_TEXTS = [" " * (_SPAN + 7) + "0.5", "0." + "0" * _SPAN + "1", "1" * (_SPAN + 3),
+               "-0" + " " * _SPAN]
+
+
+def _mutated(text: str, form: str, draw) -> str:
+    # the text, or a copy with one edit at or next to a chunk or slice boundary
+    edit = draw(st.sampled_from(["none", "replace", "drop", "insert", "move )", "long text"]))
+    cuts = _boundaries(form, text) or [len(text) // 2]
+    at = min(max(draw(st.sampled_from(cuts)) + draw(st.integers(-2, 2)), 0), len(text) - 1)
+    byte = draw(st.sampled_from(list(_EDIT_BYTES)))
+    if edit == "replace":
+        return text[:at] + byte + text[at + 1 :]
+    if edit == "drop":
+        return text[:at] + text[at + 1 :]
+    if edit == "insert":
+        return text[:at] + byte + text[at:]
+    if edit == "move )":
+        source = text.rfind(")", 0, at + 1)
+        if source < 0:
+            return text
+        text = text[:source] + text[source + 1 :]
+        to = min(max(source + draw(st.integers(-40, 40)), 0), len(text))
+        return text[:to] + ")" + text[to:]
+    if edit == "long text":
+        spans = [m.span(1) for m in _SLOT_TEXT[form].finditer(text)]
+        if not spans:
+            return text
+        a, b = min(spans, key=lambda span: abs(span[0] - at))
+        return text[:a] + draw(st.sampled_from(_LONG_TEXTS)) + text[b:]
+    return text
+
+
+_EDIT_BYTES = '0123456789.eE+-_ \t\n[](){},;:"xcrzqnkitaufIN/'
+
+
+@pytest.mark.parametrize("form", ["qasm", "json"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_chunked_byte_readers_match_the_whole_text_reading(form, data):
+    # each byte reader takes the text the whole-text reading takes, with the
+    # same columns and phase, and refuses the others, with nothing stored for
+    # the text's format and n and with its writer's layout stored
+    texts = _written_texts()
+    key = data.draw(st.sampled_from(sorted(k for k in texts if k[0] == form)))
+    written, layout = texts[key]
+    text = _mutated(written, form, data.draw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_SKELETONS", {})
+        for stored in (None, layout):
+            serialize._SKELETONS.clear()
+            if stored is not None:
+                serialize._SKELETONS[form, layout.n] = stored
+            want = _whole_text_reading(form, text, stored)
+            serialize._SKELETONS.clear()
+            if stored is not None:
+                serialize._SKELETONS[form, layout.n] = stored
+            assert _byte_reading(form, text) == want
+            if text == written:
+                assert want is not None

@@ -102,9 +102,9 @@ def test_qasm_reader_reads_float_bits_of_each_angle_text(texts):
         serialize._numbers(",".join(texts), len(texts))
     except ValueError:
         with pytest.raises(ValueError):
-            serialize._qasm_circuit(2, qasm, qasm[qasm.index("cx") :])
+            serialize._qasm_circuit(2, qasm, qasm.index("cx"))
         return
-    fast = serialize._qasm_circuit(2, qasm, qasm[qasm.index("cx") :])
+    fast = serialize._qasm_circuit(2, qasm, qasm.index("cx"))
     assert _bits(fast.angle0[rz]) == _bits(expected)
 
 

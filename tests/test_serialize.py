@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -617,3 +618,44 @@ def test_threads_that_share_the_registry_read_what_they_wrote(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
     assert sorted(serialize._SKELETONS) == [("qasm", n) for n in range(1, 7)]
+
+
+def _traced_peak(call):
+    # call's result and its tracemalloc peak above its start, in bytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _column_bytes(circuit) -> int:
+    return sum(column.nbytes for column in circuit.columns)
+
+
+MB = 1 << 20
+
+
+def test_codecs_hold_a_chunk_of_angle_texts_at_a_time(tmp_path):
+    # Each codec call, on a layout already stored, peaks under its output's
+    # own bytes (the text or the circuit's columns) plus an allowance that a
+    # whole-text codec exceeds: reading or writing every angle text at once
+    # peaks at 5x the text in parse_qasm and 2x the file in save_circuit.
+    # load_circuit's allowance holds the text, the byte copy its row read
+    # works on and their offset arrays, about 3.5x the text; whole-text
+    # slots and checks add about 2x more.
+    xor = ds.synth_xor(random_diagonal(16, np.random.default_rng(16)))[0]
+    ds.to_qasm(xor)  # the layout stored, its skeleton made
+    text, peak = _traced_peak(lambda: ds.to_qasm(xor))
+    assert peak < len(text) + 4 * MB
+    circuit, peak = _traced_peak(lambda: ds.parse_qasm(text))
+    assert circuit.layout is xor.layout and peak < _column_bytes(circuit) + 4 * MB
+    twolevel = ds.synth_twolevel(random_diagonal(15, np.random.default_rng(15)))[0]
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(twolevel, path)
+    _, peak = _traced_peak(lambda: ds.save_circuit(twolevel, path))
+    assert peak < path.stat().st_size + 2 * MB
+    circuit, peak = _traced_peak(lambda: ds.load_circuit(path))
+    assert circuit.layout is twolevel.layout and peak < _column_bytes(circuit) + 12 * MB
