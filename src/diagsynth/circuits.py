@@ -371,8 +371,7 @@ def _kept(columns: Columns, phase: float, walk: bool = False):
         turns = np.rint(angle0[trivial & (kind == K_RZ)] / TWO_PI)
         for _ in range(np.count_nonzero(np.fmod(turns, 2))):  # pi per odd turn, in row order
             phase += math.pi
-    if angle1.any():  # Layout checks that only a CDIAG's angle1 is nonzero
-        trivial &= _whole_turns(angle1, TWO_PI)
+    trivial[trivial] = _whole_turns(angle1[trivial], TWO_PI)  # a CDIAG's angle1 too
     if not trivial.any():
         return columns, phase
     keep = ~trivial
@@ -386,15 +385,6 @@ def _kept(columns: Columns, phase: float, walk: bool = False):
         keep = np.column_stack((keep, np.zeros_like(keep))).ravel()[: columns.kind.size]
         keep[2 * np.minimum(step, np.append(at[1:], target.size)[pair] - 1) + 1] = True
     return Columns(*(column[keep] for column in columns)), phase
-
-
-def _cancel(columns: Columns, phase: float):
-    # peephole_cancel's rules: the drop (cancelling removes only CNOT and X
-    # gates, so it leaves no new trivial rotation), then run scans to a fixed point
-    columns, phase = _kept(columns, phase)
-    while (keep := _cancel_runs(columns)) is not None:
-        columns = Columns(*(column[keep] for column in columns))
-    return columns, phase
 
 
 def _on_layout(layout: Layout, columns: Columns, phase: float, drop=False, walk=False) -> Circuit:
@@ -425,7 +415,11 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     nothing to cancel is returned as is. For circuits built by hand: each
     synthesizer selects the rows these rules keep of its own layout.
     """
-    columns, phase = _cancel(circuit.columns, circuit.global_phase)
+    # the drop (cancelling removes only CNOT and X gates, so it leaves no
+    # new trivial rotation), then run scans to a fixed point
+    columns, phase = _kept(circuit.columns, circuit.global_phase)
+    while (keep := _cancel_runs(columns)) is not None:
+        columns = Columns(*(column[keep] for column in columns))
     if columns.kind.size == circuit.layout.kind.size:
         return circuit
     return _on_layout(circuit.layout, columns, phase)

@@ -10,9 +10,7 @@ gate columns and turns it into angles with one ``fwht``, O(gates + n *
 2**n). A block gate whose lines each carry one input bit fires on a cube
 of inputs: an MCRZ with no X on its lines adds to two subset coefficients,
 summed by one ``zeta``, and any other block whose lines are all n lines
-fires on two inputs, its two cells of the angle array. The cells of all
-such blocks are added by one ``np.add.at`` in gate order, so each angle
-sums its terms in that order.
+fires on two inputs, its two cells of the angle array.
 
 A circuit without CNOT needs no pass over its gates and no ``fwht``: every
 line carries its own input bit, so an RZ is an MCRZ with no controls, and
@@ -25,11 +23,11 @@ circuit's line map. If that map is not the identity, the circuit is not
 diagonal, and the map alone names the first basis state it moves.
 
 None of this reads an angle, and the circuits of one route and n share one
-``Layout``. So a layout's reading is made once, from its own columns, and
-kept on it; a NotDiagonalError is not kept. Each call then makes one pass
-over the angles, adding each term in gate order as a walk would: one
-``np.bincount`` of the RZ terms, one of the subset terms, and one
-``np.add.at`` of the cells.
+``Layout``. So a layout's reading, a list of term groups, is made once from
+its own columns and kept on it; a NotDiagonalError is not kept. Each call
+is one loop over the groups: a group's terms are summed per index by one
+``np.bincount`` and transformed by ``zeta`` or ``fwht``, or, for cells,
+added by one ``np.add.at``: each angle sums its terms in gate order.
 
 A diagonal circuit with any other block, one on a line that carries a
 parity of several bits or one that leaves a line free, is replayed by
@@ -42,6 +40,8 @@ scalar per-state oracle of it lives with the tests.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from .circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, Circuit, Layout
@@ -49,6 +49,8 @@ from .diagonal import DiagonalUnitary, phase_aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
 from .transforms import fwht, zeta
+
+_angle0 = attrgetter("angle0")
 
 
 def basis_action(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
@@ -90,62 +92,53 @@ def circuit_to_diagonal(circuit: Circuit) -> DiagonalUnitary:
 
 
 def _angles(circuit: Circuit) -> np.ndarray:
-    # the angles of circuit_to_diagonal, in a fresh array: the layout's
-    # reading, then one pass over the angles in gate order
-    n, angle0, angle1 = circuit.n, circuit.angle0, circuit.angle1
+    # the angles of circuit_to_diagonal, in a fresh array: the layout's term
+    # groups in order, the first one's output the start (zeros before cells)
     reading = circuit.layout.memo("reading", _reading)
     if reading is None:  # a block the reading cannot place
         return basis_action(circuit)[1] + circuit.global_phase
-    rz, subset, cells = reading
-    walsh = None
-    if rz is not None:
-        rows, parity, half = rz
-        walsh = np.bincount(parity, weights=half * angle0[rows], minlength=1 << n)
-    if subset is not None:  # bincount adds each index's terms in order, from 0.0
-        rows, at, factor = subset
-        thetas = zeta(np.bincount(at, weights=factor * angle0[rows], minlength=1 << n))
-    elif walsh is not None and cells is None:  # the phase polynomial alone
-        thetas, walsh = fwht(walsh), None
-    else:
-        thetas = np.zeros(1 << n)
-    if cells is not None:
-        rows, at, mcrz = cells
-        low, high = angle0[rows], angle1[rows]
-        if mcrz is not None:
-            low, high = np.where(mcrz, -0.5 * low, low), np.where(mcrz, 0.5 * low, high)
-        np.add.at(thetas, at, np.stack((low, high), axis=1).ravel())
-    if walsh is not None:
-        thetas += fwht(walsh)
+    size = 1 << circuit.n
+    thetas = None if reading and reading[0][0] else np.zeros(size)
+    for transform, angles, rows, at, factor in reading:
+        terms = factor * angles(circuit)[rows]
+        if transform is None:  # cells, each term added to its angle in gate order
+            np.add.at(thetas, at, terms)
+        else:  # bincount adds each index's terms in order, from 0.0
+            sums = transform(np.bincount(at, weights=terms, minlength=size))
+            thetas = sums if thetas is None else np.add(thetas, sums, out=thetas)
     return np.add(thetas, circuit.global_phase, out=thetas)
 
 
-# A reading holds at most 48 bytes per rotation or block (24 per RZ: 0.4
-# MB for the n = 14 xor layout, 25 MB at n = 20) and lives as long as its
-# layout. Those are held by live circuits, by each synthesizer's cache, one
-# layout per (route, n), and by the codecs, one per format and n. Sizes halve
-# with each n less, so what each keeps over all n is under twice its largest.
+def _both_angles(circuit: Circuit) -> np.ndarray:
+    # a cell's row reads angle0, or past the layout's rows angle1
+    return np.concatenate((circuit.angle0, circuit.angle1))
+
+
+# A reading is the layout's term groups, each nonempty, in the order the angle
+# pass adds them: subset terms, cells, Walsh terms. A group is its transform
+# (zeta, fwht, or None for cells), the angles it reads, and per term a row of
+# them, an index and a factor, in gate order per index: 24 bytes a term, one
+# per RZ (0.4 MB for the n = 14 xor layout, 25 MB at n = 20), two per block. A
+# reading lives as long as its layout, held by live circuits, by each
+# synthesizer's cache, one layout per (route, n), and by the codecs, one per
+# format and n. Sizes halve with each n less, so what each keeps over all n is
+# under twice its largest. None for a block the reading cannot place.
 def _reading(layout: Layout):
-    # What the angle pass needs of a layout, in gate order, each part None
-    # when empty: per RZ of a CNOT circuit, its row, its line's parity and
-    # +-1/2 by its affine bit; per block term, rows, indices and angle
-    # factors; per block cell pair, rows, indices and the MCRZ mask (None
-    # without an MCRZ). None for a block the reading cannot place.
     n, kind, target, control = layout.n, layout.kind, layout.target, layout.control
-    size, rz = 1 << n, None
+    size, walsh = 1 << n, []
     if (kind == K_CNOT).any():
         walked = _walk(n, kind, target, control)
         if walked is None:  # a block on a parity line
             return None
-        # the walk lists every block, in gate order
+        # per RZ its line's parity and +-1/2 by its affine bit; the walk
+        # lists every block, in gate order
         states, block_bits = walked
         if states.size:
             parity = (states & np.uint64(size - 1)).astype(np.intp)
-            rz = np.flatnonzero(kind == K_RZ), parity, np.where(states >> n, 0.5, -0.5)
-        if not block_bits:
-            return rz, None, None
-        rows = np.flatnonzero(kind >= K_MCRZ)
+            rz = np.flatnonzero(kind == K_RZ)
+            walsh = [(fwht, _angle0, rz, parity, np.where(states >> n, 0.5, -0.5))]
+        rows, sign = np.flatnonzero(kind >= K_MCRZ), np.ones(len(block_bits))
         controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
-        sign = np.ones(rows.size)
     else:
         # No CNOT: every line carries its own input bit, the X gates up to
         # a gate on its line give its affine bit, and an RZ is an MCRZ with
@@ -164,25 +157,28 @@ def _reading(layout: Layout):
         targets = bit[rows]
     # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
     # control bit and +alpha on those also holding the target bit: two
-    # subset sums. Any other block on all n lines fires on two inputs: the
-    # one that holds exactly its unflipped lines, and that one with its
-    # target bit the other way round. A diagonal circuit with a block that
-    # leaves a line free is replayed instead.
+    # subset sums. Any other block on all n lines fires on two inputs, its
+    # cells: the one that holds exactly its unflipped lines, and that one
+    # with its target bit the other way round. There an MCRZ adds -+alpha/2
+    # and a CDIAG its angle0 and angle1. A diagonal circuit with a block
+    # that leaves a line free is replayed instead.
     subset = (kind[rows] != K_CDIAG) & (flipped == 0)
     cells = np.flatnonzero(~subset)
-    if cells.size and ((controls[cells] | targets[cells]) != size - 1).any():
+    if ((controls[cells] | targets[cells]) != size - 1).any():
         return None
-    terms = pairs = None
+    groups = []
     if subset.any():
-        low, s = controls[subset], sign[subset]
-        at = np.array((low, low | targets[subset])).T.ravel()
-        terms = np.repeat(rows[subset], 2), at, np.array((-0.5 * s, s)).T.ravel()
+        low = controls[subset]
+        at = np.stack((low, low | targets[subset]), 1).ravel()
+        factor = np.outer(sign[subset], (-0.5, 1)).ravel()
+        groups.append((zeta, _angle0, np.repeat(rows[subset], 2), at, factor))
     if cells.size:
-        # both cells per block, added in gate order
-        on, mcrz = (size - 1) ^ flipped[cells], kind[rows[cells]] == K_MCRZ
-        at = np.array((on ^ targets[cells], on)).T.ravel()
-        pairs = rows[cells], at, mcrz if mcrz.any() else None
-    return rz, terms, pairs
+        on, row, mcrz = (size - 1) ^ flipped[cells], rows[cells], kind[rows[cells]] == K_MCRZ
+        at = np.stack((on ^ targets[cells], on), 1).ravel()
+        read = np.stack((row, np.where(mcrz, row, row + kind.size)), 1).ravel()
+        factor = np.stack((np.where(mcrz, -0.5, 1.0), np.where(mcrz, 0.5, 1.0)), 1).ravel()
+        groups.append((None, _both_angles, read, at, factor))
+    return groups + walsh
 
 
 def _identity(n: int) -> list[int]:

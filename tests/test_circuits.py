@@ -227,6 +227,19 @@ def test_line_count_is_at_most_63():
         ds.Circuit(64, ())
 
 
+def test_line_count_is_at_least_1():
+    with pytest.raises(ds.DimensionError) as exc:
+        ds.Circuit(0, ())
+    assert str(exc.value) == "line count must be >= 1, got 0"
+
+
+def test_repr_names_the_lines_the_gates_and_the_phase():
+    circuit = ds.Circuit(2, (ds.CNOT(1, 2), ds.RZ(2, 0.5)), 0.25)
+    assert repr(circuit) == (
+        "Circuit(n=2, gates=(CNOT(control=1, target=2), RZ(line=2, alpha=0.5)), global_phase=0.25)"
+    )
+
+
 def test_a_circuit_on_views_of_a_callers_array_keeps_the_gates_it_was_built_with():
     # The kind, target and control columns view one array of the caller's,
     # and the angles are the caller's own arrays. A write to that array

@@ -259,6 +259,19 @@ def test_synth_tol_governs_only_verification(algo, tmp_path, capsys):
     assert "--style" in capsys.readouterr().err
 
 
+def test_synth_verify_failure_exits_1_and_still_writes_the_circuit(tmp_path, capsys):
+    # a generic xor circuit misses its input by rounding, so --tol 0 fails
+    # the check, which runs after the circuit file is written
+    n = 4
+    diag, out = tmp_path / "u.json", tmp_path / "c.json"
+    ds.save_diagonal(random_diagonal(n, np.random.default_rng(4)), diag)
+    assert main(["synth", "--algo", "xor", "--in", str(diag), "--out", str(out),
+                 "--verify", "--tol", "0"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("verification failed: residual")
+    assert ds.count_gates(ds.load_circuit(out)).elementary == 2 ** (n + 1) - 3
+
+
 def _one_error_line(capsys):
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
