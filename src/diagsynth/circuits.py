@@ -150,11 +150,9 @@ def _invalid(n: int, columns: Columns) -> np.ndarray:
     bad |= ((kind == K_X) | (kind == K_RZ)) & (control != 0) | (kind != K_CDIAG) & (angle1 != 0)
     bad |= (kind <= K_CNOT) & (angle0 != 0)
     code = kind.astype(np.uint8)  # a negative code wraps past K_CDIAG
-    blocks = code >= K_MCRZ
-    if blocks.any():  # a mask bit on the target or off lines 1..n
-        off = control & (1 << (n - np.minimum(np.maximum(target, 1), n)) | -1 << n) != 0
-        bad |= blocks & ((code > K_CDIAG) | off)
-    return bad
+    # a block's mask bit on its target or off lines 1..n
+    off = control & (1 << (n - np.minimum(np.maximum(target, 1), n)) | -1 << n) != 0
+    return bad | (code >= K_MCRZ) & ((code > K_CDIAG) | off)
 
 
 def _refuse_row(n: int, columns: Columns, index: int):
@@ -332,8 +330,6 @@ def _cancel_runs(columns: Columns):
     kind, target, control = columns[:3]
     key = np.where(kind == K_CNOT, target, np.where(kind == K_X, 0, -1))
     joins = (key[1:] == key[:-1]) & (key[1:] >= 0)  # gate i + 1 continues gate i's run
-    if not joins.any():
-        return None
     in_run = np.zeros(kind.size, dtype=bool)
     in_run[1:] = joins
     in_run[:-1] |= joins

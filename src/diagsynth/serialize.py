@@ -241,10 +241,11 @@ def _numbers(joined: str, count: int) -> list:
     return numbers
 
 
-def _skeleton(form: str, render, layout: Layout) -> list[str]:
+def _skeleton(form: str, layout: Layout) -> list[str]:
     # The pieces of the layout's text, rendered on first use and kept on the
     # layout, equal pieces as one string
     def split(layout):
+        render = _qasm_skeleton if form == "qasm" else _document_skeleton
         pieces = render(layout.n, layout.kind, layout.target, layout.control).split("\0")
         known: dict[str, str] = {}
         return list(map(known.setdefault, pieces, pieces))
@@ -252,12 +253,12 @@ def _skeleton(form: str, render, layout: Layout) -> list[str]:
     return layout.memo(form, split)
 
 
-def _gives_back(form: str, render, layout: Layout, chunks, text: str, size: int) -> bool:
+def _gives_back(form: str, layout: Layout, chunks, text: str, size: int) -> bool:
     # whether the layout's skeleton, filled with the angle texts chunks yields
     # a list at a time, is the text's first size characters: all of it but a
     # final newline. Each filled chunk is compared where it falls in the text,
     # and dropped before the next.
-    pieces = _skeleton(form, render, layout)
+    pieces = _skeleton(form, layout)
     at = slot = 0
     for texts in chunks:
         if slot + len(texts) >= len(pieces):
@@ -279,10 +280,10 @@ def _gives_back(form: str, render, layout: Layout, chunks, text: str, size: int)
 _SKELETONS: dict[tuple[str, int], Layout] = {}
 
 
-def _written(form: str, render, layout: Layout) -> list[str]:
+def _written(form: str, layout: Layout) -> list[str]:
     # a writer's pieces: its layout's skeleton, the layout stored
     _SKELETONS[form, layout.n] = layout
-    return _skeleton(form, render, layout)
+    return _skeleton(form, layout)
 
 
 def _document_chunks(circuit: Circuit):
@@ -290,7 +291,7 @@ def _document_chunks(circuit: Circuit):
     # the phase (set by hand it may be an int), then the gates
     kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
-    pieces = _written("json", _document_skeleton, circuit.layout)
+    pieces = _written("json", circuit.layout)
     yield _fill(pieces[:1], [json.dumps(circuit.global_phase)])
     yield from _chunks(pieces, angles, 1)
 
@@ -408,7 +409,7 @@ def _saved_circuit(text: str) -> Circuit:
             yield chunk
 
     layout = _SKELETONS.get(("json", n))
-    if not (layout and _gives_back("json", _document_skeleton, layout, texts(), text, size)):
+    if not (layout and _gives_back("json", layout, texts(), text, size)):
         high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
         line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
         target = line[first + _TARGET_AT[kind]]
@@ -427,7 +428,7 @@ def _saved_circuit(text: str) -> Circuit:
         np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
         control[blocks] = masks[index]
         layout = Layout(n, kind, target, control)
-        if not _gives_back("json", _document_skeleton, layout, texts(), text, size):
+        if not _gives_back("json", layout, texts(), text, size):
             raise ValueError("not the text save_circuit writes")
         _SKELETONS["json", n] = layout
     # two columns of their own, which the circuit keeps without a copy
@@ -453,7 +454,7 @@ def to_qasm(circuit: Circuit) -> str:
     if blocks.size:
         name = GATE_CLASSES[kind[blocks[0]]].__name__
         raise UnsupportedGateError(f"{name} has no QASM form; export the native format")
-    pieces = _written("qasm", _qasm_skeleton, circuit.layout)
+    pieces = _written("qasm", circuit.layout)
     return "".join(_chunks(pieces, circuit.angle0[kind == K_RZ]))
 
 
@@ -528,7 +529,7 @@ def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
             yield chunk
 
     layout = _SKELETONS.get(("qasm", n))
-    if not (layout and _gives_back("qasm", _qasm_skeleton, layout, texts(), text, len(text))):
+    if not (layout and _gives_back("qasm", layout, texts(), text, len(text))):
         data = np.frombuffer(text.encode(), dtype=np.uint8)[start:]
         ends = np.flatnonzero(data == 10)
         starts = np.concatenate(([0], ends + 1))[:-1]
@@ -540,7 +541,7 @@ def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
         target = line(ends - 3 - two, two)
         control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
         layout = Layout(n, kind, target, control)
-        if not _gives_back("qasm", _qasm_skeleton, layout, texts(), text, len(text)):
+        if not _gives_back("qasm", layout, texts(), text, len(text)):
             raise ValueError("not the text to_qasm writes")
         _SKELETONS["qasm", n] = layout
     angle = np.zeros(layout.kind.size)

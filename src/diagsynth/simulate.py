@@ -143,18 +143,15 @@ def _reading(layout: Layout):
         # No CNOT: every line carries its own input bit, the X gates up to
         # a gate on its line give its affine bit, and an RZ is an MCRZ with
         # no controls, of the opposite angle on a flipped line.
-        bit, is_rz, x, controls = 1 << (n - target), kind == K_RZ, kind == K_X, control
-        rows, sign, flipped = np.arange(kind.size), np.ones(kind.size), np.zeros_like(target)
-        if x.any():  # else every row is a rotation and no line is flipped
-            flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
-            if end := int(flips[-1]):
-                raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
-            rows = np.flatnonzero(~x)
-            is_rz, controls = is_rz[rows], controls[rows]
-            flipped = flips[rows] & (controls | bit[rows])
-            sign = np.where(is_rz & (flipped != 0), -1.0, 1.0)
-            flipped[is_rz] = 0
-        targets = bit[rows]
+        bit, x = 1 << (n - target), kind == K_X
+        flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
+        if end := int(flips[-1:].sum()):  # every X's flip; 0 on an empty layout
+            raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
+        rows = np.flatnonzero(~x)
+        is_rz, controls, targets = kind[rows] == K_RZ, control[rows], bit[rows]
+        flipped = flips[rows] & (controls | targets)
+        sign = np.where(is_rz & (flipped != 0), -1.0, 1.0)
+        flipped[is_rz] = 0
     # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
     # control bit and +alpha on those also holding the target bit: two
     # subset sums. Any other block on all n lines fires on two inputs, its
@@ -201,7 +198,6 @@ def _walk(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray):
     identity = _identity(n)
     lines = identity[:]
     states, blocks = [], []  # per RZ, its line's state; per block, its bits
-    controls: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
     # per gate: kind code, target line, control line or mask
     for code, t, c in zip(kind.tolist(), target.tolist(), control.tolist()):
         if code == K_CNOT:
@@ -210,10 +206,8 @@ def _walk(n: int, kind: np.ndarray, target: np.ndarray, control: np.ndarray):
             states.append(lines[t])
         elif code == K_X:
             lines[t] ^= size
-        elif blocks is not None:
-            if c not in controls:
-                controls[c] = subset_lines(c, n)
-            bits = _block_bits(n, lines[t], [lines[line] for line in controls[c]])
+        elif blocks is not None:  # no synthesizer puts a block on a CNOT layout
+            bits = _block_bits(n, lines[t], [lines[line] for line in subset_lines(c, n)])
             if bits is None:
                 blocks = None
             else:

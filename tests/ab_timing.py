@@ -1,0 +1,151 @@
+"""Time this checkout against another tree in one process, side by side.
+
+Run from the repository root; pytest does not collect it:
+
+    python tests/ab_timing.py OTHER_TREE [N_MAX [REPEATS]]
+
+It imports this checkout's ``src`` as ``diagsynth`` and ``OTHER_TREE/src``
+as ``diagsynth_other``; each tree keeps its own caches. Inputs are seeded
+generic angles, unwrapped ones (1e3..1e6 rad), and the sparse-ZZ and Ising
+generators of ``test_precision``, at n = 2..10 and 14, up to N_MAX
+(default 14). Per route, input and n the two trees take turns for REPEATS
+rounds (default 7), and each prints the best time of one call in
+microseconds: synthesis, a warm ``verify`` (of a circuit whose layout was
+read before), a cold ``verify`` (the first on a new layout, after the
+route's layout cache is emptied) and a warm codec round trip (QASM text for
+xor, a JSON file for lambda and twolevel). Columns ending in A are this
+checkout, B the other tree. ``same`` reads ``same`` when both trees give
+equal circuit columns, global phase and codec text, else ``differs``; it is
+a report, not a check, so trees that change outputs by design can be timed
+too. One process cancels the drift between processes that a cross-process
+comparison on a busy host would read as a change. Single cells still move:
+a tree timed against a copy of itself read most cells within 10% but a few
+rows 1.5x apart on a shared 2-core host, so read a change off the median
+of a stage's cells, next to a run against such a copy.
+"""
+
+from __future__ import annotations
+
+import gc
+import importlib
+import importlib.util
+import os
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
+SIZES = (*range(2, 11), 14)
+STAGES = ("synth", "warm", "cold", "codec")
+
+
+def load(name: str, src: Path):
+    # the package under src/diagsynth, imported as name (once per process)
+    if name not in sys.modules:
+        package = src / "diagsynth"
+        spec = importlib.util.spec_from_file_location(
+            name, package / "__init__.py", submodule_search_locations=[str(package)]
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def inputs(n: int):
+    from test_precision import ising_thetas, sparse_zz_thetas
+
+    yield "generic", np.random.default_rng(n).uniform(0.0, 2 * np.pi, 1 << n)
+    rng = np.random.default_rng([n, 2])
+    yield "unwrapped", rng.uniform(0.0, 1.0, 1 << n) * 10 ** rng.uniform(3, 6)
+    yield "sparse-zz", sparse_zz_thetas(n, np.random.default_rng([n, 1]))
+    yield "ising", ising_thetas(n, n)
+
+
+def per_call(call, batch: int) -> float:
+    # the time of one call, in microseconds, over a batch of calls, with
+    # garbage collection off as in timeit: a collection that one tree's
+    # allocations set off is not charged to the call it interrupts
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(batch):
+            call()
+        return (time.perf_counter() - start) / batch * 1e6
+    finally:
+        gc.enable()
+
+
+class Tree:
+    """One tree's calls on one route and input."""
+
+    def __init__(self, ds, route: str, n: int, thetas: np.ndarray, path: str):
+        self.ds, self.module = ds, importlib.import_module(f"{ds.__name__}.{ROUTES[route]}")
+        self.u, self.path, self.qasm = ds.DiagonalUnitary(n, thetas), path, route == "xor"
+        self.synth = getattr(ds, ROUTES[route])
+        self.circuit = self.synth(self.u)[0]
+        self.text = self.round_trip()
+        self.ds.verify(self.circuit, self.u)
+
+    def round_trip(self) -> str:
+        # the codec text of the circuit, read back
+        if self.qasm:
+            text = self.ds.to_qasm(self.circuit)
+            self.ds.parse_qasm(text)
+            return text
+        self.ds.save_circuit(self.circuit, self.path)
+        self.ds.load_circuit(self.path)
+        return Path(self.path).read_text()
+
+    def cold(self) -> float:
+        self.module._layout.cache_clear()
+        circuit = self.synth(self.u)[0]
+        return per_call(lambda: self.ds.verify(circuit, self.u), 1)
+
+    def times(self, batch: int) -> list[float]:
+        return [
+            per_call(lambda: self.synth(self.u), batch),
+            per_call(lambda: self.ds.verify(self.circuit, self.u), batch),
+            self.cold(),
+            per_call(self.round_trip, max(1, batch // 8)),
+        ]
+
+
+def same(a: Tree, b: Tree) -> bool:
+    pairs = zip(a.circuit.columns, b.circuit.columns)
+    return (all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
+            and a.circuit.global_phase == b.circuit.global_phase and a.text == b.text)
+
+
+def main(argv: list[str]) -> int:
+    if not 1 <= len(argv) <= 3:
+        print("usage: python tests/ab_timing.py OTHER_TREE [N_MAX [REPEATS]]", file=sys.stderr)
+        return 2
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = (load("diagsynth", src), load("diagsynth_other", Path(argv[0]) / "src"))
+    n_max = int(argv[1]) if len(argv) > 1 else 14
+    repeats = int(argv[2]) if len(argv) > 2 else 7
+    header = "".join(f"{stage + side:>10}" for stage in STAGES for side in ".A .B".split())
+    print(f"{'route':<9}{'input':<10}{'n':>3}{'gates':>8}{header}  same")
+    with tempfile.TemporaryDirectory() as directory:
+        for n in (n for n in SIZES if n <= n_max):
+            batch = max(1, 1 << max(0, 10 - n))
+            for label, thetas in inputs(n):
+                for route in ROUTES:
+                    pair = [Tree(ds, route, n, thetas, os.path.join(directory, f"{k}.json"))
+                            for k, ds in enumerate(trees)]
+                    best = np.full((2, len(STAGES)), np.inf)
+                    for k in range(repeats):  # each tree first in every other round
+                        for side in (k % 2, 1 - k % 2):
+                            best[side] = np.minimum(best[side], pair[side].times(batch))
+                    cells = "".join(f"{t:>10.1f}" for t in best.T.ravel())
+                    print(f"{route:<9}{label:<10}{n:>3}{pair[0].circuit.layout.kind.size:>8}"
+                          f"{cells}  {'same' if same(*pair) else 'differs'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

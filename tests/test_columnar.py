@@ -477,8 +477,7 @@ _SPAN = 64 * serialize._CHUNK  # a QASM slice's span in bytes
 
 
 def _whole_text_fill(form: str, layout, texts: list[str], text: str, size: int) -> bool:
-    render = serialize._qasm_skeleton if form == "qasm" else serialize._document_skeleton
-    pieces = serialize._skeleton(form, render, layout)
+    pieces = serialize._skeleton(form, layout)
     if len(pieces) != len(texts) + 1:
         return False
     parts = [""] * (2 * len(pieces) - 1)
