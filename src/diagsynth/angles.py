@@ -1,4 +1,13 @@
-"""Angle arithmetic helpers shared across the package."""
+"""Angle arithmetic helpers shared across the package.
+
+``remainder_2pi`` gives ``np.remainder(x, 2*pi)``'s bits without remainder's
+floor division: ``np.fmod`` and remainder's own sign correction. fmod's cost
+grows with the quotient (at 2**14 entries on a 2-core x86 host, 5 ns an
+entry under one turn and 90 ns near 1e6 rad, against 13-25 ns for
+remainder), so it takes arrays of FMOD_FROM entries or more within four
+turns. Below that size the calls cost more than fmod saves, and callers keep
+np.remainder by testing the size inline, where a helper's call would cost.
+"""
 
 from __future__ import annotations
 
@@ -20,10 +29,29 @@ ZERO_ANGLE_EPS = 1e-12
 # keeps the rounding of ``synth_xor`` below 1.2e-11.
 REDUCE_ABOVE = 1e4
 
+# remainder_2pi takes np.fmod on arrays of FMOD_FROM entries, all within FMOD_WITHIN
+FMOD_FROM = 1 << 10
+FMOD_WITHIN = 4 * TWO_PI
 
-def wrap_angle(theta):
-    """Reduce an angle (or array of angles) to the principal branch (-pi, pi]."""
-    w = np.asarray(np.remainder(theta, TWO_PI))  # 0-d for a scalar
+
+def remainder_2pi(x: np.ndarray, out=None) -> np.ndarray:
+    """``np.remainder(x, TWO_PI, out=out)``, bit for bit, for an array of
+    FMOD_FROM entries or more: by ``np.fmod`` and remainder's correction
+    when all lie within FMOD_WITHIN."""
+    if not (x.max() <= FMOD_WITHIN and x.min() >= -FMOD_WITHIN):  # NaN and inf fail
+        return np.remainder(x, TWO_PI, out=out)
+    r = np.fmod(x, TWO_PI, out=out)
+    r += TWO_PI * (r < 0)
+    return r
+
+
+def wrap_angle(theta, out=None):
+    """Reduce an angle (or array of angles) to the principal branch (-pi, pi],
+    into ``out`` when given, which may be ``theta`` itself."""
+    if getattr(theta, "size", 0) < FMOD_FROM:
+        w = np.asarray(np.remainder(theta, TWO_PI, out=out))  # 0-d for a scalar
+    else:
+        w = remainder_2pi(theta, out)
     return np.subtract(w, TWO_PI * (w > np.pi), out=w)  # where= masks run slower
 
 

@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .angles import DEFAULT_TOL, TWO_PI, wrap_angle
+from .angles import DEFAULT_TOL, FMOD_FROM, TWO_PI, remainder_2pi, wrap_angle
 from .errors import DimensionError
 
 
@@ -77,13 +77,22 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
     Both vectors are wrapped first, so that angles near 1e308 cannot absorb
     the other's. The shift witness is the wrapped index-0 difference, which
     makes the result deterministic and cheap; any diagonal pair that agrees
-    up to a global phase has residual ~0 under this witness.
+    up to a global phase has residual ~0 under this witness. Neither input
+    is written to; vectors of unequal shape raise DimensionError.
     """
-    diff = wrap_angle(thetas1)
+    if np.shape(thetas1) != np.shape(thetas2):
+        raise DimensionError(f"angle vectors differ in length: {len(thetas1)} vs {len(thetas2)}")
+    return _aligned_residual(wrap_angle(thetas1), thetas2)
+
+
+def _aligned_residual(diff: np.ndarray, thetas2: np.ndarray) -> float:
+    # phase_aligned_residual(thetas1, thetas2) from diff = wrap_angle(thetas1),
+    # a vector of the caller's own that it overwrites
     diff -= wrap_angle(thetas2)
     shift = float(diff[0]) % TWO_PI  # the bits of wrap_angle(diff[0])
     diff -= shift - TWO_PI if shift > np.pi else shift
-    r = np.remainder(diff, TWO_PI, out=diff)
+    fmod = diff.size >= FMOD_FROM  # inline, as in wrap_angle
+    r = remainder_2pi(diff, diff) if fmod else np.remainder(diff, TWO_PI, out=diff)
     return float(np.minimum(r, TWO_PI - r).max())  # the bits of max |wrap_angle(diff)|
 
 

@@ -504,11 +504,11 @@ def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
     # slice joined by "," of _ANGLE_BYTES only: float() also reads "1_0",
     # "inf" and a newline. A line's first byte is its kind, the digits before
     # "];" its target, those after "cx q[" a cx's control.
-    numbers = np.empty(text.count("(", start))
-
-    def texts():
-        # each slice's angle texts, read into numbers; a slice ends just
-        # after the last ")" in 64 * _CHUNK bytes, or the first one past them
+    def texts(numbers):
+        # each slice's angle texts; their values go into numbers when the
+        # next slice is asked for, once _gives_back has matched them to the
+        # skeleton's slots, so they fit. A slice ends just after the last
+        # ")" in 64 * _CHUNK bytes, or the first one past them
         at, slot = start, 0
         while at < len(text):
             end = (text.rfind(")", at, at + 64 * _CHUNK) + 1
@@ -524,12 +524,17 @@ def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
             values = np.array(_numbers(joined, len(chunk)), dtype=float)
             zeros = np.flatnonzero(values == 0).tolist()
             values[zeros] = [float(chunk[k]) for k in zeros]
+            yield chunk
             numbers[slot : slot + len(chunk)] = values
             at, slot = end, slot + len(chunk)
-            yield chunk
+
+    def rz_angles(layout):  # the layout's rz angles if this is its text, else None
+        numbers = np.empty(len(_skeleton("qasm", layout)) - 1)  # one per slot
+        return numbers if _gives_back("qasm", layout, texts(numbers), text, len(text)) else None
 
     layout = _SKELETONS.get(("qasm", n))
-    if not (layout and _gives_back("qasm", layout, texts(), text, len(text))):
+    numbers = rz_angles(layout) if layout else None
+    if numbers is None:
         data = np.frombuffer(text.encode(), dtype=np.uint8)[start:]
         ends = np.flatnonzero(data == 10)
         starts = np.concatenate(([0], ends + 1))[:-1]
@@ -541,7 +546,8 @@ def _qasm_circuit(n: int, text: str, start: int) -> Circuit:
         target = line(ends - 3 - two, two)
         control = np.where(kind == K_CNOT, line(starts + 5, data[starts + 6] != ord("]")), 0)
         layout = Layout(n, kind, target, control)
-        if not _gives_back("qasm", layout, texts(), text, len(text)):
+        numbers = rz_angles(layout)
+        if numbers is None:
             raise ValueError("not the text to_qasm writes")
         _SKELETONS["qasm", n] = layout
     angle = np.zeros(layout.kind.size)

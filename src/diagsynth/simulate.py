@@ -44,8 +44,9 @@ from operator import attrgetter
 
 import numpy as np
 
+from .angles import wrap_angle
 from .circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, Circuit, Layout
-from .diagonal import DiagonalUnitary, phase_aligned_residual
+from .diagonal import DiagonalUnitary, _aligned_residual
 from .errors import DimensionError, NotDiagonalError
 from .subsets import subset_lines
 from .transforms import fwht, zeta
@@ -260,7 +261,8 @@ def verify(circuit: Circuit, u: DiagonalUnitary) -> float:
     if circuit.n != u.n:
         raise DimensionError(f"size mismatch: circuit n={circuit.n}, diagonal n={u.n}")
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN residual is refused below
-        residual = phase_aligned_residual(_angles(circuit), u.thetas)
+        thetas = _angles(circuit)  # a fresh vector, wrapped in place
+        residual = _aligned_residual(wrap_angle(thetas, out=thetas), u.thetas)
     if residual != residual:  # NaN: a sum of the circuit's angles overflowed
         raise ValueError("phase angles must be finite")
     return residual

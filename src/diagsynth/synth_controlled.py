@@ -52,20 +52,26 @@ def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
     blocks fail to rebuild the input to within DEFAULT_TOL (NaN included),
     which signals an inconsistent solve.
     """
+    # each wrap after the first is of a vector just built, so in place
     t = wrap_angle(u.thetas)
-    a = wrap_angle(mobius(t))
+    a = mobius(t)
+    wrap_angle(a, out=a)
     # the half-sum pass: step i adds half of each set whose last line is
     # line n - i to the set without it; that set's own sum is complete,
     # since it only gains from later lines
     for i in range(u.n):
         a[0 :: 2 << i] += 0.5 * a[1 << i :: 2 << i]
-    blocks = 2.0 * wrap_angle(0.5 * a)
+    blocks = 0.5 * a
+    wrap_angle(blocks, out=blocks)
+    blocks *= 2.0
     blocks[0] = a[0]
     # the emitted blocks must rebuild the input: undo the pass, sum subsets
     a = blocks.copy()
     for i in range(u.n - 1, -1, -1):
         a[0 :: 2 << i] -= 0.5 * a[1 << i :: 2 << i]
-    if not np.abs(wrap_angle(zeta(a) - t)).max() <= DEFAULT_TOL:
+    a = zeta(a)
+    a -= t
+    if not np.abs(wrap_angle(a, out=a)).max() <= DEFAULT_TOL:
         raise SynthesisError("block angles failed to cancel the obstruction")
     return blocks
 

@@ -7,13 +7,15 @@ Run from the repository root; pytest does not collect it:
 It imports this checkout's ``src`` as ``diagsynth`` and ``OTHER_TREE/src``
 as ``diagsynth_other``; each tree keeps its own caches. Inputs are seeded
 generic angles, unwrapped ones (1e3..1e6 rad), and the sparse-ZZ and Ising
-generators of ``test_precision``, at n = 2..10 and 14, up to N_MAX
+generators of ``test_precision``, at n = 2..10, 14 and 18, up to N_MAX
 (default 14). Per route, input and n the two trees take turns for REPEATS
 rounds (default 7), and each prints the best time of one call in
 microseconds: synthesis, a warm ``verify`` (of a circuit whose layout was
 read before), a cold ``verify`` (the first on a new layout, after the
-route's layout cache is emptied) and a warm codec round trip (QASM text for
-xor, a JSON file for lambda and twolevel). Columns ending in A are this
+route's layout cache is emptied) and the two halves of a warm codec round
+trip: the write (``to_qasm`` for xor, ``save_circuit`` of a JSON file for
+lambda and twolevel) and the read (``parse_qasm``, ``load_circuit``) of
+what it wrote. Columns ending in A are this
 checkout, B the other tree. ``same`` reads ``same`` when both trees give
 equal circuit columns, global phase and codec text, else ``differs``; it is
 a report, not a check, so trees that change outputs by design can be timed
@@ -38,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
-SIZES = (*range(2, 11), 14)
-STAGES = ("synth", "warm", "cold", "codec")
+SIZES = (*range(2, 11), 14, 18)
+STAGES = ("synth", "warm", "cold", "write", "read")
 
 
 def load(name: str, src: Path):
@@ -87,18 +89,26 @@ class Tree:
         self.u, self.path, self.qasm = ds.DiagonalUnitary(n, thetas), path, route == "xor"
         self.synth = getattr(ds, ROUTES[route])
         self.circuit = self.synth(self.u)[0]
-        self.text = self.round_trip()
+        self.write()
+        self.read()
         self.ds.verify(self.circuit, self.u)
 
-    def round_trip(self) -> str:
-        # the codec text of the circuit, read back
+    def write(self) -> None:
+        # the circuit's QASM text, kept, or its file
         if self.qasm:
-            text = self.ds.to_qasm(self.circuit)
-            self.ds.parse_qasm(text)
-            return text
-        self.ds.save_circuit(self.circuit, self.path)
-        self.ds.load_circuit(self.path)
-        return Path(self.path).read_text()
+            self.qasm_text = self.ds.to_qasm(self.circuit)
+        else:
+            self.ds.save_circuit(self.circuit, self.path)
+
+    def read(self) -> None:
+        if self.qasm:
+            self.ds.parse_qasm(self.qasm_text)
+        else:
+            self.ds.load_circuit(self.path)
+
+    def text(self) -> str:
+        # the codec text the tree last wrote
+        return self.qasm_text if self.qasm else Path(self.path).read_text()
 
     def cold(self) -> float:
         self.module._layout.cache_clear()
@@ -110,14 +120,15 @@ class Tree:
             per_call(lambda: self.synth(self.u), batch),
             per_call(lambda: self.ds.verify(self.circuit, self.u), batch),
             self.cold(),
-            per_call(self.round_trip, max(1, batch // 8)),
+            per_call(self.write, max(1, batch // 8)),
+            per_call(self.read, max(1, batch // 8)),
         ]
 
 
 def same(a: Tree, b: Tree) -> bool:
     pairs = zip(a.circuit.columns, b.circuit.columns)
     return (all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in pairs)
-            and a.circuit.global_phase == b.circuit.global_phase and a.text == b.text)
+            and a.circuit.global_phase == b.circuit.global_phase and a.text() == b.text())
 
 
 def main(argv: list[str]) -> int:

@@ -212,24 +212,71 @@ def _bits(value):
     return type(value), value.dtype, value.shape, value.tobytes()
 
 
+# Within the fmod form's 4 turns: -0.0, +-pi, odd multiples of pi, the least
+# subnormal and the bound itself; then past it, up to +-1e308
+_SMALL_EDGES = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 5e-324, -5e-324,
+                         3 * np.pi, -7 * np.pi, 8 * np.pi, -8 * np.pi])
+_EDGES = np.concatenate((_SMALL_EDGES, [np.nextafter(8 * np.pi, 9), -np.nextafter(8 * np.pi, 9),
+                                        1e308, -1e308]))
+
+
+def _wrap_cases(size, rng):
+    # at size entries: uniform within 4 turns, odd multiples of pi within
+    # them and past them, the edges within 4 turns and then all of them
+    # (first, then drawn), and mixed magnitudes
+    return [
+        rng.uniform(-20.0, 20.0, size),
+        rng.choice(np.arange(-7, 8, 2) * np.pi, size),
+        np.arange(1 - size, size, 2) * np.pi,
+        *(np.concatenate((edges, rng.choice(edges, size - edges.size)))
+          for edges in (_SMALL_EDGES, _EDGES)),
+        rng.normal(size=size) * 10.0 ** rng.integers(-300, 307, size),
+    ]
+
+
 def test_wraps_match_their_reference_expressions_bit_for_bit():
     rng = np.random.default_rng(41)
-    cases = [
-        rng.uniform(-20.0, 20.0, 256),
-        np.arange(-255, 256, 2) * np.pi,  # odd multiples of pi
-        np.array([1e308, -1e308, 0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, 5e-324]),
-        rng.normal(size=256) * 10.0 ** rng.integers(-300, 307, 256),  # mixed magnitudes
-    ]
-    for values in cases:
-        assert _bits(ds.wrap_angle(values)) == _bits(_wrap_reference(values))
-        for scalar in (*values[:8].tolist(), *values[:8]):
-            assert _bits(ds.wrap_angle(scalar)) == _bits(_wrap_reference(scalar))
-    for first, second in itertools.product(cases, repeat=2):
-        u = ds.DiagonalUnitary(8, rng.choice(first, 256))
-        other = rng.choice(second, 256)
-        kept = other.copy()
-        residual = phase_aligned_residual(u.thetas, other)  # u.thetas is read-only
-        assert residual == _residual_reference(u.thetas, other)
-        assert np.array_equal(other, kept)
-        assert phase_aligned_residual(other, u.thetas) == _residual_reference(other, u.thetas)
-        assert np.array_equal(other, kept)
+    for n in (8, 9, 10, 12):  # from 2**10 entries, the fmod form under 4 turns
+        cases = _wrap_cases(1 << n, rng)
+        for values in cases:
+            assert _bits(ds.wrap_angle(values)) == _bits(_wrap_reference(values))
+            inplace = values.copy()
+            assert ds.wrap_angle(inplace, out=inplace) is inplace
+            assert _bits(inplace) == _bits(_wrap_reference(values))
+            for scalar in (*values[:8].tolist(), *values[:8]):
+                assert _bits(ds.wrap_angle(scalar)) == _bits(_wrap_reference(scalar))
+        for first, second in itertools.product(cases, repeat=2):
+            u = ds.DiagonalUnitary(n, rng.choice(first, 1 << n))
+            other = rng.choice(second, 1 << n)
+            kept = other.copy()
+            residual = phase_aligned_residual(u.thetas, other)  # u.thetas is read-only
+            assert residual == _residual_reference(u.thetas, other)
+            assert np.array_equal(other, kept)
+            assert phase_aligned_residual(other, u.thetas) == _residual_reference(other, u.thetas)
+            assert np.array_equal(other, kept)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("route", ["synth_xor", "synth_controlled", "synth_twolevel"])
+def test_verify_residual_is_the_reference_and_writes_nothing(route, n):
+    rng = np.random.default_rng([n, 3])
+    for thetas in (rng.uniform(0.0, 2.0 * np.pi, 1 << n), rng.uniform(-1e5, 1e5, 1 << n)):
+        u = ds.DiagonalUnitary(n, thetas)
+        circuit = getattr(ds, route)(u)[0]
+        kept = [column.copy() for column in (u.thetas, circuit.angle0, circuit.angle1)]
+        assert ds.verify(circuit, u) == _residual_reference(
+            ds.circuit_to_diagonal(circuit).thetas, u.thetas
+        )
+        # against another diagonal, the residual is no rounding error
+        other = rng.uniform(-np.pi, np.pi, 1 << n)
+        residual = ds.verify(circuit, ds.DiagonalUnitary(n, other))
+        assert residual == _residual_reference(ds.circuit_to_diagonal(circuit).thetas, other)
+        for column, before in zip((u.thetas, circuit.angle0, circuit.angle1), kept):
+            assert _bits(column) == _bits(before)
+
+
+@pytest.mark.parametrize("first, second", [(8, 1), (1, 8)])
+def test_phase_aligned_residual_refuses_unequal_lengths(first, second):
+    with pytest.raises(ds.DimensionError) as exc:
+        phase_aligned_residual(np.arange(float(first)), np.full(second, 0.5))
+    assert str(exc.value) == f"angle vectors differ in length: {first} vs {second}"
