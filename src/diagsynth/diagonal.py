@@ -16,7 +16,7 @@ from numbers import Real
 
 import numpy as np
 
-from .angles import DEFAULT_TOL, FMOD_FROM, TWO_PI, remainder_2pi, wrap_angle
+from .angles import DEFAULT_TOL, TWO_PI, remainder_2pi, wrap_angle
 from .errors import DimensionError
 
 
@@ -91,8 +91,7 @@ def _aligned_residual(diff: np.ndarray, thetas2: np.ndarray) -> float:
     diff -= wrap_angle(thetas2)
     shift = float(diff[0]) % TWO_PI  # the bits of wrap_angle(diff[0])
     diff -= shift - TWO_PI if shift > np.pi else shift
-    fmod = diff.size >= FMOD_FROM  # inline, as in wrap_angle
-    r = remainder_2pi(diff, diff) if fmod else np.remainder(diff, TWO_PI, out=diff)
+    r = remainder_2pi(diff, diff)  # diff lies within 3 pi
     return float(np.minimum(r, TWO_PI - r).max())  # the bits of max |wrap_angle(diff)|
 
 

@@ -8,6 +8,7 @@ import pytest
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
 from diagsynth import paper
+from diagsynth.angles import SPLIT_WITHIN
 from diagsynth.diagonal import phase_aligned_residual
 
 
@@ -212,22 +213,27 @@ def _bits(value):
     return type(value), value.dtype, value.shape, value.tobytes()
 
 
-# Within the fmod form's 4 turns: -0.0, +-pi, odd multiples of pi, the least
-# subnormal and the bound itself; then past it, up to +-1e308
+# Within the split form's bound: -0.0, +-pi, odd multiples of pi, the least
+# subnormal, the bound itself and the floats beside a multiple of 2 pi; then
+# past the bound, up to +-1e308
 _SMALL_EDGES = np.array([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 5e-324, -5e-324,
-                         3 * np.pi, -7 * np.pi, 8 * np.pi, -8 * np.pi])
-_EDGES = np.concatenate((_SMALL_EDGES, [np.nextafter(8 * np.pi, 9), -np.nextafter(8 * np.pi, 9),
-                                        1e308, -1e308]))
+                         3 * np.pi, -7 * np.pi, 8 * np.pi, -8 * np.pi, SPLIT_WITHIN, -SPLIT_WITHIN,
+                         *np.nextafter(1e6 * 2 * np.pi, [0.0, np.inf])])
+_EDGES = np.concatenate((_SMALL_EDGES, [np.nextafter(SPLIT_WITHIN, np.inf),
+                                        -np.nextafter(SPLIT_WITHIN, np.inf), 1e308, -1e308]))
 
 
 def _wrap_cases(size, rng):
-    # at size entries: uniform within 4 turns, odd multiples of pi within
-    # them and past them, the edges within 4 turns and then all of them
-    # (first, then drawn), and mixed magnitudes
+    # at size entries: uniform within 4 turns and within the bound, odd
+    # multiples of pi, the floats beside multiples of 2 pi up to the bound,
+    # the edges within the bound and then all of them (first, then drawn),
+    # and mixed magnitudes
     return [
         rng.uniform(-20.0, 20.0, size),
-        rng.choice(np.arange(-7, 8, 2) * np.pi, size),
+        rng.uniform(-SPLIT_WITHIN, SPLIT_WITHIN, size),
         np.arange(1 - size, size, 2) * np.pi,
+        np.nextafter(rng.integers(-(1 << 20), 1 << 20, size) * (2 * np.pi),
+                     rng.choice([-np.inf, np.inf], size)),
         *(np.concatenate((edges, rng.choice(edges, size - edges.size)))
           for edges in (_SMALL_EDGES, _EDGES)),
         rng.normal(size=size) * 10.0 ** rng.integers(-300, 307, size),
@@ -236,7 +242,9 @@ def _wrap_cases(size, rng):
 
 def test_wraps_match_their_reference_expressions_bit_for_bit():
     rng = np.random.default_rng(41)
-    for n in (8, 9, 10, 12):  # from 2**10 entries, the fmod form under 4 turns
+    for scalar in (*_EDGES.tolist(), *_EDGES):
+        assert _bits(ds.wrap_angle(scalar)) == _bits(_wrap_reference(scalar))
+    for n in (8, 9, 10, 12):  # from 2**10 entries, the split form within its bound
         cases = _wrap_cases(1 << n, rng)
         for values in cases:
             assert _bits(ds.wrap_angle(values)) == _bits(_wrap_reference(values))
