@@ -78,10 +78,14 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
     the other's. The shift witness is the wrapped index-0 difference, which
     makes the result deterministic and cheap; any diagonal pair that agrees
     up to a global phase has residual ~0 under this witness. Neither input
-    is written to; vectors of unequal shape raise DimensionError.
+    is written to; anything but two nonempty vectors of one length raises
+    DimensionError.
     """
-    if np.shape(thetas1) != np.shape(thetas2):
-        raise DimensionError(f"angle vectors differ in length: {len(thetas1)} vs {len(thetas2)}")
+    first, second = np.shape(thetas1), np.shape(thetas2)
+    if len(first) == len(second) == 1 and first != second:
+        raise DimensionError(f"angle vectors differ in length: {first[0]} vs {second[0]}")
+    if first != second or len(first) != 1 or first == (0,):
+        raise DimensionError(f"expected nonempty angle vectors, got shapes {first} and {second}")
     return _aligned_residual(wrap_angle(thetas1), thetas2)
 
 

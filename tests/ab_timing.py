@@ -23,7 +23,9 @@ too. One process cancels the drift between processes that a cross-process
 comparison on a busy host would read as a change. Single cells still move:
 a tree timed against a copy of itself read most cells within 10% but a few
 rows 1.5x apart on a shared 2-core host, so read a change off the median
-of a stage's cells, next to a run against such a copy.
+of a stage's cells, next to a run against such a copy. After the rows, one
+line per route and stage gives that median, of A/B over the rows: over
+all of them, over n <= 6, and at n = 14 and 18 when the run reaches them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ import numpy as np
 ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
 SIZES = (*range(2, 11), 14, 18)
 STAGES = ("synth", "warm", "cold", "write", "read")
+# the summary's row sets, by the n they take
+SUMMARY = {
+    "all": lambda n: True, "n<=6": lambda n: n <= 6, "n=14": lambda n: n == 14,
+    "n=18": lambda n: n == 18,
+}
 
 
 def load(name: str, src: Path):
@@ -141,6 +148,7 @@ def main(argv: list[str]) -> int:
     repeats = int(argv[2]) if len(argv) > 2 else 7
     header = "".join(f"{stage + side:>10}" for stage in STAGES for side in ".A .B".split())
     print(f"{'route':<9}{'input':<10}{'n':>3}{'gates':>8}{header}  same")
+    ratios = []  # per row: route, n, and per stage A/B
     with tempfile.TemporaryDirectory() as directory:
         for n in (n for n in SIZES if n <= n_max):
             batch = max(1, 1 << max(0, 10 - n))
@@ -155,7 +163,20 @@ def main(argv: list[str]) -> int:
                     cells = "".join(f"{t:>10.1f}" for t in best.T.ravel())
                     print(f"{route:<9}{label:<10}{n:>3}{pair[0].circuit.layout.kind.size:>8}"
                           f"{cells}  {'same' if same(*pair) else 'differs'}")
+                    ratios.append((route, n, best[0] / best[1]))
+    print_summary(ratios)
     return 0
+
+
+def print_summary(ratios: list) -> None:
+    # per route and stage, the median A/B of each row set the run reached
+    sets = [name for name, takes in SUMMARY.items() if any(takes(n) for _, n, _ in ratios)]
+    print(f"\n{'median A/B':<12}{'stage':<7}" + "".join(f"{name:>8}" for name in sets))
+    for route in ROUTES:
+        for k, stage in enumerate(STAGES):
+            medians = (np.median([r[k] for rt, n, r in ratios if rt == route and SUMMARY[name](n)])
+                       for name in sets)
+            print(f"{route:<12}{stage:<7}" + "".join(f"{m:>8.3f}" for m in medians))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import diagsynth as ds
 from diagsynth.angles import TWO_PI, ZERO_ANGLE_EPS
 from diagsynth.circuits import K_CDIAG, K_CNOT, K_MCRZ, K_RZ, K_X, SynthesisReport
 from diagsynth.simulate import basis_action
-from diagsynth.subsets import subset_lines
 from diagsynth.transforms import fwht, zeta
 
 KINDS = {ds.X: "x", ds.CNOT: "cnot", ds.RZ: "rz", ds.MCRZ: "mcrz", ds.CDIAG: "cdiag"}
@@ -301,61 +300,47 @@ def walked_angles(circuit) -> np.ndarray:
     """The angles of ``circuit_to_diagonal``, read in one uncached pass
     whose walk builds the Walsh vector from the angles as it goes."""
     n = circuit.n
+    size = 1 << n
     kind, target, control, angle0, angle1 = circuit.columns
     if (kind == K_CNOT).any():
-        terms = _walk_gates(circuit)
-        if terms is None:  # a block on a parity line
+        walsh = _walk_gates(circuit)
+        if (kind >= K_MCRZ).any():  # a block after a CNOT
             return basis_action(circuit)[1] + circuit.global_phase
-        # the walk lists every block, in gate order
-        walsh, block_bits = terms
-        if not block_bits:  # the phase polynomial alone
-            thetas = np.zeros(1 << n) if walsh is None else fwht(walsh)
-            return np.add(thetas, circuit.global_phase, out=thetas)
-        rows = np.flatnonzero(kind >= K_MCRZ)
-        controls, targets, flipped = np.array(block_bits, dtype=np.int64).reshape(-1, 3).T
-        alpha = angle0[rows]
-    else:
-        # No CNOT: every line carries its own input bit, the X gates up to
-        # a gate on its line give its affine bit, and an RZ is an MCRZ with
-        # no controls, of the opposite angle on a flipped line.
-        walsh, rows = None, slice(None)
-        bit, rz, x = 1 << (n - target), kind == K_RZ, kind == K_X
-        controls, alpha, flipped = np.where(rz, 0, control), angle0, np.zeros_like(target)
-        if x.any():  # else every row is a rotation and no line is flipped
-            flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
-            if end := int(flips[-1]):
-                raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
-            rows = np.flatnonzero(~x)
-            rz, controls = rz[rows], controls[rows]
-            flipped = flips[rows] & (controls | bit[rows])
-            alpha = np.where(rz & (flipped != 0), -angle0[rows], angle0[rows])
-            flipped[rz] = 0
-        targets = bit[rows]
-    # An MCRZ with no flipped line adds -alpha/2 on inputs holding every
-    # control bit and +alpha on those also holding the target bit: two
-    # subset sums. Any other block on all n lines fires on two inputs: the
-    # one that holds exactly its unflipped lines, and that one with its
-    # target bit the other way round. A diagonal circuit with a block that
-    # leaves a line free is replayed instead.
-    size = 1 << n
-    subset = (kind[rows] != K_CDIAG) & (flipped == 0)
-    cells = np.flatnonzero(~subset)
-    if cells.size and ((controls[cells] | targets[cells]) != size - 1).any():
+        thetas = np.zeros(size) if walsh is None else fwht(walsh)
+        return np.add(thetas, circuit.global_phase, out=thetas)
+    # No CNOT: every line carries its own input bit, the X gates up to a
+    # gate on its line give its affine bit, and an RZ is an MCRZ with no
+    # controls, of the opposite angle on a flipped line.
+    rows, bit, x = slice(None), 1 << (n - target), kind == K_X
+    flipped = np.zeros_like(target)
+    if x.any():  # else no line is flipped
+        flips = np.bitwise_xor.accumulate(np.where(x, bit, 0))
+        if end := int(flips[-1]):
+            raise _not_diagonal(n, [state | bool(end & state) << n for state in _identity(n)])
+        rows = np.flatnonzero(~x)
+        flipped = flips[rows] & (control[rows] | bit[rows])
+    kind, controls, targets = kind[rows], control[rows], bit[rows]
+    a0, a1 = angle0[rows], angle1[rows]
+    cdiag = kind == K_CDIAG
+    # an X-flipped MCRZ or a CDIAG that leaves a line free is replayed
+    if flipped[kind == K_MCRZ].any() or ((controls | targets)[cdiag] != size - 1).any():
         return basis_action(circuit)[1] + circuit.global_phase
+    # An RZ or MCRZ adds -alpha/2 on inputs holding every control bit and
+    # +alpha on those also holding the target bit: two subset sums. A
+    # CDIAG adds angle1 on the one input that holds exactly its unflipped
+    # lines, and angle0 on that one with its target bit the other way round.
+    # Each index sums its terms in gate order, from 0.0.
     thetas = np.zeros(size)
-    if subset.any():
-        a, low = alpha[subset], controls[subset]
-        at = np.array((low, low | targets[subset])).T.ravel()
-        np.add.at(thetas, at, np.array((-0.5 * a, a)).T.ravel())
-        thetas = zeta(thetas)
-    if cells.size:
-        # both cells per block, added in gate order
-        a, mcrz, on = alpha[cells], kind[rows][cells] == K_MCRZ, (size - 1) ^ flipped[cells]
-        at = np.array((on ^ targets[cells], on)).T.ravel()
-        values = np.where(mcrz, -0.5 * a, a), np.where(mcrz, 0.5 * a, angle1[rows][cells])
-        np.add.at(thetas, at, np.array(values).T.ravel())
-    if walsh is not None:
-        thetas += fwht(walsh)
+    if not cdiag.all():
+        alpha, low = np.where(flipped != 0, -a0, a0)[~cdiag], controls[~cdiag]
+        at = np.array((low, low | targets[~cdiag])).T.ravel()
+        terms = np.array((-0.5 * alpha, alpha)).T.ravel()
+        thetas = zeta(np.bincount(at, weights=terms, minlength=size))
+    if cdiag.any():
+        on = (size - 1) ^ flipped[cdiag]
+        at = np.array((on ^ targets[cdiag], on)).T.ravel()
+        cells = np.array((a0[cdiag], a1[cdiag])).T.ravel()
+        thetas += np.bincount(at, weights=cells, minlength=size)
     return np.add(thetas, circuit.global_phase, out=thetas)
 
 
@@ -370,18 +355,14 @@ def _identity(n: int) -> list[int]:
 
 def _walk_gates(circuit):
     # The phase polynomial of a circuit with CNOTs: the Walsh coefficients
-    # of its RZs (None without an RZ) and, per block in gate order, its
-    # control bits, target bit and flipped bits; None when a block sits on
-    # a line that carries a parity of several bits. Raises from the final
-    # line states when the circuit is not diagonal. One pass over the
-    # gates, carrying every line's state.
+    # of its RZs, None without an RZ. Raises from the final line states
+    # when the circuit is not diagonal. One pass over the gates, carrying
+    # every line's state; a block moves no state.
     n = circuit.n
     size = 1 << n
     identity = _identity(n)
     lines = identity[:]
     walsh = None
-    blocks = []
-    controls: dict[int, tuple[int, ...]] = {}  # a block's control lines, by mask
     # per gate: kind code, target line, control line or mask, first angle
     for code, t, c, a in zip(*(column.tolist() for column in circuit.columns[:4])):
         if code == K_CNOT:
@@ -396,35 +377,9 @@ def _walk_gates(circuit):
                 walsh[state ^ size] += half
         elif code == K_X:
             lines[t] ^= size
-        elif blocks is not None:
-            if c not in controls:
-                controls[c] = subset_lines(c, n)
-            bits = _block_bits(n, lines[t], [lines[line] for line in controls[c]])
-            if bits is None:
-                blocks = None
-            else:
-                blocks.append(bits)
     if lines != identity:
         raise _not_diagonal(n, lines)
-    return None if blocks is None else (walsh, blocks)
-
-
-def _block_bits(n: int, target: int, controls: list[int]):
-    # A block's control bits, target bit and flipped bits from the states
-    # of its target and control lines; None when one of those lines
-    # carries a parity of several bits. The parities of distinct lines are
-    # independent, so lines that carry one input bit each carry distinct
-    # bits.
-    mask = (1 << n) - 1
-    bits = flipped = 0
-    for state in (target, *controls):
-        bit = state & mask
-        if bit & (bit - 1):
-            return None
-        bits |= bit
-        if state >> n:
-            flipped |= bit
-    return bits ^ (target & mask), target & mask, flipped
+    return walsh
 
 
 def _not_diagonal(n: int, lines: list[int]) -> ds.NotDiagonalError:

@@ -20,9 +20,18 @@ def other_tree():
 
 def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
     assert ab_timing.main([str(Path(__file__).resolve().parent.parent), "3", "1"]) == 0
-    header, *rows = capsys.readouterr().out.splitlines()
+    table, summary = capsys.readouterr().out.split("\n\n")
+    header, *rows = table.splitlines()
     assert header.split()[-1] == "same"
     routes = [row.split()[0] for row in rows]
     for route in ab_timing.ROUTES:  # one row per route at each input and n = 2, 3
         assert routes.count(route) == 4 * 2
     assert all(row.split()[-1] == "same" for row in rows)
+    # then per route and stage the median A/B over all rows and over n <= 6
+    header, *lines = summary.splitlines()
+    assert header.split() == ["median", "A/B", "stage", "all", "n<=6"]
+    cells = [(line.split()[:2], [float(m) for m in line.split()[2:]]) for line in lines]
+    assert [names for names, _ in cells] == [
+        [route, stage] for route in ab_timing.ROUTES for stage in ab_timing.STAGES
+    ]
+    assert all(len(medians) == 2 and all(m > 0 for m in medians) for _, medians in cells)

@@ -288,3 +288,17 @@ def test_phase_aligned_residual_refuses_unequal_lengths(first, second):
     with pytest.raises(ds.DimensionError) as exc:
         phase_aligned_residual(np.arange(float(first)), np.full(second, 0.5))
     assert str(exc.value) == f"angle vectors differ in length: {first} vs {second}"
+
+
+@pytest.mark.parametrize("first, second", [
+    (np.float64(0.5), np.zeros(2)),  # a 0-d first argument
+    (np.zeros((2, 3)), np.zeros((2, 4))),
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+    (np.zeros(0), np.zeros(0)),
+], ids=["0-d", "2-d-unequal", "2-d-equal", "empty"])
+def test_phase_aligned_residual_refuses_all_but_two_nonempty_vectors(first, second):
+    with pytest.raises(ds.DimensionError) as exc:
+        phase_aligned_residual(first, second)
+    assert str(exc.value) == (
+        f"expected nonempty angle vectors, got shapes {np.shape(first)} and {np.shape(second)}"
+    )

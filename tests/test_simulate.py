@@ -347,13 +347,14 @@ def test_mixed_traffic_reads_each_recurring_layout_once(fresh_readings):
 
 
 def _walked(walk, *args):
-    # a walk of a circuit without RZ as a comparable value: its block bits,
-    # None, or the NotDiagonalError text
+    # a walk of a circuit without RZ as a comparable value: None, or the
+    # NotDiagonalError text its final line map gives
     try:
         terms = walk(*args)
     except ds.NotDiagonalError as exc:
         return str(exc)
-    return None if terms is None else tuple(terms[1])
+    assert terms is None or terms.size == 0
+    return None
 
 
 def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
@@ -384,9 +385,10 @@ def _wide_circuit(rng, wiring: str, closed: bool) -> ds.Circuit:
 
 
 @pytest.mark.parametrize("wiring, closed, outcome", [
-    ("swap", True, tuple),  # blocks on lines that each carry one input bit
-    ("cnot", True, type(None)),  # a block on a parity line
-    ("cnot", False, str),  # a moved state
+    ("swap", True, type(None)),  # the identity line map
+    ("cnot", True, type(None)),
+    ("swap", False, str),  # a moved state
+    ("cnot", False, str),
 ])
 def test_walk_on_63_lines_matches_the_reference(wiring, closed, outcome):
     # the walk called directly, so no reading is cached; on 63 lines the
@@ -438,11 +440,18 @@ def test_twolevel_circuits_read_back_their_input_exactly(order):
         # on lines that each carry one input bit after a swap
         (ds.CNOT(1, 2), ds.CNOT(2, 1), ds.CNOT(1, 2), ds.RZ(2, 0.2), ds.CDIAG((1, 2), 3, 0.1, 0.6),
          ds.CDIAG((2,), 3, 0.5, 0.1), ds.CNOT(1, 2), ds.CNOT(2, 1), ds.CNOT(1, 2)),
+        # an MCRZ on all three lines after a CNOT fan, and one with line 2
+        # X-flipped
+        (ds.CNOT(1, 3), ds.CNOT(2, 3), ds.RZ(3, 0.3), ds.CNOT(2, 3), ds.CNOT(1, 3),
+         ds.MCRZ((1, 2), 3, 0.9)),
+        (ds.RZ(1, 0.2), ds.X(2), ds.MCRZ((1, 2), 3, 0.9), ds.X(2)),
     ],
-    ids=["partial-cdiag", "flipped-mcrz", "swapped"],
+    ids=["partial-cdiag", "flipped-mcrz", "swapped", "mcrz-after-fan", "mcrz-on-flipped-line"],
 )
 def test_a_block_that_leaves_a_line_free_is_replayed_once(gates, monkeypatch):
-    # the circuit's one basis_action call gives its angles
+    # the circuit's one basis_action call gives its angles: a block the
+    # reading does not place, one after a CNOT, an X-flipped MCRZ or a
+    # CDIAG that leaves a line free
     circuit = ds.Circuit(3, gates, 0.7)
     replays, basis_action = [], simulate.basis_action
     monkeypatch.setattr(simulate, "basis_action", lambda c: replays.append(c) or basis_action(c))
@@ -471,18 +480,6 @@ def test_synthesized_circuits_never_replay_per_state(monkeypatch):
             circuits += [ds.synth_twolevel(u)[0], shuffled_twolevel_circuit(u, rng)]
         for circuit in circuits:
             assert ds.verify(circuit, u) <= 1e-9
-
-
-def test_blocks_after_an_xor_circuit_stay_on_the_phase_polynomial(monkeypatch):
-    # every line of a closed xor circuit ends on its own input bit, so the
-    # λ blocks that follow it are read as subset sums, with no replay
-    monkeypatch.setattr(simulate, "basis_action", None)
-    rng = np.random.default_rng(28)
-    u, v = random_diagonal(12, rng), random_diagonal(12, rng)
-    xor, lam = ds.synth_xor(u)[0], ds.synth_controlled(v)[0]
-    joined = ds.Circuit(12, Columns(*map(np.concatenate, zip(xor.columns, lam.columns))))
-    want = ds.DiagonalUnitary(12, u.thetas + v.thetas)
-    assert ds.verify(joined, want) <= 1e-9
 
 
 def _no_fwht(a):
@@ -599,3 +596,14 @@ def test_verify_random_end_to_end():
         u = random_diagonal(n, rng)
         circuit, _ = ds.synth_xor(u)
         assert ds.verify(circuit, u) <= 1e-8
+
+
+def test_the_twolevel_reading_keeps_16_bytes_a_cell():
+    # per cell, two per CDIAG, its angle row and its index, and no factor:
+    # 262,144 B for the n = 14 layout
+    u = random_diagonal(14, np.random.default_rng(14))
+    circuit = ds.synth_twolevel(u)[0]
+    assert ds.verify(circuit, u) <= 1e-9
+    reading = circuit.layout._memo["reading"]
+    kept = sum(part.nbytes for group in reading for part in group if isinstance(part, np.ndarray))
+    assert kept == 16 * (1 << 14) == 262_144
