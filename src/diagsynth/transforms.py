@@ -2,19 +2,25 @@
 
 A vector of length 2**m is indexed by subset masks (the ``subsets``
 convention, so mask bits and state-index bits line up). Each transform runs
-one vectorized butterfly stage per bit. From 2**11 entries on, ``fwht``
-runs two stages per pass on a (-1, 4, half) view, an odd one left over
-alone (the radix-4 grouping of Fino and Algazi, IEEE Trans. Computers C-25,
-1976), which shares the temporaries of two Hadamard stages: 1.7x faster at
-2**14 on a 2-core x86 host. A subset-sum stage makes none, and paired it
-ran 10% slower at 2**11..2**12, so ``zeta`` and ``mobius`` never pair.
-Pairs give each entry the same additions in the same order, so the results
-are bit-identical to one stage per pass:
+one vectorized butterfly stage per bit, lowest bit first:
 
 * ``fwht``: Walsh-Hadamard, out[t] = sum_S a[S] * (-1)**|t & S|; applying
   it twice multiplies by 2**m.
 * ``zeta``: subset sums, out[t] = sum of a[S] over all S contained in t.
 * ``mobius``: the inverse of ``zeta``.
+
+``fwht`` runs its stages in constant geometry (Pease, J. ACM 15(2), 1968):
+every stage pairs each even index with the odd one after it, the two
+columns of a (half, 2) view, and writes their sums to the lower half of a
+second buffer and their differences to the upper half: two ufunc calls, no
+temporary, and the same addresses at every stage, the buffers swapping
+between stages. That rotates the index bits right by one, so the next
+stage pairs the next bit, and after m stages they are back in place. Each
+entry gets the same additions in the same order as in one in-place pass
+per stage, so the results are bit-identical to it. A subset-sum stage
+changes only the upper half of its pairs, one in-place ufunc call, where a
+constant-geometry stage would also copy the lower half, so ``zeta`` and
+``mobius`` keep the in-place stage.
 """
 
 from __future__ import annotations
@@ -24,45 +30,25 @@ import numpy as np
 from .errors import DimensionError
 
 
-# fwht pairs stages from this length; below it the extra calls cost more
-_PAIRED_FROM = 1 << 11
-
-
-def _butterfly(a, step, pair=None) -> np.ndarray:
+def _vector(a) -> np.ndarray:
+    # a float copy of a, checked to be one axis of a power-of-two length
     out = np.array(a, dtype=float)
     size = out.size
     if out.ndim != 1 or size == 0 or size & (size - 1):
         raise DimensionError(f"transform length must be a power of two, got shape {out.shape}")
-    half = 1
-    while pair and size >= _PAIRED_FROM and 4 * half <= size:
-        # quads[:, q] holds the indices whose bits at half and 2 * half
-        # spell q: the stages at half and 2 * half in one pass
-        quads = out.reshape(-1, 4, half)
-        pair(*quads.swapaxes(0, 1))
-        half <<= 2
-    while half < size:  # every stage unpaired, else an odd one left over
+    return out
+
+
+def _butterfly(a, step) -> np.ndarray:
+    out = _vector(a)
+    half, size = 1, out.size
+    while half < size:
         # [:, 0] holds the indices with this bit clear, [:, 1] the same
         # indices with it set; both are views into out
         pairs = out.reshape(-1, 2, half)
         step(pairs[:, 0], pairs[:, 1])
         half <<= 1
     return out
-
-
-def _hadamard_step(lo: np.ndarray, hi: np.ndarray) -> None:
-    diff = lo - hi
-    lo += hi
-    hi[...] = diff
-
-
-def _hadamard_pair(x0, x1, x2, x3) -> None:
-    # the two stages' sums on quarter-size temporaries, each entry's in the
-    # order _hadamard_step makes them
-    s0, d0, s1, d1 = x0 + x1, x0 - x1, x2 + x3, x2 - x3
-    np.add(s0, s1, out=x0)
-    np.subtract(s0, s1, out=x2)
-    np.add(d0, d1, out=x1)
-    np.subtract(d0, d1, out=x3)
 
 
 def _zeta_step(lo: np.ndarray, hi: np.ndarray) -> None:
@@ -75,7 +61,17 @@ def _mobius_step(lo: np.ndarray, hi: np.ndarray) -> None:
 
 def fwht(a) -> np.ndarray:
     """Walsh-Hadamard transform (unnormalized) of a length-2**m vector."""
-    return _butterfly(a, _hadamard_step, _hadamard_pair)
+    x = _vector(a)
+    y = np.empty_like(x)
+    half = x.size >> 1
+    for _ in range(x.size.bit_length() - 1):
+        # the even and the odd indices pair on bit 0, which holds the
+        # original bit this stage takes
+        lo, hi = x[::2], x[1::2]
+        np.add(lo, hi, out=y[:half])
+        np.subtract(lo, hi, out=y[half:])
+        x, y = y, x
+    return x
 
 
 def zeta(a) -> np.ndarray:

@@ -26,6 +26,9 @@ rows 1.5x apart on a shared 2-core host, so read a change off the median
 of a stage's cells, next to a run against such a copy. After the rows, one
 line per route and stage gives that median, of A/B over the rows: over
 all of them, over n <= 6, and at n = 14 and 18 when the run reaches them.
+Last, a block times the transform layer alone: ``fwht``, ``zeta`` and
+``mobius`` of the generic input at each n of the run, with each tree's best
+time of one call, A/B, and ``same`` when both trees give the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
 SIZES = (*range(2, 11), 14, 18)
 STAGES = ("synth", "warm", "cold", "write", "read")
+TRANSFORMS = ("fwht", "zeta", "mobius")
 # the summary's row sets, by the n they take
 SUMMARY = {
     "all": lambda n: True, "n<=6": lambda n: n <= 6, "n=14": lambda n: n == 14,
@@ -64,10 +68,14 @@ def load(name: str, src: Path):
     return sys.modules[name]
 
 
+def generic(n: int) -> np.ndarray:
+    return np.random.default_rng(n).uniform(0.0, 2 * np.pi, 1 << n)
+
+
 def inputs(n: int):
     from test_precision import ising_thetas, sparse_zz_thetas
 
-    yield "generic", np.random.default_rng(n).uniform(0.0, 2 * np.pi, 1 << n)
+    yield "generic", generic(n)
     rng = np.random.default_rng([n, 2])
     yield "unwrapped", rng.uniform(0.0, 1.0, 1 << n) * 10 ** rng.uniform(3, 6)
     yield "sparse-zz", sparse_zz_thetas(n, np.random.default_rng([n, 1]))
@@ -138,6 +146,30 @@ def same(a: Tree, b: Tree) -> bool:
             and a.circuit.global_phase == b.circuit.global_phase and a.text() == b.text())
 
 
+def best_of(timings: list, repeats: int) -> np.ndarray:
+    # each side's best times over the rounds, each side first in every other
+    best = [np.inf, np.inf]
+    for k in range(repeats):
+        for side in (k % 2, 1 - k % 2):
+            best[side] = np.minimum(best[side], timings[side]())
+    return np.array(best)
+
+
+def print_transforms(trees: tuple, sizes: list[int], repeats: int) -> None:
+    # the transform layer alone, on the generic input at each n
+    modules = [importlib.import_module(f"{ds.__name__}.transforms") for ds in trees]
+    print(f"\n{'transform':<11}{'n':>3}{'best.A':>10}{'best.B':>10}{'A/B':>8}  same")
+    for n in sizes:
+        a = generic(n)
+        for name in TRANSFORMS:
+            calls = [lambda f=getattr(module, name): f(a) for module in modules]
+            batch = max(1, 1 << max(0, 12 - n))
+            best = best_of([lambda call=call: per_call(call, batch) for call in calls], repeats)
+            bits = calls[0]().tobytes() == calls[1]().tobytes()
+            print(f"{name:<11}{n:>3}{best[0]:>10.1f}{best[1]:>10.1f}{best[0] / best[1]:>8.3f}"
+                  f"  {'same' if bits else 'differs'}")
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 3:
         print("usage: python tests/ab_timing.py OTHER_TREE [N_MAX [REPEATS]]", file=sys.stderr)
@@ -146,25 +178,25 @@ def main(argv: list[str]) -> int:
     trees = (load("diagsynth", src), load("diagsynth_other", Path(argv[0]) / "src"))
     n_max = int(argv[1]) if len(argv) > 1 else 14
     repeats = int(argv[2]) if len(argv) > 2 else 7
+    sizes = [n for n in SIZES if n <= n_max]
     header = "".join(f"{stage + side:>10}" for stage in STAGES for side in ".A .B".split())
     print(f"{'route':<9}{'input':<10}{'n':>3}{'gates':>8}{header}  same")
     ratios = []  # per row: route, n, and per stage A/B
     with tempfile.TemporaryDirectory() as directory:
-        for n in (n for n in SIZES if n <= n_max):
+        for n in sizes:
             batch = max(1, 1 << max(0, 10 - n))
             for label, thetas in inputs(n):
                 for route in ROUTES:
                     pair = [Tree(ds, route, n, thetas, os.path.join(directory, f"{k}.json"))
                             for k, ds in enumerate(trees)]
-                    best = np.full((2, len(STAGES)), np.inf)
-                    for k in range(repeats):  # each tree first in every other round
-                        for side in (k % 2, 1 - k % 2):
-                            best[side] = np.minimum(best[side], pair[side].times(batch))
+                    best = best_of([lambda tree=tree: tree.times(batch) for tree in pair],
+                                   repeats)
                     cells = "".join(f"{t:>10.1f}" for t in best.T.ravel())
                     print(f"{route:<9}{label:<10}{n:>3}{pair[0].circuit.layout.kind.size:>8}"
                           f"{cells}  {'same' if same(*pair) else 'differs'}")
                     ratios.append((route, n, best[0] / best[1]))
     print_summary(ratios)
+    print_transforms(trees, sizes, repeats)
     return 0
 
 

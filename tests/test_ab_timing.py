@@ -20,7 +20,7 @@ def other_tree():
 
 def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
     assert ab_timing.main([str(Path(__file__).resolve().parent.parent), "3", "1"]) == 0
-    table, summary = capsys.readouterr().out.split("\n\n")
+    table, summary, transforms = capsys.readouterr().out.split("\n\n")
     header, *rows = table.splitlines()
     assert header.split()[-1] == "same"
     routes = [row.split()[0] for row in rows]
@@ -35,3 +35,12 @@ def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
         [route, stage] for route in ab_timing.ROUTES for stage in ab_timing.STAGES
     ]
     assert all(len(medians) == 2 and all(m > 0 for m in medians) for _, medians in cells)
+    # last, each transform alone at n = 2, 3: best times, A/B and the same bits
+    header, *lines = transforms.splitlines()
+    assert header.split() == ["transform", "n", "best.A", "best.B", "A/B", "same"]
+    cells = [line.split() for line in lines]
+    assert [(name, int(n)) for name, n, *_ in cells] == [
+        (name, n) for n in (2, 3) for name in ab_timing.TRANSFORMS
+    ]
+    assert all(float(t) > 0 for cell in cells for t in cell[2:5])
+    assert all(cell[-1] == "same" for cell in cells)

@@ -267,16 +267,14 @@ def test_remainder_check_rejects_wrong_block_angles(n, monkeypatch):
 @pytest.mark.parametrize("n", range(3, 13))
 def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
     # the coefficients are one Moebius pass and the check one subset-sum
-    # pass, of n stages each, none paired at any size (a paired step would
-    # count 2); the half-sum pass is not a butterfly
+    # pass, of n stages each; the half-sum pass is not a butterfly
     passes = []
     butterfly = transforms._butterfly
 
-    def counted(a, step, pair=None):
+    def counted(a, step):
         stages = []
         passes.append((step.__name__, stages))
-        paired = pair and (lambda *views: stages.append(2) or pair(*views))
-        return butterfly(a, lambda *views: stages.append(1) or step(*views), paired)
+        return butterfly(a, lambda *views: stages.append(1) or step(*views))
 
     monkeypatch.setattr(transforms, "_butterfly", counted)
     ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
