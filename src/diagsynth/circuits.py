@@ -362,8 +362,12 @@ def _kept(columns: Columns, phase: float, walk: bool = False):
     kind, target, _, angle0, angle1 = Columns(*(column[:: 1 + walk] for column in columns))
     if high < TWO_PI - ZERO_ANGLE_EPS:
         trivial = (kind >= K_RZ) & (size <= ZERO_ANGLE_EPS)
-    else:
-        trivial = (kind >= K_RZ) & _whole_turns(angle0, TWO_PI * (1 + (kind == K_MCRZ)))
+    else:  # a walk's rows are RZs or CDIAGs; an MCRZ's turn is 4*pi
+        trivial = _whole_turns(size, TWO_PI if walk else TWO_PI * (1 + (kind == K_MCRZ)))
+        if not walk:
+            trivial &= kind >= K_RZ
+        if not trivial.any():  # nothing drops, and no turn counts
+            return columns, phase
         turns = np.rint(angle0[trivial & (kind == K_RZ)] / TWO_PI)
         for _ in range(np.count_nonzero(np.fmod(turns, 2))):  # pi per odd turn, in row order
             phase += math.pi

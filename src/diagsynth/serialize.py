@@ -13,27 +13,41 @@ difference at most); multi-controlled blocks are refused.
 A writer fills its layout's skeleton, the constant pieces of the text
 between its angle slots (the JSON phase is slot 0), rendered from the
 columns by joins of cached texts on first use and kept on the layout, which
-it stores as the layout of its format and n. A byte reader finds a text's
-angle texts, each a finite JSON number or QASM real. It takes the text
-when the skeleton of the layout stored for its format and n, filled with
-them, gives it back byte for byte (the circuit is then built on that
-layout), or when the columns read write it back and Circuit accepts them
-(their layout is then stored). Any other text is read gate by gate or
+it stores as the layout of its format and n. The JSON codec works in bytes
+(its pieces, angle texts and file), the QASM codec in str. A byte reader
+finds a text's angle texts, each a finite JSON number or QASM real. It takes
+the text when the skeleton of the layout stored for its format and n,
+filled with them, gives it back byte for byte (the circuit is then built on
+that layout), or when the columns read write it back and Circuit accepts
+them (their layout is then stored). Any other text is read gate by gate or
 statement by statement, by a general reader that words the first error.
 Every reader takes only a JSON int where the format says int.
 
-Writers and byte readers work one chunk of _CHUNK angle slots at a time
-(a QASM reader one slice of text cut just after a ")"), and save_circuit
+load_circuit reads the file's bytes once and scans them once for ":". A
+layout keeps the ordinal of the ":" before each of its slots, and a slot
+runs from 2 bytes after that ":" to 10 bytes before the next one (9 for the
+phase; the last slot runs up to the closing "}]}"). On the stored layout
+these are only candidate texts, which the fill checks; else the kinds and
+lines are read at the "{" and ":" offsets into a new layout, whose slots
+are found the same way. Only the general reader decodes the bytes, as
+read_text would (UTF-8, universal newlines); so does load_diagonal, which
+first gives the bytes to orjson.
+
+Writers and byte readers work one chunk of _CHUNK angle slots at a time (a
+QASM reader one slice of text cut just after a ")"), and save_circuit
 writes each chunk as it is made: a string per angle of the whole circuit,
-and whole-text copies, took more memory than the text at n=20.
+and whole-text copies, took more memory than the text at n=20. A JSON
+reader copies a chunk's slots, each with a "," after it, in one numpy
+gather, reads them with one orjson call and cuts them with one split.
 
 Number texts: each angle text is repr's, made by orjson and by repr where
 their forms differ (nonzero |x| < 1e-4 or |x| >= 1e16); the JSON phase is
 json.dumps's. The byte readers read angle texts with orjson (float()'s
 bits), and with float() a QASM zero (orjson reads "-0" as the int 0); a
-text orjson refuses goes to the general reader. load_diagonal takes
-orjson's reading where it is the document json reads. The general readers
-read with json and float(), and word every error.
+text orjson refuses, or a JSON slot with a byte no number has, goes to the
+general reader. load_diagonal takes orjson's reading where it is the
+document json reads. The general readers read with json and float(), and
+word every error.
 """
 
 from __future__ import annotations
@@ -97,16 +111,16 @@ def load_diagonal(path) -> DiagonalUnitary:
     # so no RecursionError) and an int, a str and a list as "n", "units" and
     # "thetas" (orjson reads an integer past 64 bits as a float, which an
     # error text would show). json reads any other text and words its error.
-    text = _read_text(path)
-    if text.count("[") == 1 and text.count("{") == 1:
+    data = Path(path).read_bytes()
+    if data.count(b"[") == 1 and data.count(b"{") == 1:
         try:
-            doc = orjson.loads(text)
-        except orjson.JSONDecodeError:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:  # also bytes that are no UTF-8
             doc = None
         keys = ("n", "units", "thetas")
         if type(doc) is dict and [type(doc.get(key)) for key in keys] == [int, str, list]:
             return diagonal_from_document(doc)
-    return diagonal_from_document(_read_json(path, text))
+    return diagonal_from_document(_read_json(path, _text(path, data)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +203,9 @@ class _ControlTexts(dict):
         return text
 
 
-def _document_skeleton(n: int, kind, target, control) -> str:
-    # The document with "\0" for the phase and each angle text: each gate's
-    # head, first value and tail joined
+def _document_skeleton(n: int, kind, target, control) -> bytes:
+    # The document's bytes with "\0" for the phase and each angle text: each
+    # gate's head, first value and tail joined
     parts = np.empty((kind.size, 3), dtype=object)
     parts[:, 0], parts[:, 2] = _HEADS[kind], _TAILS[kind, target]
     parts[:, 1] = _LINES[np.where(kind == K_CNOT, control, target)]
@@ -199,36 +213,41 @@ def _document_skeleton(n: int, kind, target, control) -> str:
     parts[blocks, 1] = list(map(_ControlTexts(n).__getitem__, control[blocks].tolist()))
     parts = [f'{{"n": {n}, "global_phase": \0, "gates": [', *parts.ravel().tolist()]
     parts[-1] = parts[-1].removesuffix(", ") + "]}"
-    return "".join(parts)
+    return "".join(parts).encode()
 
 
-def _fill(pieces: list[str], texts: list[str]) -> str:
-    # pieces[0], texts[0], pieces[1], ...: one piece before each text
-    parts = [""] * (2 * len(texts))
+def _fill(pieces: list, texts: list, empty=""):
+    # pieces[0], texts[0], pieces[1], ...: one piece before each text, all
+    # str, or all bytes with empty b""
+    parts = [empty] * (2 * len(texts))
     parts[0::2] = pieces
     parts[1::2] = texts
-    return "".join(parts)
+    return empty.join(parts)
 
 
-def _chunks(pieces: list[str], angles: np.ndarray, at: int = 0):
+def _chunks(pieces: list, angles: np.ndarray, at: int = 0):
     # The text from pieces[at] on, filled with the angles' texts: one chunk
     # of _CHUNK slots at a time, then the last piece
+    empty = pieces[-1][:0]
     for start in range(0, angles.size, _CHUNK):
-        texts = _angle_texts(angles[start : start + _CHUNK])
-        yield _fill(pieces[at + start : at + start + len(texts)], texts)
+        texts = _angle_texts(angles[start : start + _CHUNK], type(empty) is bytes)
+        yield _fill(pieces[at + start : at + start + len(texts)], texts, empty)
     yield pieces[-1]
 
 
-def _angle_texts(angles: np.ndarray) -> list[str]:
-    # repr of each angle, read off orjson's text of the array: the same
-    # shortest round-trip digits, in repr's form but for nonzero |x| < 1e-4
-    # or |x| >= 1e16 ("0.00001" and "1e16" for repr's "1e-05" and "1e+16"),
-    # whose texts repr makes. orjson's bytes are freed before the split.
-    text = str(memoryview(orjson.dumps(angles, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1], "ascii")
-    texts = text.split(",") if text else []
+def _angle_texts(angles: np.ndarray, encoded: bool = False) -> list:
+    # repr of each angle, as str or encoded, read off orjson's text of the
+    # array: the same shortest round-trip digits, in repr's form but for
+    # nonzero |x| < 1e-4 or |x| >= 1e16 ("0.00001" and "1e16" for repr's
+    # "1e-05" and "1e+16"), whose texts repr makes. orjson's bytes are
+    # freed before the split.
+    text = memoryview(orjson.dumps(angles, option=orjson.OPT_SERIALIZE_NUMPY))[1:-1]
+    text = bytes(text) if encoded else str(text, "ascii")
+    texts = text.split(b"," if encoded else ",") if text else []
     size = np.abs(angles)
     for k in np.flatnonzero((size < 1e-4) & (angles != 0) | (size >= 1e16)).tolist():
-        texts[k] = repr(float(angles[k]))
+        number = repr(float(angles[k]))
+        texts[k] = number.encode() if encoded else number
     return texts
 
 
@@ -241,29 +260,30 @@ def _numbers(joined: str, count: int) -> list:
     return numbers
 
 
-def _skeleton(form: str, layout: Layout) -> list[str]:
-    # The pieces of the layout's text, rendered on first use and kept on the
-    # layout, equal pieces as one string
+def _skeleton(form: str, layout: Layout) -> list:
+    # The pieces of the layout's text, str for QASM and bytes for JSON,
+    # rendered on first use and kept on the layout, equal pieces as one
     def split(layout):
         render = _qasm_skeleton if form == "qasm" else _document_skeleton
-        pieces = render(layout.n, layout.kind, layout.target, layout.control).split("\0")
-        known: dict[str, str] = {}
+        text = render(layout.n, layout.kind, layout.target, layout.control)
+        pieces = text.split("\0" if form == "qasm" else b"\0")
+        known: dict = {}
         return list(map(known.setdefault, pieces, pieces))
 
     return layout.memo(form, split)
 
 
-def _gives_back(form: str, layout: Layout, chunks, text: str, size: int) -> bool:
+def _gives_back(form: str, layout: Layout, chunks, text, size: int) -> bool:
     # whether the layout's skeleton, filled with the angle texts chunks yields
-    # a list at a time, is the text's first size characters: all of it but a
-    # final newline. Each filled chunk is compared where it falls in the text,
-    # and dropped before the next.
-    pieces = _skeleton(form, layout)
+    # a list at a time, is the text's (str or bytes, as the skeleton) first
+    # size characters: all of it but a final newline. Each filled chunk is
+    # compared where it falls in the text, and dropped before the next.
+    pieces, empty = _skeleton(form, layout), "" if form == "qasm" else b""
     at = slot = 0
     for texts in chunks:
         if slot + len(texts) >= len(pieces):
             return False
-        chunk = _fill(pieces[slot : slot + len(texts)], texts)
+        chunk = _fill(pieces[slot : slot + len(texts)], texts, empty)
         if not text.startswith(chunk, at):
             return False
         at, slot = at + len(chunk), slot + len(texts)
@@ -280,7 +300,7 @@ def _gives_back(form: str, layout: Layout, chunks, text: str, size: int) -> bool
 _SKELETONS: dict[tuple[str, int], Layout] = {}
 
 
-def _written(form: str, layout: Layout) -> list[str]:
+def _written(form: str, layout: Layout) -> list:
     # a writer's pieces: its layout's skeleton, the layout stored
     _SKELETONS[form, layout.n] = layout
     return _skeleton(form, layout)
@@ -292,12 +312,12 @@ def _document_chunks(circuit: Circuit):
     kind = circuit.layout.kind
     angles = np.stack(circuit.columns[3:], axis=1)[np.stack((kind >= K_RZ, kind == K_CDIAG), 1)]
     pieces = _written("json", circuit.layout)
-    yield _fill(pieces[:1], [json.dumps(circuit.global_phase)])
+    yield _fill(pieces[:1], [json.dumps(circuit.global_phase).encode()], b"")
     yield from _chunks(pieces, angles, 1)
 
 
-def _circuit_text(circuit: Circuit) -> str:
-    return "".join(_document_chunks(circuit))
+def _circuit_text(circuit: Circuit) -> bytes:
+    return b"".join(_document_chunks(circuit))
 
 
 def _gate_fields_from_document(doc: dict) -> tuple[int, list]:
@@ -335,24 +355,26 @@ def circuit_from_document(doc: dict) -> Circuit:
 
 
 def save_circuit(circuit: Circuit, path) -> None:
-    with Path(path).open("w") as file:  # each chunk written as it is made
+    with Path(path).open("wb") as file:  # each chunk written as it is made
         file.writelines(_document_chunks(circuit))
-        file.write("\n")
+        file.write(b"\n")
 
 
 def load_circuit(path) -> Circuit:
-    text = _read_text(path)
+    data = Path(path).read_bytes()
     try:
-        return _saved_circuit(text)
+        return _saved_circuit(data)
     except (IndexError, TypeError, ValueError, OverflowError, RecursionError):
-        return circuit_from_document(_read_json(path, text))
+        return circuit_from_document(_read_json(path, _text(path, data)))
 
 
-def _read_text(path) -> str:
+def _text(path, data: bytes) -> str:
+    # the text Path.read_text gives: UTF-8, with universal newlines
     try:
-        return Path(path).read_text()
+        text = data.decode()
     except ValueError as exc:  # not UTF-8
         raise FormatError(f"{path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_json(path, text: str) -> dict:
@@ -365,61 +387,96 @@ def _read_json(path, text: str) -> dict:
     return doc
 
 
-# The kind code by a kind name's second byte; per kind, its ":" and its target's
+# The kind code by a kind name's second byte; per kind, its ":"s and its
+# target's; the bytes of JSON number texts, the "," between them and JSON
+# whitespace: no other JSON value is made of them alone
 _KIND_BYTES = np.frombuffer(bytes.maketrans(b'"nzcd', bytes(range(5))), dtype=np.int8)
 _COLONS, _TARGET_AT = np.array([[2, 3, 3, 4, 5], [1, 2, 1, 2, 2]])
+_NUMBER_BYTES = b"0123456789.eE+-, \t\n\r"
 
 
-def _saved_circuit(text: str) -> Circuit:
-    # The circuit of save_circuit's text, with or without its final newline,
-    # read as the module docstring says, its angle texts each one JSON
-    # number; else an error. A gate starts at "{", each value 2 bytes after its ":".
-    head = text[: text.find(', "gates": [') + 12]
-    n, gates = int(head[6 : head.find(",")]), len(head) - 12  # after '{"n": '; the phase's end
-    if not (gates > 0 and text.isascii() and 1 <= n <= MAX_LINES):  # masks in int64
+def _slots(layout: Layout) -> tuple[np.ndarray, np.ndarray]:
+    # Per angle slot of the layout's document, the ordinal of the ":" before
+    # it (the phase's is 1, and an angle's is its gate's last, a CDIAG's
+    # theta0 last but one, the gates' after the head's 3), and per angle
+    # slot whether it is a theta1; kept on the layout
+    def build(layout):
+        kind = layout.kind
+        last, cdiag = np.cumsum(_COLONS[kind]) + 2, kind == K_CDIAG
+        slots = np.stack((kind >= K_RZ, cdiag), axis=1)
+        colon = np.stack((last - cdiag, last), axis=1)[slots]
+        return np.append(1, colon), np.flatnonzero(slots) % 2 == 1
+
+    return layout.memo("json slots", build)
+
+
+def _saved_circuit(data: bytes) -> Circuit:
+    # The circuit of save_circuit's bytes, with or without a final newline
+    # ("\n", "\r\n" or "\r", which read_text would read as "\n"), read as
+    # the module docstring says, its angle texts each one JSON number; else
+    # an error. A slot runs from 2 bytes after its ":" to 10 bytes before the
+    # next one (', "gates"' is 9, and the last runs up to "}]}"): on the
+    # stored layout only candidates, which the fill checks. Else a gate
+    # starts at "{", each value 2 bytes after its ":".
+    head = data[: data.find(b', "gates": [') + 12]
+    n, gates = int(head[6 : head.find(b",")]), len(head) - 12  # after '{"n": '; the phase's end
+    if not (gates > 0 and 1 <= n <= MAX_LINES):  # masks in int64
         raise ValueError("not the text save_circuit writes")
-    data = np.frombuffer(text.encode(), dtype=np.uint8)  # one byte per character
-    starts = np.flatnonzero(data == ord("{"))[1:]
-    colons = np.flatnonzero(data == ord(":"))[3:]
-    kind = _KIND_BYTES[data[starts + 11]]
-    count = _COLONS[kind]
-    first = np.cumsum(count) - count  # each gate's colon after "kind"
-    value = colons + 2
-    # a gate's last value runs up to its "}", a CDIAG's theta0 up to ', "theta1": ';
-    # the phase text is slot 0
-    cdiag, size = kind == K_CDIAG, len(text) - text.endswith("\n")
-    slots, last = np.stack((kind >= K_RZ, cdiag), axis=1), value[first + count - 1]
-    end = np.append(starts, size)[1:] - 3
-    opens = np.stack((np.where(cdiag, value[first + count - 2], last), last), axis=1)[slots]
-    shuts = np.stack((np.where(cdiag, last - 12, end), end), axis=1)[slots]
-    opens = np.append(len(f'{{"n": {n}, "global_phase": '), opens)
-    shuts = np.append(gates, shuts)
-    numbers = np.empty(opens.size)
+    size = len(data) - data.endswith(b"\n")
+    size -= data.endswith(b"\r", 0, size)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    colons = np.flatnonzero(raw == ord(":"))
 
-    def texts():
-        # the slots' texts, _CHUNK at a time, each read into numbers as one
-        # JSON number (a bool or a str would read as a float)
-        for at in range(0, opens.size, _CHUNK):
-            bounds = zip(opens[at : at + _CHUNK].tolist(), shuts[at : at + _CHUNK].tolist())
-            chunk = [text[a:b] for a, b in bounds]
-            values = _numbers(",".join(chunk), len(chunk))
-            if not set(map(type, values)) <= {int, float}:
-                raise TypeError("an angle is not a number")
-            numbers[at : at + len(chunk)] = values
-            yield chunk
+    def texts(at, numbers):
+        # the texts of the slots after the colons at: per _CHUNK slots, one
+        # gather of their bytes, each with a "," after it, cut by one split,
+        # their values read into numbers by one orjson call. Raises unless
+        # each text is one JSON number.
+        for start in range(0, at.size, _CHUNK):
+            colon = at[start : start + _CHUNK]
+            opens = colons[colon] + 2
+            shuts = colons.take(colon + 1, mode="clip") - 10
+            shuts[colon + 1 == colons.size] = size - 3
+            if start == 0:  # the phase
+                shuts[0] += 1
+            width = shuts - opens + 1
+            ends = np.cumsum(width)
+            chunk = raw[np.arange(ends[-1]) + np.repeat(opens - ends + width, width)]
+            chunk[ends - 1] = ord(",")
+            joined = chunk[:-1].tobytes()
+            found = joined.split(b",")
+            if len(found) != colon.size or joined.translate(None, _NUMBER_BYTES):
+                raise ValueError("not one JSON number per slot")
+            numbers[start : start + colon.size] = orjson.loads(b"[" + joined + b"]")
+            yield found
 
-    layout = _SKELETONS.get(("json", n))
-    if not (layout and _gives_back("json", layout, texts(), text, size)):
-        high, low = (data[value + k].astype(np.int64) - 48 for k in (0, 1))
+    def values(layout):  # the layout's angles, the phase first, if this is its text, else None
+        at = _slots(layout)[0]
+        numbers = np.empty(at.size)
+        return numbers if _gives_back("json", layout, texts(at, numbers), data, size) else None
+
+    layout, numbers = _SKELETONS.get(("json", n)), None
+    if layout is not None:
+        try:  # another layout's slots may hold no number
+            numbers = values(layout)
+        except (IndexError, ValueError):
+            pass
+    if numbers is None:
+        starts = np.flatnonzero(raw == ord("{"))[1:]
+        kind = _KIND_BYTES[raw[starts + 11]]
+        count = _COLONS[kind]
+        first = np.cumsum(count) - count  # each gate's colon after "kind"
+        value = colons[3:] + 2
+        high, low = (raw[value + k].astype(np.int64) - 48 for k in (0, 1))
         line = np.where((0 <= low) & (low <= 9), 10 * high + low, high)  # 1 or 2 digits
         target = line[first + _TARGET_AT[kind]]
         control = np.where(kind == K_CNOT, line[first + 1], 0)
         blocks = kind >= K_MCRZ
         heads = first[blocks]  # a control list runs up to ', "target": '
-        known: dict[str, int] = {}  # the distinct list texts
-        index = [known.setdefault(text[a:b], len(known))
+        known: dict[bytes, int] = {}  # the distinct list texts
+        index = [known.setdefault(data[a:b], len(known))
                  for a, b in zip(value[heads + 1].tolist(), (value[heads + 2] - 12).tolist())]
-        lists = json.loads(f"[{','.join(known)}]")
+        lists = json.loads(b"[" + b",".join(known) + b"]")
         sizes = np.fromiter(map(len, lists), np.int64, len(lists))
         lines = np.fromiter(chain.from_iterable(lists), np.int64, int(sizes.sum()))
         if ((lines < 1) | (lines > n)).any():  # keeps shift counts in range, masks non-negative
@@ -428,12 +485,14 @@ def _saved_circuit(text: str) -> Circuit:
         np.bitwise_or.at(masks, np.repeat(np.arange(len(lists)), sizes), 1 << (n - lines))
         control[blocks] = masks[index]
         layout = Layout(n, kind, target, control)
-        if not _gives_back("json", layout, texts(), text, size):
+        numbers = values(layout)
+        if numbers is None:
             raise ValueError("not the text save_circuit writes")
         _SKELETONS["json", n] = layout
     # two columns of their own, which the circuit keeps without a copy
-    angles, theta1 = (np.zeros(kind.size), np.zeros(kind.size)), np.flatnonzero(slots) % 2 == 1
-    angles[0][slots[:, 0]], angles[1][cdiag] = numbers[1:][~theta1], numbers[1:][theta1]
+    kind, theta1 = layout.kind, _slots(layout)[1]
+    angles = np.zeros(kind.size), np.zeros(kind.size)
+    angles[0][kind >= K_RZ], angles[1][kind == K_CDIAG] = numbers[1:][~theta1], numbers[1:][theta1]
     return _on_layout(layout, layout.columns(*angles), float(numbers[0]))
 
 

@@ -26,15 +26,22 @@ rows 1.5x apart on a shared 2-core host, so read a change off the median
 of a stage's cells, next to a run against such a copy. After the rows, one
 line per route and stage gives that median, of A/B over the rows: over
 all of them, over n <= 6, and at n = 14 and 18 when the run reaches them.
-Last, a block times the transform layer alone: ``fwht``, ``zeta`` and
+Then a block times the transform layer alone: ``fwht``, ``zeta`` and
 ``mobius`` of the generic input at each n of the run, with each tree's best
 time of one call, A/B, and ``same`` when both trees give the same bits.
+Last, a block times the shipped-file check: ``load_diagonal`` of the
+generic input's diagonal file and ``cli.main(["verify", ...])`` of its
+twolevel circuit file, each tree on the files it wrote, at each n of the
+run. ``same`` reads ``same`` when both trees read the same bits, or print
+the same verdict and exit code.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import importlib
+import io
 import importlib.util
 import os
 import sys
@@ -48,6 +55,7 @@ ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_t
 SIZES = (*range(2, 11), 14, 18)
 STAGES = ("synth", "warm", "cold", "write", "read")
 TRANSFORMS = ("fwht", "zeta", "mobius")
+REPLAY = ("load_diagonal", "cli_verify")
 # the summary's row sets, by the n they take
 SUMMARY = {
     "all": lambda n: True, "n<=6": lambda n: n <= 6, "n=14": lambda n: n == 14,
@@ -170,6 +178,34 @@ def print_transforms(trees: tuple, sizes: list[int], repeats: int) -> None:
                   f"  {'same' if bits else 'differs'}")
 
 
+def print_replay(trees: tuple, sizes: list[int], repeats: int, directory: str) -> None:
+    # the replay_files op's verdict stage, on the generic input at each n
+    print(f"\n{'replay':<15}{'n':>3}{'best.A':>10}{'best.B':>10}{'A/B':>8}  same")
+    for n in sizes:
+        calls = {name: [] for name in REPLAY}
+        for k, ds in enumerate(trees):
+            diag, circuit = (os.path.join(directory, f"{k}.{name}.json") for name in "uc")
+            u = ds.DiagonalUnitary(n, generic(n))
+            ds.save_diagonal(u, diag)
+            ds.save_circuit(ds.synth_twolevel(u)[0], circuit)
+            main = importlib.import_module(f"{ds.__name__}.cli").main
+            argv = ["verify", "--circuit", circuit, "--diag", diag]
+            calls["load_diagonal"].append(lambda ds=ds, diag=diag: ds.load_diagonal(diag).thetas)
+            calls["cli_verify"].append(lambda main=main, argv=argv: main(argv))
+        batch = max(1, 1 << max(0, 10 - n))
+        for name in REPLAY:
+            with contextlib.redirect_stdout(io.StringIO()):  # the verdict lines
+                best = best_of([lambda call=call: per_call(call, batch) for call in calls[name]],
+                               repeats)
+            outputs = []
+            for call in calls[name]:  # the bits read, or the exit code and verdict
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    result = call()
+                outputs.append((result.tobytes() if name == "load_diagonal" else result, out.getvalue()))
+            print(f"{name:<15}{n:>3}{best[0]:>10.1f}{best[1]:>10.1f}{best[0] / best[1]:>8.3f}"
+                  f"  {'same' if outputs[0] == outputs[1] else 'differs'}")
+
+
 def main(argv: list[str]) -> int:
     if not 1 <= len(argv) <= 3:
         print("usage: python tests/ab_timing.py OTHER_TREE [N_MAX [REPEATS]]", file=sys.stderr)
@@ -195,8 +231,9 @@ def main(argv: list[str]) -> int:
                     print(f"{route:<9}{label:<10}{n:>3}{pair[0].circuit.layout.kind.size:>8}"
                           f"{cells}  {'same' if same(*pair) else 'differs'}")
                     ratios.append((route, n, best[0] / best[1]))
-    print_summary(ratios)
-    print_transforms(trees, sizes, repeats)
+        print_summary(ratios)
+        print_transforms(trees, sizes, repeats)
+        print_replay(trees, sizes, repeats, directory)
     return 0
 
 

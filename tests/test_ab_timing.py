@@ -20,7 +20,7 @@ def other_tree():
 
 def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
     assert ab_timing.main([str(Path(__file__).resolve().parent.parent), "3", "1"]) == 0
-    table, summary, transforms = capsys.readouterr().out.split("\n\n")
+    table, summary, transforms, replay = capsys.readouterr().out.split("\n\n")
     header, *rows = table.splitlines()
     assert header.split()[-1] == "same"
     routes = [row.split()[0] for row in rows]
@@ -41,6 +41,15 @@ def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
     cells = [line.split() for line in lines]
     assert [(name, int(n)) for name, n, *_ in cells] == [
         (name, n) for n in (2, 3) for name in ab_timing.TRANSFORMS
+    ]
+    assert all(float(t) > 0 for cell in cells for t in cell[2:5])
+    assert all(cell[-1] == "same" for cell in cells)
+    # and the shipped-file check at n = 2, 3: best times, A/B and the same outcome
+    header, *lines = replay.splitlines()
+    assert header.split() == ["replay", "n", "best.A", "best.B", "A/B", "same"]
+    cells = [line.split() for line in lines]
+    assert [(name, int(n)) for name, n, *_ in cells] == [
+        (name, n) for n in (2, 3) for name in ab_timing.REPLAY
     ]
     assert all(float(t) > 0 for cell in cells for t in cell[2:5])
     assert all(cell[-1] == "same" for cell in cells)

@@ -478,6 +478,8 @@ _SPAN = 64 * serialize._CHUNK  # a QASM slice's span in bytes
 
 def _whole_text_fill(form: str, layout, texts: list[str], text: str, size: int) -> bool:
     pieces = serialize._skeleton(form, layout)
+    if form == "json":  # the JSON skeleton is bytes
+        pieces = [piece.decode() for piece in pieces]
     if len(pieces) != len(texts) + 1:
         return False
     parts = [""] * (2 * len(pieces) - 1)
@@ -542,7 +544,7 @@ def _byte_reading(form: str, text: str):
                 return None
             circuit = serialize._qasm_circuit(n, text, len(head))
         else:
-            circuit = serialize._saved_circuit(text)
+            circuit = serialize._saved_circuit(text.encode())
     except (IndexError, TypeError, ValueError, OverflowError, RecursionError):
         return None
     return [(c.dtype.str, c.tobytes()) for c in circuit.columns], repr(circuit.global_phase)
@@ -565,7 +567,7 @@ def _written_texts() -> dict:
                                  ("twolevel", ds.synth_twolevel)):
                 circuit = synth(u)[0]
                 written["json", n, family, route] = (
-                    serialize._circuit_text(circuit) + "\n", circuit.layout)
+                    serialize._circuit_text(circuit).decode() + "\n", circuit.layout)
                 if route == "xor":
                     written["qasm", n, family, route] = (ds.to_qasm(circuit), circuit.layout)
     lines = [ds.X(2)] * (_SPAN // 16) + [ds.CNOT(1, 3)] * (_SPAN // 28)

@@ -130,7 +130,8 @@ def _reading(load, path):
 
 def _json_reading(path):
     # load_diagonal as json alone reads it: the reference
-    return serialize.diagonal_from_document(serialize._read_json(path, serialize._read_text(path)))
+    text = serialize._text(path, path.read_bytes())
+    return serialize.diagonal_from_document(serialize._read_json(path, text))
 
 
 BIG, HUGE = "1" + "2" * 29, "9" * 400  # a 30-digit and a 400-digit integer

@@ -195,13 +195,14 @@ def test_block_controls_read_back_ascending_from_either_reading(tmp_path):
 
 
 def test_circuit_load_reads_the_file_once(monkeypatch, tmp_path):
-    # a text the byte reading refuses is parsed as JSON from the text already read
+    # a text the byte reading refuses is parsed as JSON from the bytes already read
     circuit = ds.Circuit(3, (ds.CNOT(1, 3), ds.MCRZ((1, 2), 3, 0.5)), 0.25)
     path = tmp_path / "circuit.json"
     ds.save_circuit(circuit, path)
     path.write_text(json.dumps(json.loads(path.read_text()), separators=(",", ":")))
-    reads, read_text = [], Path.read_text
-    monkeypatch.setattr(Path, "read_text", lambda self, *a: reads.append(self) or read_text(self, *a))
+    reads, read_bytes = [], Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    monkeypatch.setattr(Path, "read_text", lambda self, *a: reads.append("text"))
     assert ds.load_circuit(path).gates == circuit.gates
     assert reads == [path]
 
@@ -440,7 +441,7 @@ def _writer_texts():
         routes = (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel)[: 1 if n == 11 else min(n + 1, 3)]
         for synth in routes:
             circuit = synth(u)[0]
-            texts.append(("json", serialize._circuit_text(circuit)))
+            texts.append(("json", serialize._circuit_text(circuit).decode()))
             if circuit.columns.kind.max() <= K_RZ:
                 texts.append(("qasm", ds.to_qasm(circuit)))
     return texts
@@ -659,3 +660,59 @@ def test_codecs_hold_a_chunk_of_angle_texts_at_a_time(tmp_path):
     assert peak < path.stat().st_size + 2 * MB
     circuit, peak = _traced_peak(lambda: ds.load_circuit(path))
     assert circuit.layout is twolevel.layout and peak < _column_bytes(circuit) + 12 * MB
+
+
+def test_load_circuit_peaks_under_two_and_a_half_times_its_file(tmp_path):
+    # A read on the stored layout holds the file's bytes, the offsets of its
+    # ":"s (8 bytes each, about 0.3x a twolevel file) and one chunk of slots
+    # at a time: the ":" scan's byte mask, as large as the file, sets the peak
+    twolevel = ds.synth_twolevel(random_diagonal(15, np.random.default_rng(15)))[0]
+    path = tmp_path / "circuit.json"
+    ds.save_circuit(twolevel, path)
+    circuit, peak = _traced_peak(lambda: ds.load_circuit(path))
+    assert circuit.layout is twolevel.layout and peak <= 2.5 * path.stat().st_size
+
+
+def _edited_files(data: bytes):
+    # (name, bytes) of a saved file as written, and edited: other line ends,
+    # one ":" less or more (at the phase, the first gate, the last slot and
+    # next to a slot's bounds), and an extra key that holds a ":"
+    colons = [at for at, byte in enumerate(data) if byte == ord(":")]
+    yield "as written", data
+    yield "crlf", data[:-1] + b"\r\n"
+    yield "cr", data[:-1] + b"\r"
+    for at in (colons[1], colons[3], colons[-1]):
+        yield f"no colon at {at}", data[:at] + data[at + 1 :]
+    for at in (colons[1] + 2, colons[3] - 1, colons[-1] + 3, colons[-1] - 10, len(data) - 4):
+        yield f"colon at {at}", data[:at] + b":" + data[at:]
+    yield "key", data.replace(b'{"kind": ', b'{"a:b": 0, "kind": ', 1)
+
+
+@pytest.mark.parametrize("route", ["xor", "lambda", "twolevel"])
+def test_byte_reader_reads_what_the_general_reader_reads_past_its_colon_scan(
+    route, monkeypatch, tmp_path
+):
+    # Each edited file reads as the general reader reads it, or raises its
+    # error, with nothing stored for its n, with the written layout stored
+    # (the line ends are then a hit) and with another route's layout of the
+    # same n. The line ends and the extra key read the written circuit.
+    monkeypatch.setattr(serialize, "_SKELETONS", {})
+    synth = {"xor": ds.synth_xor, "lambda": ds.synth_controlled, "twolevel": ds.synth_twolevel}
+    u = random_diagonal(4, np.random.default_rng(43))
+    circuit = synth[route](u)[0]
+    other = synth["twolevel" if route == "lambda" else "lambda"](u)[0]
+    path, edited = tmp_path / "circuit.json", tmp_path / "edited.json"
+    ds.save_circuit(circuit, path)
+    for name, data in _edited_files(path.read_bytes()):
+        edited.write_bytes(data)
+        text = serialize._text(edited, data)
+        want = _outcome(lambda: serialize.circuit_from_document(serialize._read_json(edited, text)))
+        if name in ("as written", "crlf", "cr", "key"):
+            assert want == _outcome(lambda: circuit)
+        for stored in (None, circuit.layout, other.layout):
+            serialize._SKELETONS.clear()
+            if stored is not None:
+                serialize._SKELETONS["json", 4] = stored
+            assert _outcome(lambda: ds.load_circuit(edited)) == want, name
+            if stored is circuit.layout and name in ("as written", "crlf", "cr"):
+                assert ds.load_circuit(edited).layout is circuit.layout
