@@ -102,7 +102,6 @@ def _aligned_residual(diff: np.ndarray, thetas2: np.ndarray) -> float:
 def equal_up_to_global_phase(
     u1: DiagonalUnitary, u2: DiagonalUnitary, tol: float = DEFAULT_TOL
 ) -> bool:
-    """True iff u1 = exp(i*phi) * u2 for some phi, within tol per entry."""
-    if u1.n != u2.n:
-        raise DimensionError(f"qubit counts differ: {u1.n} vs {u2.n}")
+    """True iff u1 = exp(i*phi) * u2 for some phi, within tol per entry; on
+    different qubit counts, ``phase_aligned_residual``'s DimensionError."""
     return phase_aligned_residual(u1.thetas, u2.thetas) <= tol

@@ -128,19 +128,14 @@ def load_diagonal(path) -> DiagonalUnitary:
 # ---------------------------------------------------------------------------
 
 
-def _finite(what: str, value) -> float:
-    # json and float() both read inf and nan; no angle in a file may be either
+def _number(what: str, value) -> float:
+    # an int or a float, not a bool or a string, and finite: json reads inf and nan
+    if type(value) not in (int, float):
+        raise TypeError(f"{what} is a {type(value).__name__}, not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{what} is not finite: {value}")
     return number
-
-
-def _number(what: str, value) -> float:
-    # a finite JSON number: an int or a float, not a bool or a string
-    if type(value) not in (int, float):
-        raise TypeError(f"{what} is a {type(value).__name__}, not a number")
-    return _finite(what, value)
 
 
 def _int(what: str, value) -> int:

@@ -51,14 +51,13 @@ def _layout(n: int) -> tuple[Layout, np.ndarray]:
     kind[1::2] = K_CNOT
     target = np.repeat(np.arange(n, 0, -1), [1 << k for k in range(n, 1, -1)] + [1])
     control = np.zeros(size, dtype=np.int64)
-    lines, parity = [], []
+    lines, parity = [np.zeros(0, dtype=np.int64)], []  # n = 1 has no CNOT
     for k in range(n, 1, -1):
         masks, steps = gray_walk(k - 1)
         lines.append(steps)
         parity.append(masks << (n - k + 1) | 1 << (n - k))
     parity.append([1 << (n - 1)])
-    if lines:
-        control[1::2] = np.concatenate(lines)
+    control[1::2] = np.concatenate(lines)
     return Layout(n, kind, target, control), np.concatenate(parity)
 
 

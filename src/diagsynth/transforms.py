@@ -18,12 +18,14 @@ between stages. That rotates the index bits right by one, so the next
 stage pairs the next bit, and after m stages they are back in place. Each
 entry gets the same additions in the same order as in one in-place pass
 per stage, so the results are bit-identical to it. A subset-sum stage
-changes only the upper half of its pairs, one in-place ufunc call, where a
-constant-geometry stage would also copy the lower half, so ``zeta`` and
-``mobius`` keep the in-place stage.
+changes only the upper half of its pairs: one in-place operator call,
+``hi += lo`` or ``hi -= lo``, where a constant-geometry stage would also
+copy the lower half, so ``zeta`` and ``mobius`` keep the in-place stage.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -44,19 +46,12 @@ def _butterfly(a, step) -> np.ndarray:
     half, size = 1, out.size
     while half < size:
         # [:, 0] holds the indices with this bit clear, [:, 1] the same
-        # indices with it set; both are views into out
+        # indices with it set; both are views into out, and step updates
+        # [:, 1] in place
         pairs = out.reshape(-1, 2, half)
-        step(pairs[:, 0], pairs[:, 1])
+        step(pairs[:, 1], pairs[:, 0])
         half <<= 1
     return out
-
-
-def _zeta_step(lo: np.ndarray, hi: np.ndarray) -> None:
-    hi += lo
-
-
-def _mobius_step(lo: np.ndarray, hi: np.ndarray) -> None:
-    hi -= lo
 
 
 def fwht(a) -> np.ndarray:
@@ -76,9 +71,9 @@ def fwht(a) -> np.ndarray:
 
 def zeta(a) -> np.ndarray:
     """Sum over subsets: out[t] = sum of a[S] for S contained in t."""
-    return _butterfly(a, _zeta_step)
+    return _butterfly(a, operator.iadd)
 
 
 def mobius(a) -> np.ndarray:
     """Inverse of ``zeta``: out[t] = sum of (-1)**|t - S| * a[S] for S in t."""
-    return _butterfly(a, _mobius_step)
+    return _butterfly(a, operator.isub)

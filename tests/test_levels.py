@@ -278,7 +278,7 @@ def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
 
     monkeypatch.setattr(transforms, "_butterfly", counted)
     ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
-    assert passes == [("_mobius_step", [1] * n), ("_zeta_step", [1] * n)]
+    assert passes == [("isub", [1] * n), ("iadd", [1] * n)]
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])
