@@ -187,7 +187,7 @@ def _own(column: np.ndarray) -> np.ndarray:
     # the column read-only, copied first if it is a view: writes to the
     # array it views would show through
     column = column.copy() if column.base is not None else column
-    column.flags.writeable = False
+    column.setflags(False)  # positional: a third of the time of flags.writeable
     return column
 
 
@@ -264,6 +264,7 @@ class Circuit:
     def __post_init__(self):
         # the hook every circuit passes: the angles and the phase, kept as a
         # float unless an int (the rows were checked when the layout was built)
+        self._read_back = None  # the gates' angles, kept by ``simulate``
         self.angle0, self.angle1 = _own(self.angle0), _own(self.angle1)
         finite = np.isfinite(self.angle0) & np.isfinite(self.angle1)
         if not finite.all():

@@ -17,15 +17,18 @@ from numbers import Real
 import numpy as np
 
 from .angles import DEFAULT_TOL, TWO_PI, remainder_2pi, wrap_angle
+from .circuits import _own
 from .errors import DimensionError
 
 
 @dataclass(frozen=True, eq=False)
 class DiagonalUnitary:
-    """Immutable n-qubit diagonal, as a vector of 2**n phase angles (radians)."""
+    """Immutable n-qubit diagonal, as a vector of 2**n phase angles (radians);
+    ``wrapped``, their ``wrap_angle``, is made on first use and kept read-only."""
 
     n: int
     thetas: np.ndarray
+    _wrapped = None  # no field: made by ``wrapped``
 
     def __post_init__(self):
         try:
@@ -48,6 +51,12 @@ class DiagonalUnitary:
             raise ValueError("phase angles must be finite")
         t.setflags(write=False)
         object.__setattr__(self, "thetas", t)
+
+    @property
+    def wrapped(self) -> np.ndarray:
+        if self._wrapped is None:  # frozen: set past its __setattr__
+            self.__dict__["_wrapped"] = _own(wrap_angle(self.thetas))
+        return self._wrapped
 
     @property
     def dim(self) -> int:
@@ -86,13 +95,13 @@ def phase_aligned_residual(thetas1: np.ndarray, thetas2: np.ndarray) -> float:
         raise DimensionError(f"angle vectors differ in length: {first[0]} vs {second[0]}")
     if first != second or len(first) != 1 or first == (0,):
         raise DimensionError(f"expected nonempty angle vectors, got shapes {first} and {second}")
-    return _aligned_residual(wrap_angle(thetas1), thetas2)
+    return _aligned_residual(wrap_angle(thetas1), wrap_angle(thetas2))
 
 
-def _aligned_residual(diff: np.ndarray, thetas2: np.ndarray) -> float:
+def _aligned_residual(diff: np.ndarray, wrapped2: np.ndarray) -> float:
     # phase_aligned_residual(thetas1, thetas2) from diff = wrap_angle(thetas1),
-    # a vector of the caller's own that it overwrites
-    diff -= wrap_angle(thetas2)
+    # a vector of the caller's own that it overwrites, and wrap_angle(thetas2)
+    diff -= wrapped2
     shift = float(diff[0]) % TWO_PI  # the bits of wrap_angle(diff[0])
     diff -= shift - TWO_PI if shift > np.pi else shift
     r = remainder_2pi(diff, diff)  # diff lies within 3 pi

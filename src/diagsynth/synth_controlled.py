@@ -17,9 +17,9 @@ empty set's entry is the global phase. That is one half-sum pass from the
 largest sets down, and each block is then taken mod 4*pi, a full turn of
 an MCRZ (Bjorklund, Husfeldt, Kaski and Koivisto, arXiv:cs/0611101 for
 the subset butterflies). The rotation of line k is the block of T = {k}.
-The emitted blocks are checked: the pass undone and the subsets summed
-must give back the input. Blocks stay MCRZ primitives in the output:
-2**n - 1 blocks, rotations included, on generic input.
+The emitted circuit, drop included, is checked: read back as ``verify``
+reads it, it must give back the input. Blocks stay MCRZ primitives in the
+output: 2**n - 1 blocks, rotations included, on generic input.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .angles import DEFAULT_TOL, wrap_angle
 from .circuits import K_MCRZ, K_RZ, Circuit, Layout, SynthesisReport, count_gates, _on_layout
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
+from .simulate import _read_back
 from .subsets import dictionary_words
-from .transforms import mobius, zeta
+from .transforms import mobius
 
 # Unused here; bound so that perfbench/spans.py, which wraps the names each
 # module binds, finds them.
@@ -48,13 +49,11 @@ from .paper import (  # noqa: F401
 def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
     """Run the recursion on u; returns the block angles by set: entry T
     (line L at bit n - L) is the block on T's last line controlled by the
-    rest of T, and entry 0 the global phase. Raises SynthesisError when the
-    blocks fail to rebuild the input to within DEFAULT_TOL (NaN included),
-    which signals an inconsistent solve.
+    rest of T, and entry 0 the global phase. It does not check them:
+    ``synth_controlled`` checks the circuit it emits.
     """
-    # each wrap after the first is of a vector just built, so in place
-    t = wrap_angle(u.thetas)
-    a = mobius(t)
+    # each wrap is of a vector just built, so in place
+    a = mobius(u.wrapped)
     wrap_angle(a, out=a)
     # the half-sum pass: step i adds half of each set whose last line is
     # line n - i to the set without it; that set's own sum is complete,
@@ -65,14 +64,6 @@ def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
     wrap_angle(blocks, out=blocks)
     blocks *= 2.0
     blocks[0] = a[0]
-    # the emitted blocks must rebuild the input: undo the pass, sum subsets
-    a = blocks.copy()
-    for i in range(u.n - 1, -1, -1):
-        a[0 :: 2 << i] -= 0.5 * a[1 << i :: 2 << i]
-    a = zeta(a)
-    a -= t
-    if not np.abs(wrap_angle(a, out=a)).max() <= DEFAULT_TOL:
-        raise SynthesisError("block angles failed to cancel the obstruction")
     return blocks
 
 
@@ -98,9 +89,14 @@ def synth_controlled(
     and then one MCRZ per nonempty subset in dictionary order, per level.
     Each gate's angle is the block angle of its set, controls and target.
     ``keep_trivial_rotations`` keeps zero-angle blocks, as for ``synth_xor``.
+    Raises SynthesisError when the circuit, read back as ``verify`` reads it,
+    is off the wrapped input anywhere by more than DEFAULT_TOL (NaN too).
     """
     blocks = synthesize_levels(u)
     layout, sets = _layout(u.n)
     columns = layout.columns(blocks[sets], layout.zero)
     circuit = _on_layout(layout, columns, float(blocks[0]), drop=not keep_trivial_rotations)
+    off = _read_back(circuit) + circuit.global_phase - u.wrapped
+    if not np.abs(wrap_angle(off, out=off), out=off).max() <= DEFAULT_TOL:
+        raise SynthesisError("block angles failed to cancel the obstruction")
     return circuit, count_gates(circuit)

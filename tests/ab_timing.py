@@ -11,11 +11,18 @@ generators of ``test_precision``, at n = 2..10, 14 and 18, up to N_MAX
 (default 14). Per route, input and n the two trees take turns for REPEATS
 rounds (default 7), and each prints the best time of one call in
 microseconds: synthesis, a warm ``verify`` (of a circuit whose layout was
-read before), a cold ``verify`` (the first on a new layout, after the
-route's layout cache is emptied) and the two halves of a warm codec round
-trip: the write (``to_qasm`` for xor, ``save_circuit`` of a JSON file for
-lambda and twolevel) and the read (``parse_qasm``, ``load_circuit``) of
-what it wrote. Columns ending in A are this
+read before), a cold ``verify`` (the first on a new layout), the two
+halves of a warm codec round trip: the write (``to_qasm`` for xor,
+``save_circuit`` of a JSON file for lambda and twolevel) and the read
+(``parse_qasm``, ``load_circuit``) of what it wrote, and last the op of
+mixed_small: synthesis, then ``verify`` of its own circuit. Each call of
+synthesis and of the op takes a fresh ``DiagonalUnitary`` of the input, as
+every benchmark op does. Each call of a ``verify`` row takes a fresh
+``Circuit`` of the synthesized columns and phase, on the synthesized layout
+(warm) or on a new one (cold), and the row's one diagonal, as repeated
+checks of one diagonal do: so it times the circuit's read-back, not one an
+earlier call kept. Fresh objects are made before the clock starts.
+Columns ending in A are this
 checkout, B the other tree. ``same`` reads ``same`` when both trees give
 equal circuit columns, global phase and codec text, else ``differs``; it is
 a report, not a check, so trees that change outputs by design can be timed
@@ -53,7 +60,7 @@ import numpy as np
 
 ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
 SIZES = (*range(2, 11), 14, 18)
-STAGES = ("synth", "warm", "cold", "write", "read")
+STAGES = ("synth", "warm", "cold", "write", "read", "op")
 TRANSFORMS = ("fwht", "zeta", "mobius")
 REPLAY = ("load_diagonal", "cli_verify")
 # the summary's row sets, by the n they take
@@ -104,11 +111,18 @@ def per_call(call, batch: int) -> float:
         gc.enable()
 
 
+def fresh(make, use, batch: int) -> float:
+    # per_call of use on each of batch values that make gives, made before
+    # the clock starts
+    made = iter([make() for _ in range(batch)])
+    return per_call(lambda: use(next(made)), batch)
+
+
 class Tree:
     """One tree's calls on one route and input."""
 
     def __init__(self, ds, route: str, n: int, thetas: np.ndarray, path: str):
-        self.ds, self.module = ds, importlib.import_module(f"{ds.__name__}.{ROUTES[route]}")
+        self.ds = ds
         self.u, self.path, self.qasm = ds.DiagonalUnitary(n, thetas), path, route == "xor"
         self.synth = getattr(ds, ROUTES[route])
         self.circuit = self.synth(self.u)[0]
@@ -133,18 +147,31 @@ class Tree:
         # the codec text the tree last wrote
         return self.qasm_text if self.qasm else Path(self.path).read_text()
 
-    def cold(self) -> float:
-        self.module._layout.cache_clear()
-        circuit = self.synth(self.u)[0]
-        return per_call(lambda: self.ds.verify(circuit, self.u), 1)
+    def diagonal(self):
+        return self.ds.DiagonalUnitary(self.u.n, self.u.thetas)
+
+    def copy(self, new_layout: bool):
+        # a fresh circuit of the synthesized columns and phase, on the
+        # synthesized layout or on a new one
+        c, ds = self.circuit, self.ds
+        if new_layout:
+            return ds.Circuit(c.n, c.columns, c.global_phase)
+        return ds.circuits._on_layout(c.layout, c.columns, c.global_phase)
+
+    def check(self, circuit) -> float:
+        return self.ds.verify(circuit, self.u)
+
+    def op(self, u) -> float:
+        return self.ds.verify(self.synth(u)[0], u)
 
     def times(self, batch: int) -> list[float]:
         return [
-            per_call(lambda: self.synth(self.u), batch),
-            per_call(lambda: self.ds.verify(self.circuit, self.u), batch),
-            self.cold(),
+            fresh(self.diagonal, self.synth, batch),
+            fresh(lambda: self.copy(False), self.check, batch),
+            fresh(lambda: self.copy(True), self.check, batch),
             per_call(self.write, max(1, batch // 8)),
             per_call(self.read, max(1, batch // 8)),
+            fresh(self.diagonal, self.op, batch),
         ]
 
 

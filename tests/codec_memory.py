@@ -4,16 +4,19 @@ Run from the repository root on any tree; pytest does not collect it:
 
     PYTHONPATH=src python tests/codec_memory.py [N ...]
 
-For each n (default 10 14 18 20) and each of two round trips it starts a
+For each n (default 10 14 18 20) and each of three round trips it starts a
 fresh Python process: the xor circuit's QASM round trip (``synth_xor``,
-``to_qasm``, ``parse_qasm``, ``verify``) and the twolevel circuit's JSON
-file round trip (``synth_twolevel``, ``save_circuit``, ``load_circuit``,
-``verify``). The process runs the op once untraced, timing each stage, and
-prints ``ru_maxrss`` after it: the peak RSS of one op in a fresh process.
-It then runs the op again with each stage under tracemalloc, and prints
-each stage's traced peak above its start: warm, as the op's layouts and
-skeletons are kept by then. Inputs are uniform in [0, 2π)
-from ``default_rng(n)``; the circuit file goes to a temporary directory.
+``to_qasm``, ``parse_qasm``, ``verify``) and the lambda and twolevel
+circuits' JSON file round trips (``synth_controlled`` or
+``synth_twolevel``, ``save_circuit``, ``load_circuit``, ``verify``). The
+process runs the op once untraced, timing each stage, and prints
+``ru_maxrss`` after it: the peak RSS of one op in a fresh process. It then
+runs the op again, on a new ``DiagonalUnitary`` of the same angles, with
+each stage under tracemalloc, and prints each stage's traced peak above
+its start: warm, as the op's layouts and skeletons are kept by then, while
+what a circuit or diagonal keeps (a read-back, a wrap) is made again.
+Inputs are uniform in [0, 2π) from ``default_rng(n)``; the circuit file
+goes to a temporary directory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import tracemalloc
 
 import numpy as np
 
-ROUTES = ("xor", "twolevel")
+ROUTES = ("xor", "lambda", "twolevel")
+SYNTH = {"lambda": "synth_controlled", "twolevel": "synth_twolevel"}
 
 
 def stages(route: str, n: int, path: str):
@@ -37,14 +41,15 @@ def stages(route: str, n: int, path: str):
 
     u = ds.DiagonalUnitary(n, np.random.default_rng(n).uniform(0.0, 2 * np.pi, 1 << n))
     if route == "xor":
-        return u, [
+        return [
             ("synth_xor", lambda _: ds.synth_xor(u)[0]),
             ("to_qasm", ds.to_qasm),
             ("parse_qasm", ds.parse_qasm),
             ("verify", lambda circuit: ds.verify(circuit, u)),
         ]
-    return u, [
-        ("synth_twolevel", lambda _: ds.synth_twolevel(u)[0]),
+    synth = SYNTH[route]
+    return [
+        (synth, lambda _: getattr(ds, synth)(u)[0]),
         ("save_circuit", lambda circuit: ds.save_circuit(circuit, path)),
         ("load_circuit", lambda _: ds.load_circuit(path)),
         ("verify", lambda circuit: ds.verify(circuit, u)),
@@ -53,7 +58,8 @@ def stages(route: str, n: int, path: str):
 
 def run_one(route: str, n: int) -> None:
     with tempfile.TemporaryDirectory() as directory:
-        u, steps = stages(route, n, os.path.join(directory, "circuit.json"))
+        path = os.path.join(directory, "circuit.json")
+        steps = stages(route, n, path)
         times, value = [], None
         for _, call in steps:
             start = time.perf_counter()
@@ -62,6 +68,7 @@ def run_one(route: str, n: int) -> None:
         assert value <= 1e-9, f"residual {value}"
         value = None
         maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        steps = stages(route, n, path)
         peaks = []
         tracemalloc.start()
         for _, call in steps:

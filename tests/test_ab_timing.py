@@ -22,7 +22,12 @@ def test_ab_timing_reads_this_checkout_as_the_same(other_tree, capsys):
     assert ab_timing.main([str(Path(__file__).resolve().parent.parent), "3", "1"]) == 0
     table, summary, transforms, replay = capsys.readouterr().out.split("\n\n")
     header, *rows = table.splitlines()
-    assert header.split()[-1] == "same"
+    # per stage each tree's best time, the op (synthesis, then verify) last
+    assert header.split()[4:] == [
+        stage + side for stage in ab_timing.STAGES for side in (".A", ".B")
+    ] + ["same"]
+    assert ab_timing.STAGES[-1] == "op"
+    assert all(float(t) > 0 for row in rows for t in row.split()[4:-1])
     routes = [row.split()[0] for row in rows]
     for route in ab_timing.ROUTES:  # one row per route at each input and n = 2, 3
         assert routes.count(route) == 4 * 2

@@ -302,3 +302,13 @@ def test_phase_aligned_residual_refuses_all_but_two_nonempty_vectors(first, seco
     assert str(exc.value) == (
         f"expected nonempty angle vectors, got shapes {np.shape(first)} and {np.shape(second)}"
     )
+
+
+def test_wrapped_is_made_on_first_use_kept_and_read_only():
+    u = ds.DiagonalUnitary(3, np.linspace(-10.0, 10.0, 8))
+    assert "_wrapped" not in vars(u)  # not at construction
+    wrapped = u.wrapped
+    assert wrapped is u.wrapped and not wrapped.flags.writeable
+    assert wrapped.tobytes() == ds.wrap_angle(u.thetas).tobytes()
+    with pytest.raises(ValueError):
+        wrapped[0] = 0.0

@@ -265,8 +265,9 @@ def test_circuits_of_one_route_and_n_share_one_layout_through_the_codecs(
 ):
     # mixed_small's recurring classes, and the round trips of xor_large and
     # replay_files: generic circuits of one route and n are on one layout, a
-    # reader hit hands out the writer's layout, and a verify after the round
-    # trip finds the reading the first op built
+    # reader hit hands out the writer's layout, and each op after the first
+    # finds the reading the first op built (lambda's synthesis makes it, as
+    # it checks the circuit it emits; the other routes' first verify)
     monkeypatch.setattr(serialize, "_SKELETONS", {})
     rng = np.random.default_rng(27)
     for synth in (ds.synth_xor, ds.synth_controlled, ds.synth_twolevel):
@@ -276,6 +277,7 @@ def test_circuits_of_one_route_and_n_share_one_layout_through_the_codecs(
     for synth, n in ((ds.synth_xor, 14), (ds.synth_twolevel, 13), (ds.synth_controlled, 13)):
         for op in range(2):
             u = random_diagonal(n, rng)
+            before = len(fresh_readings)
             circuit = synth(u)[0]
             if synth is ds.synth_xor:
                 read = ds.parse_qasm(ds.to_qasm(circuit))
@@ -283,7 +285,6 @@ def test_circuits_of_one_route_and_n_share_one_layout_through_the_codecs(
                 ds.save_circuit(circuit, path)
                 read = ds.load_circuit(path)
             assert read.layout is circuit.layout
-            before = len(fresh_readings)
             assert ds.verify(read, u) <= 1e-9
             assert fresh_readings[before:] == ([circuit.layout] if op == 0 else [])
 

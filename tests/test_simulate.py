@@ -607,3 +607,32 @@ def test_the_twolevel_reading_keeps_16_bytes_a_cell():
     reading = circuit.layout._memo["reading"]
     kept = sum(part.nbytes for group in reading for part in group if isinstance(part, np.ndarray))
     assert kept == 16 * (1 << 14) == 262_144
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    synth=st.sampled_from([ds.synth_xor, ds.synth_controlled, ds.synth_twolevel]),
+    n=st.integers(2, 10),
+    kind=st.sampled_from(["generic", "sparse", "large"]),
+    diagonal_first=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_kept_read_back_gives_the_bits_of_a_fresh_read(synth, n, kind, diagonal_first, seed):
+    # verify and circuit_to_diagonal of a circuit that holds its read-back,
+    # whichever reader made it, give a fresh circuit's bits on the same
+    # columns, against fresh diagonals of the same angles
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2 * PI, 1 << n) if kind == "generic" else hard_thetas(kind, n, rng)
+    other = rng.uniform(-1e3, 1e3, 1 << n)
+    u, v = ds.DiagonalUnitary(n, thetas), ds.DiagonalUnitary(n, other)
+    circuit = synth(u)[0]
+
+    def results(circuit, u, v):
+        diagonal = ds.circuit_to_diagonal(circuit).thetas.tobytes() if diagonal_first else None
+        verdicts = [ds.verify(circuit, u), ds.verify(circuit, v), ds.verify(circuit, v)]
+        return verdicts, diagonal or ds.circuit_to_diagonal(circuit).thetas.tobytes()
+
+    kept = results(circuit, u, v)
+    assert circuit._read_back is not None
+    fresh = ds.Circuit(n, circuit.columns, circuit.global_phase)
+    assert results(fresh, ds.DiagonalUnitary(n, thetas), ds.DiagonalUnitary(n, other)) == kept

@@ -7,8 +7,8 @@ import pytest
 
 import diagsynth as ds
 from conftest import PI, random_diagonal, wrapped_max_diff
-from diagsynth import paper
-from diagsynth.circuits import K_MCRZ, K_RZ
+from diagsynth import circuits, diagonal, paper, simulate, transforms
+from diagsynth.circuits import K_MCRZ, K_RZ, Columns
 
 
 def test_block_gates_reference():
@@ -132,3 +132,51 @@ def test_layout_matches_the_sorted_word_order(n):
     for column, reference in zip(got, expected):
         assert column.dtype == reference.dtype
         assert np.array_equal(column, reference)
+
+
+def test_a_lambda_op_reads_its_circuit_once_and_wraps_its_input_once(monkeypatch):
+    # synthesis checks the circuit it emits by reading it back; verify reuses
+    # that read-back and the input's wrap, and a second diagonal is wrapped
+    # once however often the circuit is verified against it
+    synth_module = importlib.import_module("diagsynth.synth_controlled")
+    reads, wraps, passes = [], [], []
+    angles, butterfly = simulate._angles, transforms._butterfly
+    monkeypatch.setattr(simulate, "_angles", lambda c: reads.append(c) or angles(c))
+    monkeypatch.setattr(transforms, "_butterfly", lambda a, step: passes.append(step.__name__)
+                        or butterfly(a, step))
+    for module in (diagonal, synth_module):  # every binding that wraps an input
+        wrap = module.wrap_angle
+        monkeypatch.setattr(module, "wrap_angle",
+                            lambda t, out=None, wrap=wrap: wraps.append(t) or wrap(t, out))
+    rng = np.random.default_rng(46)
+    u, v = random_diagonal(8, rng), random_diagonal(8, rng)
+    circuit, _ = ds.synth_controlled(u)
+    assert ds.verify(circuit, u) <= 1e-9
+    assert reads == [circuit] and passes == ["isub", "iadd"]  # mobius, then the read-back's zeta
+    assert sum(t is u.thetas for t in wraps) == 1
+    assert not circuit._read_back.flags.writeable and not u.wrapped.flags.writeable
+    del passes[:]
+    first, second = ds.verify(circuit, v), ds.verify(circuit, v)
+    assert first == second > 1e-3
+    assert reads == [circuit] and passes == []
+    assert sum(t is v.thetas for t in wraps) == 1
+
+
+@pytest.mark.parametrize("fault", ["phase", "block"])
+def test_the_lambda_check_covers_the_drop(fault, monkeypatch):
+    # the check reads the emitted circuit, so a drop rule that shifts the
+    # phase or drops a nonzero block is caught, as a wrong solve is
+    kept = circuits._kept
+
+    def wrong(columns, phase, walk=False):
+        columns, phase = kept(columns, phase, walk)
+        if fault == "phase":
+            return columns, phase + 0.1
+        keep = np.ones(columns.kind.size, dtype=bool)
+        keep[np.flatnonzero((columns.kind == K_MCRZ) & (np.abs(columns.angle0) > 1e-3))[0]] = False
+        return Columns(*(column[keep] for column in columns)), phase
+
+    monkeypatch.setattr(circuits, "_kept", wrong)
+    u = random_diagonal(6, np.random.default_rng(47))
+    with pytest.raises(ds.SynthesisError, match="failed to cancel the obstruction"):
+        ds.synth_controlled(u)
