@@ -251,7 +251,10 @@ class Circuit:
     the rows. The circuit holds the layout, its two angle columns (read-only
     and its own) and its phase. ``.gates`` is read off the columns on first
     use: a block's controls ascending, every field a Python int or float.
+    Never reassign its layout or columns: ``synth_controlled`` keeps a read-back on it.
     """
+
+    _read_back = None  # set by synth_controlled, read by simulate in place of the columns
 
     def __init__(self, n: int, gates=(), global_phase: float = 0.0):
         if not isinstance(gates, Columns):
@@ -264,7 +267,6 @@ class Circuit:
     def __post_init__(self):
         # the hook every circuit passes: the angles and the phase, kept as a
         # float unless an int (the rows were checked when the layout was built)
-        self._read_back = None  # the gates' angles, kept by ``simulate``
         self.angle0, self.angle1 = _own(self.angle0), _own(self.angle1)
         finite = np.isfinite(self.angle0) & np.isfinite(self.angle1)
         if not finite.all():

@@ -23,12 +23,11 @@ from .errors import DimensionError
 
 @dataclass(frozen=True, eq=False)
 class DiagonalUnitary:
-    """Immutable n-qubit diagonal, as a vector of 2**n phase angles (radians);
-    ``wrapped``, their ``wrap_angle``, is made on first use and kept read-only."""
+    """Immutable n-qubit diagonal, as a vector of 2**n phase angles (radians)."""
 
     n: int
     thetas: np.ndarray
-    _wrapped = None  # no field: made by ``wrapped``
+    _wrapped = None  # no field: made by ``wrapped``, and ``verify`` reuses it
 
     def __post_init__(self):
         try:
@@ -54,6 +53,7 @@ class DiagonalUnitary:
 
     @property
     def wrapped(self) -> np.ndarray:
+        """``wrap_angle(thetas)``: 2**n floats, made on first use and kept read-only."""
         if self._wrapped is None:  # frozen: set past its __setattr__
             self.__dict__["_wrapped"] = _own(wrap_angle(self.thetas))
         return self._wrapped

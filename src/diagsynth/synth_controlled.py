@@ -29,10 +29,10 @@ from functools import cache
 import numpy as np
 
 from .angles import DEFAULT_TOL, wrap_angle
-from .circuits import K_MCRZ, K_RZ, Circuit, Layout, SynthesisReport, count_gates, _on_layout
+from .circuits import K_MCRZ, K_RZ, Circuit, Layout, SynthesisReport, count_gates, _on_layout, _own
 from .diagonal import DiagonalUnitary
 from .errors import SynthesisError
-from .simulate import _read_back
+from .simulate import _angles
 from .subsets import dictionary_words
 from .transforms import mobius
 
@@ -49,8 +49,7 @@ from .paper import (  # noqa: F401
 def synthesize_levels(u: DiagonalUnitary) -> np.ndarray:
     """Run the recursion on u; returns the block angles by set: entry T
     (line L at bit n - L) is the block on T's last line controlled by the
-    rest of T, and entry 0 the global phase. It does not check them:
-    ``synth_controlled`` checks the circuit it emits.
+    rest of T, and entry 0 the global phase, unchecked: see ``synth_controlled``.
     """
     # each wrap is of a vector just built, so in place
     a = mobius(u.wrapped)
@@ -96,7 +95,8 @@ def synth_controlled(
     layout, sets = _layout(u.n)
     columns = layout.columns(blocks[sets], layout.zero)
     circuit = _on_layout(layout, columns, float(blocks[0]), drop=not keep_trivial_rotations)
-    off = _read_back(circuit) + circuit.global_phase - u.wrapped
+    circuit._read_back = thetas = _own(_angles(circuit))  # for verify, circuit_to_diagonal
+    off = thetas - u.wrapped
     if not np.abs(wrap_angle(off, out=off), out=off).max() <= DEFAULT_TOL:
         raise SynthesisError("block angles failed to cancel the obstruction")
     return circuit, count_gates(circuit)

@@ -19,9 +19,10 @@ mixed_small: synthesis, then ``verify`` of its own circuit. Each call of
 synthesis and of the op takes a fresh ``DiagonalUnitary`` of the input, as
 every benchmark op does. Each call of a ``verify`` row takes a fresh
 ``Circuit`` of the synthesized columns and phase, on the synthesized layout
-(warm) or on a new one (cold), and the row's one diagonal, as repeated
-checks of one diagonal do: so it times the circuit's read-back, not one an
-earlier call kept. Fresh objects are made before the clock starts.
+(warm) or on a new one (cold), and a fresh ``DiagonalUnitary``, as the
+one-shot checks of xor_large and replay_files do: so it times the
+circuit's read-back and the diagonal's wrap, not the ones a lambda
+synthesis kept. Fresh objects are made before the clock starts.
 Columns ending in A are this
 checkout, B the other tree. ``same`` reads ``same`` when both trees give
 equal circuit columns, global phase and codec text, else ``differs``; it is
@@ -158,8 +159,8 @@ class Tree:
             return ds.Circuit(c.n, c.columns, c.global_phase)
         return ds.circuits._on_layout(c.layout, c.columns, c.global_phase)
 
-    def check(self, circuit) -> float:
-        return self.ds.verify(circuit, self.u)
+    def check(self, made) -> float:
+        return self.ds.verify(*made)
 
     def op(self, u) -> float:
         return self.ds.verify(self.synth(u)[0], u)
@@ -167,8 +168,8 @@ class Tree:
     def times(self, batch: int) -> list[float]:
         return [
             fresh(self.diagonal, self.synth, batch),
-            fresh(lambda: self.copy(False), self.check, batch),
-            fresh(lambda: self.copy(True), self.check, batch),
+            fresh(lambda: (self.copy(False), self.diagonal()), self.check, batch),
+            fresh(lambda: (self.copy(True), self.diagonal()), self.check, batch),
             per_call(self.write, max(1, batch // 8)),
             per_call(self.read, max(1, batch // 8)),
             fresh(self.diagonal, self.op, batch),

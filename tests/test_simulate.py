@@ -618,9 +618,10 @@ def test_the_twolevel_reading_keeps_16_bytes_a_cell():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_a_kept_read_back_gives_the_bits_of_a_fresh_read(synth, n, kind, diagonal_first, seed):
-    # verify and circuit_to_diagonal of a circuit that holds its read-back,
-    # whichever reader made it, give a fresh circuit's bits on the same
-    # columns, against fresh diagonals of the same angles
+    # verify and circuit_to_diagonal of a lambda circuit, which holds the
+    # read-back its synthesis checked, give a fresh circuit's bits on the same
+    # columns, against fresh diagonals of the same angles; the readers keep
+    # nothing on a circuit, so the other routes' circuits hold none
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2 * PI, 1 << n) if kind == "generic" else hard_thetas(kind, n, rng)
     other = rng.uniform(-1e3, 1e3, 1 << n)
@@ -633,6 +634,7 @@ def test_a_kept_read_back_gives_the_bits_of_a_fresh_read(synth, n, kind, diagona
         return verdicts, diagonal or ds.circuit_to_diagonal(circuit).thetas.tobytes()
 
     kept = results(circuit, u, v)
-    assert circuit._read_back is not None
+    assert (circuit._read_back is not None) == (synth is ds.synth_controlled)
     fresh = ds.Circuit(n, circuit.columns, circuit.global_phase)
     assert results(fresh, ds.DiagonalUnitary(n, thetas), ds.DiagonalUnitary(n, other)) == kept
+    assert "_read_back" not in vars(fresh)

@@ -136,15 +136,16 @@ def test_layout_matches_the_sorted_word_order(n):
 
 def test_a_lambda_op_reads_its_circuit_once_and_wraps_its_input_once(monkeypatch):
     # synthesis checks the circuit it emits by reading it back; verify reuses
-    # that read-back and the input's wrap, and a second diagonal is wrapped
-    # once however often the circuit is verified against it
+    # that read-back and the input's wrap, and wraps a second diagonal afresh
+    # at each call, keeping nothing on it
     synth_module = importlib.import_module("diagsynth.synth_controlled")
     reads, wraps, passes = [], [], []
     angles, butterfly = simulate._angles, transforms._butterfly
-    monkeypatch.setattr(simulate, "_angles", lambda c: reads.append(c) or angles(c))
+    for module in (simulate, synth_module):  # every binding that reads a circuit back
+        monkeypatch.setattr(module, "_angles", lambda c: reads.append(c) or angles(c))
     monkeypatch.setattr(transforms, "_butterfly", lambda a, step: passes.append(step.__name__)
                         or butterfly(a, step))
-    for module in (diagonal, synth_module):  # every binding that wraps an input
+    for module in (diagonal, simulate, synth_module):  # every binding that wraps an input
         wrap = module.wrap_angle
         monkeypatch.setattr(module, "wrap_angle",
                             lambda t, out=None, wrap=wrap: wraps.append(t) or wrap(t, out))
@@ -159,7 +160,7 @@ def test_a_lambda_op_reads_its_circuit_once_and_wraps_its_input_once(monkeypatch
     first, second = ds.verify(circuit, v), ds.verify(circuit, v)
     assert first == second > 1e-3
     assert reads == [circuit] and passes == []
-    assert sum(t is v.thetas for t in wraps) == 1
+    assert sum(t is v.thetas for t in wraps) == 2 and v._wrapped is None
 
 
 @pytest.mark.parametrize("fault", ["phase", "block"])
