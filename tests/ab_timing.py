@@ -35,8 +35,9 @@ of a stage's cells, next to a run against such a copy. After the rows, one
 line per route and stage gives that median, of A/B over the rows: over
 all of them, over n <= 6, and at n = 14 and 18 when the run reaches them.
 Then a block times the transform layer alone: ``fwht``, ``zeta`` and
-``mobius`` of the generic input at each n of the run, with each tree's best
-time of one call, A/B, and ``same`` when both trees give the same bits.
+``mobius`` of the generic input at each n of the run, and at n = 16 and 20
+too when N_MAX reaches them, with each tree's best time of one call, A/B,
+and ``same`` when both trees give the same bits.
 Last, a block times the shipped-file check: ``load_diagonal`` of the
 generic input's diagonal file and ``cli.main(["verify", ...])`` of its
 twolevel circuit file, each tree on the files it wrote, at each n of the
@@ -61,6 +62,7 @@ import numpy as np
 
 ROUTES = {"xor": "synth_xor", "lambda": "synth_controlled", "twolevel": "synth_twolevel"}
 SIZES = (*range(2, 11), 14, 18)
+TRANSFORM_SIZES = sorted((*SIZES, 16, 20))
 STAGES = ("synth", "warm", "cold", "write", "read", "op")
 TRANSFORMS = ("fwht", "zeta", "mobius")
 REPLAY = ("load_diagonal", "cli_verify")
@@ -260,7 +262,7 @@ def main(argv: list[str]) -> int:
                           f"{cells}  {'same' if same(*pair) else 'differs'}")
                     ratios.append((route, n, best[0] / best[1]))
         print_summary(ratios)
-        print_transforms(trees, sizes, repeats)
+        print_transforms(trees, [n for n in TRANSFORM_SIZES if n <= n_max], repeats)
         print_replay(trees, sizes, repeats, directory)
     return 0
 

@@ -269,16 +269,16 @@ def test_lambda_synthesis_is_one_butterfly_pass_per_transform(n, monkeypatch):
     # the coefficients are one Moebius pass and the check one subset-sum
     # pass, of n stages each; the half-sum pass is not a butterfly
     passes = []
-    butterfly = transforms._butterfly
+    stages = transforms._stages
 
-    def counted(a, step):
-        stages = []
-        passes.append((step.__name__, stages))
-        return butterfly(a, lambda *views: stages.append(1) or step(*views))
+    def counted(a, stage):
+        calls = []
+        passes.append((stage.__name__, calls))
+        return stages(a, lambda *views: calls.append(1) or stage(*views))
 
-    monkeypatch.setattr(transforms, "_butterfly", counted)
+    monkeypatch.setattr(transforms, "_stages", counted)
     ds.synth_controlled(random_diagonal(n, np.random.default_rng(n)))
-    assert passes == [("isub", [1] * n), ("iadd", [1] * n)]
+    assert passes == [("_subset_difference", [1] * n), ("_subset_sum", [1] * n)]
 
 
 @pytest.mark.parametrize("synth", [ds.synth_xor, ds.synth_controlled, ds.synth_twolevel])

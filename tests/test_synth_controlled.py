@@ -140,11 +140,11 @@ def test_a_lambda_op_reads_its_circuit_once_and_wraps_its_input_once(monkeypatch
     # at each call, keeping nothing on it
     synth_module = importlib.import_module("diagsynth.synth_controlled")
     reads, wraps, passes = [], [], []
-    angles, butterfly = simulate._angles, transforms._butterfly
+    angles, stages = simulate._angles, transforms._stages
     for module in (simulate, synth_module):  # every binding that reads a circuit back
         monkeypatch.setattr(module, "_angles", lambda c: reads.append(c) or angles(c))
-    monkeypatch.setattr(transforms, "_butterfly", lambda a, step: passes.append(step.__name__)
-                        or butterfly(a, step))
+    monkeypatch.setattr(transforms, "_stages", lambda a, stage: passes.append(stage.__name__)
+                        or stages(a, stage))
     for module in (diagonal, simulate, synth_module):  # every binding that wraps an input
         wrap = module.wrap_angle
         monkeypatch.setattr(module, "wrap_angle",
@@ -153,7 +153,8 @@ def test_a_lambda_op_reads_its_circuit_once_and_wraps_its_input_once(monkeypatch
     u, v = random_diagonal(8, rng), random_diagonal(8, rng)
     circuit, _ = ds.synth_controlled(u)
     assert ds.verify(circuit, u) <= 1e-9
-    assert reads == [circuit] and passes == ["isub", "iadd"]  # mobius, then the read-back's zeta
+    # mobius, then the read-back's zeta
+    assert reads == [circuit] and passes == ["_subset_difference", "_subset_sum"]
     assert sum(t is u.thetas for t in wraps) == 1
     assert not circuit._read_back.flags.writeable and not u.wrapped.flags.writeable
     del passes[:]

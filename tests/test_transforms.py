@@ -31,7 +31,7 @@ def test_transforms_invert(m):
 
 def _per_stage(a, step):
     # the transforms as one in-place pass per stage, lowest bit first: the
-    # reference fwht's constant-geometry stages must equal bit for bit
+    # reference the constant-geometry stages must equal bit for bit
     out = np.array(a, dtype=float)
     half = 1
     while half < out.size:
@@ -80,20 +80,22 @@ def test_transforms_equal_the_per_stage_loop_bit_for_bit(m):
 @pytest.mark.parametrize("m", [0, 1, 2, 11, 17])
 def test_fwht_takes_the_inputs_callers_pass(m):
     # a read-only array (as u.thetas is), a strided view, ints and a list
-    # each give fwht of their contiguous float64 copy, in a new writable array
+    # each give each transform of their contiguous float64 copy, in a new
+    # writable array; at m = 0 no stage runs and the copy is the result
     rng = np.random.default_rng(900 + m)
     frozen = rng.normal(size=1 << m)
     frozen.flags.writeable = False
     wide = rng.normal(size=2 << m)
     ints = rng.integers(-1000, 1000, 1 << m)
-    for a in (frozen, wide[::2], ints, list(rng.normal(size=1 << m))):
-        before = np.array(a)
-        out = fwht(a)
-        want = fwht(np.ascontiguousarray(a, dtype=np.float64))
-        assert np.array_equal(out.view(np.int64), want.view(np.int64))
-        assert out.dtype == np.float64 and out.flags.writeable
-        assert not np.shares_memory(out, a)
-        assert np.array_equal(np.array(a), before)
+    for transform in (fwht, zeta, mobius):
+        for a in (frozen, wide[::2], ints, list(rng.normal(size=1 << m))):
+            before = np.array(a)
+            out = transform(a)
+            want = transform(np.ascontiguousarray(a, dtype=np.float64))
+            assert np.array_equal(out.view(np.int64), want.view(np.int64))
+            assert out.dtype == np.float64 and out.flags.writeable
+            assert not np.shares_memory(out, a)
+            assert np.array_equal(np.array(a), before)
 
 
 def test_transforms_leave_their_input_alone():
